@@ -24,10 +24,6 @@ import statistics
 import sys
 import time
 
-#: Report timings per process: at most this many, while under this budget.
-REPORT_REPEATS = 5
-REPORT_BUDGET_S = 0.5
-
 
 def _slot_totals(record) -> dict:
     """Request flow, cost and budget summed over every trial and line-up entry."""
@@ -56,7 +52,7 @@ def main(argv=None) -> int:
     mode.add_argument("--telemetry", action="store_true")
     args = parser.parse_args(argv)
 
-    from workloads import build_scenario
+    from workloads import REPORT_REPEATS, build_scenario
 
     from repro import api
 
@@ -97,11 +93,11 @@ def main(argv=None) -> int:
     report_end = time.monotonic()
     summary_times = [summary_end - run_end]
     to_dict_times = [report_end - summary_end]
-    # The report is short (about 20 ms on fig3-oscar) and its time swings by
-    # half from one call to the next on a shared machine, so short reports
-    # are timed again and the median kept.  The repetitions are not part of
-    # the program: their time is reported so it can be taken off wall_s.
-    while len(summary_times) < REPORT_REPEATS and time.monotonic() - run_end < REPORT_BUDGET_S:
+    # Short reports (about 30 ms on fig3-oscar) swing by half from one call
+    # to the next on a shared machine, so they are timed again and the mean
+    # kept.  The repetitions are not part of the program: their time is
+    # reported so it can be taken off wall_s.
+    while len(summary_times) < REPORT_REPEATS[args.workload]:
         start = time.monotonic()
         record.format_summary()
         middle = time.monotonic()
@@ -116,10 +112,10 @@ def main(argv=None) -> int:
         "expected_slots": expected_slots,
         "t_first_slot": stamps[0] if stamps else run_end,
         "t_run_end": run_end,
-        "report_s": statistics.median(s + d for s, d in zip(summary_times, to_dict_times)),
+        "report_s": statistics.fmean(s + d for s, d in zip(summary_times, to_dict_times)),
         "repeat_s": time.monotonic() - report_end,
-        "summary_s": statistics.median(summary_times),
-        "to_dict_s": statistics.median(to_dict_times),
+        "summary_s": statistics.fmean(summary_times),
+        "to_dict_s": statistics.fmean(to_dict_times),
         "json_mb": json_mb,
         "slot_gaps_ms": [1000.0 * (b - a) for a, b in zip(stamps, stamps[1:])],
         "completed_slots": len(stamps),

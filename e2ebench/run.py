@@ -10,8 +10,8 @@ from the seed, with guard and telemetry off and their environment overrides
 scrubbed.  One invocation launches a fixed number of such processes, each
 on its own input derived from ``--seed``, sized so the invocation takes about
 ``--seconds`` seconds.  ``--trace 0`` prints the end-to-end metrics (the
-mean of the processes without the fastest and the slowest, or ratios pooled
-over them); ``--trace 1`` runs
+mean of the processes, from four on without the fastest and the slowest,
+or slot-gap percentiles and ratios pooled over them); ``--trace 1`` runs
 untraced/traced pairs on the same inputs plus one run with the program's own
 ``light`` telemetry, and prints the per-layer metrics (means over the traced
 processes, so the layer self times plus ``unattributed_s`` add up to
@@ -133,18 +133,19 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 
 def central_median(values: Sequence[float]) -> float:
-    """The median, estimated as the mean of the values from p40 to p60.
+    """The median, estimated as the interquartile mean (of p25 to p75).
 
     On fig3-oscar the raw median of the slot gaps is ill-conditioned: a slot
     carries 1 to 4 requests uniformly, and the solve time jumps from two
     requests (16 route combinations) to three (64), so half the slots fall
     on either side of a gap in the distribution and the raw median flips
-    between its edges.  Over ten seeds on a shared 2-core x86 box its
-    spread was 0.5, against 0.13 for this estimate.
+    between its edges.  Resampling 12-topology runs from 117 measured
+    topologies on a shared 2-core x86 box, the spread over ten runs was
+    0.14 for the p40-p60 mean and 0.10 for this estimate.
     """
     ordered = sorted(values)
-    low = int(0.4 * len(ordered))
-    return statistics.fmean(ordered[low : max(low + 1, int(0.6 * len(ordered)))])
+    low = int(0.25 * len(ordered))
+    return statistics.fmean(ordered[low : max(low + 1, int(0.75 * len(ordered)))])
 
 
 def tail_quantile(count: int) -> float:
@@ -241,11 +242,12 @@ def middle_mean(values: Iterable[float]) -> float:
 def end_to_end(reports: Sequence[dict]) -> Dict[str, tuple]:
     """The 12 end-to-end metrics: name → (value, unit).
 
-    Each process contributes one value per metric (slot-gap percentiles are
-    taken per process, the median by :func:`central_median`);
-    :func:`middle_mean` combines them.  The last three are ratios pooled
-    over every process.
+    Each process contributes one value per metric and :func:`middle_mean`
+    combines them, except for the slot-gap percentiles, taken over the gaps
+    of every process (the median by :func:`central_median`), and the last
+    three, ratios pooled over every process.
     """
+    gaps = [gap for r in reports for gap in r["slot_gaps_ms"]]
     arrived = sum(r["totals"]["arrived"] for r in reports)
     won = sum(successes(r) for r in reports)
     cost = sum(r["totals"]["cost"] for r in reports)
@@ -261,13 +263,8 @@ def end_to_end(reports: Sequence[dict]) -> Dict[str, tuple]:
         "wall_s": (combined(lambda r: r["wall_s"]), "s"),
         "slots_per_s": (combined(lambda r: (r["completed_slots"] - 1) / r["run_s"]), "1/s"),
         "requests_per_s": (combined(lambda r: r["totals"]["arrived"] / r["run_s"]), "1/s"),
-        "slot_ms_p50": (combined(lambda r: central_median(r["slot_gaps_ms"])), "ms"),
-        "slot_ms_p99": (
-            combined(
-                lambda r: percentile(r["slot_gaps_ms"], tail_quantile(len(r["slot_gaps_ms"])))
-            ),
-            "ms",
-        ),
+        "slot_ms_p50": (central_median(gaps), "ms"),
+        "slot_ms_p99": (percentile(gaps, tail_quantile(len(gaps))), "ms"),
         "peak_rss_mb": (combined(lambda r: r["peak_rss_mb"]), "MB"),
         "ec_success_frac": (ratio(won, arrived), "frac"),
         "cost_per_success": (ratio(cost, won), "qubits"),
@@ -461,10 +458,11 @@ def run_workload(root: Path, env: Dict[str, str], name: str, seed: int, seconds:
             )
         arrived = sum(r["totals"]["arrived"] for r in plain)
         print(f"requests_attempted {arrived}, requests_failed {arrived - sum(successes(r) for r in plain)}")
-        gaps = len(plain[0]["slot_gaps_ms"])
+        gaps = sum(len(r["slot_gaps_ms"]) for r in plain)
         print(
-            f"slot gaps per process: {gaps}; slot_ms_p99 is their "
-            f"p{100 * tail_quantile(gaps):.0f} (at least {TAIL_SAMPLES} samples beyond)"
+            f"slot gaps over all processes: {gaps}; slot_ms_p50 is their interquartile "
+            f"mean, slot_ms_p99 their p{100 * tail_quantile(gaps):.0f} "
+            f"(at least {TAIL_SAMPLES} samples beyond)"
         )
         print_metrics(metrics)
         if trace:
