@@ -9,7 +9,7 @@ and exits non-zero if any benchmark reports a regression.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py            # run all
-    PYTHONPATH=src python benchmarks/bench_smoke.py kernel serving
+    PYTHONPATH=src python benchmarks/bench_smoke.py faults serving
     PYTHONPATH=src python benchmarks/bench_smoke.py --list
 """
 

@@ -2,7 +2,7 @@
 
 * Gibbs route selection vs exhaustive search (solution quality and number of
   allocation solves).
-* Dual-decomposition relaxation solver vs the scipy SLSQP reference.
+* The per-slot solver (slot kernel) vs the exact per-slot oracle.
 * Analytic edge-success formula (paper Eq. 1) vs attempt-level Monte-Carlo.
 """
 

@@ -1,43 +1,22 @@
 """Micro-benchmarks of the reproduction's performance-critical components.
 
 These do not correspond to a paper figure; they track the cost of the two
-inner loops that dominate the runtime of every experiment — the continuous
-relaxation solve (Algorithm 2) and one full per-slot P2 solve — so that
-performance regressions are caught before they make the figure benchmarks
-unusable.
+inner loops that dominate the runtime of every experiment — one slot-kernel
+solve of a route combination (Algorithm 2) and one full per-slot P2 solve —
+so that performance regressions are caught before they make the figure
+benchmarks unusable.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.per_slot import PerSlotSolver
 from repro.core.problem import SlotContext
 from repro.network.routes import build_candidate_routes
 from repro.network.topology import waxman_topology
-from repro.solvers.allocation_problem import build_allocation_problem
-from repro.solvers.relaxed import DualDecompositionSolver
+from repro.solvers.kernel import KernelCache
 from repro.workload.requests import SDPair
-
-
-def _allocation_instance(num_vars: int = 12, seed: int = 5):
-    rng = np.random.default_rng(seed)
-    successes = rng.uniform(0.4, 0.7, size=num_vars)
-    entries = [(f"v{i}", float(p)) for i, p in enumerate(successes)]
-    groups = {}
-    for g in range(num_vars // 2):
-        members = sorted(rng.choice(num_vars, size=3, replace=False).tolist())
-        groups[f"c{g}"] = (members, float(rng.uniform(6, 14)))
-    return build_allocation_problem(entries, groups, utility_weight=2500.0, cost_weight=12.0)
-
-
-@pytest.mark.benchmark(group="components")
-def test_bench_dual_solver(benchmark):
-    problem = _allocation_instance()
-    solver = DualDecompositionSolver()
-    solution = benchmark(solver.solve, problem)
-    assert solution.feasible
 
 
 def _slot_context(seed: int = 3):
@@ -55,6 +34,24 @@ def _slot_context(seed: int = 3):
         requests=tuple(requests),
         candidate_routes={r: tuple(candidates[r.endpoints]) for r in requests},
     )
+
+
+@pytest.mark.benchmark(group="components")
+def test_bench_kernel_solve(benchmark):
+    context = _slot_context()
+    requests = list(context.servable_requests())
+    candidates = [list(context.routes_for(r)) for r in requests]
+    assignment = tuple(0 for _ in requests)
+
+    def solve():
+        # A fresh cache: compile, bind and solve one combination cold.
+        kernel = KernelCache().bind(
+            context, requests, candidates, utility_weight=2500.0, cost_weight=12.0
+        )
+        return kernel.outcome_for(assignment)
+
+    outcome = benchmark(solve)
+    assert outcome.feasible
 
 
 @pytest.mark.benchmark(group="components")

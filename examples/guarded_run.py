@@ -12,7 +12,7 @@ single random draw.  This example shows the full loop:
 4. replay the bundle and watch the exact same failure reproduce, keyed by
    an identical content hash;
 5. run the lockstep differential pairs (slotted vs. event backend,
-   reference vs. vectorized physical engine, kernel vs. legacy solver).
+   reference vs. vectorized physical engine).
 
 Run it with::
 

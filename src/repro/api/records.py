@@ -126,7 +126,7 @@ class RunRecord:
 
     def scenario_config(self) -> ExperimentConfig:
         """The :class:`ExperimentConfig` the scenario ran with."""
-        return ExperimentConfig(**self.scenario["config"])
+        return ExperimentConfig.from_dict(self.scenario["config"])
 
     # ------------------------------------------------------------------ #
     # Aggregation (delegates to the comparison machinery)
@@ -170,9 +170,8 @@ class RunRecord:
         Sums the per-policy ``diagnostics["kernel"]`` counters (solves,
         cache/memo hits, structure re-binds vs recompiles, dual iterations,
         …) every horizon produced.  Returns ``None`` when no result carries
-        kernel diagnostics — legacy-solver runs, runs with the kernel cache
-        disabled, or records loaded from JSON (diagnostics are in-memory
-        only).
+        kernel diagnostics — runs of policies that solve nothing, or records
+        loaded from JSON (diagnostics are in-memory only).
         """
         return merge_kernel_stats(
             result.diagnostics.get("kernel")

@@ -26,6 +26,7 @@ automatically.
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import inspect
 from dataclasses import dataclass, field
@@ -45,23 +46,6 @@ from repro.experiments.config import ExperimentConfig
 #: A policy factory takes the experiment configuration plus free-form
 #: keyword overrides and returns a fresh, un-reset policy instance.
 PolicyFactory = Callable[..., RoutingPolicy]
-
-#: Configuration fields that are injected into class-based factories when the
-#: policy class declares a matching constructor parameter.
-CONFIG_INJECTED_FIELDS = (
-    "total_budget",
-    "horizon",
-    "trade_off_v",
-    "initial_queue",
-    "gamma",
-    "gibbs_iterations",
-    "exhaustive_limit",
-    "use_kernel",
-    "dual_tolerance",
-    "kernel_cache",
-    "solve_deadline",
-)
-
 
 class UnknownPolicyError(KeyError):
     """Raised when a policy name is not (or not yet) registered."""
@@ -127,9 +111,9 @@ def _factory_from_class(cls: type) -> PolicyFactory:
 
     def factory(config: ExperimentConfig, **kwargs: object) -> RoutingPolicy:
         merged: Dict[str, object] = {
-            name: getattr(config, name)
-            for name in CONFIG_INJECTED_FIELDS
-            if name in parameters
+            entry.name: getattr(config, entry.name)
+            for entry in dataclasses.fields(config)
+            if entry.name in parameters
         }
         merged.update(kwargs)
         return cls(**merged)

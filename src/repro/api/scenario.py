@@ -31,6 +31,8 @@ from repro.api.registry import PolicyRegistry, default_registry
 from repro.core.multiuser import QDNUser
 from repro.core.policy import RoutingPolicy
 from repro.experiments.config import ExperimentConfig
+from repro.guard.invariants import GUARD_ENV_VAR, effective_guard_level
+from repro.telemetry.tracer import TELEMETRY_ENV_VAR, effective_telemetry_level
 from repro.workload.requests import (
     DiurnalRequestProcess,
     HotspotRequestProcess,
@@ -66,9 +68,7 @@ WORKLOAD_FIELDS = frozenset(
 BUDGET_FIELDS = frozenset(
     {"total_budget", "trade_off_v", "initial_queue", "gamma"}
 )
-SOLVER_FIELDS = frozenset(
-    {"use_kernel", "dual_tolerance", "kernel_cache", "solve_deadline"}
-)
+SOLVER_FIELDS = frozenset({"dual_tolerance", "solve_deadline"})
 PHYSICAL_FIELDS = frozenset(
     {
         "physical_enabled", "physical_swap_success", "physical_link_fidelity",
@@ -113,6 +113,32 @@ def unsupported_backend_error(backend: str, feature: str, remedy: str) -> ValueE
     return ValueError(
         f"unsupported combination: backend={backend!r} with {feature}; "
         f"{feature} runs on the slotted backend only — {remedy}"
+    )
+
+
+def check_multiuser_layers(config: ExperimentConfig) -> None:
+    """Reject the layers a multi-user tenant line-up does not run.
+
+    The multi-user driver has no fault, guard or telemetry hooks, so these
+    combinations would silently run without them.  Guard and telemetry are
+    checked at the level a run would use, after the ``REPRO_GUARD`` /
+    ``REPRO_TELEMETRY`` overrides.
+    """
+    guard = effective_guard_level(config.guard_level)
+    telemetry = effective_telemetry_level(config.telemetry_level)
+    if config.fault_enabled:
+        feature, remedy = "fault injection", "drop with_faults()"
+    elif guard != "off":
+        feature = f"the invariant guard at level {guard!r}"
+        remedy = f"use guard level 'off' (with_guard, {GUARD_ENV_VAR})"
+    elif telemetry != "off":
+        feature = f"telemetry at level {telemetry!r}"
+        remedy = f"use telemetry level 'off' (with_telemetry, {TELEMETRY_ENV_VAR})"
+    else:
+        return
+    raise ValueError(
+        f"unsupported combination: {feature} and a multi-user tenant "
+        f"line-up; {remedy} or drop the tenant line-up"
     )
 
 
@@ -351,26 +377,17 @@ class Scenario:
             overrides["total_budget"] = float(total_budget)
         return self._with_fields(BUDGET_FIELDS, "with_budget", overrides)
 
-    def with_solver(self, fast: Optional[bool] = None, **overrides) -> "Scenario":
-        """Configure the per-slot solver fast path.
+    def with_solver(self, **overrides) -> "Scenario":
+        """Configure the per-slot solver (the compiled slot kernel).
 
-        ``fast`` is an alias for ``use_kernel``: ``True`` (the default
-        everywhere) evaluates route combinations on the compiled slot kernel
-        with warm-started dual solves, ``False`` runs the legacy
-        per-combination object path (the cross-checking reference).
-        ``dual_tolerance`` tunes the kernel's duality-gap early stop
-        (``0`` replays the legacy fixed iteration schedule on the kernel).
-        ``kernel_cache`` (default ``True``) re-binds one compiled kernel
-        structure across slots and horizons, carrying warm-start duals
-        slot-to-slot; ``False`` recompiles the kernel every slot.
-        ``solve_deadline`` caps the per-slot solve at a deterministic
-        number of combination evaluations: slots over budget degrade
-        exhaustive → Gibbs → greedy (see
+        ``dual_tolerance`` tunes the kernel's duality-gap early stop; ``0``
+        selects replay mode (the fixed iteration schedule from zero
+        multipliers, no warm start).  ``solve_deadline`` caps the per-slot
+        solve at a deterministic number of combination evaluations: slots
+        over budget degrade exhaustive → Gibbs → greedy (see
         :class:`~repro.core.per_slot.PerSlotSolver`); ``0`` (default) keeps
         the solve unlimited.
         """
-        if fast is not None:
-            overrides["use_kernel"] = bool(fast)
         return self._with_fields(SOLVER_FIELDS, "with_solver", overrides)
 
     def with_physical(self, enabled: bool = True, **overrides) -> "Scenario":
@@ -665,6 +682,7 @@ class Scenario:
                     "multi-user tenant line-up are mutually exclusive; "
                     "drop with_serving() or the tenant line-up"
                 )
+            check_multiuser_layers(self.config)
         elif self.is_serving:
             if self.config.backend != "slotted":
                 raise unsupported_backend_error(
@@ -711,7 +729,7 @@ class Scenario:
         """Rebuild a scenario from :meth:`to_dict` output."""
         return cls(
             name=str(payload.get("name", "scenario")),
-            config=ExperimentConfig(**payload["config"]),
+            config=ExperimentConfig.from_dict(payload["config"]),
             policies=tuple(
                 PolicySpec.from_dict(entry) for entry in payload.get("policies", [])
             ),

@@ -36,7 +36,7 @@ from repro.api.events import (
     TrialStarted,
 )
 from repro.api.records import RunRecord
-from repro.api.scenario import Scenario, unsupported_backend_error
+from repro.api.scenario import Scenario, check_multiuser_layers, unsupported_backend_error
 from repro.core.multiuser import MultiUserSimulator, ProviderSlotRecord
 from repro.faults import PoolSupervisor, RunCheckpoint, WorkerPoolError, checkpoint_key
 from repro.guard.invariants import InvariantViolation, effective_guard_level
@@ -176,11 +176,7 @@ def _execute_trial_inner(
         )
         return {result.policy_name: result}, ()
     if scenario.is_multiuser:
-        if faults is not None:
-            raise ValueError(
-                "unsupported combination: fault injection and a multi-user "
-                "tenant line-up; drop with_faults() or the tenant line-up"
-            )
+        check_multiuser_layers(config)
         if config.backend != "slotted":
             raise unsupported_backend_error(
                 config.backend,

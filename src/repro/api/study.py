@@ -491,9 +491,8 @@ class StudyResult:
         """Compiled-kernel statistics summed over every point of the grid.
 
         Aggregates :meth:`RunRecord.kernel_stats` across the study; points
-        served from the result store (or run on the legacy solver) carry no
-        kernel diagnostics and contribute nothing.  ``None`` when no point
-        carried any.
+        served from the result store carry no kernel diagnostics and
+        contribute nothing.  ``None`` when no point carried any.
         """
         from repro.api.records import merge_kernel_stats
 

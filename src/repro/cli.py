@@ -101,10 +101,6 @@ def _config_from_args(arguments: argparse.Namespace) -> ExperimentConfig:
         overrides["trials"] = arguments.trials
     if getattr(arguments, "seed", None) is not None:
         overrides["base_seed"] = arguments.seed
-    if getattr(arguments, "legacy_solver", False):
-        overrides["use_kernel"] = False
-    if getattr(arguments, "no_kernel_cache", False):
-        overrides["kernel_cache"] = False
     if getattr(arguments, "dual_tolerance", None) is not None:
         overrides["dual_tolerance"] = arguments.dual_tolerance
     # Physical-layer flags: any parameter flag implies --physical.
@@ -225,7 +221,10 @@ def command_figure(arguments: argparse.Namespace) -> int:
         print(json.dumps(result.to_dict(), indent=2))
     else:
         print(report)
-        print(f"\n[{arguments.name} at scale={arguments.scale} in {elapsed:.1f} s]")
+        # The timing line goes to stderr so stdout is the report alone,
+        # comparable byte for byte across runs.
+        print(f"\n[{arguments.name} at scale={arguments.scale} in {elapsed:.1f} s]",
+              file=sys.stderr)
     if arguments.output:
         path = save_text_report(Path(arguments.output), report)
         print(f"[report written to {path}]", file=sys.stderr if arguments.json else sys.stdout)
@@ -841,16 +840,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="experiment scale (default: small)")
         sub.add_argument("--trials", type=int, default=None, help="override the number of trials")
         sub.add_argument("--seed", type=int, default=None, help="override the base random seed")
-        sub.add_argument("--legacy-solver", action="store_true",
-                         help="disable the compiled slot kernel and run the "
-                              "legacy per-combination solver (cross-check)")
-        sub.add_argument("--no-kernel-cache", action="store_true",
-                         help="recompile the slot kernel every slot instead "
-                              "of re-binding the cached structure (benchmark "
-                              "reference)")
         sub.add_argument("--dual-tolerance", type=float, default=None,
                          help="kernel duality-gap early-stop tolerance "
-                              "(0 replays the full fixed iteration schedule)")
+                              "(0 selects replay mode: the full fixed "
+                              "iteration schedule)")
         sub.add_argument("--physical", action="store_true",
                          help="simulate the physical delivery chain "
                               "(swap/purify/decohere) under every realised EC")

@@ -5,8 +5,8 @@
 * :mod:`repro.core.objective` — entanglement success probabilities, the
   proportional-fair utility and the drift-plus-penalty objective.
 * :mod:`repro.core.virtual_queue` — the Lyapunov virtual cost-deficit queue.
-* :mod:`repro.core.allocation` — Algorithm 2: qubit allocation by continuous
-  relaxation plus down-rounding with surplus allocation.
+* :mod:`repro.core.allocation` — Algorithm 2's outcome: the integer
+  allocation of a route selection and its relaxed counterpart.
 * :mod:`repro.core.route_selection` — Algorithm 3: route selection by Gibbs
   sampling, plus exhaustive search for small instances.
 * :mod:`repro.core.per_slot` — the per-slot problem P2 solver combining the
@@ -32,7 +32,7 @@ from repro.core.objective import (
     slot_utility,
 )
 from repro.core.virtual_queue import VirtualQueue
-from repro.core.allocation import AllocationOutcome, QubitAllocator
+from repro.core.allocation import AllocationOutcome
 from repro.core.route_selection import (
     ExhaustiveRouteSelector,
     GibbsRouteSelector,
@@ -60,7 +60,6 @@ __all__ = [
     "slot_utility",
     "VirtualQueue",
     "AllocationOutcome",
-    "QubitAllocator",
     "ExhaustiveRouteSelector",
     "GibbsRouteSelector",
     "RouteSelectionResult",

@@ -1,37 +1,23 @@
-"""Algorithm 2 — qubit allocation for a fixed route selection.
+"""Algorithm 2 — the outcome of qubit allocation for a fixed route selection.
 
-Given a slot context and a route for every served request, the allocator
-
-1. builds the :class:`~repro.solvers.allocation_problem.AllocationProblem`
-   (one variable per (request, edge-on-route), node constraints from Eq. 4,
-   edge constraints from Eq. 5, optionally a per-slot budget cap used by the
-   myopic baselines),
-2. solves its continuous relaxation with a pluggable
-   :class:`~repro.solvers.relaxed.RelaxedSolver`, and
-3. rounds with the paper's "down-round and allocate surplus" procedure.
-
-The result carries both the integer allocation (what is deployed) and the
-relaxed solution (used by the Δ-optimality diagnostics).
+The allocation itself runs on the compiled slot kernel
+(:mod:`repro.solvers.kernel`): one variable per (request, edge-on-route),
+node constraints from Eq. 4, edge constraints from Eq. 5 and optionally a
+per-slot budget cap (the myopic baselines), solved by continuous relaxation
+and rounded by the paper's "down-round and allocate surplus" procedure.
+:class:`AllocationOutcome` carries both the integer allocation (what is
+deployed) and the relaxed solution (used by the Δ-optimality diagnostics).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional
 
-from repro.core.problem import AllocationKey, SlotContext
+from repro.core.problem import AllocationKey
 from repro.network.graph import EdgeKey
-from repro.network.routes import Route
-from repro.solvers.allocation_problem import (
-    AllocationProblem,
-    AllocationVariable,
-    CapacityConstraint,
-    ContinuousSolution,
-    IntegerSolution,
-)
-from repro.solvers.relaxed import DualDecompositionSolver, RelaxedSolver
-from repro.solvers.rounding import round_down_with_surplus
-from repro.utils.validation import check_non_negative
+from repro.solvers.relaxed import ContinuousSolution
+from repro.solvers.rounding import IntegerSolution
 from repro.workload.requests import SDPair
 
 
@@ -60,179 +46,3 @@ class AllocationOutcome:
             for (req, key), value in self.allocation.items()
             if req == request
         }
-
-
-@dataclass
-class QubitAllocator:
-    """Builds and solves the per-slot allocation problem (Algorithm 2)."""
-
-    solver: RelaxedSolver = field(default_factory=DualDecompositionSolver)
-
-    # ------------------------------------------------------------------ #
-    # Compiled fast path
-    # ------------------------------------------------------------------ #
-    def compile(
-        self,
-        context: SlotContext,
-        requests: "List[SDPair]",
-        candidate_routes: "List[List[Route]]",
-        utility_weight: float = 1.0,
-        cost_weight: float = 0.0,
-        budget_cap: Optional[float] = None,
-        dual_tolerance: Optional[float] = None,
-        warm_start: bool = True,
-        cache=None,
-    ):
-        """Compile (or re-bind) the slot kernel for this allocator, or ``None``.
-
-        Returns a :class:`~repro.solvers.kernel.SlotKernel` — an incremental
-        evaluator of route combinations sharing warm-started dual solves —
-        when this allocator's relaxed solver maps onto the kernel (i.e. it is
-        a plain :class:`DualDecompositionSolver`); returns ``None`` otherwise
-        so callers fall back to the legacy per-combination object path.
-
-        With a :class:`~repro.solvers.kernel.KernelCache` in ``cache`` the
-        kernel is *bound* against the cache's compiled structure for this
-        graph (re-used across the drop-retry loop, consecutive slots and
-        whole horizons, carrying warm-start dual multipliers slot-to-slot)
-        instead of compiling its flat arrays from scratch.
-        """
-        from repro.solvers.kernel import SlotKernel, kernel_options_for
-
-        if cache is not None:
-            return cache.bind(
-                self,
-                context,
-                requests,
-                candidate_routes,
-                utility_weight=utility_weight,
-                cost_weight=cost_weight,
-                budget_cap=budget_cap,
-                dual_tolerance=dual_tolerance,
-                warm_start=warm_start,
-            )
-        options = kernel_options_for(
-            self.solver, dual_tolerance=dual_tolerance, warm_start=warm_start
-        )
-        if options is None:
-            return None
-        return SlotKernel(
-            context=context,
-            requests=requests,
-            candidate_routes=candidate_routes,
-            utility_weight=utility_weight,
-            cost_weight=cost_weight,
-            budget_cap=budget_cap,
-            options=options,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Problem construction
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def build_problem(
-        context: SlotContext,
-        selection: Mapping[SDPair, Route],
-        utility_weight: float,
-        cost_weight: float,
-        budget_cap: Optional[float] = None,
-    ) -> Tuple[AllocationProblem, List[AllocationKey]]:
-        """Assemble the :class:`AllocationProblem` for a fixed route selection.
-
-        Returns the problem and the ordered list of allocation keys matching
-        the problem's variable order.
-        """
-        check_non_negative(utility_weight, "utility_weight")
-        check_non_negative(cost_weight, "cost_weight")
-        graph = context.graph
-        snapshot = context.snapshot
-
-        keys: List[AllocationKey] = []
-        variables: List[AllocationVariable] = []
-        node_members: Dict[object, List[int]] = {}
-        edge_members: Dict[EdgeKey, List[int]] = {}
-        for request, route in selection.items():
-            for edge in route.edges:
-                index = len(variables)
-                keys.append((request, edge))
-                variables.append(
-                    AllocationVariable(
-                        key=(request, edge),
-                        slot_success=graph.slot_success(edge),
-                    )
-                )
-                for endpoint in edge:
-                    node_members.setdefault(endpoint, []).append(index)
-                edge_members.setdefault(edge, []).append(index)
-
-        constraints: List[CapacityConstraint] = []
-        for node, members in node_members.items():
-            constraints.append(
-                CapacityConstraint(
-                    name=f"node:{node}",
-                    members=tuple(members),
-                    capacity=float(snapshot.available_qubits(node)),
-                )
-            )
-        for edge, members in edge_members.items():
-            constraints.append(
-                CapacityConstraint(
-                    name=f"edge:{edge}",
-                    members=tuple(members),
-                    capacity=float(snapshot.available_channels(edge)),
-                )
-            )
-        if budget_cap is not None:
-            check_non_negative(budget_cap, "budget_cap")
-            constraints.append(
-                CapacityConstraint(
-                    name="slot-budget",
-                    members=tuple(range(len(variables))),
-                    capacity=float(budget_cap),
-                )
-            )
-
-        problem = AllocationProblem(
-            variables=variables,
-            constraints=constraints,
-            utility_weight=utility_weight,
-            cost_weight=cost_weight,
-        )
-        return problem, keys
-
-    # ------------------------------------------------------------------ #
-    # Solving
-    # ------------------------------------------------------------------ #
-    def allocate(
-        self,
-        context: SlotContext,
-        selection: Mapping[SDPair, Route],
-        utility_weight: float = 1.0,
-        cost_weight: float = 0.0,
-        budget_cap: Optional[float] = None,
-    ) -> AllocationOutcome:
-        """Run Algorithm 2 for the given route selection.
-
-        An empty selection yields an empty, feasible allocation with zero
-        objective (nothing to serve costs nothing).
-        """
-        if not selection:
-            return AllocationOutcome(
-                allocation={}, objective=0.0, feasible=True, cost=0
-            )
-        problem, keys = self.build_problem(
-            context, selection, utility_weight, cost_weight, budget_cap
-        )
-        relaxed = self.solver.solve(problem)
-        rounded = round_down_with_surplus(problem, relaxed)
-        allocation = {
-            key: int(value) for key, value in zip(keys, rounded.values)
-        }
-        return AllocationOutcome(
-            allocation=allocation,
-            objective=rounded.objective,
-            feasible=rounded.feasible,
-            cost=int(sum(rounded.values)) if rounded.feasible else 0,
-            integer_solution=rounded,
-            relaxed_solution=relaxed,
-        )

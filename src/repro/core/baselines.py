@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.per_slot import PerSlotSolver
 from repro.core.policy import RoutingPolicy
 from repro.core.problem import SlotContext, SlotDecision
 from repro.network.graph import QDNGraph
 from repro.solvers.kernel import DEFAULT_DUAL_TOLERANCE
-from repro.solvers.relaxed import RelaxedSolver
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_non_negative, check_positive
 from repro.workload.budget import BudgetTracker
@@ -47,10 +46,7 @@ class _MyopicBase(RoutingPolicy):
     gibbs_iterations: int = 60
     selector_mode: str = "auto"
     exhaustive_limit: int = 64
-    relaxed_solver: Optional[RelaxedSolver] = None
-    use_kernel: bool = True
     dual_tolerance: float = DEFAULT_DUAL_TOLERANCE
-    kernel_cache: bool = True
     solve_deadline: int = 0
     name: str = "myopic"
 
@@ -67,10 +63,7 @@ class _MyopicBase(RoutingPolicy):
             exhaustive_limit=self.exhaustive_limit,
             gamma=self.gamma,
             gibbs_iterations=self.gibbs_iterations,
-            relaxed_solver=self.relaxed_solver,
-            use_kernel=self.use_kernel,
             dual_tolerance=self.dual_tolerance,
-            kernel_cache=self.kernel_cache,
             solve_deadline=self.solve_deadline,
         )
         self._tracker = BudgetTracker(total_budget=self.total_budget, horizon=self._run_horizon)
@@ -106,14 +99,11 @@ class _MyopicBase(RoutingPolicy):
         return self._tracker
 
     def diagnostics(self) -> dict:
-        diagnostics = {
+        return {
             "spent": self._tracker.spent,
             "per_slot_costs": self._tracker.per_slot_costs,
+            "kernel": self._solver.kernel_stats(),
         }
-        kernel = self._solver.kernel_stats()
-        if kernel is not None:
-            diagnostics["kernel"] = kernel
-        return diagnostics
 
 
 @dataclass

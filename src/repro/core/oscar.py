@@ -17,7 +17,7 @@ length, ``γ`` the Gibbs temperature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.core.per_slot import PerSlotSolver
 from repro.core.policy import RoutingPolicy
@@ -25,7 +25,6 @@ from repro.core.problem import SlotContext, SlotDecision
 from repro.core.virtual_queue import VirtualQueue
 from repro.network.graph import QDNGraph
 from repro.solvers.kernel import DEFAULT_DUAL_TOLERANCE
-from repro.solvers.relaxed import RelaxedSolver
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_non_negative, check_positive
 from repro.workload.budget import BudgetTracker
@@ -56,21 +55,9 @@ class OscarPolicy(RoutingPolicy):
         ``"auto"`` mode.
     parallel_updates:
         Enable the paper's simultaneous updates of resource-disjoint pairs.
-    relaxed_solver:
-        Override the continuous-relaxation solver (defaults to the fast dual
-        decomposition solver).
-    use_kernel:
-        Evaluate route combinations on the compiled slot kernel (incremental
-        problem assembly, warm-started dual solves); disable to run the
-        legacy per-combination object path as a cross-check.
     dual_tolerance:
-        Relative duality-gap tolerance of the kernel's early stop (0 keeps
-        the full fixed iteration budget).
-    kernel_cache:
-        Re-bind one compiled kernel structure across slots and whole
-        horizons (carrying warm-start duals slot-to-slot) instead of
-        recompiling it per slot; disable to benchmark against the
-        recompile-per-slot kernel path.
+        Relative duality-gap tolerance of the kernel's early stop; ``0``
+        selects replay mode (the fixed iteration schedule, no warm start).
     solve_deadline:
         Per-slot solve budget in combination evaluations (0 = unlimited);
         see :class:`~repro.core.per_slot.PerSlotSolver`'s degradation
@@ -86,10 +73,7 @@ class OscarPolicy(RoutingPolicy):
     selector_mode: str = "auto"
     exhaustive_limit: int = 64
     parallel_updates: bool = False
-    relaxed_solver: Optional[RelaxedSolver] = None
-    use_kernel: bool = True
     dual_tolerance: float = DEFAULT_DUAL_TOLERANCE
-    kernel_cache: bool = True
     solve_deadline: int = 0
     name: str = "OSCAR"
 
@@ -111,10 +95,7 @@ class OscarPolicy(RoutingPolicy):
             gamma=self.gamma,
             gibbs_iterations=self.gibbs_iterations,
             parallel_updates=self.parallel_updates,
-            relaxed_solver=self.relaxed_solver,
-            use_kernel=self.use_kernel,
             dual_tolerance=self.dual_tolerance,
-            kernel_cache=self.kernel_cache,
             solve_deadline=self.solve_deadline,
         )
         self._run_horizon = self.horizon
@@ -180,13 +161,10 @@ class OscarPolicy(RoutingPolicy):
 
     def diagnostics(self) -> dict:
         """Queue history, spending and per-slot P2 objectives of the current run."""
-        diagnostics = {
+        return {
             "queue_history": self._queue.history,
             "spent": self._tracker.spent,
             "per_slot_costs": self._tracker.per_slot_costs,
             "objective_history": list(self._objective_history),
+            "kernel": self._solver.kernel_stats(),
         }
-        kernel = self._solver.kernel_stats()
-        if kernel is not None:
-            diagnostics["kernel"] = kernel
-        return diagnostics

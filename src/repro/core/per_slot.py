@@ -24,16 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.allocation import AllocationOutcome, QubitAllocator
 from repro.core.problem import SlotContext, SlotDecision
 from repro.core.route_selection import (
     ExhaustiveRouteSelector,
     GibbsRouteSelector,
     RouteSelectionResult,
-    _build_evaluator,
+    bind_servable,
+    empty_selection,
 )
 from repro.solvers.kernel import DEFAULT_DUAL_TOLERANCE, KernelCache
-from repro.solvers.relaxed import RelaxedSolver
 from repro.utils.rng import SeedLike, as_generator
 from repro.workload.requests import SDPair
 
@@ -83,13 +82,12 @@ class PerSlotSolver:
     candidate route of every request) keeps the slot served.  Fallbacks are
     counted and surfaced through :meth:`kernel_stats`.
 
-    ``kernel_cache`` (default on, only meaningful with ``use_kernel``) makes
-    both selectors re-bind one compiled
-    :class:`~repro.solvers.kernel.CompiledStructure` per topology across the
-    drop-retry loop, consecutive slots and whole horizons — carrying
-    warm-start dual multipliers slot-to-slot — instead of recompiling the
-    kernel's flat arrays every slot.  Disable it to fall back to the
-    PR-3-era recompile-per-slot kernel (the benchmark reference).
+    Both selectors bind the slot kernel from one
+    :class:`~repro.solvers.kernel.KernelCache`, which re-uses one compiled
+    structure per topology across the drop-retry loop, consecutive slots
+    and whole horizons, carrying warm-start dual multipliers slot-to-slot.
+    ``dual_tolerance`` selects the kernel's adaptive (``> 0``) or replay
+    (``0``) mode.
     """
 
     selector_mode: str = "auto"
@@ -97,15 +95,11 @@ class PerSlotSolver:
     gamma: float = 500.0
     gibbs_iterations: int = 60
     parallel_updates: bool = False
-    relaxed_solver: Optional[RelaxedSolver] = None
-    use_kernel: bool = True
     dual_tolerance: float = DEFAULT_DUAL_TOLERANCE
-    kernel_cache: bool = True
     solve_deadline: int = 0
-    _allocator: QubitAllocator = field(init=False, repr=False)
     _exhaustive: ExhaustiveRouteSelector = field(init=False, repr=False)
     _gibbs: Optional[GibbsRouteSelector] = field(init=False, repr=False)
-    _cache: Optional[KernelCache] = field(init=False, repr=False)
+    _cache: KernelCache = field(init=False, repr=False)
     _exhaustive_slots: int = field(init=False, repr=False, default=0)
     _gibbs_slots: int = field(init=False, repr=False, default=0)
     _greedy_slots: int = field(init=False, repr=False, default=0)
@@ -123,32 +117,20 @@ class PerSlotSolver:
             raise ValueError(
                 f"solve_deadline must be non-negative, got {self.solve_deadline}"
             )
-        if self.relaxed_solver is not None:
-            self._allocator = QubitAllocator(solver=self.relaxed_solver)
-        else:
-            self._allocator = QubitAllocator()
         # One kernel cache per solver (i.e. per policy): selectors re-bind
         # its compiled structures instead of recompiling per slot, and the
         # warm-start duals it carries never leak across policies — which is
         # what keeps parallel study workers byte-identical to serial runs.
-        self._cache = KernelCache() if (self.use_kernel and self.kernel_cache) else None
+        self._cache = KernelCache()
         # Selectors are stateless across slots; building them once keeps the
         # drop-retry loop in :meth:`solve` from re-allocating them on every
         # iteration.  The Gibbs selector is built lazily so exhaustive-only
         # configurations keep working with Gibbs parameters (gamma,
         # iterations) its validation would reject.
         self._exhaustive = ExhaustiveRouteSelector(
-            allocator=self._allocator,
-            use_kernel=self.use_kernel,
-            dual_tolerance=self.dual_tolerance,
-            kernel_cache=self._cache,
+            cache=self._cache, dual_tolerance=self.dual_tolerance
         )
         self._gibbs = None
-
-    @property
-    def allocator(self) -> QubitAllocator:
-        """The Algorithm-2 allocator used for every combination evaluation."""
-        return self._allocator
 
     def reset(self) -> None:
         """Forget compiled structures, warm-start duals and kernel stats.
@@ -157,27 +139,22 @@ class PerSlotSolver:
         same policy object produces bit-identical results: nothing carried
         over from a previous run can influence the next one.
         """
-        if self._cache is not None:
-            self._cache.reset()
+        self._cache.reset()
         self._exhaustive_slots = 0
         self._gibbs_slots = 0
         self._greedy_slots = 0
         self._deadline_gibbs_fallbacks = 0
         self._deadline_greedy_fallbacks = 0
 
-    def kernel_stats(self) -> Optional[Dict[str, int]]:
+    def kernel_stats(self) -> Dict[str, int]:
         """Aggregate kernel statistics since the last :meth:`reset`.
 
-        Returns ``None`` when the solver runs without a kernel cache (legacy
-        path, or ``kernel_cache=False``).  Besides the cache's counters the
-        mapping carries ``exhaustive_slots`` / ``gibbs_slots`` — how many
-        slot solves covered the combination space exhaustively (the
-        ``used_exhaustive`` flag of each :class:`PerSlotSolution`, summed) —
-        so run-level health lines can report solver exactness alongside the
-        kernel reuse counters.
+        Besides the cache's counters the mapping carries
+        ``exhaustive_slots`` / ``gibbs_slots`` — how many slot solves covered
+        the combination space exhaustively (the ``used_exhaustive`` flag of
+        each :class:`PerSlotSolution`, summed) — so run-level health lines
+        can report solver exactness alongside the kernel reuse counters.
         """
-        if self._cache is None:
-            return None
         stats = self._cache.aggregate_stats()
         stats["exhaustive_slots"] = self._exhaustive_slots
         stats["gibbs_slots"] = self._gibbs_slots
@@ -192,13 +169,11 @@ class PerSlotSolver:
     def _gibbs_selector(self) -> GibbsRouteSelector:
         if self._gibbs is None:
             self._gibbs = GibbsRouteSelector(
-                allocator=self._allocator,
+                cache=self._cache,
                 gamma=self.gamma,
                 iterations=self.gibbs_iterations,
                 parallel_updates=self.parallel_updates,
-                use_kernel=self.use_kernel,
                 dual_tolerance=self.dual_tolerance,
-                kernel_cache=self._cache,
             )
         return self._gibbs
 
@@ -216,26 +191,20 @@ class PerSlotSolver:
         combination the Gibbs sampler starts from — and Algorithm 2 allocates
         it once.  Deterministic, seed-free, and exactly one evaluation.
         """
-        requests = [r for r in requests if len(context.routes_for(r)) > 0]
-        if not requests:
-            empty = AllocationOutcome(allocation={}, objective=0.0, feasible=True, cost=0)
-            return RouteSelectionResult(
-                selection={}, outcome=empty, objective=0.0, evaluations=0
-            )
-        candidates = [list(context.routes_for(r)) for r in requests]
-        evaluator = _build_evaluator(
-            context, requests, candidates, self._allocator,
-            utility_weight, cost_weight, budget_cap,
-            self.use_kernel, self.dual_tolerance, self._cache,
+        kernel = bind_servable(
+            self._cache, context, requests,
+            utility_weight, cost_weight, budget_cap, self.dual_tolerance,
         )
-        initial = tuple(0 for _ in candidates)
-        outcome = evaluator.outcome_for(initial)
+        if kernel is None:
+            return empty_selection()
+        initial = tuple(0 for _ in kernel.sizes)
+        outcome = kernel.outcome_for(initial)
         objective = outcome.objective if outcome.feasible else float("-inf")
         return RouteSelectionResult(
-            selection=evaluator.selection_for(initial),
+            selection=kernel.selection_for(initial),
             outcome=outcome,
             objective=objective,
-            evaluations=evaluator.evaluations,
+            evaluations=kernel.evaluations,
         )
 
     def _select(

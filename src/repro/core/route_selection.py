@@ -22,13 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence
 
-from repro.core.allocation import AllocationOutcome, QubitAllocator
+from repro.core.allocation import AllocationOutcome
 from repro.core.problem import SlotContext
 from repro.network.routes import Route
 from repro.solvers.gibbs import GibbsSampler, exhaustive_optimise
-from repro.solvers.kernel import DEFAULT_DUAL_TOLERANCE
+from repro.solvers.kernel import DEFAULT_DUAL_TOLERANCE, KernelCache, SlotKernel
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive
 from repro.workload.requests import SDPair
@@ -49,105 +49,38 @@ class RouteSelectionResult:
         return self.outcome.feasible
 
 
-class _CombinationEvaluator:
-    """Caches Algorithm-2 evaluations of route combinations.
-
-    Both selectors repeatedly evaluate combinations; the Gibbs sampler in
-    particular revisits its current combination every iteration.  Caching by
-    the tuple of route indices keeps the number of allocation solves equal to
-    the number of *distinct* combinations visited.
-    """
-
-    def __init__(
-        self,
-        context: SlotContext,
-        requests: Sequence[SDPair],
-        candidate_routes: Sequence[Sequence[Route]],
-        allocator: QubitAllocator,
-        utility_weight: float,
-        cost_weight: float,
-        budget_cap: Optional[float],
-    ) -> None:
-        self._context = context
-        self._requests = list(requests)
-        self._candidates = [list(routes) for routes in candidate_routes]
-        self._allocator = allocator
-        self._utility_weight = utility_weight
-        self._cost_weight = cost_weight
-        self._budget_cap = budget_cap
-        self._cache: Dict[Tuple[int, ...], AllocationOutcome] = {}
-        self.evaluations = 0
-
-    def selection_for(self, assignment: Tuple[int, ...]) -> Dict[SDPair, Route]:
-        """The route mapping corresponding to an index assignment."""
-        return {
-            request: self._candidates[i][choice]
-            for i, (request, choice) in enumerate(zip(self._requests, assignment))
-        }
-
-    def outcome_for(self, assignment: Tuple[int, ...]) -> AllocationOutcome:
-        """Allocate qubits for the combination, with caching."""
-        key = tuple(assignment)
-        if key not in self._cache:
-            outcome = self._allocator.allocate(
-                self._context,
-                self.selection_for(key),
-                utility_weight=self._utility_weight,
-                cost_weight=self._cost_weight,
-                budget_cap=self._budget_cap,
-            )
-            self._cache[key] = outcome
-            self.evaluations += 1
-        return self._cache[key]
-
-    def objective(self, assignment: Tuple[int, ...]) -> float:
-        """P2 objective of the combination; ``-inf`` when infeasible."""
-        outcome = self.outcome_for(assignment)
-        if not outcome.feasible:
-            return float("-inf")
-        return outcome.objective
+def empty_selection() -> RouteSelectionResult:
+    """The result of a slot with no servable request: nothing costs nothing."""
+    empty = AllocationOutcome(allocation={}, objective=0.0, feasible=True, cost=0)
+    return RouteSelectionResult(selection={}, outcome=empty, objective=0.0, evaluations=0)
 
 
-def _build_evaluator(
+def bind_servable(
+    cache: KernelCache,
     context: SlotContext,
     requests: Sequence[SDPair],
-    candidates: Sequence[Sequence[Route]],
-    allocator: QubitAllocator,
     utility_weight: float,
     cost_weight: float,
     budget_cap: Optional[float],
-    use_kernel: bool,
     dual_tolerance: float,
-    kernel_cache=None,
-):
-    """The combination evaluator: compiled slot kernel or legacy object path.
+) -> Optional[SlotKernel]:
+    """Bind the slot kernel over the requests that have candidate routes.
 
-    The kernel shares compiled arrays and warm-started dual multipliers
-    across every combination a selector visits; with a
-    :class:`~repro.solvers.kernel.KernelCache` it additionally *re-binds*
-    the compiled structure (and carries the warm duals) across the
-    drop-retry loop, consecutive slots and whole horizons instead of
-    recompiling per slot.  The legacy path re-derives an
-    :class:`AllocationProblem` per combination and remains the
-    cross-checking reference (``use_kernel=False``, or a relaxed solver the
-    kernel cannot represent).
+    ``None`` when no request has one.  Binding re-uses the cache's compiled
+    structure for this graph (and its warm-start duals) across the
+    drop-retry loop, consecutive slots and whole horizons.
     """
-    if use_kernel:
-        kernel = allocator.compile(
-            context,
-            list(requests),
-            [list(routes) for routes in candidates],
-            utility_weight=utility_weight,
-            cost_weight=cost_weight,
-            budget_cap=budget_cap,
-            dual_tolerance=dual_tolerance,
-            cache=kernel_cache,
-        )
-        if kernel is not None:
-            return kernel
-    return _CombinationEvaluator(
-        context, requests, candidates, allocator,
-        utility_weight, cost_weight, budget_cap,
+    requests = [r for r in requests if len(context.routes_for(r)) > 0]
+    if not requests:
+        return None
+    return cache.bind(
+        context,
+        requests,
+        [list(context.routes_for(r)) for r in requests],
+        utility_weight=utility_weight,
+        cost_weight=cost_weight,
+        budget_cap=budget_cap,
+        dual_tolerance=dual_tolerance,
     )
 
 
@@ -155,16 +88,13 @@ def _build_evaluator(
 class ExhaustiveRouteSelector:
     """Brute-force route selection (exact, exponential in ``|Φ_t|``).
 
-    ``kernel_cache`` (a :class:`~repro.solvers.kernel.KernelCache`, usually
-    owned by the :class:`~repro.core.per_slot.PerSlotSolver`) lets every
-    ``select`` call re-bind the compiled kernel structure instead of
-    recompiling it per slot.
+    ``cache`` is the :class:`~repro.solvers.kernel.KernelCache` every
+    ``select`` call binds the slot kernel from (usually shared with the
+    owning :class:`~repro.core.per_slot.PerSlotSolver`).
     """
 
-    allocator: QubitAllocator = field(default_factory=QubitAllocator)
-    use_kernel: bool = True
+    cache: KernelCache = field(default_factory=KernelCache)
     dual_tolerance: float = DEFAULT_DUAL_TOLERANCE
-    kernel_cache: Optional[object] = None
 
     def select(
         self,
@@ -176,38 +106,31 @@ class ExhaustiveRouteSelector:
         seed: SeedLike = None,
     ) -> RouteSelectionResult:
         """Evaluate every route combination and return the best one."""
-        requests = [r for r in requests if len(context.routes_for(r)) > 0]
-        if not requests:
-            empty = AllocationOutcome(allocation={}, objective=0.0, feasible=True, cost=0)
-            return RouteSelectionResult(selection={}, outcome=empty, objective=0.0, evaluations=0)
-        candidates = [list(context.routes_for(r)) for r in requests]
-        evaluator = _build_evaluator(
-            context, requests, candidates, self.allocator,
-            utility_weight, cost_weight, budget_cap,
-            self.use_kernel, self.dual_tolerance, self.kernel_cache,
+        kernel = bind_servable(
+            self.cache, context, requests,
+            utility_weight, cost_weight, budget_cap, self.dual_tolerance,
         )
-        sizes = [len(routes) for routes in candidates]
-        best = None
-        best_of = getattr(evaluator, "best_of", None)
-        if best_of is not None:
-            # Horizon-compiled kernels solve the whole enumeration in one
-            # lock-step batched dual ascent and prune combinations whose
-            # dual bound cannot beat the best rounded objective; ties and
-            # enumeration order are preserved, so the selected combination
-            # matches the sequential walk.  (None outside horizon mode.)
-            best = best_of(itertools.product(*[range(size) for size in sizes]))
+        if kernel is None:
+            return empty_selection()
+        sizes = kernel.sizes
+        # Adaptive mode solves the whole enumeration in one lock-step batched
+        # dual ascent and prunes combinations whose dual bound cannot beat the
+        # best rounded objective; ties and enumeration order are preserved,
+        # so the selected combination matches the sequential walk that
+        # replay mode runs (``best_of`` returns None there).
+        best = kernel.best_of(itertools.product(*[range(size) for size in sizes]))
         if best is not None:
             best_assignment, best_objective = best
         else:
             best_assignment, best_objective = exhaustive_optimise(
-                sizes, evaluator.objective
+                sizes, kernel.objective
             )
-        outcome = evaluator.outcome_for(best_assignment)
+        outcome = kernel.outcome_for(best_assignment)
         return RouteSelectionResult(
-            selection=evaluator.selection_for(best_assignment),
+            selection=kernel.selection_for(best_assignment),
             outcome=outcome,
             objective=best_objective,
-            evaluations=evaluator.evaluations,
+            evaluations=kernel.evaluations,
         )
 
     def combination_count(self, context: SlotContext, requests: Sequence[SDPair]) -> int:
@@ -230,14 +153,12 @@ class GibbsRouteSelector:
     iteration, as suggested by the paper's remark on simultaneous evolution.
     """
 
-    allocator: QubitAllocator = field(default_factory=QubitAllocator)
+    cache: KernelCache = field(default_factory=KernelCache)
     gamma: float = 500.0
     iterations: int = 60
     parallel_updates: bool = False
     paper_sign: bool = False
-    use_kernel: bool = True
     dual_tolerance: float = DEFAULT_DUAL_TOLERANCE
-    kernel_cache: Optional[object] = None
 
     def __post_init__(self) -> None:
         check_positive(self.gamma, "gamma")
@@ -282,17 +203,13 @@ class GibbsRouteSelector:
     ) -> RouteSelectionResult:
         """Run the Gibbs sampler and return the best combination visited."""
         rng = as_generator(seed)
-        requests = [r for r in requests if len(context.routes_for(r)) > 0]
-        if not requests:
-            empty = AllocationOutcome(allocation={}, objective=0.0, feasible=True, cost=0)
-            return RouteSelectionResult(selection={}, outcome=empty, objective=0.0, evaluations=0)
-        candidates = [list(context.routes_for(r)) for r in requests]
-        evaluator = _build_evaluator(
-            context, requests, candidates, self.allocator,
-            utility_weight, cost_weight, budget_cap,
-            self.use_kernel, self.dual_tolerance, self.kernel_cache,
+        kernel = bind_servable(
+            self.cache, context, requests,
+            utility_weight, cost_weight, budget_cap, self.dual_tolerance,
         )
-        sizes = [len(routes) for routes in candidates]
+        if kernel is None:
+            return empty_selection()
+        sizes = kernel.sizes
 
         # Initial selection: the first (shortest) candidate route of each
         # request, which mirrors a sensible warm start and keeps runs
@@ -303,7 +220,9 @@ class GibbsRouteSelector:
         if self.parallel_updates:
             # Requests inside one group touch disjoint node sets, so they can
             # evolve their route choices simultaneously without interacting.
-            parallel_groups = self._disjoint_groups(candidates)
+            parallel_groups = self._disjoint_groups(
+                [context.routes_for(r) for r in requests if context.routes_for(r)]
+            )
 
         sampler = GibbsSampler(
             gamma=self.gamma,
@@ -311,7 +230,7 @@ class GibbsRouteSelector:
             paper_sign=self.paper_sign,
             parallel_groups=parallel_groups,
         )
-        result = sampler.optimise(sizes, evaluator.objective, seed=rng, initial=initial)
+        result = sampler.optimise(sizes, kernel.objective, seed=rng, initial=initial)
 
         best_assignment = result.best_assignment
         if math.isinf(result.best_objective) and result.best_objective < 0:
@@ -319,13 +238,13 @@ class GibbsRouteSelector:
             # initial combination so callers get a well-formed (if
             # infeasible) outcome to inspect.
             best_assignment = initial
-        outcome = evaluator.outcome_for(best_assignment)
+        outcome = kernel.outcome_for(best_assignment)
         # The best combination is already cached; derive its objective from
-        # the outcome instead of re-running the evaluator.
+        # the outcome instead of re-running the kernel.
         best_objective = outcome.objective if outcome.feasible else float("-inf")
         return RouteSelectionResult(
-            selection=evaluator.selection_for(best_assignment),
+            selection=kernel.selection_for(best_assignment),
             outcome=outcome,
             objective=best_objective,
-            evaluations=evaluator.evaluations,
+            evaluations=kernel.evaluations,
         )

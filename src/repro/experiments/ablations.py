@@ -6,8 +6,9 @@ Four design choices of the reproduction are checked explicitly:
   search on slots where exhaustive search is tractable: how close does
   Gibbs get to the exact per-slot optimum, and how many allocation solves
   does each need?
-* **Relaxation solver** — the fast dual-decomposition solver versus the
-  scipy SLSQP reference on the same allocation instances.
+* **Per-slot solver** — the slot kernel's per-slot decisions (relaxation,
+  rounding and route selection, as every run makes them) versus the exact
+  optimum of each slot (:mod:`repro.solvers.oracle`).
 * **Link model** — the analytic edge success probability ``P_e(n)`` of
   Eq. (1) versus an attempt-level Monte-Carlo estimate.
 * **Policy line-up** — every policy in the :mod:`repro.api` registry
@@ -25,14 +26,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import api
-from repro.core.allocation import QubitAllocator
+from repro.core.per_slot import PerSlotSolver
 from repro.core.problem import SlotContext
 from repro.core.route_selection import ExhaustiveRouteSelector, GibbsRouteSelector
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_table
 from repro.physics.entanglement import EntanglementGenerator
-from repro.solvers.relaxed import DualDecompositionSolver, SLSQPSolver
-from repro.solvers.rounding import round_down_with_surplus
+from repro.solvers.kernel import KernelCache
+from repro.solvers.oracle import slot_optimum
 from repro.utils.rng import SeedLike, as_generator, derive_seed
 
 
@@ -62,9 +63,16 @@ class RouteSelectionAblation:
 
 @dataclass
 class SolverAblation:
-    """Dual-decomposition vs SLSQP on per-slot allocation instances."""
+    """The per-slot solver against the exact per-slot optimum.
+
+    ``instances`` counts the (slot, queue price) instances compared and
+    ``combinations`` the route combinations the oracle solved exactly; the
+    gaps are ``(optimum − solver) / |optimum|``.
+    """
 
     instances: int
+    combinations: int
+    exact_fraction: float
     mean_relative_gap: float
     max_relative_gap: float
 
@@ -72,11 +80,13 @@ class SolverAblation:
         return format_table(
             ["metric", "value"],
             [
-                ["allocation instances", self.instances],
+                ["slot instances", self.instances],
+                ["route combinations solved exactly", self.combinations],
+                ["fraction at the exact optimum", self.exact_fraction],
                 ["mean relative objective gap", self.mean_relative_gap],
                 ["max relative objective gap", self.max_relative_gap],
             ],
-            title="Ablation: dual-decomposition vs SLSQP relaxation solver",
+            title="Ablation: per-slot solver vs exact oracle",
         )
 
 
@@ -172,38 +182,64 @@ def run_route_selection_ablation(
     )
 
 
+#: Queue prices ``q`` of the solver ablation: a drained queue, the paper's
+#: initial queue and a long one.
+QUEUE_PRICES = (0.0, 10.0, 50.0)
+
+
 def run_solver_ablation(
     config: Optional[ExperimentConfig] = None,
-    num_slots: int = 10,
+    num_slots: int = 40,
     seed: int = 11,
 ) -> SolverAblation:
-    """Compare the dual solver against SLSQP on real per-slot instances."""
+    """Measure the per-slot solver's distance from the exact slot optimum.
+
+    Every sampled slot the solver searches exhaustively (at most
+    ``exhaustive_limit`` route combinations) is solved at ``V =
+    trade_off_v`` under each of :data:`QUEUE_PRICES` by a fresh
+    :class:`~repro.core.per_slot.PerSlotSolver`, as in a run, and by the
+    oracle, which solves every combination as an exact integer program.  The
+    gap is then the kernel's relax-and-round loss alone (Gibbs sampling's
+    own loss is the route-selection ablation's subject).  Instances where
+    the solver had to drop requests are skipped: it then answered a smaller
+    problem.
+    """
     config = config or ExperimentConfig.small()
     contexts = _sample_contexts(config, num_slots, seed)
-    dual_allocator = QubitAllocator(solver=DualDecompositionSolver())
-    slsqp_allocator = QubitAllocator(solver=SLSQPSolver())
     gaps: List[float] = []
+    combinations = 0
     for context in contexts:
         requests = list(context.servable_requests())
-        if not requests:
+        count = int(np.prod([len(context.routes_for(r)) for r in requests]))
+        if not requests or count > config.exhaustive_limit:
             continue
-        selection = {
-            request: context.routes_for(request)[0] for request in requests
-        }
-        dual = dual_allocator.allocate(
-            context, selection, utility_weight=config.trade_off_v, cost_weight=10.0
-        )
-        slsqp = slsqp_allocator.allocate(
-            context, selection, utility_weight=config.trade_off_v, cost_weight=10.0
-        )
-        if not dual.feasible or not slsqp.feasible:
-            continue
-        reference = max(abs(slsqp.objective), 1e-9)
-        gaps.append(abs(dual.objective - slsqp.objective) / reference)
+        for price in QUEUE_PRICES:
+            solver = PerSlotSolver(
+                exhaustive_limit=config.exhaustive_limit,
+                gamma=config.gamma,
+                gibbs_iterations=config.gibbs_iterations,
+                dual_tolerance=config.dual_tolerance,
+            )
+            solution = solver.solve(
+                context, utility_weight=config.trade_off_v, cost_weight=price,
+                seed=derive_seed(seed, "solver-ablation", context.t),
+            )
+            if solution.dropped_requests:
+                continue
+            kernel = KernelCache().bind(
+                context, requests, [list(context.routes_for(r)) for r in requests],
+                utility_weight=config.trade_off_v, cost_weight=price,
+            )
+            _, exact = slot_optimum(kernel)
+            combinations += count
+            reference = max(abs(exact.objective), 1e-9)
+            gaps.append(max(exact.objective - solution.objective, 0.0) / reference)
     if not gaps:
         raise RuntimeError("no comparable instances found for the solver ablation")
     return SolverAblation(
         instances=len(gaps),
+        combinations=combinations,
+        exact_fraction=float(np.mean([gap <= 1e-9 for gap in gaps])),
         mean_relative_gap=float(np.mean(gaps)),
         max_relative_gap=float(np.max(gaps)),
     )

@@ -15,7 +15,7 @@ import dataclasses
 import difflib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (lazy import at runtime)
     from repro.faults import FaultModel, FaultSchedule
@@ -58,6 +58,14 @@ def _did_you_mean(value: str, options: Sequence[str]) -> str:
     """A ``"; did you mean 'x'?"`` suffix, or empty when nothing is close."""
     matches = difflib.get_close_matches(str(value), list(options), n=1)
     return f"; did you mean {matches[0]!r}?" if matches else ""
+
+
+#: Solver switches of earlier releases → the solver path their ``false``
+#: value selected.  Both paths are gone; see :meth:`ExperimentConfig.from_dict`.
+_REMOVED_SOLVER_SWITCHES = {
+    "use_kernel": "the legacy per-combination solver",
+    "kernel_cache": "the recompile-per-slot kernel",
+}
 
 
 @contextmanager
@@ -107,21 +115,14 @@ class ExperimentConfig:
     gibbs_iterations: int = 60
     exhaustive_limit: int = 64
 
-    # --- solver fast path -------------------------------------------------- #
-    # ``use_kernel`` runs every per-slot solve on the compiled slot kernel
-    # (incremental Gibbs evaluation, warm-started dual solves); disable it to
-    # cross-check against the legacy per-combination object path.
-    # ``dual_tolerance`` is the kernel's relative duality-gap early-stop
-    # threshold (0 replays the legacy fixed iteration schedule).
-    # ``kernel_cache`` re-binds one compiled kernel structure across slots
-    # and whole horizons (warm-start duals carried slot-to-slot); disable it
-    # to benchmark the recompile-per-slot kernel path.
+    # --- per-slot solver --------------------------------------------------- #
+    # ``dual_tolerance`` is the slot kernel's relative duality-gap early-stop
+    # threshold; 0 selects replay mode (the fixed iteration schedule from
+    # zero multipliers, no warm start).
     # ``solve_deadline`` caps each per-slot solve at a deterministic number
     # of combination evaluations; past it the selector ladder degrades
     # exhaustive → Gibbs → greedy (0 = unlimited, the historical behaviour).
-    use_kernel: bool = True
     dual_tolerance: float = 1e-4
-    kernel_cache: bool = True
     solve_deadline: int = 0
 
     # --- physical layer (repro.simulation.physical) ------------------------ #
@@ -370,6 +371,25 @@ class ExperimentConfig:
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         """A copy of this configuration with selected fields replaced."""
         return dataclasses.replace(self, **overrides)
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, object]) -> "ExperimentConfig":
+        """Rebuild a configuration from ``dataclasses.asdict`` output.
+
+        The one loader of saved configurations (records, scenarios, result
+        stores, crash bundles).  Payloads saved before the solver switches
+        were removed carry them: a true switch names the path every run now
+        takes and is dropped; a false one asked for a removed solver path
+        and raises :class:`ConfigError`.
+        """
+        fields = dict(payload)
+        for name, removed in _REMOVED_SOLVER_SWITCHES.items():
+            if name in fields and not fields.pop(name):
+                raise ConfigError(
+                    f"{name}=false selects {removed}, which has been removed; "
+                    f"drop the {name!r} key to run on the slot kernel"
+                )
+        return cls(**fields)
 
     def with_run_overrides(
         self, trials: Optional[int] = None, seed: Optional[int] = None
@@ -654,9 +674,7 @@ class ExperimentConfig:
             gamma=self.gamma,
             gibbs_iterations=self.gibbs_iterations,
             exhaustive_limit=self.exhaustive_limit,
-            use_kernel=self.use_kernel,
             dual_tolerance=self.dual_tolerance,
-            kernel_cache=self.kernel_cache,
             solve_deadline=self.solve_deadline,
         )
         parameters.update(overrides)
@@ -670,9 +688,7 @@ class ExperimentConfig:
             gamma=self.gamma,
             gibbs_iterations=self.gibbs_iterations,
             exhaustive_limit=self.exhaustive_limit,
-            use_kernel=self.use_kernel,
             dual_tolerance=self.dual_tolerance,
-            kernel_cache=self.kernel_cache,
             solve_deadline=self.solve_deadline,
         )
         parameters.update(overrides)
@@ -686,9 +702,7 @@ class ExperimentConfig:
             gamma=self.gamma,
             gibbs_iterations=self.gibbs_iterations,
             exhaustive_limit=self.exhaustive_limit,
-            use_kernel=self.use_kernel,
             dual_tolerance=self.dual_tolerance,
-            kernel_cache=self.kernel_cache,
             solve_deadline=self.solve_deadline,
         )
         parameters.update(overrides)
@@ -702,9 +716,7 @@ class ExperimentConfig:
             gamma=self.gamma,
             gibbs_iterations=self.gibbs_iterations,
             exhaustive_limit=self.exhaustive_limit,
-            use_kernel=self.use_kernel,
             dual_tolerance=self.dual_tolerance,
-            kernel_cache=self.kernel_cache,
             solve_deadline=self.solve_deadline,
         )
         parameters.update(overrides)

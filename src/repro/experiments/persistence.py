@@ -114,7 +114,7 @@ def comparison_to_dict(comparison: ComparisonResult) -> Dict:
 
 def comparison_from_dict(payload: Mapping) -> ComparisonResult:
     """Rebuild a :class:`ComparisonResult` (the config is reconstructed too)."""
-    config = ExperimentConfig(**payload["config"])
+    config = ExperimentConfig.from_dict(payload["config"])
     comparison = ComparisonResult(config=config)
     for trial in payload["trials"]:
         comparison.trials.append(

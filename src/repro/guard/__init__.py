@@ -12,8 +12,8 @@ Three pieces, one contract:
   repro bundle; :mod:`repro.guard.replay` re-executes a bundle's trial and
   re-asserts the identical failure (``repro replay <bundle>``).
 * :mod:`repro.guard.differential` — lockstep pairs (slotted vs event
-  backend, reference vs vectorized physical engine, kernel vs legacy
-  solver) reporting the first diverging slot (``repro diff-check``).
+  backend, reference vs vectorized physical engine) reporting the first
+  diverging slot (``repro diff-check``).
 """
 
 from repro.guard.differential import (
@@ -23,7 +23,6 @@ from repro.guard.differential import (
     compare_slot_records,
     diff_backends,
     diff_physical_engines,
-    diff_solvers,
     run_all,
 )
 from repro.guard.invariants import (
@@ -63,7 +62,6 @@ __all__ = [
     "compare_slot_records",
     "diff_backends",
     "diff_physical_engines",
-    "diff_solvers",
     "dump_bundle",
     "effective_guard_level",
     "forced_breach_slot",

@@ -2,8 +2,8 @@
 
 The suite carries several bit-identity contracts as scattered tests — the
 event backend reproduces the slotted backend at zero classical-signaling
-latency, the vectorized physical engine matches the reference engine, the
-slot kernel matches the legacy per-slot solver.  This module turns them
+latency, and the vectorized physical engine matches the reference engine.
+This module turns them
 into an on-demand validator: each :func:`diff_*` runner executes both sides
 of one pair under identical seeds, compares the per-slot records
 field-by-field, and reports the **first diverging slot with both
@@ -218,27 +218,10 @@ def diff_physical_engines(config=None, trial: int = 0) -> DiffReport:
     )
 
 
-def diff_solvers(config=None, trial: int = 0) -> DiffReport:
-    """Slot kernel vs the legacy per-slot solver path."""
-    from repro.experiments.config import ExperimentConfig
-
-    base = config or ExperimentConfig.tiny()
-    kernel = base.with_overrides(use_kernel=True)
-    legacy = base.with_overrides(use_kernel=False)
-    return compare_slot_records(
-        "solver",
-        "kernel",
-        "legacy",
-        _collect_run(kernel, trial=trial),
-        _collect_run(legacy, trial=trial),
-    )
-
-
 #: The stock pairs, in the order ``repro diff-check`` runs them.
 PAIRS: Tuple[Tuple[str, Callable[..., DiffReport]], ...] = (
     ("backend", diff_backends),
     ("physical-engine", diff_physical_engines),
-    ("solver", diff_solvers),
 )
 
 

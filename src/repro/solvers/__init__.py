@@ -1,60 +1,38 @@
 """Optimisation machinery used by the per-slot entanglement-routing problem.
 
-* :mod:`repro.solvers.allocation_problem` — the continuous/integer qubit
-  allocation problem (objective, capacity constraints, feasibility checks).
-* :mod:`repro.solvers.relaxed` — solvers for the continuous relaxation: a
-  fast Lagrangian dual-decomposition solver with closed-form inner updates
-  and a scipy SLSQP cross-check solver.
-* :mod:`repro.solvers.rounding` — the paper's "down-round and allocate
-  surplus" procedure (Algorithm 2, step 4).
-* :mod:`repro.solvers.greedy` — a direct greedy integer allocator used for
-  ablations.
-* :mod:`repro.solvers.gibbs` — a generic Gibbs sampler over finite product
-  decision spaces (used by route selection, Algorithm 3).
 * :mod:`repro.solvers.kernel` — the compiled slot kernel: incremental
   evaluation of route combinations over precompiled flat arrays with
-  warm-started dual solves (the default fast path of every per-slot solve).
+  warm-started dual solves (every per-slot solve runs on it).
+* :mod:`repro.solvers.relaxed` — the closed-form best response and the
+  coordinate polish of the continuous relaxation.
+* :mod:`repro.solvers.rounding` — the paper's "down-round and allocate
+  surplus" procedure (Algorithm 2, step 4).
+* :mod:`repro.solvers.oracle` — the exact integer optimum of a route
+  combination and of a slot, the reference the kernel is measured by.
+* :mod:`repro.solvers.gibbs` — a generic Gibbs sampler over finite product
+  decision spaces (used by route selection, Algorithm 3).
 """
 
-from repro.solvers.allocation_problem import (
-    AllocationProblem,
-    AllocationVariable,
-    CapacityConstraint,
-    ContinuousSolution,
-    IntegerSolution,
-    build_allocation_problem,
-)
-from repro.solvers.relaxed import (
-    DualDecompositionSolver,
-    RelaxedSolver,
-    SLSQPSolver,
-)
-from repro.solvers.rounding import round_down_with_surplus
-from repro.solvers.greedy import greedy_integer_allocation
+from repro.solvers.relaxed import ContinuousSolution
+from repro.solvers.rounding import IntegerSolution
 from repro.solvers.gibbs import GibbsSampler, GibbsResult
 from repro.solvers.kernel import (
     DEFAULT_DUAL_TOLERANCE,
+    KernelCache,
     KernelOptions,
     SlotKernel,
-    kernel_options_for,
 )
+from repro.solvers.oracle import combination_optimum, slot_optimum
 
 __all__ = [
-    "AllocationProblem",
-    "AllocationVariable",
-    "CapacityConstraint",
     "ContinuousSolution",
     "IntegerSolution",
-    "build_allocation_problem",
-    "RelaxedSolver",
-    "DualDecompositionSolver",
-    "SLSQPSolver",
-    "round_down_with_surplus",
-    "greedy_integer_allocation",
     "GibbsSampler",
     "GibbsResult",
     "DEFAULT_DUAL_TOLERANCE",
+    "KernelCache",
     "KernelOptions",
     "SlotKernel",
-    "kernel_options_for",
+    "combination_optimum",
+    "slot_optimum",
 ]

@@ -2,11 +2,9 @@
 
 The OSCAR loop nests three solvers: Gibbs route selection (Algorithm 3)
 around qubit allocation (Algorithm 2) around a dual-decomposition
-relaxation.  The legacy object path rebuilds an
-:class:`~repro.solvers.allocation_problem.AllocationProblem` from dataclasses
-and cold-solves a fixed number of subgradient iterations for *every* route
-combination the selector visits — even though a Gibbs proposal changes a
-single request's route and barely moves the optimal dual multipliers.
+relaxation.  A Gibbs proposal changes a single request's route and barely
+moves the optimal dual multipliers, so the kernel compiles the problem once
+and re-solves it incrementally instead of rebuilding it per combination.
 
 The kernel is split into two layers:
 
@@ -25,25 +23,25 @@ The kernel is split into two layers:
 
 :class:`KernelCache` owns the structures (keyed by a content signature over
 the graph's nodes, edges and link physics) and the cross-slot warm-start
-state, so route selectors *re-bind* instead of recompiling: the subgradient
-ascent of each solve is seeded with the best dual multipliers seen so far —
-they are indexed by physical node/edge, so they remain meaningful across
-combinations *and across slots* — and stops early once the duality gap falls
-below ``dual_tolerance``.  The legacy iteration count is kept as a hard cap,
-and ``dual_tolerance=0`` still replays the legacy schedule exactly (warm
-starts are disabled in that mode).
+state; :meth:`KernelCache.bind` is the only way to build a
+:class:`SlotKernel`.  ``dual_tolerance`` selects one of two modes:
 
-The repaired primal point is polished with the shared
-:func:`~repro.solvers.relaxed.cyclic_coordinate_polish` and rounded with the
-shared :func:`~repro.solvers.rounding.surplus_pass`, the same routines the
-legacy path uses, so both paths land on the same integer allocation.
+* **adaptive** (``dual_tolerance > 0``, the default): the subgradient ascent
+  of each solve is seeded with the best dual multipliers seen so far — they
+  are indexed by physical node/edge, so they remain meaningful across
+  combinations *and across slots* — and stops early once the duality gap
+  falls below ``dual_tolerance``.  Exact KKT shortcuts skip the ascent when
+  the unconstrained optimum is feasible or only the budget row binds, and
+  exhaustive enumerations are solved in one batched, dual-bound-pruned pass;
+* **replay** (``dual_tolerance=0``): every solve runs the fixed
+  150-iteration diminishing-step subgradient schedule from zero
+  multipliers, with no warm start, no shortcut and no pruning.
 
-The kernel exposes the same evaluator interface as the legacy
-``_CombinationEvaluator`` (``selection_for`` / ``outcome_for`` /
-``objective`` / ``evaluations``) so the route selectors can swap it in
-transparently; the legacy object path remains available as the
-cross-checking reference (``use_kernel=False`` / ``ExperimentConfig``'s
-``use_kernel`` toggle).
+The repaired primal point is polished with
+:func:`~repro.solvers.relaxed.cyclic_coordinate_polish` and rounded with
+:func:`~repro.solvers.rounding.surplus_pass`.  Relax-and-round is not exact:
+:mod:`repro.solvers.oracle` computes the true integer optimum of a
+combination, and the tests pin the kernel against it.
 """
 
 from __future__ import annotations
@@ -57,13 +55,12 @@ import numpy as np
 
 from repro.guard import hooks as guard_hooks
 from repro.network.channels import log_multi_channel_success
-from repro.solvers.allocation_problem import ContinuousSolution, IntegerSolution
 from repro.solvers.relaxed import (
-    DualDecompositionSolver,
+    ContinuousSolution,
     _closed_form_best_response,
     cyclic_coordinate_polish,
 )
-from repro.solvers.rounding import surplus_pass
+from repro.solvers.rounding import IntegerSolution, surplus_pass
 from repro.utils.validation import check_non_negative
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -115,31 +112,19 @@ def _outcome_class():
 class KernelOptions:
     """Solver knobs of the compiled slot kernel.
 
-    ``dual_iterations`` is the hard cap on subgradient steps (the legacy
-    solver's fixed budget); ``dual_tolerance`` is the relative duality-gap
-    threshold of the early stop (``0`` disables early stopping, which makes
-    the kernel replay the legacy iteration schedule exactly);
-    ``warm_start`` seeds each solve with the multipliers of the previous
-    combination; the remaining fields mirror
-    :class:`~repro.solvers.relaxed.DualDecompositionSolver`.
+    ``dual_iterations`` is the hard cap on subgradient steps;
+    ``dual_tolerance`` is the relative duality-gap threshold of the early
+    stop and selects the mode (``0`` is replay mode, see the module
+    docstring); the remaining fields size the repair/polish stages.
     """
 
     dual_iterations: int = 150
     dual_tolerance: float = DEFAULT_DUAL_TOLERANCE
-    warm_start: bool = True
     polish_rounds: int = 2
     primal_check_every: int = 25
     feasibility_tolerance: float = 1e-6
     initial_step: Optional[float] = None
     step_offset_cap: int = 600
-    #: Horizon-compiled mode (set when bound through a :class:`KernelCache`):
-    #: enables the exact KKT shortcuts — return the unconstrained best
-    #: response outright when it is feasible (it is then the optimum of the
-    #: concave relaxation), and solve budget-only-binding instances by
-    #: bisecting the single active multiplier — instead of always running
-    #: the subgradient loop.  Off for standalone kernels so that
-    #: ``kernel_cache=False`` reproduces the recompile-per-slot solve path.
-    horizon_mode: bool = False
 
     def __post_init__(self) -> None:
         if self.dual_iterations < 1:
@@ -151,39 +136,25 @@ class KernelOptions:
         if self.polish_rounds < 0:
             raise ValueError("polish_rounds must be non-negative")
 
+    @property
+    def warm_start(self) -> bool:
+        """Seed each solve with carried multipliers (adaptive mode only).
 
-def kernel_options_for(
-    solver: object,
-    dual_tolerance: Optional[float] = None,
-    warm_start: bool = True,
-    horizon_mode: bool = False,
-) -> Optional[KernelOptions]:
-    """Derive :class:`KernelOptions` from a relaxed solver, if compatible.
+        Replay mode promises the fixed schedule from zero multipliers, which
+        a warm seed would break.
+        """
+        return self.dual_tolerance > 0.0
 
-    Only a plain :class:`DualDecompositionSolver` maps onto the kernel (a
-    subclass may have overridden ``solve``); anything else — e.g. the SLSQP
-    reference solver — returns ``None`` and callers fall back to the legacy
-    object path.
-    """
-    if type(solver) is not DualDecompositionSolver:
-        return None
-    tolerance = (
-        DEFAULT_DUAL_TOLERANCE if dual_tolerance is None else float(dual_tolerance)
-    )
-    return KernelOptions(
-        dual_iterations=solver.iterations,
-        dual_tolerance=tolerance,
-        # ``dual_tolerance=0`` promises an exact replay of the legacy
-        # iteration schedule, which a warm multiplier seed would break.
-        warm_start=warm_start and tolerance > 0.0,
-        polish_rounds=solver.polish_rounds,
-        primal_check_every=solver.primal_check_every,
-        feasibility_tolerance=solver.tolerance,
-        initial_step=solver.initial_step,
-        # Replay mode promises the legacy schedule; the KKT shortcuts only
-        # run in adaptive, horizon-compiled solves.
-        horizon_mode=horizon_mode and tolerance > 0.0,
-    )
+    @property
+    def horizon_mode(self) -> bool:
+        """Enable the exact KKT shortcuts and the batched enumeration.
+
+        A feasible unconstrained best response is returned outright (it is
+        then the optimum of the concave relaxation), budget-only-binding
+        instances bisect the single active multiplier, and exhaustive
+        enumerations run one pruned batch.  Adaptive mode only.
+        """
+        return self.dual_tolerance > 0.0
 
 
 def structure_signature(graph: "QDNGraph") -> Tuple:
@@ -226,8 +197,8 @@ class _ComboStructure:
     """Static arrays of one route combination (request- and slot-independent).
 
     Everything here depends only on which routes were combined (and whether a
-    budget row is active) — membership matrices, the legacy first-touch
-    constraint ordering, probability tables — so it is compiled once per
+    budget row is active) — membership matrices, the first-touch constraint
+    ordering, probability tables — so it is compiled once per
     distinct route multiset and reused across slots and request sets.
     """
 
@@ -260,9 +231,8 @@ class _ComboStructure:
         self.p_list = [v for block in blocks for v in block.p_list]
         triples = np.vstack([block.row_triples for block in blocks])
 
-        # Active constraints, ordered exactly as the legacy problem builder
-        # orders them (nodes by first touch, then edges, then the budget) so
-        # the repair pass visits them in the same sequence.
+        # Active constraints: nodes by first touch, then edges, then the
+        # budget.  The repair pass visits rows in this order.
         seen_nodes: Dict[int, None] = {}
         seen_edges: Dict[int, None] = {}
         for u_row, v_row, e_row in triples.tolist():
@@ -305,6 +275,73 @@ class _ComboStructure:
         self.fast_path = not bool(np.any(degenerate))
         self.a = -np.log1p(-np.clip(p, 0.0, 1.0 - 1e-15))
         self.neg_log1p = np.log1p(-p)
+
+    def upper_bounds(self, capacities: np.ndarray) -> np.ndarray:
+        """Each variable's bound when every other member of its rows holds 1.
+
+        A value below 1 means even one channel per edge does not fit.
+        """
+        return (capacities - self.lower_loads + 1.0)[self.rows_local].min(axis=1)
+
+    def repair(self, x: np.ndarray, capacities: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Shrink ``x`` (in place) until every row is in capacity.
+
+        After clipping into ``[1, upper]``, each violated row has its
+        members reduced in proportion to their headroom above 1.
+        Reductions only ever shrink ``x``, so the rows violated after the
+        clip are a superset of the rows that need work — the common
+        near-feasible iterate costs one matvec and no row loop.
+        """
+        lower = self.lower
+        np.clip(x, lower, upper, out=x)
+        violated = np.nonzero(self.membership @ x - capacities > 1e-12)[0]
+        for r in violated:
+            members = self.row_members[r]
+            load = float(x[members].sum())
+            excess = load - capacities[r]
+            if excess <= 1e-12:
+                continue
+            headroom = x[members] - lower[members]
+            total_headroom = headroom.sum()
+            if total_headroom <= 0:
+                continue
+            reduction = np.minimum(headroom, headroom * (excess / total_headroom))
+            shortfall = excess - reduction.sum()
+            if shortfall > 1e-12:
+                order_h = np.argsort(-(headroom - reduction))
+                for index in order_h:
+                    available = headroom[index] - reduction[index]
+                    take = min(available, shortfall)
+                    reduction[index] += take
+                    shortfall -= take
+                    if shortfall <= 1e-12:
+                        break
+            x[members] = x[members] - reduction
+        return x
+
+    def objective(self, x: np.ndarray, V: float, q: float) -> float:
+        """The relaxed P2 objective ``V·Σ log P_i(x_i) − q·Σ x_i`` (vectorised)."""
+        if self.fast_path:
+            log_terms = np.log(-np.expm1(x * self.neg_log1p))
+            return float(V * log_terms.sum() - q * x.sum())
+        log_terms = np.empty_like(x)
+        safe = self.p < 1.0
+        log_terms[safe] = np.log(-np.expm1(x[safe] * self.neg_log1p[safe]))
+        log_terms[~safe] = 0.0
+        return float(V * log_terms.sum() - q * x.sum())
+
+    def integer_objective(self, values: np.ndarray, V: float, q: float) -> float:
+        """The P2 objective of an integer allocation, summed term by term."""
+        utility = 0.0
+        for p_i, value in zip(self.p_list, values):
+            utility += log_multi_channel_success(p_i, float(value))
+        return V * utility - q * float(values.sum())
+
+    def is_feasible(self, x: np.ndarray, capacities: np.ndarray, tol: float) -> bool:
+        """Whether ``x`` keeps every variable at >= 1 and every row in capacity."""
+        if np.any(x < self.lower - tol):
+            return False
+        return not np.any(self.membership @ x > capacities + tol)
 
 
 class CompiledStructure:
@@ -421,10 +458,10 @@ class CompiledStructure:
 class SlotKernel:
     """Per-slot binding of a :class:`CompiledStructure` (see module docstring).
 
-    Exposes the evaluator interface of the legacy ``_CombinationEvaluator``;
-    every distinct route combination is solved at most once per binding and
-    cached, and consecutive solves share warm-started dual multipliers (which
-    persist on the structure across bindings, i.e. across slots).
+    Built by :meth:`KernelCache.bind` only.  Every distinct route
+    combination is solved at most once per binding and cached, and
+    consecutive solves share warm-started dual multipliers (which persist on
+    the structure across bindings, i.e. across slots).
     """
 
     def __init__(
@@ -432,11 +469,11 @@ class SlotKernel:
         context: "SlotContext",
         requests: Sequence["SDPair"],
         candidate_routes: Sequence[Sequence["Route"]],
-        utility_weight: float = 1.0,
-        cost_weight: float = 0.0,
-        budget_cap: Optional[float] = None,
-        options: Optional[KernelOptions] = None,
-        structure: Optional[CompiledStructure] = None,
+        utility_weight: float,
+        cost_weight: float,
+        budget_cap: Optional[float],
+        options: KernelOptions,
+        structure: CompiledStructure,
     ) -> None:
         check_non_negative(utility_weight, "utility_weight")
         check_non_negative(cost_weight, "cost_weight")
@@ -447,11 +484,8 @@ class SlotKernel:
         self._utility_weight = float(utility_weight)
         self._cost_weight = float(cost_weight)
         self._budget_cap = None if budget_cap is None else float(budget_cap)
-        self._options = options if options is not None else KernelOptions()
-
-        self._structure = (
-            structure if structure is not None else CompiledStructure(context.graph)
-        )
+        self._options = options
+        self._structure = structure
         self._blocks: List[List[_RouteBlock]] = [
             [self._structure.block_for(route) for route in routes]
             for routes in self._candidates
@@ -469,8 +503,23 @@ class SlotKernel:
         self.evaluations = 0
         self.stats: Dict[str, int] = {key: 0 for key in STAT_KEYS}
 
+    @property
+    def utility_weight(self) -> float:
+        """``V`` of this binding."""
+        return self._utility_weight
+
+    @property
+    def cost_weight(self) -> float:
+        """``q_t`` of this binding."""
+        return self._cost_weight
+
+    @property
+    def sizes(self) -> Tuple[int, ...]:
+        """The number of candidate routes of each bound request."""
+        return tuple(len(routes) for routes in self._candidates)
+
     # ------------------------------------------------------------------ #
-    # Evaluator interface (drop-in for the legacy _CombinationEvaluator)
+    # Evaluator interface (used by the route selectors)
     # ------------------------------------------------------------------ #
     def selection_for(self, assignment: Tuple[int, ...]) -> Dict["SDPair", "Route"]:
         """The route mapping corresponding to an index assignment."""
@@ -497,6 +546,23 @@ class SlotKernel:
         if not outcome.feasible:
             return float("-inf")
         return outcome.objective
+
+    def rows_for(
+        self, assignment: Tuple[int, ...]
+    ) -> Tuple[Optional[_ComboStructure], np.ndarray]:
+        """The compiled combination of an assignment and its slot capacities.
+
+        ``combo.membership`` has one row per active node, edge (and budget)
+        constraint over the combination's variables, ``combo.p`` holds each
+        variable's single-channel success, and the returned capacities are
+        this slot's right-hand sides of those rows.  The combination is
+        ``None`` when the assignment has no variables.
+        """
+        blocks = [self._blocks[i][choice] for i, choice in enumerate(assignment)]
+        if not blocks or all(block.hops == 0 for block in blocks):
+            return None, np.empty(0)
+        _, combo, _ = self._structure.combo_for(blocks, self._use_budget)
+        return combo, self._capacities[combo.order_array]
 
     # ------------------------------------------------------------------ #
     # Batched evaluation (horizon mode)
@@ -537,7 +603,7 @@ class SlotKernel:
         fall back to the plain evaluate-everything walk).
         """
         options = self._options
-        if not (options.horizon_mode and options.dual_tolerance > 0.0):
+        if not options.horizon_mode:
             return None
         order = [tuple(int(choice) for choice in a) for a in assignments]
         self._evaluate_batch(order, prune=True)
@@ -559,7 +625,7 @@ class SlotKernel:
 
     def _evaluate_batch(self, assignments, prune: bool) -> None:
         options = self._options
-        if not (options.horizon_mode and options.dual_tolerance > 0.0):
+        if not options.horizon_mode:
             return
         structure = self._structure
         pending: List[Tuple[int, ...]] = []
@@ -590,9 +656,7 @@ class SlotKernel:
                 combo_key, self._utility_weight, self._cost_weight,
                 self._budget_cap, capacities.tobytes(),
             )
-            raw_upper = (
-                (capacities - combo.lower_loads + 1.0)[combo.rows_local].min(axis=1)
-            )
+            raw_upper = combo.upper_bounds(capacities)
             if (
                 memo_key in structure.solve_memo
                 or not combo.fast_path
@@ -721,7 +785,7 @@ class SlotKernel:
         # ones project the global per-resource vector onto their rows.
         mult = np.zeros((C, M + 1))
         offset_b = np.zeros(C)
-        warm_enabled = options.warm_start and tol > 0.0
+        warm_enabled = options.warm_start
         if warm_enabled:
             for c, entry in enumerate(batch):
                 combo_key, combo = entry[1], entry[2]
@@ -792,7 +856,7 @@ class SlotKernel:
         self.stats["dual_iterations"] += int(used.sum())
         self.stats["solves"] += C
 
-        # Per-combo finish: legacy polish on the winner, shared integer
+        # Per-combo finish: full polish on the winner, shared integer
         # stage, warm-state bookkeeping.  With pruning, combos are finished
         # in descending dual-bound order and the integer stage stops once a
         # bound falls strictly below the best rounded objective so far — a
@@ -866,7 +930,6 @@ class SlotKernel:
             for edge in block.edge_keys:
                 keys.append((request, edge))
         p = combo.p
-        p_list = combo.p_list
 
         order_array = combo.order_array
         m = combo.m
@@ -893,7 +956,7 @@ class SlotKernel:
 
         lower = combo.lower
         lower_loads = combo.lower_loads
-        raw_upper = (capacities - lower_loads + 1.0)[rows_local].min(axis=1)
+        raw_upper = combo.upper_bounds(capacities)
         infeasible_bounds = bool(np.any(raw_upper < 1.0))
         upper = np.maximum(raw_upper, 1.0)
 
@@ -903,67 +966,15 @@ class SlotKernel:
         fast_path = combo.fast_path
         a = combo.a
         va = V * a
-        neg_log1p = combo.neg_log1p
 
         def objective_np(x: np.ndarray) -> float:
-            """Mirror of :meth:`AllocationProblem.objective_array`."""
-            if fast_path:
-                log_terms = np.log(-np.expm1(x * neg_log1p))
-                return float(V * log_terms.sum() - q * x.sum())
-            log_terms = np.empty_like(x)
-            safe = p < 1.0
-            log_terms[safe] = np.log(-np.expm1(x[safe] * neg_log1p[safe]))
-            log_terms[~safe] = 0.0
-            return float(V * log_terms.sum() - q * x.sum())
+            return combo.objective(x, V, q)
 
         def row_loads(x: np.ndarray) -> np.ndarray:
             return membership @ x
 
-        def is_feasible(x: np.ndarray, tol: float) -> bool:
-            """Mirror of :meth:`AllocationProblem.is_feasible`."""
-            if np.any(x < lower - tol):
-                return False
-            return not np.any(membership @ x > capacities + tol)
-
         def repair(x: np.ndarray) -> np.ndarray:
-            """Mirror of :meth:`AllocationProblem.repair_feasibility`.
-
-            Reductions only ever shrink ``x``, so the rows violated after the
-            initial clip are a superset of the rows that need work — the
-            common near-feasible iterate costs one matvec and no row loop.
-            """
-            np.clip(x, lower, upper, out=x)
-            violated = np.nonzero(membership @ x - capacities > 1e-12)[0]
-            for r in violated:
-                members = combo.row_members[r]
-                load = float(x[members].sum())
-                excess = load - capacities[r]
-                if excess <= 1e-12:
-                    continue
-                headroom = x[members] - lower[members]
-                total_headroom = headroom.sum()
-                if total_headroom <= 0:
-                    continue
-                reduction = np.minimum(headroom, headroom * (excess / total_headroom))
-                shortfall = excess - reduction.sum()
-                if shortfall > 1e-12:
-                    order_h = np.argsort(-(headroom - reduction))
-                    for index in order_h:
-                        available = headroom[index] - reduction[index]
-                        take = min(available, shortfall)
-                        reduction[index] += take
-                        shortfall -= take
-                        if shortfall <= 1e-12:
-                            break
-                x[members] = x[members] - reduction
-            return x
-
-        def integer_objective(values: np.ndarray) -> float:
-            """Mirror of :meth:`AllocationProblem.objective` on integers."""
-            utility = 0.0
-            for p_i, value in zip(p_list, values):
-                utility += log_multi_channel_success(p_i, float(value))
-            return V * utility - q * float(values.sum())
+            return combo.repair(x, capacities, upper)
 
         # ----- minimum-footprint infeasibility: reject the combination --- #
         if infeasible_bounds or np.any(lower_loads > capacities + 1e-6):
@@ -975,7 +986,7 @@ class SlotKernel:
             values = lower.astype(int)
             rounded = IntegerSolution(
                 values=tuple(int(v) for v in values),
-                objective=integer_objective(lower),
+                objective=combo.integer_objective(lower, V, q),
                 feasible=False,
             )
             return self._build_outcome(memo_key, keys, relaxed, rounded)
@@ -985,13 +996,11 @@ class SlotKernel:
         if step_scale is None:
             step_scale = max(V, 1.0) / max(float(capacities.max()), 1.0)
 
-        # Warm starts and replay mode are mutually exclusive: a warm seed (or
-        # saving the last oscillating iterate as one) would break the
-        # ``dual_tolerance=0`` promise of replaying the legacy schedule.
-        # A revisited combination re-seeds from its own best multipliers
-        # (tight for it by construction); a new combination falls back to
-        # the global per-resource vector of the previous solve.
-        warm_enabled = options.warm_start and options.dual_tolerance > 0.0
+        # Warm starts are an adaptive-mode feature (replay mode always starts
+        # from zero).  A revisited combination re-seeds from its own best
+        # multipliers (tight for it by construction); a new combination
+        # falls back to the global per-resource vector of the previous solve.
+        warm_enabled = options.warm_start
         combo_warm = structure.combo_warm.get(combo_key) if warm_enabled else None
         if combo_warm is not None:
             mult = combo_warm[0].copy()
@@ -1014,12 +1023,11 @@ class SlotKernel:
         used = max_iterations
         x = lower.copy()
 
-        def polish(candidate: np.ndarray, rounds: Optional[int] = None) -> np.ndarray:
-            rounds = options.polish_rounds if rounds is None else rounds
-            if rounds > 0:
+        def polish(candidate: np.ndarray) -> np.ndarray:
+            if options.polish_rounds > 0:
                 cyclic_coordinate_polish(
                     candidate, lower, upper, p, V, q, row_loads(candidate),
-                    capacities, var_rows, rounds,
+                    capacities, var_rows, options.polish_rounds,
                 )
             return candidate
 
@@ -1028,8 +1036,8 @@ class SlotKernel:
         def fast_polish(candidate: np.ndarray) -> np.ndarray:
             """One vectorised water-fill step towards the per-variable optimum.
 
-            The horizon-mode stand-in for the in-loop single cyclic polish
-            round: every variable moves towards its unconstrained optimum
+            The adaptive loop's cheap in-loop polish: every variable moves
+            towards its unconstrained optimum
             simultaneously — decreases are always feasible, increases are
             capped by the row slacks and scaled back so that no shared row
             can overflow (each variable's scale is bounded by every one of
@@ -1057,12 +1065,11 @@ class SlotKernel:
                 return x
             return _closed_form_best_response(prices, p, V, lower, upper)
 
-        polished_final = False
         direct = False
         direct_mult: Optional[np.ndarray] = None
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if options.horizon_mode and gap_tolerance > 0.0:
-                # Exact KKT shortcuts of the horizon-compiled mode.  The
+            if options.horizon_mode:
+                # Exact KKT shortcuts of adaptive mode.  The
                 # objective is separable and concave, so (a) a feasible
                 # unconstrained best response is the optimum of the whole
                 # relaxation, and (b) when only the budget row binds, the
@@ -1117,7 +1124,6 @@ class SlotKernel:
                 # subgradient iterate alone is a weak primal bound — polishing
                 # every candidate is what makes the gap certify within a
                 # handful of iterations (and what sizes the steps well).
-                polished_final = True
                 step_cap = 5.0 * step_scale
                 for k in range(max_iterations):
                     prices = base_prices + membership_t @ mult
@@ -1131,17 +1137,12 @@ class SlotKernel:
                     if improved or k == 0:
                         # A tighter dual iterate is also the better primal
                         # candidate; repairing/polishing only then skips the
-                        # oscillating iterates.  One polish round tightens
-                        # the primal bound enough for the gap test; the
-                        # winner gets the remaining rounds after the loop.
+                        # oscillating iterates.  The water-fill tightens the
+                        # primal bound enough for the gap test; the winner
+                        # gets the full polish after the loop.
                         repaired = repair(x.copy())
-                        if is_feasible(repaired, tolerance):
-                            if x_unconstrained is not None:
-                                candidate = fast_polish(repaired)
-                            else:
-                                candidate = polish(
-                                    repaired, rounds=min(options.polish_rounds, 1)
-                                )
+                        if combo.is_feasible(repaired, capacities, tolerance):
+                            candidate = fast_polish(repaired)
                             objective = objective_np(candidate)
                             if objective > best_objective:
                                 best_objective = objective
@@ -1167,9 +1168,10 @@ class SlotKernel:
                         )
                     mult = np.maximum(0.0, mult + step * violation)
             else:
-                # Replay mode (``dual_tolerance=0``): the legacy solver's
-                # fixed subgradient schedule, checkpoints and final polish,
-                # reproduced exactly — the cross-check reference.
+                # Replay mode (``dual_tolerance=0``): the fixed
+                # diminishing-step schedule from zero multipliers, with a
+                # repaired primal checkpoint every ``primal_check_every``
+                # iterations.
                 for k in range(max_iterations):
                     prices = base_prices + membership_t @ mult
                     x = best_response(prices)
@@ -1178,7 +1180,7 @@ class SlotKernel:
                     mult = np.maximum(0.0, mult + step * violation)
                     if (k + 1) % check_every == 0 or k == max_iterations - 1:
                         repaired = repair(x.copy())
-                        if is_feasible(repaired, tolerance):
+                        if combo.is_feasible(repaired, capacities, tolerance):
                             objective = objective_np(repaired)
                             if objective > best_objective:
                                 best_objective = objective
@@ -1204,20 +1206,9 @@ class SlotKernel:
 
         if best_x is None:
             best_x = repair(x.copy())
-            polished_final = False
-        if direct:
+        if not direct:
             # The direct solutions are exact optima of the separable concave
-            # relaxation; the coordinate-wise polish is a no-op on them.
-            pass
-        elif polished_final and x_unconstrained is not None:
-            # Horizon mode: in-loop candidates saw only the vectorised
-            # water-fill; the winner gets the full legacy polish effort.
-            best_x = polish(best_x)
-        elif polished_final:
-            # The winning candidate saw one polish round in the loop; give it
-            # the remaining rounds to reach the legacy polish effort.
-            best_x = polish(best_x, rounds=max(options.polish_rounds - 1, 0))
-        else:
+            # relaxation, so only the others get the coordinate polish.
             best_x = polish(best_x)
         guard = guard_hooks.get()
         if guard is not None:
@@ -1251,39 +1242,13 @@ class SlotKernel:
         used: int,
     ) -> "AllocationOutcome":
         """Round a (polished) relaxed point and build the cached outcome."""
-        structure = self._structure
         V = self._utility_weight
         q = self._cost_weight
-        p = combo.p
-        p_list = combo.p_list
-        membership = combo.membership
-        lower = combo.lower
         tolerance = self._options.feasibility_tolerance
 
-        def objective_np(x: np.ndarray) -> float:
-            if combo.fast_path:
-                log_terms = np.log(-np.expm1(x * combo.neg_log1p))
-                return float(V * log_terms.sum() - q * x.sum())
-            log_terms = np.empty_like(x)
-            safe = p < 1.0
-            log_terms[safe] = np.log(-np.expm1(x[safe] * combo.neg_log1p[safe]))
-            log_terms[~safe] = 0.0
-            return float(V * log_terms.sum() - q * x.sum())
-
-        def is_feasible(x: np.ndarray, tol: float) -> bool:
-            if np.any(x < lower - tol):
-                return False
-            return not np.any(membership @ x > capacities + tol)
-
-        def integer_objective(values: np.ndarray) -> float:
-            utility = 0.0
-            for p_i, value in zip(p_list, values):
-                utility += log_multi_channel_success(p_i, float(value))
-            return V * utility - q * float(values.sum())
-
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            best_objective = objective_np(best_x)
-            relaxed_feasible = is_feasible(best_x, tolerance)
+            best_objective = combo.objective(best_x, V, q)
+            relaxed_feasible = combo.is_feasible(best_x, capacities, tolerance)
             relaxed = ContinuousSolution(
                 values=tuple(float(v) for v in best_x),
                 objective=best_objective,
@@ -1293,21 +1258,21 @@ class SlotKernel:
 
             # ----- down-round and hand out the surplus ------------------- #
             floored = np.maximum(np.floor(best_x + 1e-9), 1.0)
-            if not (relaxed_feasible and is_feasible(floored, 1e-6)):
+            if not (relaxed_feasible and combo.is_feasible(floored, capacities, 1e-6)):
                 rounded = IntegerSolution(
                     values=tuple(int(v) for v in floored),
-                    objective=integer_objective(floored),
+                    objective=combo.integer_objective(floored, V, q),
                     feasible=False,
                 )
                 return self._build_outcome(memo_key, keys, relaxed, rounded)
 
-            loads = membership @ floored
+            loads = combo.membership @ floored
             slack_total = float(np.sum(np.maximum(capacities - loads, 0.0)))
             surplus_pass(
-                floored, upper, p, V, q, loads, capacities, combo.rows_local,
+                floored, upper, combo.p, V, q, loads, capacities, combo.rows_local,
                 int(slack_total) + combo.n,
             )
-            objective = integer_objective(floored)
+            objective = combo.integer_objective(floored, V, q)
             if not math.isfinite(objective):
                 objective = float("-inf")
             rounded = IntegerSolution(
@@ -1375,29 +1340,20 @@ class KernelCache:
     # ------------------------------------------------------------------ #
     def bind(
         self,
-        allocator,
         context: "SlotContext",
         requests: Sequence["SDPair"],
         candidate_routes: Sequence[Sequence["Route"]],
         utility_weight: float = 1.0,
         cost_weight: float = 0.0,
         budget_cap: Optional[float] = None,
-        dual_tolerance: Optional[float] = None,
-        warm_start: bool = True,
-    ) -> Optional[SlotKernel]:
+        dual_tolerance: float = DEFAULT_DUAL_TOLERANCE,
+    ) -> SlotKernel:
         """Bind a kernel for this slot, compiling the structure only on miss.
 
-        Returns ``None`` when the allocator's relaxed solver does not map
-        onto the kernel (callers fall back to the legacy object path).
+        ``dual_tolerance`` selects adaptive (``> 0``) or replay (``0``)
+        mode; see the module docstring.
         """
-        options = kernel_options_for(
-            allocator.solver,
-            dual_tolerance=dual_tolerance,
-            warm_start=warm_start,
-            horizon_mode=True,
-        )
-        if options is None:
-            return None
+        options = KernelOptions(dual_tolerance=float(dual_tolerance))
         self._flush_last()
         signature = structure_signature(context.graph)
         structure = self._structures.get(signature)

@@ -8,25 +8,33 @@ constraints still have slack, and the resulting integer solution satisfies
 ``n* >= 1`` and ``ñ* − n* <= 1`` (paper, Eq. 8), which drives the
 ``Δ``-optimality bound of Proposition 2.
 
-The surplus pass operates on flat arrays (:func:`surplus_pass`) so the same
-vectorised routine serves both the legacy object path and the compiled slot
-kernel — the per-coordinate Python loop that used to recompute every
-marginal gain on every pass is gone.
+The slot kernel down-rounds in place and hands the surplus out with the
+vectorised :func:`surplus_pass` over its flat arrays.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.network.channels import log_multi_channel_success
-from repro.solvers.allocation_problem import (
-    AllocationProblem,
-    ContinuousSolution,
-    IntegerSolution,
-)
+
+
+@dataclass(frozen=True)
+class IntegerSolution:
+    """Rounded integer solution (the paper's ``N*``)."""
+
+    values: Tuple[int, ...]
+    objective: float
+    feasible: bool
+
+    def as_array(self) -> np.ndarray:
+        """The allocation vector as a numpy array of ints."""
+        return np.asarray(self.values, dtype=int)
+
 
 #: Minimal gain that justifies handing out one more surplus channel.
 _GAIN_EPSILON = 1e-12
@@ -37,9 +45,8 @@ def _marginal_gain(
 ) -> float:
     """Objective gain of one extra channel: ``V·[log P(n+1) − log P(n)] − q``.
 
-    ``-inf`` marks variables that can never profit (``p = 0`` yields a
-    ``-inf − -inf`` marginal in the object path, which is equally never
-    selected).
+    ``-inf`` marks variables that can never profit (``p = 0``, whose
+    ``log P`` is ``-inf`` at every allocation).
     """
     if slot_success <= 0.0:
         return float("-inf")
@@ -59,37 +66,21 @@ def surplus_pass(
     cost_weight: float,
     loads: np.ndarray,
     capacities: np.ndarray,
-    var_rows: Sequence[Sequence[int]],
+    rows: np.ndarray,
     max_passes: int,
 ) -> None:
     """Greedily hand out leftover capacity, one channel at a time (in place).
 
     ``values`` (float array of integral values) and ``loads`` are updated in
-    place; ``var_rows[i]`` lists the constraint rows variable ``i`` belongs
-    to.  Each pass increments the variable with the largest positive
-    marginal gain among those whose constraints all retain at least one unit
-    of slack; near-ties (within 1e-12) resolve to the lowest index, matching
-    the original scan order.
+    place; row ``i`` of the 2-D index array ``rows`` lists the constraint
+    rows variable ``i`` belongs to.  Each pass increments the variable with
+    the largest positive marginal gain among those whose constraints all
+    retain at least one unit of slack; near-ties (within 1e-12) resolve to
+    the lowest index.
     """
     n = int(values.shape[0])
     if n == 0 or max_passes <= 0:
         return
-    m = int(capacities.shape[0])
-
-    # Pad the per-variable row lists into a rectangular gather matrix; the
-    # dummy row m has infinite slack so it never masks anything.  A 2-D
-    # index array (the kernel's compiled form) is used as-is.
-    if isinstance(var_rows, np.ndarray) and var_rows.ndim == 2:
-        rows_matrix = var_rows
-    else:
-        width = max((len(rows) for rows in var_rows), default=0)
-        if width == 0:
-            rows_matrix = np.full((n, 1), m, dtype=np.intp)
-        else:
-            rows_matrix = np.full((n, width), m, dtype=np.intp)
-            for i, rows in enumerate(var_rows):
-                if len(rows):
-                    rows_matrix[i, : len(rows)] = rows
 
     # Initial marginal gains, vectorised: V·[log P(n+1) − log P(n)] − q with
     # the degenerate probabilities pinned exactly as _marginal_gain pins them.
@@ -103,12 +94,10 @@ def surplus_pass(
     gains[p >= 1.0] = -cost_weight
     gains[np.isnan(gains)] = -math.inf
 
-    slack_ext = np.empty(m + 1, dtype=float)
-    slack_ext[m] = math.inf
     for _ in range(max_passes):
-        slack_ext[:m] = capacities - loads
+        slack = capacities - loads
         eligible = (values + 1.0 <= upper + 1e-9) & (
-            slack_ext[rows_matrix].min(axis=1) >= 1.0 - 1e-9
+            slack[rows].min(axis=1) >= 1.0 - 1e-9
         )
         masked = np.where(eligible, gains, -math.inf)
         best_gain = float(masked.max())
@@ -119,85 +108,10 @@ def surplus_pass(
         else:
             best_index = int(np.argmax(masked > best_gain - _GAIN_EPSILON))
         values[best_index] += 1.0
-        rows = var_rows[best_index]
-        if len(rows):
-            loads[np.asarray(rows, dtype=np.intp)] += 1.0
+        loads[rows[best_index]] += 1.0
         gains[best_index] = _marginal_gain(
             float(slot_successes[best_index]),
             float(values[best_index]),
             utility_weight,
             cost_weight,
         )
-
-
-def round_down_with_surplus(
-    problem: AllocationProblem,
-    relaxed: ContinuousSolution,
-    max_surplus_passes: Optional[int] = None,
-) -> IntegerSolution:
-    """Down-round a relaxed solution and greedily hand out leftover capacity.
-
-    The surplus pass repeatedly adds one channel to the variable with the
-    largest positive marginal objective gain (``V·[log P(n+1) − log P(n)] −
-    q``) among variables whose constraints all still have at least one unit
-    of slack; it stops when no variable can be incremented profitably.
-    ``max_surplus_passes`` bounds the number of increments (defaults to the
-    total remaining integer capacity, which always terminates).
-    """
-    n = problem.num_variables
-    if n == 0:
-        return IntegerSolution(values=(), objective=0.0, feasible=True)
-
-    lower = problem.lower_bounds()
-    relaxed_values = relaxed.as_array()
-    floored = np.maximum(np.floor(relaxed_values + 1e-9), np.ceil(lower - 1e-9))
-    values = floored.astype(int)
-
-    feasible = problem.is_feasible(values) and relaxed.feasible
-    if not feasible:
-        # The relaxed point itself was infeasible (e.g. the all-ones
-        # allocation does not fit); report the floored point without trying
-        # to "fix" it, so callers can reject this route combination.
-        return IntegerSolution(
-            values=tuple(int(v) for v in values),
-            objective=problem.objective(values),
-            feasible=False,
-        )
-
-    constraints = problem.constraints
-    capacities = np.asarray([c.capacity for c in constraints], dtype=float)
-    loads = np.asarray([c.load(values) for c in constraints], dtype=float)
-    var_constraints: List[List[int]] = [[] for _ in range(n)]
-    for c_index, constraint in enumerate(constraints):
-        for member in constraint.members:
-            var_constraints[member].append(c_index)
-
-    if max_surplus_passes is None:
-        slack_total = float(np.sum(np.maximum(capacities - loads, 0.0))) if len(constraints) else 0.0
-        max_surplus_passes = int(slack_total) + n
-
-    working = values.astype(float)
-    surplus_pass(
-        working,
-        problem.upper_bounds(),
-        problem.slot_successes(),
-        problem.utility_weight,
-        problem.cost_weight,
-        loads,
-        capacities,
-        var_constraints,
-        max_surplus_passes,
-    )
-    values = working.astype(int)
-
-    objective = problem.objective(values)
-    # Guard against pathological float issues: the returned point must be
-    # feasible because we only incremented where slack existed.
-    assert problem.is_feasible(values), "surplus allocation produced an infeasible point"
-    if not math.isfinite(objective):
-        objective = float("-inf")
-    return IntegerSolution(
-        values=tuple(int(v) for v in values),
-        objective=objective,
-        feasible=True,
-    )

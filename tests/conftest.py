@@ -13,6 +13,7 @@ from repro.core.problem import SlotContext
 from repro.network.graph import QDNGraph, QuantumEdge, QuantumNode
 from repro.network.routes import Route, build_candidate_routes
 from repro.network.topology import CapacityRanges, waxman_topology
+from repro.solvers.kernel import DEFAULT_DUAL_TOLERANCE, KernelCache
 from repro.workload.requests import SDPair
 
 
@@ -130,3 +131,74 @@ def diamond_context(diamond_graph) -> SlotContext:
 def line_context(line_graph) -> SlotContext:
     """A one-request context on the line graph (0 → 3)."""
     return make_context(line_graph, [(0, 3)])
+
+
+def bind_kernel(
+    context: SlotContext,
+    utility_weight: float = 1.0,
+    cost_weight: float = 0.0,
+    budget_cap=None,
+    dual_tolerance: float = DEFAULT_DUAL_TOLERANCE,
+    requests=None,
+):
+    """A slot kernel bound on a fresh cache over ``requests`` (default: servable)."""
+    requests = list(context.servable_requests() if requests is None else requests)
+    return KernelCache().bind(
+        context,
+        requests,
+        [list(context.routes_for(r)) for r in requests],
+        utility_weight=utility_weight,
+        cost_weight=cost_weight,
+        budget_cap=budget_cap,
+        dual_tolerance=dual_tolerance,
+    )
+
+
+def allocate(
+    context: SlotContext,
+    selection,
+    utility_weight: float = 1.0,
+    cost_weight: float = 0.0,
+    budget_cap=None,
+    dual_tolerance: float = DEFAULT_DUAL_TOLERANCE,
+):
+    """Algorithm 2 for a fixed route selection, on a freshly bound kernel."""
+    requests = list(selection)
+    kernel = KernelCache().bind(
+        context,
+        requests,
+        [[selection[r]] for r in requests],
+        utility_weight=utility_weight,
+        cost_weight=cost_weight,
+        budget_cap=budget_cap,
+        dual_tolerance=dual_tolerance,
+    )
+    return kernel.outcome_for(tuple(0 for _ in requests))
+
+
+def star_context(successes, capacity: int, spare: int = 1000) -> SlotContext:
+    """One-hop requests ``0 → i`` whose variables share only the hub's qubits.
+
+    Edge ``(0, i)`` has single-channel slot success ``successes[i - 1]``
+    (one attempt per slot); every other node and edge has ``spare``
+    capacity, so the hub's ``capacity`` is the one binding constraint.
+    """
+    graph = QDNGraph(attempts_per_slot=1)
+    graph.add_node(QuantumNode(name=0, qubit_capacity=int(capacity)))
+    for leaf, success in enumerate(successes, start=1):
+        graph.add_node(QuantumNode(name=leaf, qubit_capacity=spare))
+        graph.add_edge(
+            QuantumEdge(u=0, v=leaf, channel_capacity=spare, attempt_success=float(success))
+        )
+    requests = tuple(
+        SDPair(source=0, destination=leaf) for leaf in range(1, len(successes) + 1)
+    )
+    return SlotContext(
+        t=0,
+        graph=graph,
+        snapshot=graph.full_snapshot(),
+        requests=requests,
+        candidate_routes={
+            request: (Route.from_nodes((0, request.destination)),) for request in requests
+        },
+    )

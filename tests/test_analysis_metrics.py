@@ -12,10 +12,12 @@ from repro.analysis.metrics import (
     success_rate_quantiles,
 )
 from repro.analysis.stats import (
+    _T_975,
     aggregate_scalar,
     aggregate_series,
     confidence_interval,
     downsample,
+    t_quantile,
 )
 
 
@@ -84,6 +86,34 @@ class TestRelativeImprovement:
     def test_zero_baseline(self):
         assert relative_improvement(0.0, 0.0) == 0.0
         assert relative_improvement(1.0, 0.0) == float("inf")
+
+
+class TestScipyFreeStatistics:
+    """The table and the numpy expression equal scipy's values bit for bit."""
+
+    def test_t_table_matches_scipy(self):
+        from scipy import stats as scipy_stats
+
+        for df, value in _T_975.items():
+            assert value == float(scipy_stats.t.ppf(0.975, df))
+            assert t_quantile((1.0 + 0.95) / 2.0, df) == value
+
+    def test_t_quantile_falls_back_to_scipy(self):
+        from scipy import stats as scipy_stats
+
+        assert t_quantile(0.995, 4) == float(scipy_stats.t.ppf(0.995, 4))
+        assert t_quantile(0.975, 40) == float(scipy_stats.t.ppf(0.975, 40))
+
+    def test_confidence_interval_matches_scipy(self, rng):
+        from scipy import stats as scipy_stats
+
+        for size in (2, 3, 5, 8, 11, 15):
+            values = rng.normal(3.0, 2.0, size=size)
+            sem = float(scipy_stats.sem(values))
+            assert sem == float(np.std(values, ddof=1) / values.size ** 0.5)
+            half = float(sem * scipy_stats.t.ppf(0.975, size - 1))
+            mean = float(np.mean(values))
+            assert confidence_interval(values) == (mean - half, mean + half)
 
 
 class TestStats:

@@ -1,11 +1,13 @@
 """Tests for the repro.api scenario builder."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import api
 from repro.core.baselines import ShortestRouteUniformPolicy
 from repro.core.oscar import OscarPolicy
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ConfigError, ExperimentConfig
 from repro.workload.requests import HotspotRequestProcess, UniformRequestProcess
 
 
@@ -99,6 +101,59 @@ class TestMultiUser:
         with pytest.raises(ValueError):
             scenario.validate()
 
+    @pytest.mark.parametrize(
+        "configure",
+        [
+            lambda s: s.with_guard("strict"),
+            lambda s: s.with_telemetry("light"),
+            lambda s: s.with_faults(edge_mtbf=20.0),
+        ],
+        ids=["guard", "telemetry", "faults"],
+    )
+    def test_layers_without_multiuser_hooks_rejected(self, configure, monkeypatch):
+        monkeypatch.delenv("REPRO_GUARD", raising=False)
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        scenario = configure(
+            api.Scenario.tiny().with_user("a").with_user("b", "myopic-fixed")
+        )
+        with pytest.raises(ValueError, match="unsupported combination"):
+            scenario.validate()
+
+    @pytest.mark.parametrize(
+        "variable,level", [("REPRO_GUARD", "cheap"), ("REPRO_TELEMETRY", "full")]
+    )
+    def test_environment_override_rejected(self, variable, level, monkeypatch):
+        monkeypatch.delenv("REPRO_GUARD", raising=False)
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        scenario = api.Scenario.tiny().with_user("a").with_user("b", "myopic-fixed")
+        scenario.validate()
+        monkeypatch.setenv(variable, level)
+        with pytest.raises(ValueError, match="unsupported combination"):
+            scenario.validate()
+
+    @pytest.mark.parametrize(
+        "configure,variable,level",
+        [
+            (lambda s: s.with_guard("strict"), None, None),
+            (lambda s: s.with_telemetry("light"), None, None),
+            (lambda s: s, "REPRO_GUARD", "strict"),
+            (lambda s: s, "REPRO_TELEMETRY", "light"),
+        ],
+        ids=["guard", "telemetry", "guard-env", "telemetry-env"],
+    )
+    def test_trial_execution_rejects_the_same(self, configure, variable, level, monkeypatch):
+        from repro.api.session import _execute_trial_inner
+
+        monkeypatch.delenv("REPRO_GUARD", raising=False)
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        scenario = configure(
+            api.Scenario.tiny().with_user("a").with_user("b", "myopic-fixed")
+        )
+        if variable is not None:
+            monkeypatch.setenv(variable, level)
+        with pytest.raises(ValueError, match="unsupported combination"):
+            _execute_trial_inner(scenario, 0)
+
     def test_unknown_workload_kind_rejected(self):
         scenario = api.Scenario.tiny().with_user("lab", workload_kind="bogus")
         with pytest.raises(ValueError, match="bogus"):
@@ -136,6 +191,31 @@ class TestRoundTrip:
 
         payload = api.Scenario.small().with_user("a").to_dict()
         assert api.Scenario.from_dict(json.loads(json.dumps(payload))).to_dict() == payload
+
+    def test_record_saved_with_solver_switches_still_loads(self):
+        # Saved before the legacy solver and the recompile-per-slot kernel
+        # were removed: its config carries use_kernel/kernel_cache = true.
+        path = Path(__file__).parent / "data" / "record_with_solver_flags.json"
+        record = api.RunRecord.load(path)
+        config = record.scenario_config()
+        assert config == ExperimentConfig.tiny().with_overrides(horizon=2)
+        scenario = api.Scenario.from_dict(record.scenario)
+        assert scenario.config == config
+        assert "use_kernel" not in scenario.to_dict()["config"]
+
+    @pytest.mark.parametrize(
+        "switch,removed",
+        [("use_kernel", "legacy per-combination solver"),
+         ("kernel_cache", "recompile-per-slot kernel")],
+    )
+    def test_false_solver_switch_names_the_removed_path(self, switch, removed):
+        payload = api.Scenario.tiny().to_dict()
+        payload["config"][switch] = False
+        with pytest.raises(ConfigError, match=removed):
+            api.Scenario.from_dict(payload)
+        record = api.RunRecord(scenario=payload)
+        with pytest.raises(ConfigError, match=switch):
+            record.scenario_config()
 
     def test_describe_mentions_lineup(self):
         description = api.Scenario.tiny().describe()

@@ -1,6 +1,9 @@
 """Tests for the command-line interface (repro.cli / python -m repro)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +142,14 @@ class TestFigureCommand:
         output = capsys.readouterr().out
         assert "Fig. 8" in output
 
+    def test_stdout_is_exactly_the_report(self, capsys):
+        # The timing line goes to stderr, so two runs' stdout can be diffed.
+        assert main(["figure", "fig8", "--scale", "tiny", "--trials", "1"]) == 0
+        captured = capsys.readouterr()
+        golden = Path(__file__).parent / "data" / "golden" / "fig8.txt"
+        assert captured.out == golden.read_text() + "\n"
+        assert "[fig8 at scale=tiny in" in captured.err
+
     def test_report_written_to_file(self, tmp_path, capsys):
         target = tmp_path / "fig8.txt"
         main(["figure", "fig8", "--scale", "tiny", "--trials", "1", "--output", str(target)])
@@ -205,3 +216,16 @@ class TestServeCommand:
         assert main(["serve", "--scale", "tiny", "--trials", "1",
                      "--admission", "front-door"]) == 2
         assert "admission" in capsys.readouterr().err
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # scipy serves only the oracle and uncommon confidence levels; the run
+    # path and its imports must not pay for it.
+    code = "import sys, repro.cli; print('scipy' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert result.stdout.strip() == "False"

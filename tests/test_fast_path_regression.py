@@ -1,11 +1,11 @@
-"""Regression: the kernel fast path leaves every summary number unchanged.
+"""Regression: the kernel's adaptive mode leaves every summary number unchanged.
 
-Runs reduced-scale versions of the paper figures through both the compiled
-slot kernel (the default) and the legacy object path (``use_kernel=False``)
-and asserts the formatted summary tables are byte-identical; also covers the
-``use_kernel``/``dual_tolerance`` threading through the config, the fluent
-scenario API, the study axis groups and the CLI, plus the route-fidelity
-memoisation.
+Runs reduced-scale versions of the paper figures in the default adaptive
+mode (warm starts, early stops, KKT shortcuts, pruned enumeration) and in
+replay mode (``dual_tolerance=0``, the fixed schedule) and asserts the
+formatted summary tables are byte-identical; also covers the solver-field
+threading through the config, the fluent scenario API, the study axis
+groups and the CLI, plus the route-fidelity memoisation.
 """
 
 from __future__ import annotations
@@ -35,21 +35,21 @@ class TestFigureTablesUnchanged:
         budgets = (200.0, 300.0)
         fast = fig5_budget.run(config=regression_config(), budgets=budgets, seed=5)
         slow = fig5_budget.run(
-            config=regression_config(use_kernel=False), budgets=budgets, seed=5
+            config=regression_config(dual_tolerance=0.0), budgets=budgets, seed=5
         )
         assert fast.format_tables() == slow.format_tables()
 
     def test_fig6_network_size_tables_identical(self):
-        sizes = (8, 10)
+        sizes = (12,)
         fast = fig6_network_size.run(config=regression_config(), sizes=sizes, seed=5)
         slow = fig6_network_size.run(
-            config=regression_config(use_kernel=False), sizes=sizes, seed=5
+            config=regression_config(dual_tolerance=0.0), sizes=sizes, seed=5
         )
         assert fast.format_tables() == slow.format_tables()
 
     def test_warm_start_early_stop_matches_replay(self):
-        # dual_tolerance=0 replays the legacy iteration schedule on the
-        # kernel; the default adaptive mode must not change the tables.
+        # dual_tolerance=0 runs the fixed iteration schedule on the kernel;
+        # the default adaptive mode must not change the tables.
         sizes = (8, 10)
         adaptive = fig6_network_size.run(config=regression_config(), sizes=sizes, seed=5)
         replay = fig6_network_size.run(
@@ -61,54 +61,56 @@ class TestFigureTablesUnchanged:
 class TestSolverThreading:
     def test_config_defaults(self):
         config = ExperimentConfig.paper()
-        assert config.use_kernel is True
         assert config.dual_tolerance == pytest.approx(1e-4)
+        assert config.solve_deadline == 0
 
     def test_config_factories_thread_the_toggle(self):
-        config = regression_config(use_kernel=False, dual_tolerance=1e-6)
+        config = regression_config(dual_tolerance=1e-6, solve_deadline=9)
         for policy in (
             config.make_oscar(),
             config.make_myopic_adaptive(),
             config.make_myopic_fixed(),
             config.make_unconstrained(),
         ):
-            assert policy.use_kernel is False
             assert policy.dual_tolerance == pytest.approx(1e-6)
+            assert policy.solve_deadline == 9
 
     def test_registry_injects_solver_fields(self):
-        config = regression_config(use_kernel=False)
+        config = regression_config(dual_tolerance=0.0)
         policy = api.make_policy("oscar", config)
-        assert policy.use_kernel is False
+        assert policy.dual_tolerance == 0.0
 
     def test_scenario_with_solver(self):
-        scenario = api.Scenario.tiny().with_solver(fast=False, dual_tolerance=0.0)
-        assert scenario.config.use_kernel is False
+        scenario = api.Scenario.tiny().with_solver(dual_tolerance=0.0, solve_deadline=5)
         assert scenario.config.dual_tolerance == 0.0
+        assert scenario.config.solve_deadline == 5
 
     def test_scenario_with_solver_rejects_unknown_fields(self):
         with pytest.raises(TypeError):
             api.Scenario.tiny().with_solver(total_budget=100.0)
+        with pytest.raises(TypeError):
+            api.Scenario.tiny().with_solver(fast=False)
 
     def test_study_solver_axis(self):
         from repro.api.study import resolve_config_path
 
-        assert resolve_config_path("solver.use_kernel") == "use_kernel"
         assert resolve_config_path("solver.dual_tolerance") == "dual_tolerance"
         with pytest.raises(ValueError):
             resolve_config_path("solver.total_budget")
+        with pytest.raises(ValueError):
+            resolve_config_path("solver.use_kernel")
 
     def test_cli_flags(self):
         parser = build_parser()
-        arguments = parser.parse_args(
-            ["compare", "--scale", "tiny", "--legacy-solver", "--dual-tolerance", "0"]
-        )
-        assert arguments.legacy_solver is True
+        arguments = parser.parse_args(["compare", "--scale", "tiny", "--dual-tolerance", "0"])
         assert arguments.dual_tolerance == 0.0
         from repro.cli import _config_from_args
 
         config = _config_from_args(arguments)
-        assert config.use_kernel is False
         assert config.dual_tolerance == 0.0
+        for removed in ("--legacy-solver", "--no-kernel-cache"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["compare", "--scale", "tiny", removed])
 
 
 class TestRouteFidelityMemoisation:

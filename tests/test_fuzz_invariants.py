@@ -50,7 +50,7 @@ def _fuzz_config(seed: int) -> ExperimentConfig:
     if overrides["backend"] == "event" and rng.random() < 0.5:
         overrides["signaling_latency_s"] = rng.choice([0.0, 1e-4, 5e-4])
     if rng.random() < 0.3:
-        overrides["use_kernel"] = False
+        overrides["dual_tolerance"] = 0.0
     return ExperimentConfig.tiny().with_overrides(**overrides)
 
 

@@ -10,7 +10,6 @@ from repro.guard.differential import (
     compare_slot_records,
     diff_backends,
     diff_physical_engines,
-    diff_solvers,
     run_all,
 )
 
@@ -67,7 +66,7 @@ def test_missing_field_diverges():
 
 
 # --------------------------------------------------------------------- #
-# The stock pairs (slow-ish: three full tiny runs each)
+# The stock pairs (slow-ish: two full tiny runs each)
 # --------------------------------------------------------------------- #
 def test_backend_pair_identical_at_zero_latency():
     report = diff_backends(_tiny())
@@ -88,19 +87,10 @@ def test_physical_engine_pair_identical():
     assert report.identical, report.describe()
 
 
-def test_solver_pair_identical():
-    report = diff_solvers(_tiny())
-    assert report.identical, report.describe()
-
-
 def test_run_all_covers_every_registered_pair():
     reports = run_all(config=_tiny())
-    assert len(reports) == len(PAIRS) == 3
-    assert {report.pair for report in reports} == {
-        "backend",
-        "physical-engine",
-        "solver",
-    }
+    assert len(reports) == len(PAIRS) == 2
+    assert {report.pair for report in reports} == {"backend", "physical-engine"}
     assert all(report.identical for report in reports)
 
 

@@ -3,26 +3,32 @@
 The cache layer (``KernelCache`` / ``CompiledStructure`` / the batched
 ``best_of`` enumeration) must be *invisible* in results: re-binding across
 the drop-retry loop, consecutive slots and whole horizons — with warm-start
-duals carried slot-to-slot — has to produce the same decisions as the
-recompile-per-slot kernel (PR-3 behaviour, ``kernel_cache=False``) and the
-legacy object path, on single slots and on whole figure pipelines.
+duals carried slot-to-slot — has to produce the same decisions as a fresh
+solver (and so a freshly compiled structure) for every slot, and the same
+decisions and tables as the removed recompile-per-slot kernel and legacy
+object path printed (recorded in ``tests/data/removed_paths``).
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import api
-from repro.core.allocation import QubitAllocator
 from repro.core.per_slot import PerSlotSolver
 from repro.core.problem import SlotContext
 from repro.core.route_selection import ExhaustiveRouteSelector
 from repro.experiments import fig3_time_evolving, fig6_network_size
 from repro.experiments.config import ExperimentConfig
+from repro.solvers.gibbs import exhaustive_optimise
 from repro.solvers.kernel import KernelCache, SlotKernel, structure_signature
-from repro.solvers.relaxed import SLSQPSolver
+
+from conftest import bind_kernel
+
+#: Outputs of the removed legacy and recompile-per-slot paths.
+REMOVED_PATHS = Path(__file__).parent / "data" / "removed_paths"
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -68,9 +74,8 @@ def decisions_over(contexts, **solver_kwargs):
 class TestKernelCacheBinding:
     def test_rebinds_reuse_one_structure_per_topology(self):
         _, contexts = contexts_from(small_config(), 1, 51)
-        solver, _ = decisions_over(contexts, use_kernel=True, kernel_cache=True)
+        solver, _ = decisions_over(contexts)
         stats = solver.kernel_stats()
-        assert stats is not None
         assert stats["structure_compiles"] == 1
         assert stats["binds"] >= len(contexts)
         assert stats["rebinds"] == stats["binds"] - 1
@@ -79,7 +84,7 @@ class TestKernelCacheBinding:
         config = small_config()
         _, contexts_a = contexts_from(config, 1, 51)
         _, contexts_b = contexts_from(config, 2, 52)
-        solver = PerSlotSolver(use_kernel=True, kernel_cache=True)
+        solver = PerSlotSolver()
         for context in contexts_a[:2] + contexts_b[:2]:
             solver.solve(context, utility_weight=2500.0, cost_weight=10.0, seed=7)
         stats = solver.kernel_stats()
@@ -92,31 +97,15 @@ class TestKernelCacheBinding:
         assert structure_signature(graph_a) == structure_signature(graph_a)
         assert structure_signature(graph_a) != structure_signature(graph_b)
 
-    def test_incompatible_solver_returns_none(self):
-        _, contexts = contexts_from(small_config(), 1, 51)
-        context = contexts[0]
-        cache = KernelCache()
-        requests = list(context.servable_requests())
-        candidates = [list(context.routes_for(r)) for r in requests]
-        assert (
-            cache.bind(
-                QubitAllocator(solver=SLSQPSolver()), context, requests, candidates
-            )
-            is None
-        )
-
     def test_bound_kernel_is_horizon_mode(self):
         _, contexts = contexts_from(small_config(), 1, 51)
         context = contexts[0]
-        cache = KernelCache()
-        requests = list(context.servable_requests())
-        candidates = [list(context.routes_for(r)) for r in requests]
-        kernel = cache.bind(QubitAllocator(), context, requests, candidates)
+        kernel = bind_kernel(context)
         assert isinstance(kernel, SlotKernel)
         assert kernel._options.horizon_mode
-        # A standalone compile stays on the recompile-per-slot behaviour.
-        plain = QubitAllocator().compile(context, requests, candidates)
-        assert not plain._options.horizon_mode
+        # Replay mode runs the fixed schedule: no shortcuts, no batching.
+        replay = bind_kernel(context, dual_tolerance=0.0)
+        assert not replay._options.horizon_mode
 
     def test_cache_eviction_keeps_newest_structures(self):
         config = small_config()
@@ -126,7 +115,7 @@ class TestKernelCacheBinding:
             context = contexts[0]
             requests = list(context.servable_requests())
             candidates = [list(context.routes_for(r)) for r in requests]
-            cache.bind(QubitAllocator(), context, requests, candidates)
+            cache.bind(context, requests, candidates)
         assert len(cache._structures) == 2
         assert cache.aggregate_stats()["structure_compiles"] == 3
 
@@ -134,27 +123,37 @@ class TestKernelCacheBinding:
 class TestDecisionIdentity:
     @pytest.mark.parametrize("graph_seed,trace_seed", [(1, 51), (2, 52), (3, 53)])
     def test_cached_equals_recompile_per_slot(self, graph_seed, trace_seed):
+        # One solver carrying its structure and warm duals across slots
+        # versus a fresh solver (a fresh compile) for every slot.
         _, contexts = contexts_from(small_config(), graph_seed, trace_seed)
-        _, cached = decisions_over(contexts, use_kernel=True, kernel_cache=True)
-        _, recompile = decisions_over(contexts, use_kernel=True, kernel_cache=False)
+        _, cached = decisions_over(contexts)
+        recompile = [decisions_over([context])[1][0] for context in contexts]
         assert cached == recompile
 
     def test_cached_equals_legacy_object_path(self):
+        # The legacy per-combination path's decisions on these slots were
+        # recorded before it was removed.
         _, contexts = contexts_from(small_config(), 1, 51)
-        _, cached = decisions_over(contexts, use_kernel=True, kernel_cache=True)
-        _, legacy = decisions_over(contexts, use_kernel=False)
-        assert cached == legacy
+        _, cached = decisions_over(contexts)
+        legacy = json.loads((REMOVED_PATHS / "legacy_decisions.json").read_text())
+        assert [
+            {
+                "selection": sorted([repr(r), list(route.nodes)] for r, route in selection.items()),
+                "allocation": sorted([repr(k), v] for k, v in allocation.items()),
+            }
+            for selection, allocation in cached
+        ] == legacy
 
     def test_occupancy_change_rebinds_with_correct_rhs(self):
         # The same structure re-bound against different snapshots must give
         # exactly the decisions of fresh per-context solvers.
         _, contexts = contexts_from(small_config(), 1, 51)
-        shared = PerSlotSolver(use_kernel=True, kernel_cache=True)
+        shared = PerSlotSolver()
         for context in contexts:
             joint = shared.solve(
                 context, utility_weight=2500.0, cost_weight=10.0, seed=7
             )
-            fresh = PerSlotSolver(use_kernel=True, kernel_cache=False).solve(
+            fresh = PerSlotSolver().solve(
                 context, utility_weight=2500.0, cost_weight=10.0, seed=7
             )
             assert dict(joint.decision.selection) == dict(fresh.decision.selection)
@@ -167,10 +166,10 @@ class TestDecisionIdentity:
         _, contexts = contexts_from(small_config(), 1, 51)
         context = next(c for c in contexts if len(c.servable_requests()) >= 2)
         restricted = context.restricted_to(context.servable_requests()[:1])
-        solver = PerSlotSolver(use_kernel=True, kernel_cache=True)
+        solver = PerSlotSolver()
         full = solver.solve(context, utility_weight=2500.0, cost_weight=10.0, seed=7)
         small = solver.solve(restricted, utility_weight=2500.0, cost_weight=10.0, seed=7)
-        fresh_small = PerSlotSolver(use_kernel=True, kernel_cache=False).solve(
+        fresh_small = PerSlotSolver().solve(
             restricted, utility_weight=2500.0, cost_weight=10.0, seed=7
         )
         assert dict(small.decision.allocation) == dict(fresh_small.decision.allocation)
@@ -198,15 +197,17 @@ class TestBatchedEnumeration:
     def test_best_of_matches_sequential_walk(self):
         _, contexts = contexts_from(small_config(), 2, 52)
         for context in contexts:
-            cached = ExhaustiveRouteSelector(
-                use_kernel=True, kernel_cache=KernelCache()
-            ).select(context, context.servable_requests(), 2500.0, 10.0, seed=3)
-            plain = ExhaustiveRouteSelector(use_kernel=True).select(
+            cached = ExhaustiveRouteSelector().select(
                 context, context.servable_requests(), 2500.0, 10.0, seed=3
             )
-            assert dict(cached.selection) == dict(plain.selection)
-            assert dict(cached.outcome.allocation) == dict(plain.outcome.allocation)
-            assert cached.objective == pytest.approx(plain.objective, abs=1e-9)
+            # The sequential walk: every combination solved one at a time.
+            kernel = bind_kernel(context, 2500.0, 10.0)
+            assignment, objective = exhaustive_optimise(kernel.sizes, kernel.objective)
+            assert dict(cached.selection) == kernel.selection_for(assignment)
+            assert dict(cached.outcome.allocation) == dict(
+                kernel.outcome_for(assignment).allocation
+            )
+            assert cached.objective == pytest.approx(objective, abs=1e-9)
 
     def test_evaluate_all_populates_cache_with_sequential_outcomes(self):
         import itertools
@@ -215,9 +216,8 @@ class TestBatchedEnumeration:
         context = next(c for c in contexts if len(c.servable_requests()) >= 2)
         requests = list(context.servable_requests())
         candidates = [list(context.routes_for(r)) for r in requests]
-        cache = KernelCache()
-        batched = cache.bind(QubitAllocator(), context, requests, candidates, 2500.0, 10.0)
-        sequential = QubitAllocator().compile(context, requests, candidates, 2500.0, 10.0)
+        batched = KernelCache().bind(context, requests, candidates, 2500.0, 10.0)
+        sequential = KernelCache().bind(context, requests, candidates, 2500.0, 10.0)
         combos = list(itertools.product(*[range(len(c)) for c in candidates]))
         batched.evaluate_all(combos)
         for combo in combos:
@@ -229,39 +229,34 @@ class TestBatchedEnumeration:
 
     def test_pruning_never_discards_the_winner(self):
         _, contexts = contexts_from(small_config(), 3, 53)
-        solver, _ = decisions_over(contexts, use_kernel=True, kernel_cache=True)
+        solver, _ = decisions_over(contexts)
         stats = solver.kernel_stats()
         # Pruning engaged on these instances …
         assert stats["pruned"] > 0
-        # … and identity with the recompile path held (separate test), so
+        # … and identity with the sequential walk held (separate test), so
         # the winner was always finalised.
 
 
 class TestFigurePipelinesByteIdentical:
+    """Whole pipelines equal the tables the recompile-per-slot kernel printed
+    before it was removed (``tests/data/removed_paths``)."""
+
     def test_fig3_tables_identical_cached_vs_recompile(self):
         config = small_config(horizon=6)
         cached = fig3_time_evolving.run(config)
-        recompile = fig3_time_evolving.run(config.with_overrides(kernel_cache=False))
-        assert cached.format_tables() == recompile.format_tables()
+        assert cached.format_tables() == (REMOVED_PATHS / "fig3.txt").read_text()
 
     def test_fig6_tables_identical_cached_vs_recompile(self):
         config = small_config(horizon=5)
         cached = fig6_network_size.run(config, sizes=(8,), trials=1, seed=7)
-        recompile = fig6_network_size.run(
-            config.with_overrides(kernel_cache=False), sizes=(8,), trials=1, seed=7
-        )
-        assert cached.format_tables() == recompile.format_tables()
+        assert cached.format_tables() == (REMOVED_PATHS / "fig6.txt").read_text()
 
     def test_fig5_tables_identical_cached_vs_recompile(self):
         from repro.experiments import fig5_budget
 
         config = small_config(horizon=5, max_pairs=3, gibbs_iterations=10)
         cached = fig5_budget.run(config, budgets=(200.0, 300.0), trials=1, seed=7)
-        recompile = fig5_budget.run(
-            config.with_overrides(kernel_cache=False),
-            budgets=(200.0, 300.0), trials=1, seed=7,
-        )
-        assert cached.format_tables() == recompile.format_tables()
+        assert cached.format_tables() == (REMOVED_PATHS / "fig5.txt").read_text()
 
 
 class TestStudyWorkerSafety:
@@ -308,14 +303,6 @@ class TestStatsSurfacing:
         assert stats["binds"] > 0
         assert stats["structure_compiles"] >= 1
         assert stats["rebinds"] == stats["binds"] - stats["structure_compiles"]
-
-    def test_legacy_runs_carry_no_kernel_stats(self):
-        record = api.run_scenario(
-            api.Scenario.from_config(
-                small_config(use_kernel=False)
-            ).with_policies("oscar")
-        )
-        assert record.kernel_stats() is None
 
     def test_study_aggregates_kernel_stats(self):
         base = api.Scenario.from_config(small_config()).with_policies("oscar")

@@ -19,18 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import QubitAllocator
 from repro.core.problem import SlotContext, SlotDecision
 from repro.core.virtual_queue import VirtualQueue
 from repro.network.channels import multi_channel_success, per_slot_success
 from repro.network.graph import QDNGraph, QuantumEdge, QuantumNode, edge_key
 from repro.network.routes import Route
 from repro.physics.fidelity import fidelity_after_swap, fidelity_of_chain
-from repro.solvers.allocation_problem import build_allocation_problem
-from repro.solvers.relaxed import DualDecompositionSolver
-from repro.solvers.rounding import round_down_with_surplus
 from repro.workload.budget import BudgetTracker
 from repro.workload.requests import SDPair
+
+from conftest import allocate, bind_kernel, star_context
 
 
 def build_chain_graph(num_nodes: int, qubits: int, channels: int, attempt_success: float) -> QDNGraph:
@@ -70,7 +68,7 @@ class TestAllocationPipelineProperties:
             requests=(request,),
             candidate_routes={request: (route,)},
         )
-        outcome = QubitAllocator().allocate(
+        outcome = allocate(
             context, {request: route},
             utility_weight=utility_weight, cost_weight=cost_weight,
         )
@@ -103,15 +101,11 @@ class TestAllocationPipelineProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_relax_and_round_never_exceeds_capacity(self, successes, capacity_slack, cost_weight):
-        capacity = float(len(successes) + capacity_slack)
-        problem = build_allocation_problem(
-            entries=[(f"v{i}", p) for i, p in enumerate(successes)],
-            node_groups={"cap": (list(range(len(successes))), capacity)},
-            utility_weight=10.0,
-            cost_weight=cost_weight,
+        capacity = len(successes) + capacity_slack
+        kernel = bind_kernel(
+            star_context(successes, capacity), utility_weight=10.0, cost_weight=cost_weight
         )
-        relaxed = DualDecompositionSolver().solve(problem)
-        rounded = round_down_with_surplus(problem, relaxed)
+        rounded = kernel.outcome_for(tuple(0 for _ in successes)).integer_solution
         assert rounded.feasible
         assert sum(rounded.values) <= capacity + 1e-9
         assert all(value >= 1 for value in rounded.values)

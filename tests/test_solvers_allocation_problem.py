@@ -1,142 +1,99 @@
-"""Tests for repro.solvers.allocation_problem."""
+"""Tests of the per-slot allocation problem as the slot kernel compiles it.
+
+For a fixed route combination the kernel holds P2 as a compiled combination
+(:meth:`repro.solvers.kernel.SlotKernel.rows_for`): one variable per
+(request, edge) with its single-channel success ``p``, one capacity row per
+active node, edge and budget constraint, and the objective
+``V·Σ log P_i(n_i) − q·Σ n_i``.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.solvers.allocation_problem import (
-    AllocationProblem,
-    AllocationVariable,
-    CapacityConstraint,
-    build_allocation_problem,
-)
+from repro.network.channels import log_multi_channel_success, multi_channel_success
+from repro.solvers.oracle import _increment_gains
+
+from conftest import bind_kernel, star_context
 
 
-def two_variable_problem(capacity: float = 6.0, utility_weight: float = 1.0, cost_weight: float = 0.0):
-    """Two variables sharing one capacity constraint."""
-    return build_allocation_problem(
-        entries=[("a", 0.5), ("b", 0.5)],
-        node_groups={"shared": ([0, 1], capacity)},
-        utility_weight=utility_weight,
-        cost_weight=cost_weight,
+def two_variable_combo(capacity: int = 6, utility_weight: float = 1.0, cost_weight: float = 0.0,
+                       budget_cap=None):
+    """Two variables (p = 0.5) sharing the hub's ``capacity`` qubits."""
+    kernel = bind_kernel(
+        star_context([0.5, 0.5], capacity),
+        utility_weight=utility_weight, cost_weight=cost_weight, budget_cap=budget_cap,
     )
+    combo, capacities = kernel.rows_for((0, 0))
+    return kernel, combo, capacities
 
 
 class TestAllocationVariable:
     def test_success_formula(self):
-        variable = AllocationVariable(key="x", slot_success=0.5)
-        assert variable.success(2) == pytest.approx(0.75)
-        assert variable.log_success(2) == pytest.approx(math.log(0.75))
+        assert multi_channel_success(0.5, 2) == pytest.approx(0.75)
+        assert log_multi_channel_success(0.5, 2) == pytest.approx(math.log(0.75))
 
     def test_zero_allocation_gives_minus_inf_log(self):
-        variable = AllocationVariable(key="x", slot_success=0.5, lower=0.0)
-        assert variable.log_success(0) == float("-inf")
+        assert log_multi_channel_success(0.5, 0) == float("-inf")
 
     def test_marginal_gain_decreasing(self):
-        variable = AllocationVariable(key="x", slot_success=0.4)
-        gains = [variable.marginal_log_gain(float(n)) for n in range(1, 6)]
+        # Concavity in integer n: what makes the oracle's MILP exact.
+        gains = _increment_gains(0.4, 6, 1.0, 0.0)
+        assert len(gains) == 6
         assert all(b < a for a, b in zip(gains, gains[1:]))
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            AllocationVariable(key="x", slot_success=0.5, lower=3.0, upper=2.0)
-
-    def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError):
-            AllocationVariable(key="x", slot_success=1.3)
-
-
-class TestCapacityConstraint:
-    def test_load_and_slack(self):
-        constraint = CapacityConstraint(name="n", members=(0, 2), capacity=5.0)
-        x = [2.0, 10.0, 1.5]
-        assert constraint.load(x) == pytest.approx(3.5)
-        assert constraint.slack(x) == pytest.approx(1.5)
-
-    def test_duplicate_members_rejected(self):
-        with pytest.raises(ValueError):
-            CapacityConstraint(name="n", members=(0, 0), capacity=5.0)
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            CapacityConstraint(name="n", members=(0,), capacity=-1.0)
 
 
 class TestAllocationProblem:
     def test_objective_combines_utility_and_cost(self):
-        problem = two_variable_problem(utility_weight=2.0, cost_weight=0.5)
-        x = [1.0, 2.0]
+        _, combo, _ = two_variable_combo(utility_weight=2.0, cost_weight=0.5)
+        x = np.array([1.0, 2.0])
         expected = 2.0 * (math.log(0.5) + math.log(0.75)) - 0.5 * 3.0
-        assert problem.objective(x) == pytest.approx(expected)
-        assert problem.objective_array(np.array(x)) == pytest.approx(expected)
-
-    def test_gradient_matches_finite_difference(self):
-        problem = two_variable_problem(utility_weight=3.0, cost_weight=0.7)
-        x = np.array([1.5, 2.5])
-        gradient = problem.gradient(x)
-        eps = 1e-6
-        for i in range(2):
-            bumped = x.copy()
-            bumped[i] += eps
-            numeric = (problem.objective_array(bumped) - problem.objective_array(x)) / eps
-            assert gradient[i] == pytest.approx(numeric, rel=1e-3)
+        assert combo.objective(x, 2.0, 0.5) == pytest.approx(expected)
+        assert combo.integer_objective(x, 2.0, 0.5) == pytest.approx(expected)
 
     def test_upper_bounds_tightened_from_constraints(self):
-        problem = two_variable_problem(capacity=6.0)
+        _, combo, capacities = two_variable_combo(capacity=6)
         # Each variable can use at most capacity minus the other's lower bound.
-        assert list(problem.upper_bounds()) == [5.0, 5.0]
+        assert list(combo.upper_bounds(capacities)) == [5.0, 5.0]
 
     def test_feasibility_checks(self):
-        problem = two_variable_problem(capacity=6.0)
-        assert problem.is_feasible([1.0, 1.0])
-        assert problem.is_feasible([3.0, 3.0])
-        assert not problem.is_feasible([3.5, 3.0])
-        assert not problem.is_feasible([0.5, 1.0])  # below the lower bound
+        _, combo, capacities = two_variable_combo(capacity=6)
+        assert combo.is_feasible(np.array([1.0, 1.0]), capacities, 1e-6)
+        assert combo.is_feasible(np.array([3.0, 3.0]), capacities, 1e-6)
+        assert not combo.is_feasible(np.array([3.5, 3.0]), capacities, 1e-6)
+        assert not combo.is_feasible(np.array([0.5, 1.0]), capacities, 1e-6)  # below 1
 
     def test_lower_bound_feasibility(self):
-        assert two_variable_problem(capacity=2.0).lower_bound_feasible()
-        assert not two_variable_problem(capacity=1.0).lower_bound_feasible()
-
-    def test_constraint_index_validation(self):
-        with pytest.raises(ValueError):
-            AllocationProblem(
-                variables=[AllocationVariable(key="a", slot_success=0.5)],
-                constraints=[CapacityConstraint(name="bad", members=(0, 1), capacity=3.0)],
-            )
-
-    def test_duplicate_keys_rejected(self):
-        with pytest.raises(ValueError):
-            AllocationProblem(
-                variables=[
-                    AllocationVariable(key="a", slot_success=0.5),
-                    AllocationVariable(key="a", slot_success=0.4),
-                ],
-                constraints=[],
-            )
+        fits, _, _ = two_variable_combo(capacity=2)
+        assert fits.outcome_for((0, 0)).feasible
+        too_small, _, _ = two_variable_combo(capacity=1)
+        assert not too_small.outcome_for((0, 0)).feasible
 
     def test_repair_feasibility_restores_constraints(self):
-        problem = two_variable_problem(capacity=4.0)
-        repaired = problem.repair_feasibility(np.array([4.0, 4.0]))
-        assert problem.is_feasible(repaired)
+        _, combo, capacities = two_variable_combo(capacity=4)
+        upper = combo.upper_bounds(capacities)
+        repaired = combo.repair(np.array([4.0, 4.0]), capacities, upper)
+        assert combo.is_feasible(repaired, capacities, 1e-6)
         assert repaired.sum() <= 4.0 + 1e-9
 
     def test_repair_keeps_lower_bounds(self):
-        problem = two_variable_problem(capacity=4.0)
-        repaired = problem.repair_feasibility(np.array([10.0, 1.0]))
+        _, combo, capacities = two_variable_combo(capacity=4)
+        upper = combo.upper_bounds(capacities)
+        repaired = combo.repair(np.array([10.0, 1.0]), capacities, upper)
         assert all(value >= 1.0 - 1e-9 for value in repaired)
 
     def test_repair_noop_when_feasible(self):
-        problem = two_variable_problem(capacity=6.0)
+        _, combo, capacities = two_variable_combo(capacity=6)
         x = np.array([2.0, 3.0])
-        assert np.allclose(problem.repair_feasibility(x.copy()), x)
+        upper = combo.upper_bounds(capacities)
+        assert np.allclose(combo.repair(x.copy(), capacities, upper), x)
 
     def test_budget_cap_becomes_constraint(self):
-        problem = build_allocation_problem(
-            entries=[("a", 0.5), ("b", 0.5)],
-            node_groups={},
-            budget_cap=3.0,
-        )
-        assert len(problem.constraints) == 1
-        assert problem.constraints[0].name == "budget"
-        assert not problem.is_feasible([2.0, 2.0])
+        _, plain, _ = two_variable_combo(capacity=20)
+        _, capped, capacities = two_variable_combo(capacity=20, budget_cap=3.0)
+        assert capped.m == plain.m + 1
+        # The budget row is last and covers every variable.
+        assert capacities[-1] == 3.0
+        assert list(capped.membership[-1]) == [1.0, 1.0]
+        assert not capped.is_feasible(np.array([2.0, 2.0]), capacities, 1e-6)

@@ -1,42 +1,41 @@
 """Tests for the compiled slot kernel (repro.solvers.kernel).
 
-The kernel is the default fast path of every per-slot solve; the legacy
-object path (``use_kernel=False``) stays as the cross-checking reference.
-These tests pin the equivalence between the two:
+Every per-slot solve runs on the kernel, bound through
+:meth:`~repro.solvers.kernel.KernelCache.bind`.  These tests pin its two
+modes against each other and against the exact oracle:
 
-* **replay mode** (``dual_tolerance=0``, no warm start) reproduces the
-  legacy dual-decomposition schedule exactly — allocations equal, objectives
-  within 1e-9;
-* the **adaptive mode** (warm-started dual solves + duality-gap early stop)
-  produces identical :class:`SlotDecision`\\ s on randomised instances;
+* the **adaptive mode** (warm-started dual solves + duality-gap early stop,
+  the default) produces the same :class:`SlotDecision`\\ s as **replay
+  mode** (``dual_tolerance=0``, the fixed schedule) on randomised instances;
 * warm-start state never leaks across combinations in a way that changes
-  integer outcomes.
+  integer outcomes;
+* **replay mode** still reproduces the removed legacy object path, whose
+  per-combination outcomes were recorded before its removal;
+* relax-and-round never beats the exact optimum (``repro.solvers.oracle``).
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.allocation import QubitAllocator
 from repro.core.per_slot import PerSlotSolver
 from repro.core.problem import SlotContext
-from repro.core.route_selection import (
-    ExhaustiveRouteSelector,
-    GibbsRouteSelector,
-    _build_evaluator,
-    _CombinationEvaluator,
-)
+from repro.core.route_selection import ExhaustiveRouteSelector, GibbsRouteSelector
 from repro.experiments.config import ExperimentConfig
 from repro.solvers.kernel import (
     DEFAULT_DUAL_TOLERANCE,
+    KernelCache,
     KernelOptions,
     SlotKernel,
-    kernel_options_for,
 )
-from repro.solvers.relaxed import DualDecompositionSolver, SLSQPSolver
+from repro.solvers.oracle import combination_optimum
+
+from conftest import bind_kernel
 
 
 def make_context(graph_seed: int, trace_seed: int, min_requests: int = 2) -> SlotContext:
@@ -78,6 +77,7 @@ class TestKernelOptions:
         assert options.dual_iterations == 150
         assert options.dual_tolerance == DEFAULT_DUAL_TOLERANCE
         assert options.warm_start
+        assert options.horizon_mode
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,57 +89,20 @@ class TestKernelOptions:
         with pytest.raises(ValueError):
             KernelOptions(polish_rounds=-1)
 
-    def test_derived_from_dual_solver(self):
-        solver = DualDecompositionSolver(iterations=99, polish_rounds=3)
-        options = kernel_options_for(solver, dual_tolerance=1e-5)
-        assert options.dual_iterations == 99
-        assert options.polish_rounds == 3
-        assert options.dual_tolerance == 1e-5
-
-    def test_incompatible_solver_returns_none(self):
-        assert kernel_options_for(SLSQPSolver()) is None
-
     def test_replay_tolerance_disables_warm_start(self):
-        # dual_tolerance=0 promises an exact legacy replay, which a warm
-        # multiplier seed would break — even through the public path where
-        # warm_start is left at its default.
-        options = kernel_options_for(DualDecompositionSolver(), dual_tolerance=0.0)
+        # dual_tolerance=0 promises the fixed schedule from zero multipliers,
+        # which a warm multiplier seed (or a KKT shortcut) would break.
+        options = KernelOptions(dual_tolerance=0.0)
         assert options.warm_start is False
-
-    def test_dual_solver_subclass_returns_none(self):
-        class Custom(DualDecompositionSolver):
-            pass
-
-        assert kernel_options_for(Custom()) is None
+        assert options.horizon_mode is False
 
 
 class TestEvaluatorSelection:
     def test_kernel_selected_by_default(self):
         context = make_context(1, 51)
-        requests, candidates = request_candidates(context)
-        evaluator = _build_evaluator(
-            context, requests, candidates, QubitAllocator(),
-            1.0, 0.0, None, True, DEFAULT_DUAL_TOLERANCE,
-        )
-        assert isinstance(evaluator, SlotKernel)
-
-    def test_legacy_when_disabled(self):
-        context = make_context(1, 51)
-        requests, candidates = request_candidates(context)
-        evaluator = _build_evaluator(
-            context, requests, candidates, QubitAllocator(),
-            1.0, 0.0, None, False, DEFAULT_DUAL_TOLERANCE,
-        )
-        assert isinstance(evaluator, _CombinationEvaluator)
-
-    def test_legacy_when_solver_incompatible(self):
-        context = make_context(1, 51)
-        requests, candidates = request_candidates(context)
-        evaluator = _build_evaluator(
-            context, requests, candidates, QubitAllocator(solver=SLSQPSolver()),
-            1.0, 0.0, None, True, DEFAULT_DUAL_TOLERANCE,
-        )
-        assert isinstance(evaluator, _CombinationEvaluator)
+        kernel = bind_kernel(context)
+        assert isinstance(kernel, SlotKernel)
+        assert kernel._options.dual_tolerance == DEFAULT_DUAL_TOLERANCE
 
 
 class TestPerSlotSolverConstruction:
@@ -152,81 +115,73 @@ class TestPerSlotSolverConstruction:
         assert solution.used_exhaustive
 
 
+LEGACY_OUTCOMES = json.loads(
+    (Path(__file__).parent / "data" / "removed_paths" / "legacy_outcomes.json").read_text()
+)
+
+
+def legacy_outcome(key: str) -> dict:
+    """The removed legacy object path's outcome, recorded before its removal."""
+    return LEGACY_OUTCOMES[key]
+
+
+def assert_matches_legacy(fast, legacy: dict) -> None:
+    assert fast.feasible == legacy["feasible"]
+    assert list(fast.allocation.values()) == legacy["allocation"]
+    assert fast.objective == pytest.approx(legacy["objective"], abs=1e-9)
+    assert fast.cost == legacy["cost"]
+    if legacy["relaxed"] is not None:
+        assert np.allclose(
+            np.asarray(fast.relaxed_solution.values),
+            np.asarray(legacy["relaxed"]),
+            atol=1e-9,
+        )
+
+
 class TestReplayModeMatchesLegacyExactly:
-    """``dual_tolerance=0`` + no warm start replays the legacy schedule."""
+    """``dual_tolerance=0`` reproduces the removed legacy dual-decomposition
+    path, as recorded in ``tests/data/removed_paths/legacy_outcomes.json``."""
 
     def test_public_compile_path_is_exact(self):
-        # QubitAllocator.compile with dual_tolerance=0 (warm_start untouched)
-        # must also be bit-exact — the kernel_options_for guard, not the
-        # test's explicit warm_start=False, is what guarantees it.
+        # KernelCache.bind with dual_tolerance=0 is all a caller sets: replay
+        # mode itself switches the warm start off.
         context = make_context(1, 51)
         requests, candidates = request_candidates(context)
         sizes = [len(c) for c in candidates]
-        allocator = QubitAllocator()
-        kernel = allocator.compile(
+        kernel = KernelCache().bind(
             context, requests, candidates, 2500.0, 10.0, dual_tolerance=0.0
         )
         for assignment in itertools.islice(
             itertools.product(*[range(s) for s in sizes]), 6
         ):
-            selection = {
-                r: candidates[i][assignment[i]] for i, r in enumerate(requests)
-            }
-            legacy = allocator.allocate(
-                context, selection, utility_weight=2500.0, cost_weight=10.0
-            )
-            fast = kernel.outcome_for(assignment)
-            assert fast.allocation == dict(legacy.allocation)
-            assert np.allclose(
-                np.asarray(fast.relaxed_solution.values),
-                np.asarray(legacy.relaxed_solution.values),
-                atol=1e-9,
-            )
+            key = "1-51/0/" + ",".join(map(str, assignment))
+            assert_matches_legacy(kernel.outcome_for(assignment), legacy_outcome(key))
 
     @pytest.mark.parametrize("graph_seed,trace_seed", [(1, 51), (2, 52), (3, 53)])
     def test_every_combination_matches(self, graph_seed, trace_seed):
         context = make_context(graph_seed, trace_seed)
         requests, candidates = request_candidates(context)
         sizes = [len(c) for c in candidates]
-        allocator = QubitAllocator()
-        for V, q, cap in WEIGHT_SETTINGS:
-            kernel = SlotKernel(
-                context, requests, candidates, V, q, cap,
-                options=KernelOptions(dual_tolerance=0.0, warm_start=False),
-            )
+        for index, (V, q, cap) in enumerate(WEIGHT_SETTINGS):
+            kernel = bind_kernel(context, V, q, budget_cap=cap, dual_tolerance=0.0)
             for assignment in itertools.islice(
                 itertools.product(*[range(s) for s in sizes]), 8
             ):
-                selection = {
-                    r: candidates[i][assignment[i]] for i, r in enumerate(requests)
-                }
-                legacy = allocator.allocate(
-                    context, selection, utility_weight=V, cost_weight=q, budget_cap=cap
-                )
-                fast = kernel.outcome_for(assignment)
-                assert fast.feasible == legacy.feasible
-                assert fast.allocation == dict(legacy.allocation)
-                assert fast.objective == pytest.approx(legacy.objective, abs=1e-9)
-                assert fast.cost == legacy.cost
-                if legacy.relaxed_solution is not None:
-                    assert np.allclose(
-                        np.asarray(fast.relaxed_solution.values),
-                        np.asarray(legacy.relaxed_solution.values),
-                        atol=1e-9,
-                    )
+                key = f"{graph_seed}-{trace_seed}/{index}/" + ",".join(map(str, assignment))
+                assert_matches_legacy(kernel.outcome_for(assignment), legacy_outcome(key))
 
 
 class TestAdaptiveModeDecisions:
-    """Warm start + early stop leave the per-slot decisions unchanged."""
+    """Warm start + early stop leave the per-slot decisions of replay mode unchanged."""
 
     @pytest.mark.parametrize("graph_seed", [0, 1, 2, 3])
     def test_per_slot_decisions_identical(self, graph_seed):
         context = make_context(graph_seed, graph_seed + 50, min_requests=1)
         for V, q, cap in [(2500.0, 10.0, None), (1.0, 0.0, 20.0)]:
-            fast = PerSlotSolver(use_kernel=True).solve(
+            fast = PerSlotSolver().solve(
                 context, utility_weight=V, cost_weight=q, budget_cap=cap, seed=42
             )
-            slow = PerSlotSolver(use_kernel=False).solve(
+            slow = PerSlotSolver(dual_tolerance=0.0).solve(
                 context, utility_weight=V, cost_weight=q, budget_cap=cap, seed=42
             )
             assert fast.decision.num_served == slow.decision.num_served
@@ -239,12 +194,12 @@ class TestAdaptiveModeDecisions:
         context = make_context(2, 52)
         for selector_fast, selector_slow in [
             (
-                ExhaustiveRouteSelector(use_kernel=True),
-                ExhaustiveRouteSelector(use_kernel=False),
+                ExhaustiveRouteSelector(),
+                ExhaustiveRouteSelector(dual_tolerance=0.0),
             ),
             (
-                GibbsRouteSelector(iterations=25, use_kernel=True),
-                GibbsRouteSelector(iterations=25, use_kernel=False),
+                GibbsRouteSelector(iterations=25),
+                GibbsRouteSelector(iterations=25, dual_tolerance=0.0),
             ),
         ]:
             fast = selector_fast.select(context, context.servable_requests(), 2500.0, 10.0, seed=7)
@@ -252,7 +207,12 @@ class TestAdaptiveModeDecisions:
             assert dict(fast.selection) == dict(slow.selection)
             assert dict(fast.outcome.allocation) == dict(slow.outcome.allocation)
             assert fast.objective == pytest.approx(slow.objective, abs=1e-9)
-            assert fast.evaluations == slow.evaluations
+            if isinstance(selector_fast, GibbsRouteSelector):
+                assert fast.evaluations == slow.evaluations
+            else:
+                # Adaptive enumeration prunes combinations by dual bound;
+                # replay mode evaluates all of them.
+                assert fast.evaluations <= slow.evaluations
 
 
 class TestWarmStartState:
@@ -263,8 +223,8 @@ class TestWarmStartState:
         combos = list(itertools.islice(
             itertools.product(*[range(s) for s in sizes]), 6
         ))
-        forward = SlotKernel(context, requests, candidates, 2500.0, 10.0)
-        backward = SlotKernel(context, requests, candidates, 2500.0, 10.0)
+        forward = bind_kernel(context, 2500.0, 10.0)
+        backward = bind_kernel(context, 2500.0, 10.0)
         outcomes_f = {a: forward.outcome_for(a) for a in combos}
         outcomes_b = {a: backward.outcome_for(a) for a in reversed(combos)}
         for a in combos:
@@ -277,7 +237,7 @@ class TestWarmStartState:
         context = make_context(1, 51)
         requests, candidates = request_candidates(context)
         sizes = [len(c) for c in candidates]
-        kernel = SlotKernel(context, requests, candidates, 2500.0, 10.0)
+        kernel = bind_kernel(context, 2500.0, 10.0)
         for assignment in itertools.islice(
             itertools.product(*[range(s) for s in sizes]), 8
         ):
@@ -289,7 +249,7 @@ class TestWarmStartState:
     def test_cache_counts_distinct_solves(self):
         context = make_context(1, 51)
         requests, candidates = request_candidates(context)
-        kernel = SlotKernel(context, requests, candidates, 2500.0, 10.0)
+        kernel = bind_kernel(context, 2500.0, 10.0)
         a = tuple(0 for _ in requests)
         first = kernel.outcome_for(a)
         second = kernel.outcome_for(a)
@@ -301,33 +261,39 @@ class TestWarmStartState:
 class TestKernelEdgeCases:
     def test_infeasible_budget_cap_matches_legacy(self):
         context = make_context(1, 51)
-        requests, candidates = request_candidates(context)
+        requests, _ = request_candidates(context)
         # A cap below one channel per edge makes every combination infeasible.
-        kernel = SlotKernel(context, requests, candidates, 1.0, 0.0, budget_cap=1.0)
+        kernel = bind_kernel(context, 1.0, 0.0, budget_cap=1.0)
         assignment = tuple(0 for _ in requests)
-        selection = {r: candidates[i][0] for i, r in enumerate(requests)}
-        legacy = QubitAllocator().allocate(
-            context, selection, utility_weight=1.0, cost_weight=0.0, budget_cap=1.0
-        )
         fast = kernel.outcome_for(assignment)
-        assert not fast.feasible and not legacy.feasible
-        assert fast.allocation == dict(legacy.allocation)
+        legacy = legacy_outcome("1-51/cap-1/" + ",".join("0" for _ in requests))
+        assert not fast.feasible and not legacy["feasible"]
+        assert list(fast.allocation.values()) == legacy["allocation"]
         assert kernel.objective(assignment) == float("-inf")
+
+    def test_infeasible_budget_cap_matches_oracle(self):
+        context = make_context(1, 51)
+        requests, _ = request_candidates(context)
+        kernel = bind_kernel(context, 1.0, 0.0, budget_cap=1.0)
+        assignment = tuple(0 for _ in requests)
+        exact = combination_optimum(kernel, assignment)
+        assert not exact.feasible
+        assert kernel.objective(assignment) == exact.objective == float("-inf")
 
     def test_validates_weights(self):
         context = make_context(1, 51)
         requests, candidates = request_candidates(context)
         with pytest.raises(ValueError):
-            SlotKernel(context, requests, candidates, utility_weight=-1.0)
+            KernelCache().bind(context, requests, candidates, utility_weight=-1.0)
         with pytest.raises(ValueError):
-            SlotKernel(context, requests, candidates, cost_weight=-0.5)
+            KernelCache().bind(context, requests, candidates, cost_weight=-0.5)
         with pytest.raises(ValueError):
-            SlotKernel(context, requests, candidates, budget_cap=-2.0)
+            KernelCache().bind(context, requests, candidates, budget_cap=-2.0)
 
     def test_selection_for_maps_routes(self):
         context = make_context(1, 51)
         requests, candidates = request_candidates(context)
-        kernel = SlotKernel(context, requests, candidates)
+        kernel = bind_kernel(context)
         assignment = tuple(0 for _ in requests)
         selection = kernel.selection_for(assignment)
         assert selection == {r: candidates[i][0] for i, r in enumerate(requests)}

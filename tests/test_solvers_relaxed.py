@@ -1,4 +1,5 @@
-"""Tests for repro.solvers.relaxed — the continuous-relaxation solvers."""
+"""Tests of the continuous relaxation: the closed-form best response and the
+slot kernel's dual-decomposition solve, checked against the exact oracle."""
 
 import math
 
@@ -7,27 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.solvers.allocation_problem import (
-    AllocationProblem,
-    AllocationVariable,
-    CapacityConstraint,
-    build_allocation_problem,
-)
-from repro.solvers.relaxed import (
-    DualDecompositionSolver,
-    SLSQPSolver,
-    _closed_form_best_response,
-)
+from repro.solvers.oracle import combination_optimum
+from repro.solvers.relaxed import _closed_form_best_response
+
+from conftest import bind_kernel, star_context
 
 
-def single_constraint_problem(successes, capacity, utility_weight=1.0, cost_weight=0.0):
-    """All variables share a single capacity constraint."""
-    return build_allocation_problem(
-        entries=[(f"v{i}", p) for i, p in enumerate(successes)],
-        node_groups={"cap": (list(range(len(successes))), capacity)},
-        utility_weight=utility_weight,
-        cost_weight=cost_weight,
+def relaxed_solve(successes, capacity, utility_weight=1.0, cost_weight=0.0):
+    """The kernel's relaxed and rounded solution when all variables share one row."""
+    kernel = bind_kernel(
+        star_context(successes, capacity),
+        utility_weight=utility_weight, cost_weight=cost_weight,
     )
+    assignment = tuple(0 for _ in successes)
+    return kernel, assignment, kernel.outcome_for(assignment)
 
 
 class TestClosedFormBestResponse:
@@ -77,130 +71,85 @@ class TestClosedFormBestResponse:
 
 class TestDualDecompositionSolver:
     def test_symmetric_problem_splits_evenly(self):
-        problem = single_constraint_problem([0.5, 0.5], capacity=6.0)
-        solution = DualDecompositionSolver().solve(problem)
-        assert solution.feasible
-        assert solution.values[0] == pytest.approx(solution.values[1], abs=0.1)
-        assert sum(solution.values) == pytest.approx(6.0, abs=0.05)
+        _, _, outcome = relaxed_solve([0.5, 0.5], capacity=6)
+        relaxed = outcome.relaxed_solution
+        assert relaxed.feasible
+        assert relaxed.values[0] == pytest.approx(relaxed.values[1], abs=0.1)
+        assert sum(relaxed.values) == pytest.approx(6.0, abs=0.05)
 
     def test_uses_whole_capacity_when_cost_free(self):
-        problem = single_constraint_problem([0.4, 0.6, 0.5], capacity=9.0)
-        solution = DualDecompositionSolver().solve(problem)
-        assert sum(solution.values) == pytest.approx(9.0, abs=0.1)
+        _, _, outcome = relaxed_solve([0.4, 0.6, 0.5], capacity=9)
+        assert sum(outcome.relaxed_solution.values) == pytest.approx(9.0, abs=0.1)
 
     def test_positive_cost_weight_reduces_spending(self):
-        free = single_constraint_problem([0.5, 0.5], capacity=20.0, utility_weight=1.0, cost_weight=0.0)
-        priced = single_constraint_problem([0.5, 0.5], capacity=20.0, utility_weight=1.0, cost_weight=0.3)
-        spend_free = sum(DualDecompositionSolver().solve(free).values)
-        spend_priced = sum(DualDecompositionSolver().solve(priced).values)
-        assert spend_priced < spend_free
+        _, _, free = relaxed_solve([0.5, 0.5], capacity=20, cost_weight=0.0)
+        _, _, priced = relaxed_solve([0.5, 0.5], capacity=20, cost_weight=0.3)
+        assert sum(priced.relaxed_solution.values) < sum(free.relaxed_solution.values)
 
     def test_interior_price_solution_matches_closed_form(self):
         """Without binding constraints the optimum is the per-variable stationary point."""
-        problem = build_allocation_problem(
-            entries=[("a", 0.5)],
-            node_groups={"cap": ([0], 100.0)},
-            utility_weight=1.0,
-            cost_weight=0.2,
-        )
-        solution = DualDecompositionSolver().solve(problem)
+        _, _, outcome = relaxed_solve([0.5], capacity=100, cost_weight=0.2)
         expected = _closed_form_best_response(
-            np.array([0.2]), np.array([0.5]), 1.0, np.array([1.0]), np.array([99.0])
+            np.array([0.2]), np.array([0.5]), 1.0, np.array([1.0]), np.array([100.0])
         )[0]
-        assert solution.values[0] == pytest.approx(expected, rel=1e-3)
+        assert outcome.relaxed_solution.values[0] == pytest.approx(expected, rel=1e-3)
 
     def test_infeasible_lower_bound_reported(self):
-        problem = single_constraint_problem([0.5, 0.5, 0.5], capacity=2.0)
-        solution = DualDecompositionSolver().solve(problem)
-        assert not solution.feasible
+        _, _, outcome = relaxed_solve([0.5, 0.5, 0.5], capacity=2)
+        assert not outcome.relaxed_solution.feasible
+        assert not outcome.feasible
 
     def test_empty_problem(self):
-        problem = AllocationProblem(variables=[], constraints=[])
-        solution = DualDecompositionSolver().solve(problem)
-        assert solution.values == ()
-        assert solution.feasible
+        kernel = bind_kernel(star_context([0.5], 4), requests=())
+        outcome = kernel.outcome_for(())
+        assert outcome.allocation == {}
+        assert outcome.feasible and outcome.cost == 0
 
     def test_no_constraints_uses_upper_bounds(self):
-        problem = AllocationProblem(
-            variables=[AllocationVariable(key="a", slot_success=0.5, upper=4.0)],
-            constraints=[],
-        )
-        solution = DualDecompositionSolver().solve(problem)
-        assert solution.values[0] == pytest.approx(4.0)
+        # Zero price: the utility only grows, so the variable takes all the
+        # room its rows leave it.
+        _, _, outcome = relaxed_solve([0.5], capacity=4)
+        assert outcome.relaxed_solution.values[0] == pytest.approx(4.0)
 
     def test_solution_always_feasible_on_feasible_instances(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 6))
             successes = rng.uniform(0.2, 0.8, size=n)
-            capacity = float(rng.uniform(n, 3 * n))
-            problem = single_constraint_problem(list(successes), capacity, cost_weight=float(rng.uniform(0, 0.5)))
-            solution = DualDecompositionSolver().solve(problem)
-            assert solution.feasible
-            assert problem.is_feasible(solution.values, tolerance=1e-6)
+            capacity = int(rng.integers(n, 3 * n + 1))
+            kernel, assignment, outcome = relaxed_solve(
+                list(successes), capacity, cost_weight=float(rng.uniform(0, 0.5))
+            )
+            relaxed = outcome.relaxed_solution
+            assert relaxed.feasible
+            combo, capacities = kernel.rows_for(assignment)
+            assert combo.is_feasible(relaxed.as_array(), capacities, 1e-6)
 
 
 class TestSolverAgreement:
-    """The dual solver must agree with the scipy SLSQP reference."""
+    """Relax-and-round must stay close to the exact integer optimum."""
 
-    def _random_problem(self, rng, with_cost=True):
-        num_vars = int(rng.integers(2, 7))
-        successes = rng.uniform(0.25, 0.75, size=num_vars)
-        entries = [(f"v{i}", float(p)) for i, p in enumerate(successes)]
-        groups = {}
-        # A few overlapping constraints, always loose enough to be feasible.
-        num_groups = int(rng.integers(1, 4))
-        for g in range(num_groups):
-            size = int(rng.integers(2, num_vars + 1))
-            members = sorted(rng.choice(num_vars, size=size, replace=False).tolist())
-            capacity = float(rng.uniform(len(members) + 1, 3 * len(members) + 2))
-            groups[f"c{g}"] = (members, capacity)
-        cost_weight = float(rng.uniform(0.05, 1.0)) if with_cost else 0.0
-        return build_allocation_problem(
-            entries, groups, utility_weight=float(rng.uniform(1.0, 5.0)), cost_weight=cost_weight
-        )
-
-    def test_objective_close_to_slsqp(self, rng):
-        dual = DualDecompositionSolver()
-        slsqp = SLSQPSolver()
+    def test_objective_close_to_oracle(self, rng):
         for _ in range(12):
-            problem = self._random_problem(rng)
-            a = dual.solve(problem)
-            b = slsqp.solve(problem)
-            if not (a.feasible and b.feasible):
-                continue
-            reference = max(abs(b.objective), 1e-6)
-            assert a.objective >= b.objective - 0.02 * reference - 1e-6
+            n = int(rng.integers(2, 7))
+            successes = list(rng.uniform(0.25, 0.75, size=n))
+            capacity = int(rng.integers(n + 1, 3 * n + 3))
+            kernel, assignment, outcome = relaxed_solve(
+                successes, capacity,
+                utility_weight=float(rng.uniform(1.0, 5.0)),
+                cost_weight=float(rng.uniform(0.05, 1.0)),
+            )
+            exact = combination_optimum(kernel, assignment)
+            assert outcome.objective <= exact.objective + 1e-9
+            assert outcome.objective >= exact.objective - 0.02 * abs(exact.objective) - 1e-6
 
     def test_large_v_problems_agree(self, rng):
         """OSCAR-style weights (V=2500, q in the tens) must not break the solver."""
-        dual = DualDecompositionSolver()
-        slsqp = SLSQPSolver()
         for _ in range(5):
-            num_vars = 4
-            successes = rng.uniform(0.4, 0.6, size=num_vars)
-            problem = build_allocation_problem(
-                [(f"v{i}", float(p)) for i, p in enumerate(successes)],
-                {"cap": (list(range(num_vars)), 14.0)},
-                utility_weight=2500.0,
+            successes = list(rng.uniform(0.4, 0.6, size=4))
+            kernel, assignment, outcome = relaxed_solve(
+                successes, 14, utility_weight=2500.0,
                 cost_weight=float(rng.uniform(0.0, 50.0)),
             )
-            a = dual.solve(problem)
-            b = slsqp.solve(problem)
-            reference = max(abs(b.objective), 1e-6)
-            assert a.objective >= b.objective - 0.02 * reference
-
-
-class TestSLSQPSolver:
-    def test_feasible_output(self):
-        problem = single_constraint_problem([0.5, 0.6], capacity=5.0, cost_weight=0.1)
-        solution = SLSQPSolver().solve(problem)
-        assert solution.feasible
-        assert problem.is_feasible(solution.values)
-
-    def test_empty_problem(self):
-        problem = AllocationProblem(variables=[], constraints=[])
-        assert SLSQPSolver().solve(problem).values == ()
-
-    def test_infeasible_lower_bound_reported(self):
-        problem = single_constraint_problem([0.5, 0.5, 0.5], capacity=2.0)
-        assert not SLSQPSolver().solve(problem).feasible
+            exact = combination_optimum(kernel, assignment)
+            assert outcome.objective <= exact.objective + 1e-9
+            assert outcome.objective >= exact.objective - 0.02 * abs(exact.objective)

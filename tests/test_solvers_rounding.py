@@ -1,87 +1,83 @@
-"""Tests for repro.solvers.rounding and repro.solvers.greedy."""
+"""Tests of the kernel's integer stage (repro.solvers.rounding): down-round the
+relaxed point, then hand out the surplus capacity channel by channel."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.solvers.allocation_problem import ContinuousSolution, build_allocation_problem
-from repro.solvers.greedy import greedy_integer_allocation
-from repro.solvers.relaxed import DualDecompositionSolver
-from repro.solvers.rounding import round_down_with_surplus
+from conftest import bind_kernel, star_context
 
 
-def shared_capacity_problem(successes, capacity, utility_weight=1.0, cost_weight=0.0):
-    return build_allocation_problem(
-        entries=[(f"v{i}", p) for i, p in enumerate(successes)],
-        node_groups={"cap": (list(range(len(successes))), capacity)},
-        utility_weight=utility_weight,
-        cost_weight=cost_weight,
+def solve_and_round(successes, capacity, utility_weight=1.0, cost_weight=0.0):
+    """(relaxed, rounded, kernel, assignment) of variables sharing one row."""
+    kernel = bind_kernel(
+        star_context(successes, capacity),
+        utility_weight=utility_weight, cost_weight=cost_weight,
     )
+    assignment = tuple(0 for _ in successes)
+    outcome = kernel.outcome_for(assignment)
+    return outcome.relaxed_solution, outcome.integer_solution, kernel, assignment
 
 
-def solve_and_round(problem):
-    relaxed = DualDecompositionSolver().solve(problem)
-    return relaxed, round_down_with_surplus(problem, relaxed)
+def is_feasible(kernel, assignment, values):
+    combo, capacities = kernel.rows_for(assignment)
+    return combo.is_feasible(np.asarray(values, dtype=float), capacities, 1e-9)
 
 
 class TestRoundDownWithSurplus:
     def test_result_is_integer_and_feasible(self):
-        problem = shared_capacity_problem([0.5, 0.6, 0.4], capacity=10.0)
-        _, rounded = solve_and_round(problem)
+        _, rounded, kernel, assignment = solve_and_round([0.5, 0.6, 0.4], capacity=10)
         assert rounded.feasible
         assert all(isinstance(v, int) for v in rounded.values)
-        assert problem.is_feasible(rounded.values)
+        assert is_feasible(kernel, assignment, rounded.values)
 
     def test_minimum_one_channel_per_variable(self):
-        problem = shared_capacity_problem([0.5, 0.5], capacity=3.0)
-        _, rounded = solve_and_round(problem)
+        _, rounded, _, _ = solve_and_round([0.5, 0.5], capacity=3)
         assert all(v >= 1 for v in rounded.values)
 
     def test_paper_equation_eight_gap(self):
         """The rounded value never drops more than 1 below the relaxed one (Eq. 8)."""
-        problem = shared_capacity_problem([0.45, 0.55, 0.65], capacity=11.0, cost_weight=0.1)
-        relaxed, rounded = solve_and_round(problem)
+        relaxed, rounded, _, _ = solve_and_round(
+            [0.45, 0.55, 0.65], capacity=11, cost_weight=0.1
+        )
         for relaxed_value, integer_value in zip(relaxed.values, rounded.values):
             assert integer_value >= 1
             assert relaxed_value - integer_value <= 1.0 + 1e-9
 
     def test_surplus_is_used_when_beneficial(self):
         """With zero cost, integer rounding must not leave usable capacity idle."""
-        problem = shared_capacity_problem([0.5, 0.5], capacity=7.0)
-        _, rounded = solve_and_round(problem)
+        _, rounded, _, _ = solve_and_round([0.5, 0.5], capacity=7)
         assert sum(rounded.values) == 7
 
     def test_no_surplus_added_when_cost_exceeds_gain(self):
         """A very high cost weight makes extra channels unprofitable."""
-        problem = shared_capacity_problem([0.5, 0.5], capacity=10.0, utility_weight=1.0, cost_weight=5.0)
-        relaxed, rounded = solve_and_round(problem)
+        _, rounded, _, _ = solve_and_round(
+            [0.5, 0.5], capacity=10, utility_weight=1.0, cost_weight=5.0
+        )
         assert sum(rounded.values) == 2  # the minimum one-channel-per-edge allocation
 
     def test_infeasible_relaxation_passthrough(self):
-        problem = shared_capacity_problem([0.5, 0.5, 0.5], capacity=2.0)
-        relaxed = DualDecompositionSolver().solve(problem)
-        rounded = round_down_with_surplus(problem, relaxed)
+        _, rounded, _, _ = solve_and_round([0.5, 0.5, 0.5], capacity=2)
         assert not rounded.feasible
 
     def test_empty_problem(self):
-        problem = build_allocation_problem(entries=[], node_groups={})
-        rounded = round_down_with_surplus(problem, ContinuousSolution(values=(), objective=0.0, feasible=True))
-        assert rounded.values == ()
-        assert rounded.feasible
+        kernel = bind_kernel(star_context([0.5], 4), requests=())
+        outcome = kernel.outcome_for(())
+        assert outcome.allocation == {}
+        assert outcome.feasible
 
     def test_proposition2_bound_on_random_instances(self, rng):
         """Relax-and-round is Δ-optimal: f(relaxed) - f(rounded) <= V·F·L·log(2 - p_min)."""
         for _ in range(10):
             n = int(rng.integers(2, 6))
             successes = rng.uniform(0.3, 0.7, size=n)
-            capacity = float(rng.integers(n + 1, 4 * n))
+            capacity = int(rng.integers(n + 1, 4 * n))
             utility_weight = float(rng.uniform(1.0, 100.0))
             cost_weight = float(rng.uniform(0.0, 2.0))
-            problem = shared_capacity_problem(
-                list(successes), capacity, utility_weight=utility_weight, cost_weight=cost_weight
+            relaxed, rounded, _, _ = solve_and_round(
+                list(successes), capacity,
+                utility_weight=utility_weight, cost_weight=cost_weight,
             )
-            relaxed, rounded = solve_and_round(problem)
             if not rounded.feasible:
                 continue
             p_min = float(np.min(successes))
@@ -95,39 +91,10 @@ class TestRoundDownWithSurplus:
     )
     @settings(max_examples=40, deadline=None)
     def test_property_feasible_and_within_one(self, capacity, p, cost):
-        problem = shared_capacity_problem([p, p], capacity=float(capacity), cost_weight=cost)
-        relaxed, rounded = solve_and_round(problem)
+        relaxed, rounded, kernel, assignment = solve_and_round(
+            [p, p], capacity=capacity, cost_weight=cost
+        )
         assert rounded.feasible
-        assert problem.is_feasible(rounded.values)
+        assert is_feasible(kernel, assignment, rounded.values)
         for relaxed_value, integer_value in zip(relaxed.values, rounded.values):
             assert relaxed_value - integer_value <= 1.0 + 1e-9
-
-
-class TestGreedyIntegerAllocation:
-    def test_feasible_and_integer(self):
-        problem = shared_capacity_problem([0.5, 0.6, 0.4], capacity=9.0)
-        solution = greedy_integer_allocation(problem)
-        assert solution.feasible
-        assert problem.is_feasible(solution.values)
-
-    def test_matches_relax_and_round_closely(self, rng):
-        """Greedy and relax-and-round land within a small objective gap."""
-        for _ in range(8):
-            n = int(rng.integers(2, 5))
-            successes = list(rng.uniform(0.3, 0.7, size=n))
-            capacity = float(rng.integers(n + 1, 3 * n))
-            problem = shared_capacity_problem(successes, capacity, cost_weight=float(rng.uniform(0, 0.5)))
-            greedy = greedy_integer_allocation(problem)
-            _, rounded = solve_and_round(problem)
-            assert abs(greedy.objective - rounded.objective) <= 0.25 * max(
-                1.0, abs(rounded.objective)
-            )
-
-    def test_infeasible_instance_flagged(self):
-        problem = shared_capacity_problem([0.5, 0.5, 0.5], capacity=2.0)
-        assert not greedy_integer_allocation(problem).feasible
-
-    def test_empty_problem(self):
-        problem = build_allocation_problem(entries=[], node_groups={})
-        solution = greedy_integer_allocation(problem)
-        assert solution.values == () and solution.feasible
