@@ -31,8 +31,6 @@ from repro.api.registry import PolicyRegistry, default_registry
 from repro.core.multiuser import QDNUser
 from repro.core.policy import RoutingPolicy
 from repro.experiments.config import ExperimentConfig
-from repro.guard.invariants import GUARD_ENV_VAR, effective_guard_level
-from repro.telemetry.tracer import TELEMETRY_ENV_VAR, effective_telemetry_level
 from repro.workload.requests import (
     DiurnalRequestProcess,
     HotspotRequestProcess,
@@ -116,30 +114,33 @@ def unsupported_backend_error(backend: str, feature: str, remedy: str) -> ValueE
     )
 
 
-def check_multiuser_layers(config: ExperimentConfig) -> None:
-    """Reject the layers a multi-user tenant line-up does not run.
+def check_driver_combination(config: ExperimentConfig, tenants: int) -> None:
+    """Reject the driver combinations no simulator runs.
 
-    The multi-user driver has no fault, guard or telemetry hooks, so these
-    combinations would silently run without them.  Guard and telemetry are
-    checked at the level a run would use, after the ``REPRO_GUARD`` /
-    ``REPRO_TELEMETRY`` overrides.
+    The serving scheduler and a tenant line-up (``tenants`` users) are two
+    different drivers, and neither runs on the event backend.  The one
+    check behind :meth:`Scenario.validate` and
+    :func:`repro.api.session.build_trial`.
     """
-    guard = effective_guard_level(config.guard_level)
-    telemetry = effective_telemetry_level(config.telemetry_level)
-    if config.fault_enabled:
-        feature, remedy = "fault injection", "drop with_faults()"
-    elif guard != "off":
-        feature = f"the invariant guard at level {guard!r}"
-        remedy = f"use guard level 'off' (with_guard, {GUARD_ENV_VAR})"
-    elif telemetry != "off":
-        feature = f"telemetry at level {telemetry!r}"
-        remedy = f"use telemetry level 'off' (with_telemetry, {TELEMETRY_ENV_VAR})"
-    else:
-        return
-    raise ValueError(
-        f"unsupported combination: {feature} and a multi-user tenant "
-        f"line-up; {remedy} or drop the tenant line-up"
-    )
+    if tenants:
+        if config.backend != "slotted":
+            raise unsupported_backend_error(
+                config.backend,
+                f"a multi-user tenant line-up ({tenants} user(s))",
+                "use with_backend('slotted') or drop the tenant line-up",
+            )
+        if config.serving_enabled:
+            raise ValueError(
+                "unsupported combination: the serving layer and a "
+                "multi-user tenant line-up are mutually exclusive; "
+                "drop with_serving() or the tenant line-up"
+            )
+    elif config.serving_enabled and config.backend != "slotted":
+        raise unsupported_backend_error(
+            config.backend,
+            "the serving layer (with_serving)",
+            "use with_backend('slotted') or with_serving(False)",
+        )
 
 
 @dataclass(frozen=True)
@@ -666,31 +667,12 @@ class Scenario:
         # rebuilt from a dictionary or mutated via dataclasses.replace gets
         # the same checks as a freshly constructed config.
         self.config.validate()
+        check_driver_combination(self.config, len(self.users))
         if self.is_multiuser:
             names = [user.name for user in self.users]
             if len(set(names)) != len(names):
                 raise ValueError("user names must be unique")
-            if self.config.backend != "slotted":
-                raise unsupported_backend_error(
-                    self.config.backend,
-                    f"a multi-user tenant line-up ({len(self.users)} user(s))",
-                    "use with_backend('slotted') or drop the tenant line-up",
-                )
-            if self.is_serving:
-                raise ValueError(
-                    "unsupported combination: the serving layer and a "
-                    "multi-user tenant line-up are mutually exclusive; "
-                    "drop with_serving() or the tenant line-up"
-                )
-            check_multiuser_layers(self.config)
-        elif self.is_serving:
-            if self.config.backend != "slotted":
-                raise unsupported_backend_error(
-                    self.config.backend,
-                    "the serving layer (with_serving)",
-                    "use with_backend('slotted') or with_serving(False)",
-                )
-        elif self.lineup_factory is None:
+        elif not self.is_serving and self.lineup_factory is None:
             if not self.policies:
                 raise ValueError("the policy line-up is empty")
             names = list(self.lineup_names())

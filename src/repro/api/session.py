@@ -36,13 +36,13 @@ from repro.api.events import (
     TrialStarted,
 )
 from repro.api.records import RunRecord
-from repro.api.scenario import Scenario, check_multiuser_layers, unsupported_backend_error
+from repro.api.scenario import Scenario, check_driver_combination
 from repro.core.multiuser import MultiUserSimulator, ProviderSlotRecord
 from repro.faults import PoolSupervisor, RunCheckpoint, WorkerPoolError, checkpoint_key
 from repro.guard.invariants import InvariantViolation, effective_guard_level
 from repro.guard.recorder import FlightRecorder, dump_bundle
 from repro.serving.scheduler import SERVING_LINEUP_NAME
-from repro.simulation.engine import simulate_policies
+from repro.simulation.engine import build_simulator
 from repro.telemetry import hooks as telemetry_hooks
 from repro.simulation.results import SimulationResult
 from repro.utils.rng import derive_seed
@@ -58,10 +58,9 @@ def execute_trial(
 ) -> TrialOutcome:
     """Run one trial of ``scenario`` (the unit of parallelism).
 
-    The seed derivation mirrors the historical serial runner slot for slot:
-    ``derive_seed(base, "graph"|"trace"|"run", trial)`` for comparisons and
-    ``derive_seed(base, "graph"|"multiuser", trial)`` for multi-user runs —
-    results therefore do not depend on which process executes the trial.
+    The trial is wired by :func:`build_trial`, whose seed derivation
+    mirrors the historical serial runner slot for slot — results therefore
+    do not depend on which process executes the trial.
 
     With the invariant guard armed (``guard_level`` or ``REPRO_GUARD`` not
     ``"off"``), a flight recorder shadows the trial and any invariant breach
@@ -122,100 +121,93 @@ def execute_trial(
         raise
 
 
-def _execute_trial_inner(
-    scenario: Scenario,
-    trial: int,
-    on_slot: Optional[Callable[[str, object], Optional[bool]]] = None,
-) -> TrialOutcome:
+def build_trial(scenario: Scenario, trial: int) -> Tuple[object, int]:
+    """The simulator of trial ``trial`` of ``scenario`` and the seed of its run.
+
+    The one place a trial is wired, for every driver: the graph, fault
+    schedule and trace come from ``derive_seed(base, "graph"|"faults"|
+    "trace", trial)``, and the run seed is ``derive_seed(base, "run"|
+    "multiuser"|"serving", trial)`` — so results never depend on which
+    process builds the trial.  Comparisons return the backend's simulator;
+    its run seed is split over the line-up with ``spawn_rngs``.
+    """
     config = scenario.config
+    check_driver_combination(config, len(scenario.users))
     seed = config.base_seed
-    physical = config.physical_model()
     graph = config.build_graph(seed=derive_seed(seed, "graph", trial))
     # The fault schedule draws from its own spawned stream, so enabling it
     # perturbs no other stream; fault-free runs skip this branch entirely.
     faults = None
     if config.fault_enabled:
         faults = config.build_faults(graph, derive_seed(seed, "faults", trial))
+    timing = config.timing_model()
+    layers = dict(
+        faults=faults,
+        guard_level=config.guard_level,
+        telemetry=config.telemetry_model(),
+    )
+    routes = dict(
+        num_candidate_routes=config.num_candidate_routes,
+        max_extra_hops=config.max_extra_hops,
+    )
     if scenario.is_serving:
         from repro.serving.scheduler import ServingSimulator
-        from repro.simulation.clock import SlotClock
 
-        if scenario.is_multiuser:
-            raise ValueError(
-                "unsupported combination: the serving layer and a multi-user "
-                "tenant line-up are mutually exclusive; drop with_serving() "
-                "or the tenant line-up"
-            )
-        if config.backend != "slotted":
-            raise unsupported_backend_error(
-                config.backend,
-                "the serving layer (with_serving)",
-                "use with_backend('slotted') or with_serving(False)",
-            )
         simulator = ServingSimulator(
             graph=graph,
             model=config.serving_model(),
             horizon=config.horizon,
             total_budget=config.total_budget,
             initial_queue=config.initial_queue,
-            num_candidate_routes=config.num_candidate_routes,
-            max_extra_hops=config.max_extra_hops,
-            clock=SlotClock(
-                attempts_per_slot=config.attempts_per_slot,
-                guard_time=config.slot_guard_time_s,
-            ),
-            faults=faults,
-            guard_level=config.guard_level,
-            telemetry=config.telemetry_model(),
+            clock=timing.slot_clock(graph.attempts_per_slot),
+            **routes,
+            **layers,
         )
-        serving_cb = None
-        if on_slot is not None:
-            serving_cb = lambda record: on_slot(SERVING_LINEUP_NAME, record)
-        result = simulator.run(
-            seed=derive_seed(seed, "serving", trial), on_slot=serving_cb
-        )
-        return {result.policy_name: result}, ()
+        return simulator, derive_seed(seed, "serving", trial)
     if scenario.is_multiuser:
-        check_multiuser_layers(config)
-        if config.backend != "slotted":
-            raise unsupported_backend_error(
-                config.backend,
-                f"a multi-user tenant line-up ({len(scenario.users)} user(s))",
-                "use with_backend('slotted') or drop the tenant line-up",
-            )
         simulator = MultiUserSimulator(
             graph=graph,
             users=scenario.build_users(),
             horizon=config.horizon,
-            num_candidate_routes=config.num_candidate_routes,
-            max_extra_hops=config.max_extra_hops,
             realize=config.realize,
-            physical=physical,
+            physical=config.physical_model(),
+            clock=timing.slot_clock(graph.attempts_per_slot),
+            **routes,
+            **layers,
         )
+        return simulator, derive_seed(seed, "multiuser", trial)
+    simulator = build_simulator(
+        graph,
+        config.build_trace(graph, seed=derive_seed(seed, "trace", trial)),
+        backend=config.backend,
+        total_budget=config.total_budget,
+        realize=config.realize,
+        physical=config.physical_model(),
+        timing=timing,
+        **layers,
+    )
+    return simulator, derive_seed(seed, "run", trial)
+
+
+def _execute_trial_inner(
+    scenario: Scenario,
+    trial: int,
+    on_slot: Optional[Callable[[str, object], Optional[bool]]] = None,
+) -> TrialOutcome:
+    simulator, seed = build_trial(scenario, trial)
+    if scenario.is_serving:
+        serving_cb = None
+        if on_slot is not None:
+            serving_cb = lambda record: on_slot(SERVING_LINEUP_NAME, record)
+        result = simulator.run(seed=seed, on_slot=serving_cb)
+        return {result.policy_name: result}, ()
+    if scenario.is_multiuser:
         provider_cb = None
         if on_slot is not None:
             provider_cb = lambda record: on_slot("provider", record)
-        outcome = simulator.run(
-            seed=derive_seed(seed, "multiuser", trial), on_slot=provider_cb
-        )
+        outcome = simulator.run(seed=seed, on_slot=provider_cb)
         return dict(outcome.user_results), tuple(outcome.provider_records)
-
-    trace = config.build_trace(graph, seed=derive_seed(seed, "trace", trial))
-    results = simulate_policies(
-        graph,
-        trace,
-        scenario.build_policies(),
-        total_budget=config.total_budget,
-        realize=config.realize,
-        seed=derive_seed(seed, "run", trial),
-        on_slot=on_slot,
-        physical=physical,
-        backend=config.backend,
-        timing=config.timing_model(),
-        faults=faults,
-        guard_level=config.guard_level,
-        telemetry=config.telemetry_model(),
-    )
+    results = simulator.run_lineup(scenario.build_policies(), seed=seed, on_slot=on_slot)
     return results, ()
 
 

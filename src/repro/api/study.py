@@ -78,13 +78,12 @@ from repro.api.scenario import (
     PolicySpec,
     Scenario,
 )
-from repro.api.session import execute_trial
+from repro.api.session import build_trial, execute_trial
 from repro.experiments.config import ExperimentConfig
 from repro.faults import PoolSupervisor
 from repro.network.topology import TOPOLOGY_KINDS
-from repro.simulation.engine import build_simulator
 from repro.simulation.results import SimulationResult
-from repro.utils.rng import derive_seed, spawn_rngs
+from repro.utils.rng import spawn_rngs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import ComparisonResult
@@ -275,37 +274,16 @@ def _unit_count(scenario: Scenario) -> Optional[int]:
 def run_study_unit(scenario: Scenario, trial: int, unit_index: int) -> SimulationResult:
     """Run one (trial, policy-index) unit of a comparison scenario.
 
-    Mirrors :func:`repro.api.session.execute_trial` slot for slot: the same
-    graph/trace seeds, and the policy's stream is
-    ``spawn_rngs(run_seed, len(lineup))[unit_index]`` — exactly the stream
-    :func:`~repro.simulation.engine.simulate_policies` would hand that
-    policy inside a joint run.  Splitting a line-up across workers is
-    therefore byte-identical to running it in one process.
+    Built by :func:`repro.api.session.build_trial`, like a whole trial, and
+    the policy's stream is ``spawn_rngs(run_seed, len(lineup))[unit_index]``
+    — exactly the stream a joint run of the line-up hands that policy.
+    Splitting a line-up across workers is therefore byte-identical to
+    running it in one process.
     """
-    config = scenario.config
-    seed = config.base_seed
-    graph = config.build_graph(seed=derive_seed(seed, "graph", trial))
-    trace = config.build_trace(graph, seed=derive_seed(seed, "trace", trial))
+    simulator, run_seed = build_trial(scenario, trial)
     policies = scenario.build_policies()
-    rngs = spawn_rngs(derive_seed(seed, "run", trial), len(policies))
-    faults = None
-    if config.fault_enabled:
-        # Same derivation as execute_trial: the schedule is shared by every
-        # policy of the trial, whichever unit runs first.
-        faults = config.build_faults(graph, derive_seed(seed, "faults", trial))
-    simulator = build_simulator(
-        graph,
-        trace,
-        backend=config.backend,
-        total_budget=config.total_budget,
-        realize=config.realize,
-        physical=config.physical_model(),
-        timing=config.timing_model(),
-        faults=faults,
-        guard_level=config.guard_level,
-        telemetry=config.telemetry_model(),
-    )
-    return simulator.run(policies[unit_index], seed=rngs[unit_index])
+    stream = spawn_rngs(run_seed, len(policies))[unit_index]
+    return simulator.run(policies[unit_index], seed=stream)
 
 
 def _execute_study_task(scenario: Scenario, trial: int, unit_index: Optional[int]):

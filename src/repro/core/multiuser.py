@@ -12,6 +12,12 @@ user is permanently first; from each individual user's perspective the
 others' consumption looks exactly like the exogenous availability process
 the paper assumes, which makes this a faithful multi-tenant extension rather
 than a different problem.
+
+The tenants are this driver's request source; each tenant is one lane
+through the per-slot step every driver shares
+(:class:`~repro.simulation.pipeline.SlotPipeline`), so faults, the
+invariant guard, telemetry and the physical layer run for tenants exactly
+as for a single user.
 """
 
 from __future__ import annotations
@@ -20,14 +26,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.policy import RoutingPolicy
-from repro.core.problem import SlotContext, SlotDecision
+from repro.core.problem import SlotDecision
+from repro.faults.model import FaultSchedule
 from repro.network.graph import EdgeKey, NodeName, QDNGraph, ResourceSnapshot
 from repro.network.routes import Route, build_candidate_routes
 from repro.simulation.clock import SlotClock
-from repro.simulation.link_layer import LinkLayerSimulator
 from repro.simulation.physical import PhysicalModel
-from repro.simulation.results import SimulationResult, SlotRecord
-from repro.utils.rng import SeedLike, as_generator, spawn_rngs
+from repro.simulation.pipeline import RunEnvelope, SlotPipeline
+from repro.simulation.results import SimulationResult
+from repro.telemetry.tracer import TelemetryModel
+from repro.utils.rng import SeedLike
 from repro.utils.validation import check_non_negative, check_positive
 from repro.workload.requests import RequestProcess, SDPair, UniformRequestProcess
 
@@ -92,7 +100,7 @@ def _subtract_decision(
 
 
 @dataclass
-class MultiUserSimulator:
+class MultiUserSimulator(SlotPipeline):
     """Simulates several users sharing one QDN over a common horizon.
 
     Parameters
@@ -115,6 +123,11 @@ class MultiUserSimulator:
         chain (each user gets its own engine so the provider can account
         physical resources per tenant).  Requires ``realize=True``; when
         ``None`` the run consumes exactly the historical random streams.
+    clock / faults / guard_level / telemetry:
+        As for :class:`~repro.simulation.engine.SlottedSimulator`.  One fault
+        schedule, guard and tracer serve the whole run; the run-level fault,
+        guard and telemetry diagnostics ride the first user's result, so
+        merging the users' results counts them once.
     """
 
     graph: QDNGraph
@@ -124,6 +137,10 @@ class MultiUserSimulator:
     max_extra_hops: Optional[int] = 2
     realize: bool = True
     physical: Optional[PhysicalModel] = None
+    clock: Optional[SlotClock] = None
+    faults: Optional[FaultSchedule] = None
+    guard_level: str = "off"
+    telemetry: Optional[TelemetryModel] = None
 
     def __post_init__(self) -> None:
         check_positive(self.horizon, "horizon")
@@ -132,6 +149,8 @@ class MultiUserSimulator:
         names = [user.name for user in self.users]
         if len(set(names)) != len(names):
             raise ValueError("user names must be unique")
+        if self.clock is None:
+            self.clock = SlotClock(attempts_per_slot=self.graph.attempts_per_slot)
         self._route_cache: Dict[Tuple[NodeName, NodeName], Tuple[Route, ...]] = {}
 
     # ------------------------------------------------------------------ #
@@ -163,153 +182,70 @@ class MultiUserSimulator:
         completes; returning ``False`` stops the simulation early (every
         user's records then cover only the slots simulated so far).
         """
-        rng = as_generator(seed)
-        engines = None
-        if self.physical is not None:
-            if not self.realize:
-                raise ValueError("the physical layer requires realize=True")
-            # The fourth stream exists only when the physical layer is on, so
-            # disabled runs stay byte-identical to the historical ones.
-            request_rng, decision_rng, realization_rng, physical_rng = spawn_rngs(rng, 4)
-            engines = {user.name: self.physical.build_engine() for user in self.users}
-        else:
-            request_rng, decision_rng, realization_rng = spawn_rngs(rng, 3)
-            physical_rng = None
-        link_layer = LinkLayerSimulator(graph=self.graph)
-        clock = SlotClock(attempts_per_slot=self.graph.attempts_per_slot)
+        graph = self.graph
+        envelope = RunEnvelope(self.guard_level, self.telemetry, self.faults)
+        with envelope.active():
+            # The tenants share the request, decision, realization and
+            # physical streams, drawn from in service order.
+            request_rng, *streams = self._streams(seed, leading=1)
+            tenants = [
+                (user, self._lane(user.policy, streams, envelope.tracer))
+                for user in self.users
+            ]
+            for user in self.users:
+                user.policy.reset(graph, self.horizon)
+                user.request_process.reset()
 
-        for user in self.users:
-            user.policy.reset(self.graph, self.horizon)
-            user.request_process.reset()
+            provider_records: List[ProviderSlotRecord] = []
+            total_qubits = sum(graph.qubit_capacity(node) for node in graph.nodes)
+            total_channels = sum(graph.channel_capacity(key) for key in graph.edges)
+            for t in range(self.horizon):
+                fault_state = envelope.begin_slot(t)
+                remaining_qubits = {node: graph.qubit_capacity(node) for node in graph.nodes}
+                remaining_channels = {key: graph.channel_capacity(key) for key in graph.edges}
+                slot_cost = 0
+                slot_served = 0
+                slot_requests = 0
+                # Rotate the service order so no user is always first.
+                rotation = t % len(tenants)
+                for user, lane in tenants[rotation:] + tenants[:rotation]:
+                    requests = tuple(user.request_process.sample(t, graph, request_rng))
+                    slot_requests += len(requests)
+                    # What earlier users took this slot is unavailable here.
+                    snapshot = ResourceSnapshot(
+                        qubits=dict(remaining_qubits), channels=dict(remaining_channels)
+                    )
+                    decision, _ = self._step(
+                        envelope, lane, t, snapshot, requests, self._routes_for, fault_state
+                    )
+                    _subtract_decision(remaining_qubits, remaining_channels, decision)
+                    slot_cost += decision.cost()
+                    slot_served += decision.num_served
 
-        per_user_records: Dict[str, List[SlotRecord]] = {user.name: [] for user in self.users}
-        provider_records: List[ProviderSlotRecord] = []
-        total_qubits = sum(self.graph.qubit_capacity(node) for node in self.graph.nodes)
-        total_channels = sum(self.graph.channel_capacity(key) for key in self.graph.edges)
-
-        for t in range(self.horizon):
-            remaining_qubits = {
-                node: self.graph.qubit_capacity(node) for node in self.graph.nodes
-            }
-            remaining_channels = {
-                key: self.graph.channel_capacity(key) for key in self.graph.edges
-            }
-            slot_cost = 0
-            slot_served = 0
-            slot_requests = 0
-
-            # Rotate the service order so no user is always first.
-            order = list(self.users)
-            rotation = t % len(order)
-            order = order[rotation:] + order[:rotation]
-
-            for user in order:
-                requests = tuple(user.request_process.sample(t, self.graph, request_rng))
-                slot_requests += len(requests)
-                snapshot = ResourceSnapshot(
-                    qubits=dict(remaining_qubits), channels=dict(remaining_channels)
-                )
-                context = SlotContext(
+                used_qubits = total_qubits - sum(remaining_qubits.values())
+                used_channels = total_channels - sum(remaining_channels.values())
+                provider_record = ProviderSlotRecord(
                     t=t,
-                    graph=self.graph,
-                    snapshot=snapshot,
-                    requests=requests,
-                    candidate_routes={request: self._routes_for(request) for request in requests},
+                    qubit_utilisation=used_qubits / total_qubits if total_qubits else 0.0,
+                    channel_utilisation=used_channels / total_channels if total_channels else 0.0,
+                    total_cost=slot_cost,
+                    served_requests=slot_served,
+                    total_requests=slot_requests,
                 )
-                decision = user.policy.decide(context, seed=decision_rng)
-                if not decision.respects_snapshot(snapshot):
-                    raise RuntimeError(
-                        f"user {user.name!r} violated the remaining capacity in slot {t}"
-                    )
-                _subtract_decision(remaining_qubits, remaining_channels, decision)
-
-                success_probabilities = tuple(
-                    decision.success_probability(self.graph, request)
-                    for request in decision.served_requests
-                )
-                realized: List[bool] = []
-                delivered: List[bool] = []
-                delivered_fidelities: List[float] = []
-                fidelity_served: List[bool] = []
-                if self.realize:
-                    # One batched draw per (user, slot) — bit-identical to
-                    # realising each served request sequentially.
-                    items = []
-                    for request in decision.served_requests:
-                        route = decision.route_for(request)
-                        assert route is not None
-                        items.append(
-                            (
-                                route,
-                                {
-                                    key: decision.channels_for(request, key)
-                                    for key in route.edges
-                                },
-                            )
-                        )
-                    realized.extend(
-                        realization.succeeded
-                        for realization in link_layer.realize_routes(
-                            items, slot=t, seed=realization_rng
-                        )
-                    )
-                    if engines is not None:
-                        delivered, delivered_fidelities, fidelity_served = (
-                            engines[user.name].realize_decision(
-                                items, realized, len(decision.unserved),
-                                seed=physical_rng,
-                            )
-                        )
-                    realized.extend([False] * len(decision.unserved))
-
-                per_user_records[user.name].append(
-                    SlotRecord(
-                        t=t,
-                        num_requests=len(requests),
-                        num_served=decision.num_served,
-                        cost=decision.cost(),
-                        utility=decision.utility(self.graph),
-                        success_probabilities=success_probabilities,
-                        realized_successes=tuple(realized),
-                        delivered_successes=tuple(delivered),
-                        delivered_fidelities=tuple(delivered_fidelities),
-                        fidelity_served=tuple(fidelity_served),
-                        slot_start_s=clock.slot_start(t),
-                        slot_end_s=clock.slot_end(t),
-                    )
-                )
-                slot_cost += decision.cost()
-                slot_served += decision.num_served
-
-            used_qubits = total_qubits - sum(remaining_qubits.values())
-            used_channels = total_channels - sum(remaining_channels.values())
-            provider_record = ProviderSlotRecord(
-                t=t,
-                qubit_utilisation=used_qubits / total_qubits if total_qubits else 0.0,
-                channel_utilisation=used_channels / total_channels if total_channels else 0.0,
-                total_cost=slot_cost,
-                served_requests=slot_served,
-                total_requests=slot_requests,
-            )
-            provider_records.append(provider_record)
-            if on_slot is not None and on_slot(provider_record) is False:
-                break
-
-        def user_diagnostics(user: QDNUser) -> Mapping[str, object]:
-            diagnostics = user.policy.diagnostics()
-            if engines is not None:
-                diagnostics = engines[user.name].merge_diagnostics(diagnostics)
-            return diagnostics
+                provider_records.append(provider_record)
+                if envelope.emit(t, on_slot, provider_record):
+                    break
+            diagnostics = self._finish(envelope, [lane for _, lane in tenants])
 
         user_results = {
             user.name: SimulationResult(
                 policy_name=f"{user.name}:{user.policy.name}",
                 horizon=self.horizon,
                 total_budget=user.total_budget,
-                records=tuple(per_user_records[user.name]),
-                diagnostics=user_diagnostics(user),
+                records=tuple(lane.records),
+                diagnostics=lane_diagnostics,
             )
-            for user in self.users
+            for (user, lane), lane_diagnostics in zip(tenants, diagnostics)
         }
         return MultiUserOutcome(
             user_results=user_results, provider_records=tuple(provider_records)

@@ -193,17 +193,27 @@ class SlotDecision:
             for request in self.selection
         }
 
-    def utility(self, graph: QDNGraph, unserved_floor: Optional[float] = None) -> float:
+    def utility(
+        self,
+        graph: QDNGraph,
+        unserved_floor: Optional[float] = None,
+        probabilities: Optional[Iterable[float]] = None,
+    ) -> float:
         """The slot utility ``u(r_t, N_t) = Σ_ϕ log P(r_t(ϕ), N_t)``.
 
         Served requests contribute ``log`` of their success probability.
         Unserved requests contribute ``log(unserved_floor)`` when a floor is
         given, and are skipped otherwise (the paper's formulation implicitly
-        assumes every request is served).
+        assumes every request is served).  ``probabilities`` passes the
+        served requests' success probabilities, in selection order, when
+        the caller has them already.
         """
+        if probabilities is None:
+            probabilities = (
+                self.success_probability(graph, request) for request in self.selection
+            )
         total = 0.0
-        for request in self.selection:
-            probability = self.success_probability(graph, request)
+        for probability in probabilities:
             total += math.log(probability) if probability > 0 else float("-inf")
         if unserved_floor is not None and self.unserved:
             if unserved_floor <= 0:

@@ -151,9 +151,7 @@ class FaultState:
         """Whether the route crosses any failed node or edge."""
         if self.down_nodes and not self.down_nodes.isdisjoint(route.node_set):
             return True
-        if self.down_edges:
-            return any(key in self.down_edges for key in route.edges)
-        return False
+        return bool(self.down_edges) and not self.down_edges.isdisjoint(route.edges)
 
 
 #: The shared "everything up" state (identity object, cheap to compare).

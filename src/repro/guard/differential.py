@@ -138,38 +138,16 @@ def compare_slot_records(
 # --------------------------------------------------------------------------- #
 # Pair runners
 # --------------------------------------------------------------------------- #
-def _collect_run(config, policy_name: str = "oscar", trial: int = 0) -> List[Any]:
-    """Per-slot records of one policy under ``config`` (execute_trial seeds)."""
-    from repro.simulation.engine import build_simulator
-    from repro.utils.rng import derive_seed, spawn_rngs
+def _collect_run(config, trial: int = 0) -> List[Any]:
+    """Per-slot records of OSCAR alone under ``config``, wired like any trial."""
+    from repro.api.scenario import Scenario
+    from repro.api.session import build_trial
+    from repro.utils.rng import spawn_rngs
 
-    seed = config.base_seed
-    graph = config.build_graph(seed=derive_seed(seed, "graph", trial))
-    trace = config.build_trace(graph, seed=derive_seed(seed, "trace", trial))
-    policy = config.make_oscar()
-    faults = None
-    if config.fault_enabled:
-        faults = config.build_faults(graph, derive_seed(seed, "faults", trial))
-    simulator = build_simulator(
-        graph,
-        trace,
-        backend=config.backend,
-        total_budget=config.total_budget,
-        realize=config.realize,
-        physical=config.physical_model(),
-        timing=config.timing_model(),
-        faults=faults,
-        guard_level=config.guard_level,
+    simulator, run_seed = build_trial(Scenario.from_config(config), trial)
+    return list(
+        simulator.run(config.make_oscar(), seed=spawn_rngs(run_seed, 1)[0]).records
     )
-    records: List[Any] = []
-    result = simulator.run(
-        policy,
-        seed=spawn_rngs(derive_seed(seed, "run", trial), 1)[0],
-        on_slot=lambda name, record: records.append(record),
-    )
-    # The records list and the result's own records must agree; prefer the
-    # result's (final) view so a backend that rewrites records is covered.
-    return list(result.records) if getattr(result, "records", None) else records
 
 
 def diff_backends(config=None, trial: int = 0) -> DiffReport:

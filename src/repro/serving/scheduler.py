@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.virtual_queue import VirtualQueue
-from repro.faults.model import FaultSchedule, FaultStats
+from repro.faults.model import FaultSchedule
 from repro.faults.supervisor import PoolSupervisor
-from repro.guard.invariants import InvariantGuard
 from repro.network.graph import QDNGraph
 from repro.network.routes import build_candidate_routes
 from repro.serving.admission import (
@@ -46,9 +45,9 @@ from repro.serving.admission import (
 )
 from repro.serving.arrivals import ArrivalProcess, SessionSpec, build_arrivals
 from repro.simulation.clock import SlotClock
+from repro.simulation.pipeline import RunEnvelope
 from repro.simulation.results import SimulationResult, SlotRecord
-from repro.telemetry import hooks as telemetry_hooks
-from repro.telemetry.tracer import TelemetryModel, Tracer, maybe_span
+from repro.telemetry.tracer import TelemetryModel, maybe_span
 from repro.utils.rng import SeedLike, as_generator, derive_seed, hash_string
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -379,11 +378,6 @@ class ServingSimulator:
         self._route_cache[endpoints] = best
         return best
 
-    def _route_info(self, endpoints: Tuple) -> Tuple[int, float]:
-        """Per-request (qubit cost, success probability) for one endpoint pair."""
-        cost, probability, _ = self._resolve_route(endpoints)
-        return cost, probability
-
     # ------------------------------------------------------------------ #
     # The service loop
     # ------------------------------------------------------------------ #
@@ -392,22 +386,27 @@ class ServingSimulator:
         seed: SeedLike = None,
         on_slot: Optional[Callable[[SlotRecord], Optional[bool]]] = None,
     ) -> SimulationResult:
-        """Execute the serving loop over the horizon."""
-        # Same guard discipline as the simulation backends: fresh per run,
-        # purely observational, None when the effective level is off.  The
-        # tracer follows the identical discipline under REPRO_TELEMETRY.
-        guard = InvariantGuard.build(self.guard_level)
-        tracer = Tracer.build(self.telemetry)
-        with telemetry_hooks.activate(tracer):
-            return self._run_inner(guard, tracer, seed, on_slot)
+        """Execute the serving loop over the horizon.
+
+        ``on_slot`` receives every merged :class:`SlotRecord`; returning
+        ``False`` stops the run after that slot (the result then covers only
+        the slots merged so far).
+        """
+        # The same run envelope as the slot-driven simulators: guard and
+        # tracer fresh per run (None when off), plus the fault counters.
+        envelope = RunEnvelope(self.guard_level, self.telemetry, self.faults)
+        with envelope.active():
+            return self._run_inner(envelope, seed, on_slot)
 
     def _run_inner(
         self,
-        guard: Optional[InvariantGuard],
-        tracer: Optional[Tracer],
+        envelope: RunEnvelope,
         seed: SeedLike,
         on_slot: Optional[Callable[[SlotRecord], Optional[bool]]],
     ) -> SimulationResult:
+        guard = envelope.guard
+        tracer = envelope.tracer
+        fault_stats = envelope.fault_stats
         model = self.model
         base_seed = seed if isinstance(seed, int) else derive_seed(None, "serving")
         arrivals = model.build_arrivals()
@@ -434,7 +433,7 @@ class ServingSimulator:
         merged_backlog = 0
         active_sessions = 0
         records: List[SlotRecord] = []
-        fault_stats = FaultStats() if self.faults is not None else None
+        stopped = False
 
         # Shard advances run under a supervisor: a dead worker rebuilds the
         # pool and resubmits the window (shard state only mutates in the
@@ -460,8 +459,7 @@ class ServingSimulator:
                 if self.faults is not None:
                     down = {}
                     for t in slots:
-                        fault_state = self.faults.state_at(t)
-                        fault_stats.observe_slot(self.faults, fault_state)
+                        fault_state = envelope.fault_state(t)
                         if fault_state:
                             down[t] = (fault_state.down_nodes, fault_state.down_edges)
                 # Admission runs centrally against the last merged state —
@@ -575,10 +573,11 @@ class ServingSimulator:
                             slot_end_s=self.clock.slot_end(t),
                         )
                         records.append(record)
-                        if on_slot is not None:
-                            on_slot(record)
-                        if tracer is not None:
-                            tracer.maybe_flush(t)
+                        if envelope.emit(t, on_slot, record):
+                            stopped = True
+                            break
+                if stopped:
+                    break
         finally:
             if supervisor is not None:
                 supervisor.shutdown()
@@ -591,30 +590,17 @@ class ServingSimulator:
         stats["fairness_served_sq"] = float(
             sum(count * count for count in served_by_session.values())
         )
-        stats["sim_seconds"] = self.horizon * self.clock.slot_duration
-        stats["slots"] = self.horizon
+        stats["sim_seconds"] = len(records) * self.clock.slot_duration
+        stats["slots"] = len(records)
         if supervisor is not None and supervisor.recoveries:
             stats["worker_recoveries"] = supervisor.recoveries
         diagnostics: Dict[str, object] = {"serving": stats}
-        if fault_stats is not None:
-            diagnostics["faults"] = fault_stats.finalize(self.faults)
-        if guard is not None:
+
+        def final_checks(guard) -> None:
             guard.check_serving_totals(counters)
             guard.check_queue_history(queue.history)
-            if fault_stats is not None:
-                guard.check_fault_stats(self.faults, diagnostics["faults"])
-            diagnostics["guard"] = guard.stats()
-        if tracer is not None:
-            # Fold the serving counters (admission decisions, request flow),
-            # fault downtime and guard checks into the metrics feed, then
-            # ship the telemetry payload through the diagnostics.
-            tracer.absorb("serving", stats)
-            tracer.absorb("faults", diagnostics.get("faults"))
-            tracer.absorb("guard", diagnostics.get("guard"))
-            diagnostics["telemetry"] = tracer.stats()
-            spans = tracer.span_events()
-            if spans:
-                diagnostics["telemetry_spans"] = spans
+
+        envelope.finalize([diagnostics], final_checks)
         return SimulationResult(
             policy_name=SERVING_LINEUP_NAME,
             horizon=self.horizon,

@@ -1,7 +1,8 @@
 """Simulators: a discrete-event engine, an attempt-level link layer, the
-slot-based network simulator that drives every experiment in the paper, the
-physical-layer co-simulation subsystem (swap/purify/decohere delivery chains
-with delivered-fidelity accounting), and the event-driven backend that adds
+per-slot pipeline every slot-driven simulator shares, the slot-based network
+simulator that drives every experiment in the paper, the physical-layer
+co-simulation subsystem (swap/purify/decohere delivery chains with
+delivered-fidelity accounting), and the event-driven backend that adds
 classical-signaling latency on top of the same record schema."""
 
 from repro.simulation.clock import SlotClock

@@ -10,22 +10,18 @@ each EC with the link-layer Monte-Carlo simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from repro.core.policy import RoutingPolicy
-from repro.core.problem import SlotContext
-from repro.faults.model import FaultSchedule, FaultStats
-from repro.guard import hooks as guard_hooks
-from repro.guard.invariants import InvariantGuard
+from repro.faults.model import FaultSchedule
 from repro.network.graph import QDNGraph
 from repro.simulation.clock import SlotClock
-from repro.simulation.link_layer import LinkLayerSimulator
 from repro.simulation.physical import PhysicalModel
+from repro.simulation.pipeline import RunEnvelope, SlotPipeline
 from repro.simulation.results import SimulationResult, SlotRecord
-from repro.telemetry import hooks as telemetry_hooks
-from repro.telemetry.tracer import TelemetryModel, Tracer, maybe_span
-from repro.utils.rng import SeedLike, as_generator, spawn_rngs
+from repro.telemetry.tracer import TelemetryModel
+from repro.utils.rng import SeedLike, spawn_rngs
 from repro.workload.traces import WorkloadTrace
 
 #: The two simulation backends: the paper's slotted abstraction and the
@@ -35,12 +31,18 @@ BACKEND_KINDS = ("slotted", "event")
 #: Per-slot streaming hook: called with ``(policy_name, record)`` after every
 #: simulated slot.  Returning ``False`` stops the run early (the result then
 #: covers only the slots simulated so far); any other return value continues.
+#: Every driver honours the same contract: the multi-user simulator's
+#: provider-record hook and the serving scheduler's record hook stop their
+#: runs on ``False`` too.
 SlotCallback = Callable[[str, SlotRecord], Optional[bool]]
 
 
 @dataclass
-class SlottedSimulator:
+class SlottedSimulator(SlotPipeline):
     """Runs one policy over one frozen workload trace.
+
+    The trace is this driver's request source; every slot goes through the
+    shared per-slot step of :class:`~repro.simulation.pipeline.SlotPipeline`.
 
     Parameters
     ----------
@@ -54,10 +56,6 @@ class SlottedSimulator:
     realize:
         Whether to also Monte-Carlo-realise every EC (adds the
         ``realized_*`` fields to the records).
-    detailed_link_layer:
-        Use the attempt-level physics simulation instead of per-edge
-        Bernoulli draws when realising ECs (slower; mainly for validation
-        and examples).
     physical:
         Optional :class:`~repro.simulation.physical.PhysicalModel`: when
         set, every realised EC additionally runs the physical delivery chain
@@ -86,12 +84,15 @@ class SlottedSimulator:
     trace: WorkloadTrace
     total_budget: float = 5000.0
     realize: bool = True
-    detailed_link_layer: bool = False
     physical: Optional[PhysicalModel] = None
     clock: Optional[SlotClock] = None
     faults: Optional[FaultSchedule] = None
     guard_level: str = "off"
     telemetry: Optional[TelemetryModel] = None
+
+    def __post_init__(self) -> None:
+        if self.clock is None:
+            self.clock = SlotClock(attempts_per_slot=self.graph.attempts_per_slot)
 
     def run(
         self,
@@ -104,216 +105,42 @@ class SlottedSimulator:
         ``on_slot`` receives every :class:`SlotRecord` as it is produced;
         returning ``False`` from the callback stops the simulation early.
         """
-        # Built fresh per run so guard counters are per-run; the ambient
-        # activation lets the solver kernel reach the guard without new
-        # plumbing.  ``None`` (level "off" after the REPRO_GUARD override)
-        # keeps this method byte-for-byte on its historical path.  The
-        # tracer follows the identical discipline under REPRO_TELEMETRY.
-        guard = InvariantGuard.build(self.guard_level)
-        tracer = Tracer.build(self.telemetry)
-        with guard_hooks.activate(guard), telemetry_hooks.activate(tracer):
-            return self._run_guarded(policy, seed, on_slot, guard, tracer)
-
-    def _run_guarded(
-        self,
-        policy: RoutingPolicy,
-        seed: SeedLike,
-        on_slot: Optional[SlotCallback],
-        guard: Optional[InvariantGuard],
-        tracer: Optional[Tracer],
-    ) -> SimulationResult:
-        rng = as_generator(seed)
-        engine = None
-        if self.physical is not None:
-            if not self.realize:
-                raise ValueError("the physical layer requires realize=True")
-            # A third stream is spawned only when the physical layer is on,
-            # so disabled runs stay byte-identical to the historical ones.
-            decision_rng, realization_rng, physical_rng = spawn_rngs(rng, 3)
-            engine = self.physical.build_engine()
-        else:
-            decision_rng, realization_rng = spawn_rngs(rng, 2)
-            physical_rng = None
-        link_layer = LinkLayerSimulator(graph=self.graph, detailed=self.detailed_link_layer)
-        clock = self.clock or SlotClock(attempts_per_slot=self.graph.attempts_per_slot)
-
-        policy.reset(self.graph, self.trace.horizon)
-        fault_stats = FaultStats() if self.faults is not None else None
-        records: List[SlotRecord] = []
-        for slot_trace in self.trace.slots:
-            if guard is not None:
-                guard.begin_slot(slot_trace.t)
-            with maybe_span(tracer, "workload.candidates", slot=slot_trace.t):
-                candidate_routes = {
-                    request: tuple(self.trace.routes_for(request))
-                    for request in slot_trace.requests
-                }
-            fault_state = None
-            if self.faults is not None:
-                with maybe_span(tracer, "faults.schedule", slot=slot_trace.t):
-                    fault_state = self.faults.state_at(slot_trace.t)
-                    fault_stats.observe_slot(self.faults, fault_state)
-                    if self.faults.aware and fault_state:
-                        filtered = self.faults.filter_routes(fault_state, candidate_routes)
-                        fault_stats.requests_unservable += sum(
-                            1
-                            for request in slot_trace.requests
-                            if candidate_routes[request] and not filtered[request]
-                        )
-                        candidate_routes = filtered
-            context = SlotContext(
-                t=slot_trace.t,
-                graph=self.graph,
-                snapshot=slot_trace.snapshot,
-                requests=slot_trace.requests,
-                candidate_routes=candidate_routes,
-            )
-            with maybe_span(
-                tracer, "kernel.solve", slot=slot_trace.t, hist="kernel.solve_s"
-            ):
-                decision = policy.decide(context, seed=decision_rng)
-            if not decision.respects_snapshot(slot_trace.snapshot):
-                raise RuntimeError(
-                    f"policy {policy.name!r} violated capacity constraints in slot {slot_trace.t}"
+        envelope = RunEnvelope(self.guard_level, self.telemetry, self.faults)
+        with envelope.active():
+            lane = self._lane(policy, self._streams(seed), envelope.tracer)
+            policy.reset(self.graph, self.trace.horizon)
+            routes_for = self.trace.routes_for
+            for slot_trace in self.trace.slots:
+                t = slot_trace.t
+                fault_state = envelope.begin_slot(t)
+                _, record = self._step(
+                    envelope, lane, t, slot_trace.snapshot, slot_trace.requests,
+                    routes_for, fault_state,
                 )
-
-            success_probabilities = tuple(
-                decision.success_probability(self.graph, request)
-                for request in decision.served_requests
-            )
-            realized: List[bool] = []
-            fidelities: List[float] = []
-            delivered: List[bool] = []
-            delivered_fidelities: List[float] = []
-            fidelity_served: List[bool] = []
-            if self.realize:
-                # One batched RNG draw realises every served request's route
-                # for this slot (bit-identical to per-request realisation).
-                items = []
-                for request in decision.served_requests:
-                    route = decision.route_for(request)
-                    assert route is not None
-                    items.append(
-                        (
-                            route,
-                            {
-                                key: decision.channels_for(request, key)
-                                for key in route.edges
-                            },
-                        )
-                    )
-                with maybe_span(tracer, "link.realize", slot=slot_trace.t):
-                    for realization in link_layer.realize_routes(
-                        items, slot=slot_trace.t, seed=realization_rng
-                    ):
-                        realized.append(realization.succeeded)
-                        fidelities.append(realization.fidelity)
-                if fault_state:
-                    # Requests routed across a failed element lose their
-                    # entanglement regardless of the link draw.  The batched
-                    # draw above already happened, so stream consumption is
-                    # unchanged and the schedule alone decides the outcome.
-                    # (A no-op in aware mode: filtered candidate sets mean
-                    # no chosen route crosses a failed element.)
-                    for index, request in enumerate(decision.served_requests):
-                        route = decision.route_for(request)
-                        if route is not None and fault_state.blocks_route(route):
-                            fault_stats.requests_interrupted += 1
-                            realized[index] = False
-                            fidelities[index] = 0.0
-                if engine is not None:
-                    # The physical delivery chain consumes the link outcomes
-                    # and its own spawned stream (shared by both engine
-                    # implementations, which draw identically from it).
-                    with maybe_span(tracer, "physical.chain", slot=slot_trace.t):
-                        delivered, delivered_fidelities, fidelity_served = (
-                            engine.realize_decision(
-                                items, realized, len(decision.unserved),
-                                seed=physical_rng,
-                            )
-                        )
-                # Unserved requests trivially fail.
-                realized.extend([False] * len(decision.unserved))
-                fidelities.extend([0.0] * len(decision.unserved))
-
-            queue_length: Optional[float] = None
-            diagnostics = policy.diagnostics()
-            history = diagnostics.get("queue_history")
-            if isinstance(history, list) and history:
-                queue_length = float(history[-1])
-
-            if guard is not None:
-                with maybe_span(tracer, "guard.check", slot=slot_trace.t):
-                    guard.check_decision(context, decision, queue_length)
-                    guard.check_objective(
-                        decision.utility(self.graph), slot=slot_trace.t
-                    )
-                    guard.check_fidelities(
-                        fidelities, slot=slot_trace.t, model=self.physical
-                    )
-                    if delivered_fidelities:
-                        guard.check_fidelities(
-                            delivered_fidelities,
-                            slot=slot_trace.t,
-                            model=self.physical,
-                        )
-
-            record = SlotRecord(
-                t=slot_trace.t,
-                num_requests=slot_trace.num_requests,
-                num_served=decision.num_served,
-                cost=decision.cost(),
-                utility=decision.utility(self.graph),
-                success_probabilities=success_probabilities,
-                realized_successes=tuple(realized),
-                realized_fidelities=tuple(fidelities),
-                queue_length=queue_length,
-                delivered_successes=tuple(delivered),
-                delivered_fidelities=tuple(delivered_fidelities),
-                fidelity_served=tuple(fidelity_served),
-                slot_start_s=clock.slot_start(slot_trace.t),
-                slot_end_s=clock.slot_end(slot_trace.t),
-            )
-            with maybe_span(tracer, "records.emit", slot=slot_trace.t):
-                records.append(record)
-                stop = on_slot is not None and on_slot(policy.name, record) is False
-            if tracer is not None:
-                tracer.slots_seen = max(tracer.slots_seen, slot_trace.t + 1)
-            if stop:
-                break
-
-        diagnostics = policy.diagnostics()
-        if engine is not None:
-            diagnostics = engine.merge_diagnostics(diagnostics)
-        if fault_stats is not None:
-            diagnostics = dict(diagnostics)
-            diagnostics["faults"] = fault_stats.finalize(self.faults)
-        if guard is not None:
-            guard.check_policy_final(policy)
-            guard.check_physical_stats(diagnostics.get("physical"))
-            if fault_stats is not None:
-                guard.check_fault_stats(self.faults, diagnostics["faults"])
-            diagnostics = dict(diagnostics)
-            diagnostics["guard"] = guard.stats()
-        if tracer is not None:
-            # Fold layer-internal tallies into the metrics feed, then ship
-            # the whole telemetry payload through diagnostics — the only
-            # channel that crosses worker-pool process boundaries.
-            tracer.absorb("kernel", diagnostics.get("kernel"))
-            tracer.absorb("faults", diagnostics.get("faults"))
-            tracer.absorb("guard", diagnostics.get("guard"))
-            diagnostics = dict(diagnostics)
-            diagnostics["telemetry"] = tracer.stats()
-            spans = tracer.span_events()
-            if spans:
-                diagnostics["telemetry_spans"] = spans
+                if envelope.emit(t, on_slot, policy.name, record):
+                    break
+            (diagnostics,) = self._finish(envelope, [lane])
         return SimulationResult(
             policy_name=policy.name,
             horizon=self.trace.horizon,
             total_budget=self.total_budget,
-            records=tuple(records),
+            records=tuple(lane.records),
             diagnostics=diagnostics,
         )
+
+    def run_lineup(
+        self,
+        policies: Iterable[RoutingPolicy],
+        seed: SeedLike = None,
+        on_slot: Optional[SlotCallback] = None,
+    ) -> Dict[str, SimulationResult]:
+        """Run every policy over this trace, each on its own stream from ``seed``."""
+        policies = list(policies)
+        streams = spawn_rngs(seed, len(policies))
+        return {
+            policy.name: self.run(policy, seed=stream, on_slot=on_slot)
+            for policy, stream in zip(policies, streams)
+        }
 
 
 def build_simulator(
@@ -322,7 +149,6 @@ def build_simulator(
     backend: str = "slotted",
     total_budget: float = 5000.0,
     realize: bool = True,
-    detailed_link_layer: bool = False,
     physical: Optional[PhysicalModel] = None,
     timing=None,
     faults: Optional[FaultSchedule] = None,
@@ -332,8 +158,9 @@ def build_simulator(
     """Construct the simulator for ``backend`` (``"slotted"`` or ``"event"``).
 
     Both backends expose the same ``run(policy, seed, on_slot)`` interface
-    and produce the same record schema, so every caller (``simulate_policies``,
-    the api session, the study runner) dispatches through this one factory.
+    and produce the same record schema, so every caller (``simulate_policies``
+    and :func:`repro.api.session.build_trial`) dispatches through this one
+    factory.
     ``timing`` is a :class:`~repro.simulation.eventsim.TimingModel`; its
     ``guard_time`` shapes the :class:`SlotClock` of *both* backends (the
     slotted backend only uses it for timestamps), while its latencies only
@@ -348,34 +175,20 @@ def build_simulator(
     from repro.simulation.eventsim import EventDrivenSimulator, TimingModel
 
     timing = timing or TimingModel()
-    clock = SlotClock(
-        attempts_per_slot=graph.attempts_per_slot, guard_time=timing.guard_time
-    )
-    if backend == "event":
-        return EventDrivenSimulator(
-            graph=graph,
-            trace=trace,
-            total_budget=total_budget,
-            realize=realize,
-            physical=physical,
-            timing=timing,
-            clock=clock,
-            faults=faults,
-            guard_level=guard_level,
-            telemetry=telemetry,
-        )
-    return SlottedSimulator(
+    options = dict(
         graph=graph,
         trace=trace,
         total_budget=total_budget,
         realize=realize,
-        detailed_link_layer=detailed_link_layer,
         physical=physical,
-        clock=clock,
+        clock=timing.slot_clock(graph.attempts_per_slot),
         faults=faults,
         guard_level=guard_level,
         telemetry=telemetry,
     )
+    if backend == "event":
+        return EventDrivenSimulator(timing=timing, **options)
+    return SlottedSimulator(**options)
 
 
 def simulate_policies(
@@ -417,8 +230,4 @@ def simulate_policies(
         guard_level=guard_level,
         telemetry=telemetry,
     )
-    rngs = spawn_rngs(seed, len(list(policies)))
-    results: Dict[str, SimulationResult] = {}
-    for policy, policy_rng in zip(policies, rngs):
-        results[policy.name] = simulator.run(policy, seed=policy_rng, on_slot=on_slot)
-    return results
+    return simulator.run_lineup(policies, seed=seed, on_slot=on_slot)

@@ -26,12 +26,17 @@ take *time*:
   window plus ``guard_time``), so classical latency degrades throughput.
 
 **Zero-latency equivalence.**  With ``signaling_latency_s = 0`` the backend
-reproduces the slotted backend's per-slot served counts *exactly*, by
-construction: it consumes the same spawned RNG streams in the same order —
-the same ``policy.decide`` calls on the decision stream and, per slot, the
-same single batched uniform draw over the same success thresholds in
-:meth:`~repro.simulation.link_layer.LinkLayerSimulator.realize_routes`'s flat
-edge order.  Each uniform ``u`` is used twice: ``u < threshold`` is the
+reproduces the slotted backend's per-slot served counts *exactly*, and this
+follows from the shared loop: :class:`EventDrivenSimulator` is a
+:class:`~repro.simulation.engine.SlottedSimulator` whose one override,
+:meth:`EventDrivenSimulator._lane`, swaps the realise and physical steps of
+the per-slot pipeline (:mod:`repro.simulation.pipeline`).  Streams,
+candidate sets, fault handling, the ``policy.decide`` calls and the records
+all come from the same code.  The realise step consumes the realization
+stream exactly as
+:meth:`~repro.simulation.link_layer.LinkLayerSimulator.realize_routes`
+does: one batched uniform draw over the same success thresholds in the same
+flat edge order.  Each uniform ``u`` is used twice: ``u < threshold`` is the
 slotted success indicator (bit-identical), and the truncated-geometric
 inverse CDF maps the *same* ``u`` to the first successful attempt tick (see
 :func:`first_success_attempt`), which is what gives every pair a wall-clock
@@ -48,26 +53,18 @@ import math
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.policy import RoutingPolicy
-from repro.core.problem import SlotContext
-from repro.faults.model import FaultSchedule, FaultStats
-from repro.guard import hooks as guard_hooks
-from repro.guard.invariants import InvariantGuard
-from repro.network.graph import EdgeKey, QDNGraph
+from repro.network.graph import EdgeKey
 from repro.network.routes import Route
 from repro.physics.entanglement import sample_successes
 from repro.physics.fidelity import fidelity_of_chain
 from repro.physics.purification import purification_ladder
 from repro.simulation.clock import SlotClock
+from repro.simulation.engine import SlottedSimulator
 from repro.simulation.events import Event, EventLoop
-from repro.simulation.link_layer import LinkLayerSimulator
 from repro.simulation.physical import PhysicalModel, PhysicalStats
-from repro.simulation.results import SimulationResult, SlotRecord
-from repro.telemetry import hooks as telemetry_hooks
-from repro.telemetry.tracer import TelemetryModel, Tracer, maybe_span
-from repro.utils.rng import SeedLike, as_generator, spawn_rngs
+from repro.simulation.pipeline import RouteItems, SlotLane
+from repro.telemetry.tracer import Tracer, maybe_span
 from repro.utils.validation import check_non_negative
-from repro.workload.traces import WorkloadTrace
 
 
 def edge_latency_key(u: object, v: object) -> str:
@@ -107,6 +104,13 @@ class TimingModel:
             if override is not None:
                 return float(override)
         return float(self.signaling_latency_s)
+
+    def slot_clock(self, attempts_per_slot: int) -> SlotClock:
+        """The slot clock of this timing: the attempt window plus ``guard_time``.
+
+        Every driver stamps its records with this clock, on either backend.
+        """
+        return SlotClock(attempts_per_slot=attempts_per_slot, guard_time=self.guard_time)
 
 
 @dataclass
@@ -322,12 +326,11 @@ class SwapProtocol:
 class SlotBridge:
     """Aligns the event loop with :class:`SlotClock` boundaries.
 
-    The bridge is what lets OSCAR and the baselines run unmodified on the
-    event backend: at every slot start it advances the loop to the boundary
-    and invokes the policy's ``decide`` exactly as the slotted simulator
-    does; the simulator then schedules the slot's protocol events and the
-    bridge steps the loop to the slot deadline (attempt window + guard
-    time), after which the slot is finalised from what actually confirmed.
+    The policies decide in the shared per-slot step exactly as on the
+    slotted backend; the event lane then advances the loop to the slot
+    boundary, schedules the slot's protocol events and steps the loop to the
+    slot deadline (attempt window + guard time), after which the slot is
+    finalised from what actually confirmed.
     """
 
     loop: EventLoop
@@ -338,10 +341,6 @@ class SlotBridge:
         start = self.clock.slot_start(slot)
         self.loop.run_until(start)
         return start
-
-    def decide(self, policy: RoutingPolicy, context: SlotContext, seed: SeedLike):
-        """Invoke the routing policy exactly as the slotted backend does."""
-        return policy.decide(context, seed=seed)
 
     def close_slot(self, slot: int) -> float:
         """Run the loop to the slot deadline; returns the deadline time."""
@@ -382,261 +381,95 @@ class MemoryAgent:
         return self.decoherence.fidelity_after(purified, max(0.0, dwell))
 
 
-@dataclass
-class EventDrivenSimulator:
-    """Runs one policy over one frozen workload trace, event by event.
+class ProtocolLane(SlotLane):
+    """The event backend's realise and physical steps, on one event timeline.
 
-    A drop-in second backend behind the :class:`SlottedSimulator` interface:
-    same constructor shape, same ``run(policy, seed, on_slot)`` entry point,
-    same :class:`SlotRecord` / :class:`SimulationResult` schema.  ``timing``
-    configures classical signaling latency (see :class:`TimingModel`); with
-    the default zero-latency timing the realised outcomes are bit-identical
-    to the slotted backend (see the module docstring).  Event-protocol
-    accounting lands in the run diagnostics under ``"eventsim"``.
+    The realise step opens the slot, launches the swap protocols of every
+    served route and runs the loop to the slot deadline; a request counts
+    as realised when its end-to-end confirmation arrived in time.  The
+    physical step does the confirmation accounting (after the pipeline's
+    blind fault interruption, so interrupted protocols count as voided) and
+    runs the timed delivery chain.
     """
 
-    graph: QDNGraph
-    trace: WorkloadTrace
-    total_budget: float = 5000.0
-    realize: bool = True
-    physical: Optional[PhysicalModel] = None
+    __slots__ = ("simulator", "loop", "bridge", "stats")
+
+    def __init__(self, simulator: "EventDrivenSimulator", policy, streams, memory, tracer):
+        super().__init__(simulator.graph, policy, streams, memory, tracer)
+        self.simulator = simulator
+        self.loop = EventLoop()
+        self.bridge = SlotBridge(loop=self.loop, clock=simulator.clock)
+        self.stats = EventStats()
+
+    def links(self, t: int, items: RouteItems):
+        bridge = self.bridge
+        with maybe_span(self.tracer, "event.protocols", slot=t):
+            slot_start = bridge.open_slot(t)
+            protocols = self.simulator._launch_protocols(
+                self.loop, items, slot_start, bridge.clock, self.realization_rng, self.stats
+            )
+            bridge.close_slot(t)
+        # Confirmed ECs report the same realised fidelity constant as the
+        # slotted fast mode.
+        base = self.link_layer.base_fidelity
+        realized = [protocol.confirm_time is not None for protocol in protocols]
+        fidelities = [base if confirmed else 0.0 for confirmed in realized]
+        return realized, fidelities, protocols
+
+    def chain(self, t: int, items: RouteItems, realized, num_unserved: int, protocols):
+        stats = self.stats
+        for protocol, confirmed in zip(protocols, realized):
+            protocol.cancel_pending(self.loop)
+            if confirmed:
+                stats.delivered += 1
+                stats.messages += protocol.messages
+                continue
+            # Void an interrupted protocol, so the timed chain treats it as
+            # unconfirmed and the physical stats agree with the interruption.
+            protocol.confirm_time = None
+            if protocol.all_generated:
+                stats.deadline_misses += 1
+        if self.engine is None:
+            return (), (), ()
+        with maybe_span(self.tracer, "physical.chain", slot=t):
+            delivered, fidelities, served = self.simulator._realize_physical(
+                items, protocols, self.engine, self.physical_rng, stats
+            )
+        padding = [False] * num_unserved
+        return delivered + padding, fidelities + [0.0] * num_unserved, served + padding
+
+    def diagnostics(self) -> Dict[str, object]:
+        diagnostics = super().diagnostics()
+        self.stats.events = self.loop.events_processed
+        self.stats.slots = len(self.records)
+        diagnostics["eventsim"] = self.stats.to_dict()
+        return diagnostics
+
+
+@dataclass
+class EventDrivenSimulator(SlottedSimulator):
+    """Runs one policy over one frozen workload trace, event by event.
+
+    A :class:`~repro.simulation.engine.SlottedSimulator` whose lanes realise
+    each slot on an event timeline (:class:`ProtocolLane`): same
+    constructor, same ``run(policy, seed, on_slot)`` entry point, same
+    :class:`SlotRecord` / :class:`SimulationResult` schema.  ``timing``
+    configures classical signaling latency (see :class:`TimingModel`) and
+    the default clock's guard time; with the default zero-latency timing the
+    realised outcomes are bit-identical to the slotted backend (see the
+    module docstring).  Event-protocol accounting lands in the run
+    diagnostics under ``"eventsim"``.
+    """
+
     timing: TimingModel = field(default_factory=TimingModel)
-    clock: Optional[SlotClock] = None
-    faults: Optional[FaultSchedule] = None
-    guard_level: str = "off"
-    telemetry: Optional[TelemetryModel] = None
 
-    def run(
-        self,
-        policy: RoutingPolicy,
-        seed: SeedLike = None,
-        on_slot=None,
-    ) -> SimulationResult:
-        """Simulate ``policy`` over the whole trace and return its result."""
-        # Same guard discipline as the slotted backend: fresh per run,
-        # ambient for the solver kernel, ``None`` when off.  The tracer
-        # follows the identical discipline under REPRO_TELEMETRY.
-        guard = InvariantGuard.build(self.guard_level)
-        tracer = Tracer.build(self.telemetry)
-        with guard_hooks.activate(guard), telemetry_hooks.activate(tracer):
-            return self._run_guarded(policy, seed, on_slot, guard, tracer)
+    def __post_init__(self) -> None:
+        if self.clock is None:
+            self.clock = self.timing.slot_clock(self.graph.attempts_per_slot)
 
-    def _run_guarded(
-        self,
-        policy: RoutingPolicy,
-        seed: SeedLike,
-        on_slot,
-        guard: Optional[InvariantGuard],
-        tracer: Optional[Tracer],
-    ) -> SimulationResult:
-        rng = as_generator(seed)
-        memory: Optional[MemoryAgent] = None
-        if self.physical is not None:
-            if not self.realize:
-                raise ValueError("the physical layer requires realize=True")
-            # Same stream discipline as the slotted backend: the third
-            # stream exists only when the physical layer is on.
-            decision_rng, realization_rng, physical_rng = spawn_rngs(rng, 3)
-            memory = MemoryAgent(self.physical)
-        else:
-            decision_rng, realization_rng = spawn_rngs(rng, 2)
-            physical_rng = None
-        clock = self.clock or SlotClock(
-            attempts_per_slot=self.graph.attempts_per_slot,
-            guard_time=self.timing.guard_time,
-        )
-        # Only for its base_fidelity: confirmed ECs report the same realised
-        # fidelity constant as the slotted fast mode.
-        link_layer = LinkLayerSimulator(graph=self.graph, clock=clock)
-        loop = EventLoop()
-        bridge = SlotBridge(loop=loop, clock=clock)
-        stats = EventStats()
-
-        policy.reset(self.graph, self.trace.horizon)
-        fault_stats = FaultStats() if self.faults is not None else None
-        records: List[SlotRecord] = []
-        for slot_trace in self.trace.slots:
-            if guard is not None:
-                guard.begin_slot(slot_trace.t)
-            slot_start = bridge.open_slot(slot_trace.t)
-            stats.slots += 1
-            with maybe_span(tracer, "workload.candidates", slot=slot_trace.t):
-                candidate_routes = {
-                    request: tuple(self.trace.routes_for(request))
-                    for request in slot_trace.requests
-                }
-            fault_state = None
-            if self.faults is not None:
-                # Same degradation semantics as the slotted backend: aware
-                # policies lose the routes crossing failed elements before
-                # deciding; blind policies route into the outage and the
-                # affected protocols are voided below.
-                fault_state = self.faults.state_at(slot_trace.t)
-                fault_stats.observe_slot(self.faults, fault_state)
-                if self.faults.aware and fault_state:
-                    filtered = self.faults.filter_routes(fault_state, candidate_routes)
-                    fault_stats.requests_unservable += sum(
-                        1
-                        for request in slot_trace.requests
-                        if candidate_routes[request] and not filtered[request]
-                    )
-                    candidate_routes = filtered
-            context = SlotContext(
-                t=slot_trace.t,
-                graph=self.graph,
-                snapshot=slot_trace.snapshot,
-                requests=slot_trace.requests,
-                candidate_routes=candidate_routes,
-            )
-            with maybe_span(
-                tracer, "kernel.solve", slot=slot_trace.t, hist="kernel.solve_s"
-            ):
-                decision = bridge.decide(policy, context, decision_rng)
-            if not decision.respects_snapshot(slot_trace.snapshot):
-                raise RuntimeError(
-                    f"policy {policy.name!r} violated capacity constraints in slot {slot_trace.t}"
-                )
-
-            success_probabilities = tuple(
-                decision.success_probability(self.graph, request)
-                for request in decision.served_requests
-            )
-            realized: List[bool] = []
-            fidelities: List[float] = []
-            delivered: List[bool] = []
-            delivered_fidelities: List[float] = []
-            fidelity_served: List[bool] = []
-            if self.realize:
-                items = []
-                for request in decision.served_requests:
-                    route = decision.route_for(request)
-                    assert route is not None
-                    items.append(
-                        (
-                            route,
-                            {
-                                key: decision.channels_for(request, key)
-                                for key in route.edges
-                            },
-                        )
-                    )
-                with maybe_span(tracer, "event.protocols", slot=slot_trace.t):
-                    protocols = self._launch_protocols(
-                        loop, items, slot_start, clock, realization_rng, stats
-                    )
-                    deadline = bridge.close_slot(slot_trace.t)
-                if fault_state:
-                    # A protocol whose route crosses a failed element is
-                    # voided before accounting so delivered/physical stats
-                    # stay consistent with the interruption.
-                    for index, request in enumerate(decision.served_requests):
-                        route = decision.route_for(request)
-                        if route is not None and fault_state.blocks_route(route):
-                            fault_stats.requests_interrupted += 1
-                            protocols[index].confirm_time = None
-                for protocol in protocols:
-                    protocol.cancel_pending(loop)
-                    confirmed = protocol.confirm_time is not None
-                    if confirmed:
-                        stats.delivered += 1
-                        stats.messages += protocol.messages
-                    elif protocol.all_generated:
-                        stats.deadline_misses += 1
-                    realized.append(confirmed)
-                    fidelities.append(link_layer.base_fidelity if confirmed else 0.0)
-                if memory is not None:
-                    with maybe_span(tracer, "physical.chain", slot=slot_trace.t):
-                        delivered, delivered_fidelities, fidelity_served = (
-                            self._realize_physical(
-                                items, protocols, memory, physical_rng, stats
-                            )
-                        )
-                    delivered.extend([False] * len(decision.unserved))
-                    delivered_fidelities.extend([0.0] * len(decision.unserved))
-                    fidelity_served.extend([False] * len(decision.unserved))
-                # Unserved requests trivially fail.
-                realized.extend([False] * len(decision.unserved))
-                fidelities.extend([0.0] * len(decision.unserved))
-            else:
-                deadline = bridge.close_slot(slot_trace.t)
-
-            queue_length: Optional[float] = None
-            diagnostics = policy.diagnostics()
-            history = diagnostics.get("queue_history")
-            if isinstance(history, list) and history:
-                queue_length = float(history[-1])
-
-            if guard is not None:
-                with maybe_span(tracer, "guard.check", slot=slot_trace.t):
-                    guard.check_decision(context, decision, queue_length)
-                    guard.check_objective(
-                        decision.utility(self.graph), slot=slot_trace.t
-                    )
-                    guard.check_fidelities(
-                        fidelities, slot=slot_trace.t, model=self.physical
-                    )
-                    if delivered_fidelities:
-                        guard.check_fidelities(
-                            delivered_fidelities,
-                            slot=slot_trace.t,
-                            model=self.physical,
-                        )
-
-            record = SlotRecord(
-                t=slot_trace.t,
-                num_requests=slot_trace.num_requests,
-                num_served=decision.num_served,
-                cost=decision.cost(),
-                utility=decision.utility(self.graph),
-                success_probabilities=success_probabilities,
-                realized_successes=tuple(realized),
-                realized_fidelities=tuple(fidelities),
-                queue_length=queue_length,
-                delivered_successes=tuple(delivered),
-                delivered_fidelities=tuple(delivered_fidelities),
-                fidelity_served=tuple(fidelity_served),
-                slot_start_s=slot_start,
-                slot_end_s=deadline,
-            )
-            with maybe_span(tracer, "records.emit", slot=slot_trace.t):
-                records.append(record)
-                stop = on_slot is not None and on_slot(policy.name, record) is False
-            if tracer is not None:
-                tracer.slots_seen = max(tracer.slots_seen, slot_trace.t + 1)
-            if stop:
-                break
-
-        stats.events = loop.events_processed
-        diagnostics = dict(policy.diagnostics())
-        if memory is not None:
-            diagnostics["physical"] = memory.stats.to_dict()
-        diagnostics["eventsim"] = stats.to_dict()
-        if fault_stats is not None:
-            diagnostics["faults"] = fault_stats.finalize(self.faults)
-        if guard is not None:
-            guard.check_policy_final(policy)
-            guard.check_physical_stats(diagnostics.get("physical"))
-            if fault_stats is not None:
-                guard.check_fault_stats(self.faults, diagnostics["faults"])
-            diagnostics["guard"] = guard.stats()
-        if tracer is not None:
-            # Same shipping channel as the slotted backend: the telemetry
-            # payload rides the diagnostics across worker-pool boundaries.
-            tracer.absorb("kernel", diagnostics.get("kernel"))
-            tracer.absorb("eventsim", diagnostics.get("eventsim"))
-            tracer.absorb("faults", diagnostics.get("faults"))
-            tracer.absorb("guard", diagnostics.get("guard"))
-            diagnostics["telemetry"] = tracer.stats()
-            spans = tracer.span_events()
-            if spans:
-                diagnostics["telemetry_spans"] = spans
-        return SimulationResult(
-            policy_name=policy.name,
-            horizon=self.trace.horizon,
-            total_budget=self.total_budget,
-            records=tuple(records),
-            diagnostics=diagnostics,
-        )
+    def _lane(self, policy, streams, tracer: Optional[Tracer]) -> SlotLane:
+        memory = MemoryAgent(self.physical) if self.physical is not None else None
+        return ProtocolLane(self, policy, streams, memory, tracer)
 
     # ------------------------------------------------------------------ #
     # Protocol scheduling

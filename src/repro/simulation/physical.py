@@ -378,7 +378,7 @@ class PhysicalEngine:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    # Simulator integration (shared by SlottedSimulator / MultiUserSimulator)
+    # Simulator integration (the slotted lane of the per-slot pipeline)
     # ------------------------------------------------------------------ #
     def realize_decision(
         self,
@@ -407,12 +407,6 @@ class PhysicalEngine:
         fidelities = list(outcome.fidelities) + [0.0] * num_unserved
         fidelity_ok = list(outcome.fidelity_ok) + [False] * num_unserved
         return delivered, fidelities, fidelity_ok
-
-    def merge_diagnostics(self, diagnostics: Mapping[str, object]) -> Dict[str, object]:
-        """``diagnostics`` plus this engine's stats under the ``"physical"`` key."""
-        merged = dict(diagnostics)
-        merged["physical"] = self.stats.to_dict()
-        return merged
 
 
 class ReferencePhysicalEngine(PhysicalEngine):

@@ -102,46 +102,56 @@ class TestMultiUser:
             scenario.validate()
 
     @pytest.mark.parametrize(
-        "configure",
+        "configure,family",
         [
-            lambda s: s.with_guard("strict"),
-            lambda s: s.with_telemetry("light"),
-            lambda s: s.with_faults(edge_mtbf=20.0),
+            (lambda s: s.with_guard("strict"), "guard"),
+            (lambda s: s.with_telemetry("light"), "telemetry"),
+            (lambda s: s.with_faults(edge_mtbf=20.0), "fault"),
         ],
         ids=["guard", "telemetry", "faults"],
     )
-    def test_layers_without_multiuser_hooks_rejected(self, configure, monkeypatch):
+    def test_layers_run_on_multiuser_lineups(self, configure, family, monkeypatch):
         monkeypatch.delenv("REPRO_GUARD", raising=False)
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         scenario = configure(
             api.Scenario.tiny().with_user("a").with_user("b", "myopic-fixed")
         )
-        with pytest.raises(ValueError, match="unsupported combination"):
-            scenario.validate()
+        record = scenario.validate().run()
+        assert getattr(record, f"{family}_stats")() is not None
 
     @pytest.mark.parametrize(
-        "variable,level", [("REPRO_GUARD", "cheap"), ("REPRO_TELEMETRY", "full")]
+        "variable,level,family",
+        [("REPRO_GUARD", "cheap", "guard"), ("REPRO_TELEMETRY", "full", "telemetry")],
+        ids=["REPRO_GUARD-cheap", "REPRO_TELEMETRY-full"],
     )
-    def test_environment_override_rejected(self, variable, level, monkeypatch):
+    def test_environment_override_arms_multiuser_lineups(
+        self, variable, level, family, monkeypatch
+    ):
         monkeypatch.delenv("REPRO_GUARD", raising=False)
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         scenario = api.Scenario.tiny().with_user("a").with_user("b", "myopic-fixed")
-        scenario.validate()
+        assert getattr(scenario.run(), f"{family}_stats")() is None
         monkeypatch.setenv(variable, level)
-        with pytest.raises(ValueError, match="unsupported combination"):
-            scenario.validate()
+        assert getattr(scenario.validate().run(), f"{family}_stats")() is not None
 
     @pytest.mark.parametrize(
-        "configure,variable,level",
+        "configure,variable,level,family",
         [
-            (lambda s: s.with_guard("strict"), None, None),
-            (lambda s: s.with_telemetry("light"), None, None),
-            (lambda s: s, "REPRO_GUARD", "strict"),
-            (lambda s: s, "REPRO_TELEMETRY", "light"),
+            (lambda s: s.with_guard("strict"), None, None, "guard"),
+            (lambda s: s.with_telemetry("light"), None, None, "telemetry"),
+            (lambda s: s, "REPRO_GUARD", "strict", "guard"),
+            (lambda s: s, "REPRO_TELEMETRY", "light", "telemetry"),
         ],
         ids=["guard", "telemetry", "guard-env", "telemetry-env"],
     )
-    def test_trial_execution_rejects_the_same(self, configure, variable, level, monkeypatch):
+    def test_trial_execution_rejects_the_same(
+        self, configure, variable, level, family, monkeypatch
+    ):
+        """Trial execution and ``validate()`` share one combination check.
+
+        With the layer armed, a slotted tenant line-up passes both and runs
+        with the layer; on the event backend both reject it.
+        """
         from repro.api.session import _execute_trial_inner
 
         monkeypatch.delenv("REPRO_GUARD", raising=False)
@@ -151,8 +161,16 @@ class TestMultiUser:
         )
         if variable is not None:
             monkeypatch.setenv(variable, level)
+        results, provider_records = _execute_trial_inner(scenario.validate(), 0)
+        assert list(results) == ["a", "b"] and provider_records
+        # The run-level families ride the first tenant's diagnostics only.
+        assert family in results["a"].diagnostics
+        assert family not in results["b"].diagnostics
+        event = scenario.with_backend("event")
         with pytest.raises(ValueError, match="unsupported combination"):
-            _execute_trial_inner(scenario, 0)
+            event.validate()
+        with pytest.raises(ValueError, match="unsupported combination"):
+            _execute_trial_inner(event, 0)
 
     def test_unknown_workload_kind_rejected(self):
         scenario = api.Scenario.tiny().with_user("lab", workload_kind="bogus")

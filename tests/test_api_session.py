@@ -149,6 +149,35 @@ class TestObservers:
         assert "trial 0 done" in output
 
 
+#: One tiny scenario per driver: slotted, event, multi-user and serving.
+DRIVERS = {
+    "slotted": lambda: api.Scenario.tiny().with_policies("oscar", "mf"),
+    "event": lambda: api.Scenario.tiny().with_policies("oscar", "mf").with_backend(),
+    "multiuser": lambda: api.Scenario.tiny().with_user("a").with_user("b", "mf"),
+    "serving": lambda: api.Scenario.tiny().with_serving(arrival_rate=1.0),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_slot_callback_false_stops_every_driver(driver):
+    scenario = DRIVERS[driver]()
+    calls = []
+
+    def stop(name, record):
+        calls.append(name)
+        return False
+
+    results, provider_records = api.execute_trial(scenario, 0, on_slot=stop)
+    assert scenario.config.horizon > 1
+    for result in results.values():
+        assert [record.t for record in result.records] == [0]
+    if driver == "multiuser":
+        assert calls == ["provider"]
+        assert [record.t for record in provider_records] == [0]
+    else:
+        assert calls == list(results)
+
+
 class TestRunRecord:
     def test_round_trip_through_json_file(self, tmp_path):
         record = api.run_scenario(tiny_scenario(trials=2, horizon=3))

@@ -130,3 +130,22 @@ class TestMultiUserSimulator:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             QDNUser(name="", policy=MyopicFixedPolicy(total_budget=10.0, horizon=5))
+
+
+def test_stamps_follow_the_slot_guard_time():
+    from repro import api
+    from repro.simulation.clock import SlotClock
+
+    single = api.Scenario.tiny().with_policies("oscar").with_backend(
+        "slotted", guard_time=0.01
+    )
+    tenants = single.with_user("a").with_user("b", "myopic-fixed")
+    single_record = single.run()
+    tenants_record = tenants.run()
+    (expected,) = single_record.trials[0].values()
+    stamps = [(r.slot_start_s, r.slot_end_s) for r in expected.records]
+    clock = SlotClock(attempts_per_slot=single.config.attempts_per_slot, guard_time=0.01)
+    assert stamps[1] == (clock.slot_start(1), clock.slot_end(1))
+    for result in tenants_record.trials[0].values():
+        assert [(r.slot_start_s, r.slot_end_s) for r in result.records] == stamps
+    assert tenants_record.wall_time_s() == single_record.wall_time_s()

@@ -98,12 +98,19 @@ class TestFaultInjectedRuns:
         assert aware["requests_interrupted"] == 0
         assert blind["requests_unservable"] == 0
 
-    def test_multiuser_lineup_rejected(self):
-        scenario = fault_scenario().with_users(
-            api.UserSpec(name="tenant", policy="oscar")
-        )
-        with pytest.raises(ValueError, match="unsupported combination"):
-            scenario.run()
+    @pytest.mark.parametrize("aware", [True, False], ids=["aware", "blind"])
+    def test_multiuser_lineup_runs_with_faults(self, aware):
+        single = fault_scenario(aware=aware)
+        tenants = single.with_user("a").with_user("b", "myopic-fixed")
+        stats = tenants.with_guard("strict").run().fault_stats()
+        # One schedule per trial, observed once per slot for all tenants:
+        # the schedule counters equal the single-user run's.
+        expected = single.run().fault_stats()
+        for key in ("slots", "element_slots", "down_element_slots", "edge_failures"):
+            assert stats[key] == expected[key]
+        lost = stats["requests_unservable"] + stats["requests_interrupted"]
+        assert lost > 0
+        assert stats["requests_interrupted" if aware else "requests_unservable"] == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,8 @@
 """Invariant fuzzing: randomized small scenarios must run breach-free.
 
-Fifty seeded random combinations of topology family, policy, backend and
-physical/fault layers execute one trial each under ``guard_level="strict"``.
+Fifty seeded random combinations of topology family, policy, backend,
+physical/fault layers and a two-tenant line-up execute one trial each under
+``guard_level="strict"``.
 Every check pack runs on every slot; any invariant breach raises and fails
 the test.  A couple of the configurations additionally verify that the
 guarded run is byte-identical between serial and parallel execution.
@@ -11,11 +12,13 @@ from __future__ import annotations
 
 import json
 import random
+from typing import Tuple
 
 import pytest
 
 from repro import api
 from repro.experiments.config import ExperimentConfig
+from repro.guard.invariants import merge_guard_stats
 
 FUZZ_CASES = 50
 
@@ -24,7 +27,8 @@ POLICIES = ("oscar", "ma", "mf")
 BACKENDS = ("slotted", "event")
 
 
-def _fuzz_config(seed: int) -> ExperimentConfig:
+def _fuzz_config(seed: int) -> Tuple[ExperimentConfig, bool]:
+    """A random strict-guard config, and whether it runs two tenants."""
     rng = random.Random(seed)
     overrides = {
         "topology_kind": rng.choice(TOPOLOGIES),
@@ -51,34 +55,38 @@ def _fuzz_config(seed: int) -> ExperimentConfig:
         overrides["signaling_latency_s"] = rng.choice([0.0, 1e-4, 5e-4])
     if rng.random() < 0.3:
         overrides["dual_tolerance"] = 0.0
-    return ExperimentConfig.tiny().with_overrides(**overrides)
+    # Drawn last, so the configs above stay what they were.
+    multiuser = overrides["backend"] == "slotted" and rng.random() < 0.3
+    return ExperimentConfig.tiny().with_overrides(**overrides), multiuser
 
 
 def _policy_for(seed: int) -> str:
     return random.Random(seed ^ 0xA5A5).choice(POLICIES)
 
 
+def _fuzz_scenario(seed: int, name: str, trials: int = 1) -> api.Scenario:
+    config, multiuser = _fuzz_config(seed)
+    scenario = api.Scenario.from_config(config.with_overrides(trials=trials), name=name)
+    if multiuser:
+        return scenario.with_user("a", _policy_for(seed)).with_user("b", "mf")
+    return scenario.with_policies(_policy_for(seed))
+
+
 @pytest.mark.parametrize("seed", range(FUZZ_CASES))
 def test_randomized_scenario_runs_breach_free(seed):
-    config = _fuzz_config(seed)
-    scenario = api.Scenario.from_config(
-        config, name=f"fuzz/{seed}"
-    ).with_policies(_policy_for(seed))
+    scenario = _fuzz_scenario(seed, f"fuzz/{seed}")
     results, _ = api.execute_trial(scenario, 0)  # raises InvariantViolation on breach
-    (result,) = results.values()
-    stats = result.diagnostics.get("guard")
+    assert len(results) == (2 if scenario.is_multiuser else 1)
+    stats = merge_guard_stats(result.diagnostics.get("guard") for result in results.values())
     assert stats is not None
     assert stats["breaches"] == 0
-    assert stats["slots"] >= config.horizon
+    assert stats["slots"] >= scenario.config.horizon
     assert stats["checks"] > 0
 
 
 @pytest.mark.parametrize("seed", [3, 17, 29])
 def test_guarded_parallel_matches_serial(seed):
-    config = _fuzz_config(seed).with_overrides(trials=2)
-    scenario = api.Scenario.from_config(
-        config, name=f"fuzz-par/{seed}"
-    ).with_policies(_policy_for(seed))
+    scenario = _fuzz_scenario(seed, f"fuzz-par/{seed}", trials=2)
     serial = api.run_scenario(scenario, workers=1)
     parallel = api.run_scenario(scenario, workers=2)
     serial_trials = json.dumps(serial.to_dict()["trials"], sort_keys=True)

@@ -5,6 +5,12 @@ report of one figure, built exactly as ``repro figure <name> --scale tiny
 --trials 1`` builds it.  fig3 and fig6 are pinned a second time in replay
 mode (``dual_tolerance=0``), the kernel's fixed subgradient schedule.
 
+The tables only pin summaries.  ``slot-pins.json`` pins every driver's
+per-slot output on six tiny one-trial scenarios (:data:`SLOT_PIN_CASES`):
+the sha256 of the serialised trial records and the merged kernel, physical,
+event, serving and fault stats.  They catch per-slot and timestamp changes
+the summaries average away.
+
 To regenerate after an intended change to a figure::
 
     PYTHONPATH=src python tests/test_golden_figures.py
@@ -12,11 +18,14 @@ To regenerate after an intended change to a figure::
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro import api
 from repro.experiments import (
     fig3_time_evolving,
     fig4_distribution,
@@ -68,8 +77,74 @@ def test_figure_tables_match_golden(stem, name, dual_tolerance):
     assert figure_tables(name, dual_tolerance) == expected
 
 
+def _event_faults(aware: bool) -> api.Scenario:
+    return (
+        api.Scenario.tiny()
+        .with_backend("event", latency=0.002)
+        .with_physical(purify_rounds=1)
+        .with_faults(edge_mtbf=20.0, mttr=3.0, aware=aware)
+    )
+
+
+#: Per-slot pins: one tiny one-trial scenario per driver and layer mix.
+SLOT_PIN_CASES = {
+    "slotted-physical": lambda: api.Scenario.tiny().with_physical(),
+    "slotted-blind-faults": lambda: api.Scenario.tiny()
+    .with_physical()
+    .with_faults(edge_mtbf=20.0, mttr=3.0, aware=False),
+    "event-aware-faults": lambda: _event_faults(aware=True),
+    "event-blind-faults": lambda: _event_faults(aware=False),
+    "multiuser-physical": lambda: api.Scenario.tiny()
+    .with_user("a")
+    .with_user("b", "myopic-fixed")
+    .with_physical(),
+    "serving-faults": lambda: api.Scenario.tiny()
+    .with_serving(arrival_rate=1.0)
+    .with_faults(edge_mtbf=20.0, mttr=3.0),
+}
+
+#: Record fields a multi-user pin leaves out: the tenants' slot records
+#: historically left them empty.
+_MULTIUSER_UNPINNED = ("realized_fidelities", "queue_length")
+
+
+def slot_pins(stem: str) -> dict:
+    """The per-slot digest and merged layer stats of pin case ``stem``."""
+    record = SLOT_PIN_CASES[stem]().with_trials(1).run()
+    trials = record.to_dict()["trials"]
+    if record.kind == "multiuser":
+        for trial in trials:
+            for result in trial.values():
+                for entry in result["records"]:
+                    for key in _MULTIUSER_UNPINNED:
+                        entry.pop(key, None)
+    digest = hashlib.sha256(json.dumps(trials, sort_keys=True).encode()).hexdigest()
+    return {
+        "trials_sha256": digest,
+        "kernel": record.kernel_stats(),
+        "physical": record.physical_stats(),
+        "event": record.event_stats(),
+        "serving": record.serving_stats(),
+        "fault": record.fault_stats(),
+    }
+
+
+def _golden_slot_pins() -> dict:
+    return json.loads((GOLDEN_DIR / "slot-pins.json").read_text())
+
+
+@pytest.mark.parametrize("stem", sorted(SLOT_PIN_CASES))
+def test_slot_pins_match_golden(stem, monkeypatch):
+    monkeypatch.delenv("REPRO_GUARD", raising=False)
+    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+    assert slot_pins(stem) == _golden_slot_pins()[stem]
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for stem, name, dual_tolerance in CASES:
         (GOLDEN_DIR / f"{stem}.txt").write_text(figure_tables(name, dual_tolerance))
         print(f"wrote {stem}", file=sys.stderr)
+    pins = {stem: slot_pins(stem) for stem in sorted(SLOT_PIN_CASES)}
+    (GOLDEN_DIR / "slot-pins.json").write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    print("wrote slot-pins", file=sys.stderr)

@@ -110,6 +110,40 @@ class TestByteIdentity:
 
 
 # --------------------------------------------------------------------- #
+# One slot pipeline: every slot-driven driver observes the same stages
+# --------------------------------------------------------------------- #
+PIPELINE_DRIVERS = {
+    "slotted": (lambda s: s.with_policies("oscar"), "link.realize"),
+    "event": (lambda s: s.with_policies("oscar").with_backend(), "event.protocols"),
+    "multiuser": (lambda s: s.with_user("a").with_user("b", "mf"), "link.realize"),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(PIPELINE_DRIVERS))
+def test_every_driver_observes_the_same_stages(driver, monkeypatch):
+    monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
+    configure, realize_span = PIPELINE_DRIVERS[driver]
+    scenario = configure(
+        api.Scenario.tiny()
+        .with_faults(edge_mtbf=20.0, mttr=3.0)
+        .with_physical()
+        .with_telemetry("light")
+    )
+    stats = scenario.run().telemetry_stats()
+    for span in (
+        "workload.candidates",
+        "faults.schedule",
+        "kernel.solve",
+        realize_span,
+        "physical.chain",
+        "records.emit",
+    ):
+        assert stats[f"span.{span}.count"] > 0, span
+    for family in ("physical", "faults"):
+        assert any(key.startswith(f"counter.{family}.") for key in stats), family
+
+
+# --------------------------------------------------------------------- #
 # Persistence: the one diagnostics family that survives JSON
 # --------------------------------------------------------------------- #
 class TestPersistence:
