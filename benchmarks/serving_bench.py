@@ -8,12 +8,13 @@ Two measurements:
   Poisson-draw loop measured in the same process.  The headline number is
   the dimensionless ``relative_throughput`` (serving requests/s over raw
   draws/s), which is stable across machines.
-* **shard identity** — the same run executed on one shard and on four
-  shards with a 5-slot merge window, asserting the per-slot records are
-  byte-identical (the sharded scheduler's standing determinism contract).
+* **merge-window identity** — the same run with admission every slot and
+  once per 5-slot window, asserting the per-slot records are byte-identical
+  (always-admit never reads the stale window state, so the window must not
+  change a value).
 
 Writes the numbers to ``BENCH_serving.json`` (``--output``); with
-``--check BASELINE.json`` it exits non-zero when the shard layouts diverge,
+``--check BASELINE.json`` it exits non-zero when the two windows diverge,
 the full-mode run falls short of the 10⁵-request floor, or a relative
 metric falls below 80 % of the committed baseline's (ratios, not absolute
 times, so the check is stable across machines).
@@ -48,7 +49,7 @@ REGRESSION_FRACTION = 0.8
 REQUEST_FLOOR = 100_000
 
 
-def serving_config(quick: bool, shards: int = 1, merge_every: int = 1) -> ExperimentConfig:
+def serving_config(quick: bool, merge_every: int = 1) -> ExperimentConfig:
     """The benchmark's open-system configuration (fleet scale in full mode)."""
     return ExperimentConfig.small().with_overrides(
         horizon=60 if quick else 400,
@@ -60,7 +61,6 @@ def serving_config(quick: bool, shards: int = 1, merge_every: int = 1) -> Experi
         serving_renew_probability=0.2,
         serving_session_budget=12.0,
         serving_admission="always",
-        serving_shards=shards,
         serving_merge_every=merge_every,
     )
 
@@ -117,18 +117,16 @@ def bench_throughput(quick: bool, repeats: int) -> dict:
     }
 
 
-def bench_shard_identity(quick: bool) -> dict:
-    """Byte-identity of one shard vs four shards with a merge window."""
-    single_s, single = run_serving(serving_config(quick, shards=1))
-    sharded_s, sharded = run_serving(
-        serving_config(quick, shards=4, merge_every=5)
-    )
-    identical = json.dumps(result_to_dict(single), sort_keys=True) == json.dumps(
-        result_to_dict(sharded), sort_keys=True
+def bench_merge_window_identity(quick: bool) -> dict:
+    """Byte-identity of admission every slot vs once per 5-slot window."""
+    every_slot_s, every_slot = run_serving(serving_config(quick, merge_every=1))
+    windowed_s, windowed = run_serving(serving_config(quick, merge_every=5))
+    identical = json.dumps(result_to_dict(every_slot), sort_keys=True) == json.dumps(
+        result_to_dict(windowed), sort_keys=True
     )
     return {
-        "single_shard_s": round(single_s, 4),
-        "four_shards_s": round(sharded_s, 4),
+        "merge_every_1_s": round(every_slot_s, 4),
+        "merge_every_5_s": round(windowed_s, 4),
         "records_identical": identical,
     }
 
@@ -142,7 +140,7 @@ def run_benchmarks(quick: bool) -> dict:
             "python": sys.version.split()[0],
         },
         "throughput": bench_throughput(quick, repeats),
-        "sharding": bench_shard_identity(quick),
+        "merge_window": bench_merge_window_identity(quick),
     }
 
 
@@ -156,9 +154,10 @@ def check_against_baseline(results: dict, baseline: dict) -> list:
             "compare like against like (benchmarks/BENCH_serving_quick.json "
             "is the quick-mode baseline)" % (baseline_quick, results["meta"]["quick"])
         ]
-    if not results["sharding"]["records_identical"]:
+    if not results["merge_window"]["records_identical"]:
         failures.append(
-            "sharding: one-shard and four-shard runs diverged (determinism break)"
+            "merge_window: 1-slot and 5-slot merge windows diverged under "
+            "always-admit (determinism break)"
         )
     if not results["meta"]["quick"]:
         arrived = results["throughput"]["requests_arrived"]
@@ -185,7 +184,7 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None, metavar="PATH",
                         help="write the benchmark JSON to this file")
     parser.add_argument("--check", default=None, metavar="BASELINE",
-                        help="fail on shard divergence, a sub-floor request "
+                        help="fail on merge-window divergence, a sub-floor request "
                              "count, or >20%% relative regression vs this "
                              "baseline JSON")
     arguments = parser.parse_args(argv)

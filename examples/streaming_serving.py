@@ -9,8 +9,9 @@ the Lyapunov virtual-queue backlog.  This script
 
 1. runs an open-door serving scenario and reads the end-to-end metrics
    (sojourn, Jain fairness, sustained requests/s),
-2. shows the sharded scheduler's determinism contract — four shards on
-   two worker processes reproduce the single-shard run byte for byte,
+2. contrasts merge windows: admission once per 5-slot window reproduces
+   the every-slot run byte for byte under always-admit, and changes who
+   gets in under a binding backlog threshold,
 3. compares admission policies under overload, and
 4. sweeps the arrival rate through the ``serving.*`` study axis.
 
@@ -68,10 +69,25 @@ def main() -> None:
     print(f"throughput: {record.requests_per_second():.1f} requests/s over "
           f"{record.wall_time_s():.1f} simulated seconds")
 
-    # 2. Sharding is an execution-layout choice, never a results choice.
-    sharded = base_scenario().with_serving(shards=4, shard_workers=2).run()
-    assert payload(record) == payload(sharded)
-    print("\n4 shards on 2 worker processes: byte-identical to the single-shard run")
+    # 2. The merge window sets how stale admission's view is.  Always-admit
+    #    never reads that view; a binding backlog threshold does.
+    def windowed(admission: str, merge_every: int) -> "api.RunRecord":
+        return (
+            base_scenario()
+            .with_serving(
+                admission=admission, admission_threshold=50.0, merge_every=merge_every
+            )
+            .run()
+        )
+
+    assert payload(windowed("always", 1)) == payload(windowed("always", 5))
+    print("\nalways-admit: a 5-slot merge window is byte-identical to every slot")
+    for merge_every in (1, 5):
+        s = windowed("backlog-threshold", merge_every).serving_stats()
+        print(f"  backlog-threshold, merge_every={merge_every}: "
+              f"admitted {int(s['sessions_admitted']):3d} "
+              f"rejected {int(s['sessions_rejected']):3d} "
+              f"served {int(s['requests_served']):4d}")
 
     # 3. Admission policies under overload.
     print("\nAdmission under overload (arrival_rate=4):")

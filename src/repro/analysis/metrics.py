@@ -48,6 +48,13 @@ def jain_fairness_index(values: Sequence[float]) -> float:
     return total_square / square_total
 
 
+def result_fairness(result: SimulationResult) -> float:
+    """Jain's index over a run's per-request success probabilities (unserved
+    = 0); a run without requests is trivially fair, as all-zero input is."""
+    values = result.all_success_probabilities(include_unserved=True)
+    return jain_fairness_index(values) if values else 1.0
+
+
 def success_rate_histogram(
     probabilities: Sequence[float],
     bins: int = 10,
@@ -89,9 +96,7 @@ def compare_summaries(
     comparison: Dict[str, Dict[str, float]] = {}
     for name, result in results.items():
         summary = result.summary()
-        summary["fairness"] = jain_fairness_index(
-            result.all_success_probabilities(include_unserved=True)
-        ) if result.records else 1.0
+        summary["fairness"] = result_fairness(result)
         comparison[name] = summary
     return comparison
 

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.api.registry import PolicyRegistry, default_registry
 from repro.core.multiuser import QDNUser
 from repro.core.policy import RoutingPolicy
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import REMOVED_SERVING_LAYOUT, ExperimentConfig
 from repro.workload.requests import (
     DiurnalRequestProcess,
     HotspotRequestProcess,
@@ -86,8 +86,7 @@ SERVING_FIELDS = frozenset(
         "serving_session_lifetime", "serving_renew_probability",
         "serving_session_budget", "serving_admission",
         "serving_admission_threshold", "serving_token_rate",
-        "serving_token_burst", "serving_shards", "serving_merge_every",
-        "serving_shard_workers", "serving_shard_timeout_s",
+        "serving_token_burst", "serving_merge_every",
         "serving_min_availability",
     }
 )
@@ -460,7 +459,7 @@ class Scenario:
 
             scenario.with_serving(
                 arrival_rate=2.0, session_lifetime=40,
-                admission="token-bucket", shards=4, merge_every=5,
+                admission="token-bucket", merge_every=5,
             )
 
         ``arrival_kind`` selects ``"poisson"`` joins at ``arrival_rate``
@@ -469,15 +468,18 @@ class Scenario:
         a geometric lifetime of mean ``session_lifetime`` slots and renews
         with ``renew_probability``.  ``admission`` names the gate policy
         (``always``, ``backlog-threshold`` with ``admission_threshold``,
-        ``token-bucket`` with ``token_rate``/``token_burst``).  ``shards``,
-        ``merge_every`` and ``shard_workers`` configure the sharded
-        scheduler — results are byte-identical for any shard layout under a
-        fixed seed.  ``with_serving(False)`` switches the layer back off.
+        ``token-bucket`` with ``token_rate``/``token_burst``).  Admission
+        runs once per window of ``merge_every`` slots against the state at
+        the window start.  The layout keywords of earlier releases
+        (:data:`~repro.experiments.config.REMOVED_SERVING_LAYOUT`, with or
+        without the prefix) are accepted and ignored, as in saved
+        configurations.  ``with_serving(False)`` switches the layer back off.
         """
         mapped: Dict[str, object] = {"serving_enabled": bool(enabled)}
         for key, value in overrides.items():
             name = key if key.startswith("serving_") else f"serving_{key}"
-            mapped[name] = value
+            if name not in REMOVED_SERVING_LAYOUT:
+                mapped[name] = value
         return self._with_fields(SERVING_FIELDS, "with_serving", mapped)
 
     def with_faults(self, enabled: bool = True, **overrides) -> "Scenario":

@@ -263,8 +263,7 @@ def _unit_count(scenario: Scenario) -> Optional[int]:
 
     Multi-user trials cannot be split — the tenants interact through the
     shared provider — so they run as a single unit.  Serving trials likewise:
-    the scheduler owns its own sharding, and the whole open system shares
-    one admission queue.
+    the whole open system shares one admission queue.
     """
     if scenario.is_multiuser or scenario.is_serving:
         return None

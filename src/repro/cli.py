@@ -29,8 +29,8 @@ writing any Python (all built on the :mod:`repro.api` facade):
   makes the sweep resumable, ``--json`` prints the StudyResult payload.
 * ``python -m repro serve --scale tiny --arrival-rate 1.0`` — run the
   open-system serving layer (streaming session arrivals, online admission,
-  sharded scheduling) and print the serving metrics table; ``--shards`` and
-  ``--shard-workers`` change only the execution layout, never the results.
+  a columnar session table) and print the serving metrics table;
+  ``--merge-every`` sets how many slots admission's view may lag.
 * ``python -m repro policies`` — list the policy registry.
 * ``python -m repro trace run.json -o trace.json`` — export a saved run or
   study's span events (recorded with ``--telemetry full``) as a Chrome
@@ -424,8 +424,7 @@ def _metrics_flush_env(arguments: argparse.Namespace) -> Iterator[None]:
     """Arm the periodic JSONL metrics flush for the duration of a run.
 
     ``--metrics-out X --metrics-every N`` makes every tracer (including the
-    ones inside serving-shard and trial workers, which inherit the
-    environment) append a snapshot line to ``X.jsonl`` every N merged
+    ones inside trial workers, which inherit the environment) append a snapshot line to ``X.jsonl`` every N merged
     slots.  The variables are restored afterwards so nothing leaks into
     subsequent in-process runs.
     """
@@ -616,14 +615,12 @@ _SERVING_FLAG_FIELDS = {
     "admission_threshold": "serving_admission_threshold",
     "token_rate": "serving_token_rate",
     "token_burst": "serving_token_burst",
-    "shards": "serving_shards",
     "merge_every": "serving_merge_every",
-    "shard_workers": "serving_shard_workers",
 }
 
 
 def _format_serving_report(record) -> str:
-    """The serving metrics table (deterministic — used by the CI shard check)."""
+    """The serving metrics table (deterministic — CI diffs it across layouts)."""
     from repro.serving.scheduler import (
         jain_fairness,
         mean_sojourn_slots,
@@ -1016,12 +1013,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="token-bucket refill per slot")
     serve.add_argument("--token-burst", type=float, default=None, dest="token_burst",
                        help="token-bucket capacity")
-    serve.add_argument("--shards", type=int, default=None,
-                       help="scheduler shards (results identical for any value)")
     serve.add_argument("--merge-every", type=int, default=None, dest="merge_every",
-                       help="slots between shard state merges")
-    serve.add_argument("--shard-workers", type=int, default=None, dest="shard_workers",
-                       help="worker processes advancing shards (1 = in-process)")
+                       help="slots per admission window (admission sees the "
+                            "state at the window start)")
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes for trial execution (default: 1)")
     serve.add_argument("--progress", action="store_true",

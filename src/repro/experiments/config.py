@@ -67,6 +67,13 @@ _REMOVED_SOLVER_SWITCHES = {
     "kernel_cache": "the recompile-per-slot kernel",
 }
 
+#: Serving knobs of earlier releases that chose only the scheduler's
+#: execution layout (shards and shard worker processes).  No result ever
+#: depended on them, so they are dropped at any value.
+REMOVED_SERVING_LAYOUT = frozenset(
+    {"serving_shards", "serving_shard_workers", "serving_shard_timeout_s"}
+)
+
 
 @contextmanager
 def _config_errors() -> Iterator[None]:
@@ -167,11 +174,9 @@ class ExperimentConfig:
     # ``serving_session_rate`` EC requests/slot for a geometric lifetime of
     # mean ``serving_session_lifetime`` slots (renewing with probability
     # ``serving_renew_probability``).  Joins are gated by the
-    # ``serving_admission`` policy (see repro.serving.admission); active
-    # sessions are partitioned over ``serving_shards`` consistent-hash shards
-    # whose state merges every ``serving_merge_every`` slots, optionally on
-    # ``serving_shard_workers`` worker processes — byte-identical for any
-    # shard layout under a fixed seed.
+    # ``serving_admission`` policy (see repro.serving.admission), which runs
+    # once per window of ``serving_merge_every`` slots against the state at
+    # the window start; the session table then advances the window's slots.
     serving_enabled: bool = False
     serving_arrival_kind: str = "poisson"
     serving_arrival_rate: float = 0.5
@@ -184,10 +189,7 @@ class ExperimentConfig:
     serving_admission_threshold: float = 200.0
     serving_token_rate: float = 1.0
     serving_token_burst: float = 4.0
-    serving_shards: int = 1
     serving_merge_every: int = 1
-    serving_shard_workers: int = 1
-    serving_shard_timeout_s: float = 300.0
     serving_min_availability: float = 0.9
 
     # --- fault injection (repro.faults) ------------------------------------ #
@@ -320,7 +322,7 @@ class ExperimentConfig:
         with _config_errors():
             if self.serving_enabled:
                 # Building the model validates every serving field (arrival
-                # kind, admission name, shard/merge counts) in one place.
+                # kind, admission name, merge window) in one place.
                 self.serving_model()
             if self.fault_enabled:
                 # Likewise: building the fault model validates the fault
@@ -380,9 +382,12 @@ class ExperimentConfig:
         stores, crash bundles).  Payloads saved before the solver switches
         were removed carry them: a true switch names the path every run now
         takes and is dropped; a false one asked for a removed solver path
-        and raises :class:`ConfigError`.
+        and raises :class:`ConfigError`.  The removed serving layout knobs
+        (:data:`REMOVED_SERVING_LAYOUT`) are dropped at any value.
         """
         fields = dict(payload)
+        for name in REMOVED_SERVING_LAYOUT:
+            fields.pop(name, None)
         for name, removed in _REMOVED_SOLVER_SWITCHES.items():
             if name in fields and not fields.pop(name):
                 raise ConfigError(
@@ -541,10 +546,7 @@ class ExperimentConfig:
             admission_threshold=self.serving_admission_threshold,
             token_rate=self.serving_token_rate,
             token_burst=self.serving_token_burst,
-            shards=self.serving_shards,
             merge_every=self.serving_merge_every,
-            shard_workers=self.serving_shard_workers,
-            shard_timeout_s=self.serving_shard_timeout_s,
             min_availability=self.serving_min_availability,
         )
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.metrics import jain_fairness_index
+from repro.analysis.metrics import result_fairness
 from repro.analysis.stats import TrialAggregate, aggregate_scalar, aggregate_series
 from repro.core.policy import RoutingPolicy
 from repro.experiments.config import ExperimentConfig
@@ -102,9 +102,7 @@ class ComparisonResult:
             "budget_utilisation": lambda r: r.budget_utilisation,
             "budget_violation": lambda r: r.budget_violation,
             "served_fraction": lambda r: r.served_fraction(),
-            "fairness": lambda r: jain_fairness_index(
-                r.all_success_probabilities(include_unserved=True)
-            ),
+            "fairness": result_fairness,
         }
         physical_metrics: Dict[str, Callable[[SimulationResult], float]] = {
             "delivered_success_rate": lambda r: r.delivered_success_rate(),

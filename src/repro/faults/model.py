@@ -187,7 +187,7 @@ class FaultSchedule:
     Built once (from the model, the graph, a dedicated seed and the run
     horizon) before the simulation starts; the simulators then only *read*
     it, so schedules are byte-identical across serial/parallel execution
-    and across worker/shard layouts.
+    and across worker layouts.
     """
 
     def __init__(

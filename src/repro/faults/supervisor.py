@@ -1,7 +1,7 @@
 """Supervised process pools: detect dead workers, retry with backoff.
 
-Every parallel layer of the repository (Session trials, the Study work
-queue, serving shards) used to submit work to a bare
+Every parallel layer of the repository (Session trials and the Study
+work queue) used to submit work to a bare
 ``ProcessPoolExecutor``: one OOM-killed or segfaulted worker poisoned the
 pool and the whole run died with ``BrokenProcessPool``; a *hung* worker
 was even worse — ``future.result()`` blocked forever.

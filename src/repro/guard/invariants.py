@@ -578,11 +578,14 @@ class InvariantGuard:
     def check_serving_slot(
         self,
         t: int,
-        entries,
+        table,
+        realized: int,
         merged_backlog: int,
         queue_length: float,
     ) -> None:
-        """Serving pack per merge slot: shard entries sum to the merged state."""
+        """Serving pack per slot, read off the columns of the
+        :class:`~repro.serving.scheduler.SessionTable` after its step of
+        ``t``; ``realized`` and ``merged_backlog`` are the slot's reports."""
         self._count("serving")
         if math.isnan(queue_length) or queue_length < 0.0:
             self._breach(
@@ -591,32 +594,43 @@ class InvariantGuard:
                 f"serving virtual queue is {queue_length}",
                 slot=t,
             )
-        recomputed = sum(entry.backlog for entry in entries)
+        recomputed = int(table.backlog.sum())
         if recomputed != merged_backlog:
             self._breach(
                 "serving-backlog-merge",
                 "serving",
-                f"merged backlog {merged_backlog} != per-shard sum {recomputed}",
+                f"reported backlog {merged_backlog} != per-session sum {recomputed}",
                 slot=t,
             )
         if self.strict:
             self._count("serving")
-            for entry in entries:
-                if len(entry.realized) != entry.served:
-                    self._breach(
-                        "serving-realization-shape",
-                        "serving",
-                        f"session {entry.session_id} served {entry.served} but "
-                        f"realized {len(entry.realized)} request(s)",
-                        slot=t,
-                    )
-                if entry.served < 0 or entry.backlog < 0:
-                    self._breach(
-                        "serving-entry-range",
-                        "serving",
-                        f"session {entry.session_id} has negative accounting",
-                        slot=t,
-                    )
+            served = table.served
+            if int(served.sum()) != realized:
+                self._breach(
+                    "serving-realization-shape",
+                    "serving",
+                    f"sessions served {int(served.sum())} request(s) but "
+                    f"{realized} were realized",
+                    slot=t,
+                )
+            bad = (served < 0) | (served > table.capacity) | (table.backlog < 0)
+            if bad.any():
+                self._breach(
+                    "serving-entry-range",
+                    "serving",
+                    f"session(s) {table.ids[bad].tolist()} served outside "
+                    "[0, capacity] or hold a negative backlog",
+                    slot=t,
+                )
+            mismatched = table.queued() != table.backlog
+            if mismatched.any() or int(table.queue[2].sum()) != recomputed:
+                self._breach(
+                    "serving-queue-batches",
+                    "serving",
+                    f"queued batches do not sum to the backlog column (sessions "
+                    f"{table.ids[mismatched].tolist()})",
+                    slot=t,
+                )
 
     def check_serving_totals(self, counters: Mapping[str, float]) -> None:
         """Serving pack at run end: session and request accounting closes."""

@@ -1,4 +1,4 @@
-"""The open-system serving layer: streaming arrivals, admission, sharding.
+"""The open-system serving layer: streaming arrivals, admission, a session table.
 
 Batch runs solve a fixed request set over a fixed horizon; this package
 turns the same simulators into a long-lived service.  Three pieces:
@@ -9,9 +9,10 @@ turns the same simulators into a long-lived service.  Three pieces:
 * :mod:`repro.serving.admission` — pluggable admission policies gating
   joins on the Lyapunov virtual-queue backlog (always-admit,
   backlog-threshold, token-bucket, availability-gate), registered by name.
-* :mod:`repro.serving.scheduler` — the sharded session scheduler:
-  consistent-hash partitioning, periodic state merge, optional process-pool
-  shard workers, byte-identical for any shard layout under a fixed seed.
+* :mod:`repro.serving.scheduler` — the session scheduler: every active
+  session is a row of a columnar session table advanced one slot at a time,
+  with admission run once per merge window; each session keeps its own
+  random stream.
 
 Enable it on any scenario with ``Scenario.with_serving(...)`` or run
 ``python -m repro serve``.
@@ -45,7 +46,6 @@ from repro.serving.scheduler import (
     mean_sojourn_slots,
     merge_serving_stats,
     serving_requests_per_second,
-    shard_for_session,
 )
 
 __all__ = [
@@ -72,5 +72,4 @@ __all__ = [
     "merge_serving_stats",
     "register_admission_policy",
     "serving_requests_per_second",
-    "shard_for_session",
 ]

@@ -31,13 +31,13 @@ AdmissionFactory = Callable[..., "AdmissionPolicy"]
 class AdmissionState:
     """What an admission policy observes when a session asks to join.
 
-    ``backlog`` is the Lyapunov virtual-queue length (the budget deficit) as
-    of the scheduler's last state merge; ``pending_requests`` the total
-    request backlog across shards at that merge; ``active_sessions`` the
-    sessions currently admitted and not yet departed.  With a merge period
-    of ``k`` slots the signals are up to ``k−1`` slots stale — admission
-    sees the network the way a periodically-synchronised control plane
-    would, not with shard-local omniscience.
+    ``backlog`` is the Lyapunov virtual-queue length (the budget deficit) at
+    the start of the scheduler's merge window; ``pending_requests`` the
+    total request backlog of the session table then; ``active_sessions``
+    the sessions currently admitted and not yet departed.  With a merge
+    window of ``k`` slots the first two signals are up to ``k−1`` slots
+    stale — admission sees the network the way a periodically-synchronised
+    control plane would.
 
     ``availability`` is the fraction of network elements (nodes + edges)
     currently up, ``1.0`` when no fault schedule is attached — the signal

@@ -4,16 +4,14 @@ A serving run replaces the fixed per-slot request sets of the batch
 simulators with *sessions*: users that join the network mid-run, issue EC
 requests at their own rate for the duration of their lifetime, optionally
 renew, and depart.  An :class:`ArrivalProcess` generates the joins; each
-join is a frozen :class:`SessionSpec` carrying everything a scheduler shard
+join is a frozen :class:`SessionSpec` carrying everything the scheduler
 needs to replay the session deterministically — including the session's own
 seed, derived as ``derive_seed(base_seed, "session", session_id)``.
 
 Determinism contract: the arrival stream itself draws only from one
 generator seeded with ``derive_seed(base_seed, "arrivals")``, and every
-session's private stream is a pure function of its id.  Sessions can
-therefore be partitioned across shards (or processes) in any grouping
-without changing a single draw — the invariant behind the sharded
-scheduler's byte-identity guarantee.
+session's private stream is a pure function of its id, so no session's
+draws depend on which other sessions are active.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ class SessionSpec:
     ``seed`` is the session's private stream seed; every draw the session
     makes (request counts, request realisations, renewals) comes from a
     generator built from it, so the session's whole trajectory is a pure
-    function of this spec regardless of which shard or process serves it.
+    function of this spec and of its route's outages.
     """
 
     session_id: int

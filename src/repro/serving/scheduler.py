@@ -1,23 +1,20 @@
-"""The sharded session scheduler: the serving layer's long-lived service loop.
+"""The session scheduler: the serving layer's long-lived service loop.
 
-Active sessions are partitioned across shards by a consistent hash of the
-session id (:func:`repro.utils.rng.hash_string`, process-independent), each
-shard advances its sessions independently over one *merge window* of slots,
-and the scheduler merges the shard reports at window boundaries — updating
-the Lyapunov virtual queue, the global backlog and the serving statistics
-the admission controller observes.  With ``shard_workers > 1`` the window
-advances run in a process pool (the PR 2 work-queue pattern applied to a
-service loop instead of a batch sweep).
+The active sessions are the rows of one :class:`SessionTable`, numpy
+columns in session-id order, advanced one slot at a time with array
+operations.  Admission runs once per *merge window* of ``merge_every``
+slots against the state at the window start, so its signals are up to
+``merge_every − 1`` slots stale, like any periodically synchronised
+control plane; when a policy that reads that state binds, the window
+changes who gets in.
 
-**Byte-identity invariant.**  A session's whole trajectory is a pure
-function of its :class:`~repro.serving.arrivals.SessionSpec` — its private
-seed drives request counts, realisations and renewals; its route (and hence
-per-request cost/success probability) is resolved centrally at admission
-time.  Shards only *group* this work, and the merge aggregates per-slot
-entries in canonical session-id order, so the produced
-:class:`~repro.simulation.results.SimulationResult` is byte-identical for
-any shard count and for serial vs. process-pool execution under a fixed
-seed.  ``tests/test_serving_scheduler.py`` pins this invariant.
+Each session keeps its own generator, seeded from its
+:class:`~repro.serving.arrivals.SessionSpec`, and draws in a fixed order
+each slot: the request count (a Poisson draw, when its rate is positive),
+one uniform per served request, and one renewal uniform at expiry.  Its
+route, and with it the per-request cost and success probability, is
+resolved centrally at admission.  Slot totals add the rows in session-id
+order, floats included.
 
 Per-request service model: a served request consumes the session route's
 ``hops + 1`` qubits (one per node along the path) and succeeds with the
@@ -28,13 +25,13 @@ simulated requests (``benchmarks/serving_bench.py``).
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.virtual_queue import VirtualQueue
 from repro.faults.model import FaultSchedule
-from repro.faults.supervisor import PoolSupervisor
 from repro.network.graph import QDNGraph
 from repro.network.routes import build_candidate_routes
 from repro.serving.admission import (
@@ -48,7 +45,7 @@ from repro.simulation.clock import SlotClock
 from repro.simulation.pipeline import RunEnvelope
 from repro.simulation.results import SimulationResult, SlotRecord
 from repro.telemetry.tracer import TelemetryModel, maybe_span
-from repro.utils.rng import SeedLike, as_generator, derive_seed, hash_string
+from repro.utils.rng import SeedLike, as_generator, derive_seed
 from repro.utils.validation import check_non_negative, check_positive
 
 #: The line-up key every serving run's result is stored under.
@@ -70,10 +67,7 @@ class ServingModel:
     admission_threshold: float = 200.0
     token_rate: float = 1.0
     token_burst: float = 4.0
-    shards: int = 1
     merge_every: int = 1
-    shard_workers: int = 1
-    shard_timeout_s: float = 300.0
     min_availability: float = 0.9
 
     def __post_init__(self) -> None:
@@ -81,10 +75,7 @@ class ServingModel:
         check_non_negative(self.session_rate, "session_rate")
         check_positive(self.session_lifetime, "session_lifetime")
         check_non_negative(self.session_budget, "session_budget")
-        check_positive(self.shards, "shards")
         check_positive(self.merge_every, "merge_every")
-        check_positive(self.shard_workers, "shard_workers")
-        check_positive(self.shard_timeout_s, "shard_timeout_s")
         if not 0.0 <= self.min_availability <= 1.0:
             raise ValueError(
                 f"min_availability must be in [0, 1], got {self.min_availability}"
@@ -116,185 +107,231 @@ class ServingModel:
         return make_admission_policy(canonical, **parameters)
 
 
-class _SlotEntry(NamedTuple):
-    """One session's activity in one slot (a shard's unit of report)."""
+#: The elements a session's route occupies: (nodes, edge keys).  A slot's
+#: failed elements cut the route when they intersect either set.
+RouteElements = Tuple[FrozenSet, FrozenSet]
 
-    session_id: int
+#: One admitted join: the spec plus its centrally resolved route economics
+#: (per-request qubit cost, per-request success probability, requests
+#: servable per slot under the session budget) and its route id.
+AdmittedJoin = Tuple[SessionSpec, int, float, int, int]
+
+
+class SlotOutcome(NamedTuple):
+    """One slot of the whole table, summed over the sessions."""
+
     arrived: int
     served: int
     cost: int
-    prob: float
+    utility: float
+    success_probabilities: Tuple[float, ...]
     realized: Tuple[bool, ...]
     sojourn: int
     dropped: int
-    backlog: int
-    departed: bool
-    renewed: bool
+    departed: int
+    renewed: int
     interrupted: int
+    backlog: int
 
 
-#: The elements a session's route occupies: (nodes, edge keys).  A shard
-#: intersects these with the slot's down elements to decide whether the
-#: session can be served at all.
-RouteElements = Tuple[FrozenSet, FrozenSet]
-
-#: A slot's failed elements as shipped to shards: (down nodes, down edges).
-DownElements = Tuple[FrozenSet, FrozenSet]
-
-#: One admitted join shipped to a shard: the spec plus its centrally
-#: resolved route economics (per-request qubit cost, per-request success
-#: probability, requests servable per slot under the session budget) and
-#: the elements its route occupies.
-AdmittedJoin = Tuple[SessionSpec, int, float, int, RouteElements]
+#: The per-session columns of a :class:`SessionTable` and their dtypes.
+_COLUMNS = {
+    "ids": np.int64, "rate": float, "capacity": np.int64, "cost": np.int64,
+    "prob": float, "route": np.int64, "expires": np.int64, "lifetime": np.int64,
+    "renew": float, "backlog": np.int64, "served_total": np.int64,
+    "rngs": object, "prob_objects": object,
+}
 
 
-class _ServingSession:
-    """Runtime state of one active session inside a shard (picklable)."""
+class SessionTable:
+    """The active sessions as numpy columns, one row each in session-id order.
 
-    __slots__ = (
-        "spec", "rng", "queue", "expires_at", "cost", "prob", "capacity",
-        "elements",
-    )
+    Columns: ``ids``; ``rate``, the mean requests per slot; ``capacity``,
+    the requests servable per slot under the session budget; ``cost`` and
+    ``prob``, the per-request qubits and success probability; ``route``,
+    the route id; ``expires``, the slot the current lifetime ends;
+    ``lifetime``; ``renew``, the renewal probability; ``backlog``, the
+    queued requests; ``served_total``.  Two object columns hold each
+    session's generator (``rngs``) and the one Python float of its success
+    probability (``prob_objects``), which every served request's record
+    entry shares.
 
-    def __init__(
-        self,
-        spec: SessionSpec,
-        cost: int,
-        prob: float,
-        capacity: int,
-        elements: RouteElements = (frozenset(), frozenset()),
-    ):
-        self.spec = spec
-        self.rng = as_generator(spec.seed)
-        self.queue: deque = deque()
-        self.expires_at = spec.joined_slot + spec.lifetime
-        self.cost = cost
-        self.prob = prob
-        self.capacity = capacity
-        self.elements = elements
+    ``queue`` holds the FIFO backlog as arrival batches, one column each
+    with the rows (session id, arrival slot, count), sorted by session and
+    then arrival slot.
 
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+    After a :meth:`step`, ``served`` holds each row's service in that slot
+    and ``departed`` marks the rows that left; those rows stay (with an
+    empty backlog) until the next step, so the slot's columns can be read.
+    """
 
-    def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
+    def __init__(self):
+        self._set_rows(self._rows(()))
+        self.queue = np.zeros((3, 0), dtype=np.int64)
+        self.served = np.zeros(0, dtype=np.int64)
+        self.departed = np.zeros(0, dtype=bool)
+        #: Σ served² over the sessions already dropped from the table.
+        self.retired_served_sq = 0
 
-    def blocked_by(self, down: Optional[DownElements]) -> bool:
-        """Whether a slot's failed elements cut this session's route."""
-        if down is None:
-            return False
-        nodes, edges = self.elements
-        return bool(nodes & down[0]) or bool(edges & down[1])
+    @staticmethod
+    def _rows(joins: Sequence[AdmittedJoin]) -> Dict[str, np.ndarray]:
+        """The columns of freshly admitted sessions."""
+        rows = [
+            (spec.session_id, spec.request_rate, capacity, cost, prob, route,
+             spec.joined_slot + spec.lifetime, spec.lifetime, spec.renew_probability,
+             0, 0, as_generator(spec.seed), prob)
+            for spec, cost, prob, capacity, route in joins
+        ]
+        columns = zip(*rows) if rows else [()] * len(_COLUMNS)
+        return {
+            name: np.array(values, dtype=dtype)
+            for (name, dtype), values in zip(_COLUMNS.items(), columns)
+        }
 
-    def advance(self, t: int, down: Optional[DownElements] = None) -> _SlotEntry:
-        """One slot of this session: arrivals, service, expiry/renewal.
+    def _set_rows(self, rows: Mapping[str, np.ndarray]) -> None:
+        for name in _COLUMNS:
+            setattr(self, name, rows[name])
 
-        The draw order (request count, then one batch for realisations when
-        anything was served, then at most one renewal draw) is fixed, so the
-        session's stream is consumed identically on every shard layout.
-        A slot whose failed elements (``down``) cut the session's route
-        serves nothing — the would-be service count is reported as
-        ``interrupted`` and the requests stay queued until repair.
+    def served_sq(self) -> int:
+        """Σ served² over every session the table has held."""
+        totals = self.served_total
+        return self.retired_served_sq + int(np.dot(totals, totals))
+
+    def queued(self) -> np.ndarray:
+        """Requests in each row's queued batches (equal to ``backlog``).
+
+        A batch whose session id has no row counts nowhere.
         """
-        spec = self.spec
-        arrived = int(self.rng.poisson(spec.request_rate)) if spec.request_rate > 0 else 0
-        for _ in range(arrived):
-            self.queue.append(t)
+        ids, _, counts = self.queue
+        rows = np.searchsorted(self.ids, ids)
+        known = rows < len(self.ids)
+        known[known] = self.ids[rows[known]] == ids[known]
+        totals = np.bincount(rows[known], weights=counts[known], minlength=len(self.ids))
+        return totals.astype(np.int64)
+
+    def step(
+        self,
+        t: int,
+        joins: Sequence[AdmittedJoin] = (),
+        cut: Optional[np.ndarray] = None,
+    ) -> SlotOutcome:
+        """Advance every session over slot ``t``.
+
+        First drops the rows that departed in the previous step, then
+        appends ``joins``, the sessions admitted at ``t`` (their ids exceed
+        every active one; they request from the slot they join).  ``cut``
+        holds, per route id, whether the slot's failed elements cut that
+        route.  A cut session serves nothing: its would-be service counts
+        as interrupted and its requests stay queued until repair.
+        """
+        self._drop_departed()
+        if joins:
+            new = self._rows(joins)
+            self._set_rows(
+                {name: np.concatenate((getattr(self, name), new[name])) for name in _COLUMNS}
+            )
+        rngs = self.rngs
+        # 1. Request arrivals: one Poisson draw per session with a positive rate.
+        arrived = np.array(
+            [
+                rng.poisson(rate) if rate > 0 else 0
+                for rng, rate in zip(rngs.tolist(), self.rate.tolist())
+            ],
+            dtype=np.int64,
+        )
+        queued = self.backlog
+        served = np.minimum(queued + arrived, self.capacity)
         interrupted = 0
-        if self.blocked_by(down):
-            interrupted = min(len(self.queue), self.capacity)
-            served = 0
-        else:
-            served = min(len(self.queue), self.capacity)
-        sojourn = 0
+        if cut is not None:
+            blocked = cut[self.route]
+            interrupted = int(served[blocked].sum())
+            served[blocked] = 0
+        # FIFO: the queued requests go first, then this slot's arrivals
+        # (sojourn 0); the arrivals left over join the queue.
+        from_queue = np.minimum(queued, served)
+        sojourn = self._dequeue(t, queued, from_queue) if self.queue.size else 0
+        left = arrived - (served - from_queue)
+        if left.any():
+            self._enqueue(t, left)
+        backlog = queued - from_queue + left
+        # 2. Realisations: one uniform per served request.
+        rows = served.nonzero()[0]
+        counts = served[rows]
+        utility = 0.0
+        probabilities: Tuple[float, ...] = ()
         realized: Tuple[bool, ...] = ()
-        if served:
-            sojourn = sum(t - self.queue.popleft() for _ in range(served))
-            draws = self.rng.random(served)
-            realized = tuple(bool(draw < self.prob) for draw in draws)
-        departed = renewed = False
-        dropped = 0
-        if t + 1 >= self.expires_at:
-            if (
-                spec.renew_probability > 0.0
-                and self.rng.random() < spec.renew_probability
-            ):
-                renewed = True
-                self.expires_at += spec.lifetime
-            else:
-                departed = True
-                dropped = len(self.queue)
-                self.queue.clear()
-        return _SlotEntry(
-            session_id=spec.session_id,
-            arrived=arrived,
-            served=served,
-            cost=served * self.cost,
-            prob=self.prob,
+        if rows.size:
+            draws = np.concatenate(
+                [rng.random(k) for rng, k in zip(rngs[rows].tolist(), counts.tolist())]
+            )
+            prob = self.prob[rows]
+            realized = tuple((draws < prob.repeat(counts)).tolist())
+            probabilities = tuple(self.prob_objects[rows].repeat(counts).tolist())
+            # Sequential, in session-id order (np.sum would add pairwise).
+            utility = float((counts * prob).cumsum()[-1])
+        # 3. Expiry: a session whose lifetime ends renews with one draw or departs.
+        departed = self.expires <= t + 1
+        renewed = dropped = 0
+        if departed.any():
+            renewing = (departed & (self.renew > 0.0)).nonzero()[0]
+            uniforms = np.array([rng.random() for rng in rngs[renewing].tolist()])
+            renewing = renewing[uniforms < self.renew[renewing]]
+            self.expires[renewing] += self.lifetime[renewing]
+            departed[renewing] = False
+            renewed = len(renewing)
+            dropped = int(backlog[departed].sum())
+            if dropped:
+                backlog[departed] = 0
+                self.queue = self.queue[:, ~departed[self.ids.searchsorted(self.queue[0])]]
+        self.backlog = backlog
+        self.served = served
+        self.served_total += served
+        self.departed = departed
+        return SlotOutcome(
+            arrived=int(arrived.sum()),
+            served=int(counts.sum()),
+            cost=int(np.dot(served, self.cost)),
+            utility=utility,
+            success_probabilities=probabilities,
             realized=realized,
             sojourn=sojourn,
             dropped=dropped,
-            backlog=len(self.queue),
-            departed=departed,
+            departed=int(departed.sum()),
             renewed=renewed,
             interrupted=interrupted,
+            backlog=int(backlog.sum()),
         )
 
+    def _drop_departed(self) -> None:
+        departed = self.departed
+        if departed.any():
+            gone = self.served_total[departed]
+            self.retired_served_sq += int(np.dot(gone, gone))
+            keep = ~departed
+            self._set_rows({name: getattr(self, name)[keep] for name in _COLUMNS})
 
-@dataclass
-class _Shard:
-    """One partition of the active sessions (state ships across processes)."""
+    def _enqueue(self, t: int, left: np.ndarray) -> None:
+        """Queue each row's ``left`` arrivals of slot ``t`` behind its older ones."""
+        rows = left.nonzero()[0]
+        batches = np.empty((3, len(rows)), dtype=np.int64)
+        batches[0], batches[1], batches[2] = self.ids[rows], t, left[rows]
+        queue = np.concatenate((self.queue, batches), axis=1)
+        self.queue = queue[:, queue[0].argsort(kind="stable")]
 
-    index: int
-    sessions: Dict[int, _ServingSession] = field(default_factory=dict)
+    def _dequeue(self, t: int, queued: np.ndarray, take: np.ndarray) -> int:
+        """Serve each row's ``take`` oldest queued requests; return their sojourn.
 
-    def advance(
-        self,
-        slots: Sequence[int],
-        joins: Mapping[int, List[AdmittedJoin]],
-        down: Optional[Mapping[int, DownElements]] = None,
-    ) -> List[List[_SlotEntry]]:
-        """Advance every session over ``slots``; returns entries per slot.
-
-        ``joins`` maps a slot to the sessions admitted *at* that slot (they
-        start generating requests the slot they join).  ``down`` maps a
-        slot to its failed elements (absent slots are healthy).  Departed
-        sessions are removed from the shard.
+        ``queued`` is each row's queued total, so its exclusive running sum
+        is where the row's batches start in the queue.
         """
-        per_slot: List[List[_SlotEntry]] = []
-        for t in slots:
-            for spec, cost, prob, capacity, elements in joins.get(t, ()):
-                self.sessions[spec.session_id] = _ServingSession(
-                    spec, cost=cost, prob=prob, capacity=capacity, elements=elements
-                )
-            slot_down = down.get(t) if down else None
-            entries: List[_SlotEntry] = []
-            gone: List[int] = []
-            for session_id in sorted(self.sessions):
-                entry = self.sessions[session_id].advance(t, slot_down)
-                entries.append(entry)
-                if entry.departed:
-                    gone.append(session_id)
-            for session_id in gone:
-                del self.sessions[session_id]
-            per_slot.append(entries)
-        return per_slot
-
-
-def _advance_shard_for_pool(
-    shard: _Shard,
-    slots: Sequence[int],
-    joins: Mapping[int, List[AdmittedJoin]],
-    down: Optional[Mapping[int, DownElements]] = None,
-) -> Tuple[_Shard, List[List[_SlotEntry]]]:
-    """Top-level pool target: advance one shard and ship its state back."""
-    return shard, shard.advance(slots, joins, down)
-
-
-def shard_for_session(session_id: int, shards: int) -> int:
-    """Consistent-hash shard assignment (stable across processes and runs)."""
-    return hash_string(f"session-{session_id}") % shards
+        ids, slots, counts = self.queue
+        rows = self.ids.searchsorted(ids)
+        ahead = (counts.cumsum() - counts) - (queued.cumsum() - queued)[rows]
+        taken = np.minimum(np.maximum(take[rows] - ahead, 0), counts)
+        sojourn = int(np.dot(taken, t - slots))
+        counts -= taken
+        self.queue = self.queue[:, counts > 0]
+        return sojourn
 
 
 class ServingSimulator:
@@ -338,6 +375,8 @@ class ServingSimulator:
         )
         self.faults = faults
         self._route_cache: Dict[Tuple, Tuple[int, float, RouteElements]] = {}
+        #: Route elements → route id, in the order routes were first used.
+        self._route_ids: Dict[RouteElements, int] = {}
 
     # ------------------------------------------------------------------ #
     # Route economics (resolved centrally, once per endpoint pair)
@@ -378,6 +417,13 @@ class ServingSimulator:
         self._route_cache[endpoints] = best
         return best
 
+    def _cut_routes(self, state) -> np.ndarray:
+        """Per route id: whether fault ``state``'s failed elements cut it."""
+        nodes, edges = state.down_nodes, state.down_edges
+        return np.array(
+            [bool(n & nodes) or bool(e & edges) for n, e in self._route_ids], dtype=bool
+        )
+
     # ------------------------------------------------------------------ #
     # The service loop
     # ------------------------------------------------------------------ #
@@ -388,9 +434,9 @@ class ServingSimulator:
     ) -> SimulationResult:
         """Execute the serving loop over the horizon.
 
-        ``on_slot`` receives every merged :class:`SlotRecord`; returning
-        ``False`` stops the run after that slot (the result then covers only
-        the slots merged so far).
+        ``on_slot`` receives every :class:`SlotRecord`; returning ``False``
+        stops the run after that slot (the result then covers only the
+        slots advanced so far).
         """
         # The same run envelope as the slot-driven simulators: guard and
         # tracer fresh per run (None when off), plus the fault counters.
@@ -416,7 +462,7 @@ class ServingSimulator:
         queue = VirtualQueue.for_budget(
             self.total_budget, self.horizon, initial_length=self.initial_queue
         )
-        shards = [_Shard(index=index) for index in range(model.shards)]
+        table = SessionTable()
 
         counters: Dict[str, float] = {
             key: 0
@@ -429,171 +475,107 @@ class ServingSimulator:
         }
         cost_spent = 0.0
         sojourn_slots = 0
-        served_by_session: Dict[int, int] = {}
         merged_backlog = 0
         active_sessions = 0
         records: List[SlotRecord] = []
         stopped = False
-
-        # Shard advances run under a supervisor: a dead worker rebuilds the
-        # pool and resubmits the window (shard state only mutates in the
-        # worker's copy, so a resubmission is byte-identical), and the
-        # progress deadline turns a hung worker into a retriable failure.
-        supervisor: Optional[PoolSupervisor] = None
-        workers = min(model.shard_workers, model.shards)
-        if workers > 1:
-            supervisor = PoolSupervisor(
-                max_workers=workers, timeout_s=model.shard_timeout_s
-            )
-        try:
-            for window_start in range(0, self.horizon, model.merge_every):
-                slots = list(
-                    range(window_start, min(window_start + model.merge_every, self.horizon))
-                )
-                joins: List[Dict[int, List[AdmittedJoin]]] = [
-                    {} for _ in range(model.shards)
-                ]
-                # The slot → failed-elements map for this window, computed
-                # centrally once so every shard sees the same outages.
-                down: Optional[Dict[int, DownElements]] = None
-                if self.faults is not None:
-                    down = {}
-                    for t in slots:
-                        fault_state = envelope.fault_state(t)
-                        if fault_state:
-                            down[t] = (fault_state.down_nodes, fault_state.down_edges)
-                # Admission runs centrally against the last merged state —
-                # with a merge period of k the signals are up to k−1 slots
-                # stale, like any periodically-synchronised control plane.
-                with maybe_span(tracer, "serving.admission", slot=window_start):
-                    for t in slots:
-                        admission.on_slot(t)
-                        for spec in arrivals.joins(t):
-                            counters["sessions_arrived"] += 1
-                            state = AdmissionState(
-                                t=t,
-                                backlog=queue.length,
-                                pending_requests=merged_backlog,
-                                active_sessions=active_sessions,
-                                availability=(
-                                    self.faults.availability_at(t)
-                                    if self.faults is not None
-                                    else 1.0
-                                ),
-                            )
-                            if not admission.admit(spec, state):
-                                counters["sessions_rejected"] += 1
-                                continue
-                            counters["sessions_admitted"] += 1
-                            active_sessions += 1
-                            served_by_session[spec.session_id] = 0
-                            cost, prob, elements = self._resolve_route(spec.endpoints)
-                            capacity = (
-                                int(model.session_budget // cost) if cost > 0 else 0
-                            )
-                            shard = shard_for_session(spec.session_id, model.shards)
-                            joins[shard].setdefault(t, []).append(
-                                (spec, cost, prob, capacity, elements)
-                            )
-
-                with maybe_span(tracer, "serving.shards", slot=window_start):
-                    if supervisor is not None:
-                        outcomes = supervisor.run(
-                            _advance_shard_for_pool,
-                            [
-                                (shard, slots, joins[i], down)
-                                for i, shard in enumerate(shards)
-                            ],
-                        )
-                        shards = [shard for shard, _ in outcomes]
-                        reports = [entries for _, entries in outcomes]
-                    else:
-                        reports = [
-                            shard.advance(slots, joins[i], down)
-                            for i, shard in enumerate(shards)
-                        ]
-
-                if tracer is not None:
-                    # The merge lag: how stale each merged slot's signals
-                    # are relative to the window's central admission state.
-                    lag_hist = tracer.metrics.histogram(
-                        "serving.merge_lag_slots", bounds=(0, 1, 2, 4, 8, 16, 32)
-                    )
-                    for offset in range(len(slots)):
-                        lag_hist.observe(offset)
-                # Merge in canonical session-id order: identical aggregation
-                # (including float summation order) for every shard layout.
-                with maybe_span(tracer, "serving.merge", slot=window_start):
-                    for offset, t in enumerate(slots):
-                        if guard is not None:
-                            guard.begin_slot(t)
-                        entries = sorted(
-                            (entry for report in reports for entry in report[offset]),
-                            key=lambda entry: entry.session_id,
-                        )
-                        arrived = sum(entry.arrived for entry in entries)
-                        served = sum(entry.served for entry in entries)
-                        slot_cost = sum(entry.cost for entry in entries)
-                        utility = 0.0
-                        probabilities: List[float] = []
-                        realized: List[bool] = []
-                        for entry in entries:
-                            if entry.served:
-                                utility += entry.served * entry.prob
-                                probabilities.extend([entry.prob] * entry.served)
-                                realized.extend(entry.realized)
-                                served_by_session[entry.session_id] += entry.served
-                            sojourn_slots += entry.sojourn
-                            counters["requests_dropped"] += entry.dropped
-                            counters["sessions_departed"] += entry.departed
-                            counters["sessions_renewed"] += entry.renewed
-                            if fault_stats is not None:
-                                fault_stats.requests_interrupted += entry.interrupted
-                        counters["requests_arrived"] += arrived
-                        counters["requests_served"] += served
-                        counters["requests_realized"] += sum(realized)
-                        cost_spent += slot_cost
-                        active_sessions -= sum(entry.departed for entry in entries)
-                        merged_backlog = sum(entry.backlog for entry in entries)
-                        queue_length = queue.update(float(slot_cost))
-                        if guard is not None:
-                            guard.check_serving_slot(
-                                t, entries, merged_backlog, queue_length
-                            )
-                        record = SlotRecord(
+        for window_start in range(0, self.horizon, model.merge_every):
+            slots = range(window_start, min(window_start + model.merge_every, self.horizon))
+            # The window's fault states, observed once each before admission.
+            down = {}
+            if self.faults is not None:
+                for t in slots:
+                    fault_state = envelope.fault_state(t)
+                    if fault_state:
+                        down[t] = fault_state
+            # Admission for the whole window runs against the state at the
+            # window start; the table then advances the window's slots.
+            joins: Dict[int, List[AdmittedJoin]] = {}
+            with maybe_span(tracer, "serving.admission", slot=window_start):
+                for t in slots:
+                    admission.on_slot(t)
+                    for spec in arrivals.joins(t):
+                        counters["sessions_arrived"] += 1
+                        state = AdmissionState(
                             t=t,
-                            num_requests=arrived,
-                            num_served=served,
-                            cost=slot_cost,
-                            utility=utility,
-                            success_probabilities=tuple(probabilities),
-                            realized_successes=tuple(realized),
-                            queue_length=queue_length,
-                            slot_start_s=self.clock.slot_start(t),
-                            slot_end_s=self.clock.slot_end(t),
+                            backlog=queue.length,
+                            pending_requests=merged_backlog,
+                            active_sessions=active_sessions,
+                            availability=(
+                                self.faults.availability_at(t)
+                                if self.faults is not None
+                                else 1.0
+                            ),
                         )
-                        records.append(record)
-                        if envelope.emit(t, on_slot, record):
-                            stopped = True
-                            break
-                if stopped:
+                        if not admission.admit(spec, state):
+                            counters["sessions_rejected"] += 1
+                            continue
+                        counters["sessions_admitted"] += 1
+                        active_sessions += 1
+                        cost, prob, elements = self._resolve_route(spec.endpoints)
+                        route = self._route_ids.setdefault(elements, len(self._route_ids))
+                        capacity = int(model.session_budget // cost) if cost > 0 else 0
+                        joins.setdefault(t, []).append((spec, cost, prob, capacity, route))
+
+            if tracer is not None:
+                # The merge lag: how stale each slot's admission signals are
+                # relative to the window's central admission state.
+                lag_hist = tracer.metrics.histogram(
+                    "serving.merge_lag_slots", bounds=(0, 1, 2, 4, 8, 16, 32)
+                )
+                for offset in range(len(slots)):
+                    lag_hist.observe(offset)
+            for t in slots:
+                if guard is not None:
+                    guard.begin_slot(t)
+                with maybe_span(tracer, "serving.step", slot=t):
+                    cut = self._cut_routes(down[t]) if t in down else None
+                    outcome = table.step(t, joins.get(t, ()), cut)
+                counters["requests_arrived"] += outcome.arrived
+                counters["requests_served"] += outcome.served
+                counters["requests_realized"] += sum(outcome.realized)
+                counters["requests_dropped"] += outcome.dropped
+                counters["sessions_departed"] += outcome.departed
+                counters["sessions_renewed"] += outcome.renewed
+                if fault_stats is not None:
+                    fault_stats.requests_interrupted += outcome.interrupted
+                sojourn_slots += outcome.sojourn
+                cost_spent += outcome.cost
+                active_sessions -= outcome.departed
+                merged_backlog = outcome.backlog
+                queue_length = queue.update(float(outcome.cost))
+                if guard is not None:
+                    guard.check_serving_slot(
+                        t, table, len(outcome.realized), merged_backlog, queue_length
+                    )
+                record = SlotRecord(
+                    t=t,
+                    num_requests=outcome.arrived,
+                    num_served=outcome.served,
+                    cost=outcome.cost,
+                    utility=outcome.utility,
+                    success_probabilities=outcome.success_probabilities,
+                    realized_successes=outcome.realized,
+                    queue_length=queue_length,
+                    slot_start_s=self.clock.slot_start(t),
+                    slot_end_s=self.clock.slot_end(t),
+                )
+                records.append(record)
+                if envelope.emit(t, on_slot, record):
+                    stopped = True
                     break
-        finally:
-            if supervisor is not None:
-                supervisor.shutdown()
+            if stopped:
+                break
 
         stats = dict(counters)
         stats["requests_backlog"] = merged_backlog
         stats["cost_spent"] = cost_spent
         stats["sojourn_slots"] = sojourn_slots
-        stats["fairness_users"] = len(served_by_session)
-        stats["fairness_served_sq"] = float(
-            sum(count * count for count in served_by_session.values())
-        )
+        # Every admitted session counts, also one the run stopped before it joined.
+        stats["fairness_users"] = counters["sessions_admitted"]
+        stats["fairness_served_sq"] = float(table.served_sq())
         stats["sim_seconds"] = len(records) * self.clock.slot_duration
         stats["slots"] = len(records)
-        if supervisor is not None and supervisor.recoveries:
-            stats["worker_recoveries"] = supervisor.recoveries
         diagnostics: Dict[str, object] = {"serving": stats}
 
         def final_checks(guard) -> None:

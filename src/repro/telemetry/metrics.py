@@ -6,9 +6,8 @@ Each :class:`~repro.telemetry.tracer.Tracer` owns one
 snapshots into a **flat dotted-key mapping** (``counter.<name>``,
 ``gauge.<name>``, ``hist.<name>.le_<bound>`` …) whose values are all
 summable numbers.  That shape is deliberate: it makes cross-worker and
-cross-trial aggregation a plain key-wise sum — the same
-sum-sorted-by-key discipline the serving merge uses — so merged metrics
-are bit-identical for any worker layout (see
+cross-trial aggregation a plain key-wise sum in sorted key order, so
+merged metrics are bit-identical for any worker layout (see
 :func:`repro.telemetry.tracer.merge_telemetry_stats`).
 
 Instruments draw no randomness and never raise out of the hot path; a

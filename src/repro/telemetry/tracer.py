@@ -325,9 +325,9 @@ def merge_telemetry_stats(stats_mappings) -> Optional[Dict[str, float]]:
     """Sum telemetry stat mappings key-wise, iterating keys in sorted order.
 
     The sorted iteration pins the float summation order, so the merged
-    mapping is bit-identical for any worker layout or trial interleaving
-    — the same discipline as the serving shard merge.  ``None`` when no
-    mapping is present (e.g. records loaded from pre-telemetry JSON).
+    mapping is bit-identical for any worker layout or trial interleaving.
+    ``None`` when no mapping is present (e.g. records loaded from
+    pre-telemetry JSON).
     """
     totals: Dict[str, float] = {}
     found = False

@@ -245,16 +245,23 @@ class TestRoundTrip:
 class TestServingScenario:
     def test_with_serving_sets_fields(self):
         scenario = api.Scenario.tiny().with_serving(
-            arrival_rate=1.25, shards=3, admission="token-bucket"
+            arrival_rate=1.25, merge_every=3, admission="token-bucket"
         )
         config = scenario.config
         assert config.serving_enabled is True
         assert config.serving_arrival_rate == 1.25
-        assert config.serving_shards == 3
+        assert config.serving_merge_every == 3
         assert config.serving_admission == "token-bucket"
         assert scenario.is_serving
         assert scenario.kind == "serving"
         assert scenario.lineup_names() == ("serving",)
+
+    def test_removed_layout_keywords_are_ignored(self):
+        plain = api.Scenario.tiny().with_serving(arrival_rate=1.25)
+        legacy = api.Scenario.tiny().with_serving(
+            arrival_rate=1.25, shards=4, shard_workers=2, serving_shard_timeout_s=9.0
+        )
+        assert legacy.config == plain.config
 
     def test_with_serving_false_disables(self):
         scenario = api.Scenario.tiny().with_serving().with_serving(False)

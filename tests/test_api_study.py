@@ -386,7 +386,7 @@ class TestFigureRewire:
 class TestServingStudies:
     def test_serving_axis_short_names_resolve(self):
         assert resolve_config_path("serving.arrival_rate") == "serving_arrival_rate"
-        assert resolve_config_path("serving.serving_shards") == "serving_shards"
+        assert resolve_config_path("serving.serving_merge_every") == "serving_merge_every"
         assert resolve_config_path("serving.admission") == "serving_admission"
 
     def test_serving_axis_rejects_foreign_fields(self):

@@ -178,14 +178,22 @@ class TestServeCommand:
         assert "requests served" in output
         assert "Jain fairness" in output
 
-    def test_shard_layout_does_not_change_stdout(self, capsys):
-        assert main(["serve", "--scale", "tiny", "--trials", "1",
-                     "--arrival-rate", "1.0"]) == 0
-        single = capsys.readouterr().out
-        assert main(["serve", "--scale", "tiny", "--trials", "1",
-                     "--arrival-rate", "1.0", "--shards", "3"]) == 0
-        sharded = capsys.readouterr().out
-        assert single == sharded
+    def test_merge_window_does_not_change_stdout(self, capsys):
+        # Always-admit never reads the stale state, so the window is moot.
+        base = ["serve", "--scale", "tiny", "--trials", "1",
+                "--arrival-rate", "1.0", "--admission", "always"]
+        assert main(base + ["--merge-every", "1"]) == 0
+        every_slot = capsys.readouterr().out
+        assert main(base + ["--merge-every", "5"]) == 0
+        windowed = capsys.readouterr().out
+        assert every_slot == windowed
+
+    @pytest.mark.parametrize("flag", ["--arrival-rate", "--session-rate"])
+    def test_run_without_requests_reports_fair(self, capsys, flag):
+        assert main(["serve", "--scale", "tiny", "--trials", "1", flag, "0"]) == 0
+        output = capsys.readouterr().out
+        assert "requests arrived" in output
+        assert "Jain fairness" in output
 
     def test_health_line_on_stderr(self, capsys):
         assert main(["serve", "--scale", "tiny", "--trials", "1",

@@ -18,9 +18,6 @@ import pytest
 
 from repro import api
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.persistence import result_to_dict
-from repro.serving.scheduler import ServingSimulator
-from repro.utils.rng import derive_seed
 
 
 def fault_scenario(trials=2, aware=True, **overrides):
@@ -129,15 +126,6 @@ def _trial_killing_worker(scenario, trial):
     return session.execute_trial(scenario, trial, on_slot=None)
 
 
-def _shard_killing_worker(shard, slots, joins, down=None):
-    from repro.serving import scheduler
-
-    if not os.path.exists(_KILL_MARKER):
-        open(_KILL_MARKER, "w").close()
-        os._exit(1)
-    return scheduler._original_advance_shard(shard, slots, joins, down)
-
-
 class TestWorkerDeathRecovery:
     def test_session_survives_trial_worker_death(self, tmp_path, monkeypatch):
         global _KILL_MARKER
@@ -153,50 +141,6 @@ class TestWorkerDeathRecovery:
         survived = api.run_scenario(scenario, workers=2)
         assert survived.meta["worker_recoveries"] >= 1
         assert record_payload(survived) == record_payload(baseline)
-
-    def test_serving_survives_shard_worker_death(self, tmp_path, monkeypatch):
-        global _KILL_MARKER
-        _KILL_MARKER = str(tmp_path / "shard-killed")
-        config = ExperimentConfig.tiny().with_overrides(
-            horizon=12,
-            serving_enabled=True,
-            serving_arrival_rate=1.0,
-            serving_shards=2,
-            serving_shard_workers=2,
-            serving_shard_timeout_s=60.0,
-        )
-
-        def run_serving():
-            graph = config.build_graph(seed=derive_seed(5, "graph", 0))
-            simulator = ServingSimulator(
-                graph=graph,
-                model=config.serving_model(),
-                horizon=config.horizon,
-                total_budget=config.total_budget,
-            )
-            return simulator.run(seed=derive_seed(5, "serving", 0))
-
-        baseline = run_serving()
-
-        from repro.serving import scheduler as scheduler_module
-
-        monkeypatch.setattr(
-            scheduler_module,
-            "_original_advance_shard",
-            scheduler_module._advance_shard_for_pool,
-            raising=False,
-        )
-        monkeypatch.setattr(
-            scheduler_module, "_advance_shard_for_pool", _shard_killing_worker
-        )
-        survived = run_serving()
-
-        survived_stats = dict(survived.diagnostics["serving"])
-        assert survived_stats.pop("worker_recoveries") >= 1
-        assert survived_stats == baseline.diagnostics["serving"]
-        assert json.dumps(result_to_dict(survived), sort_keys=True) == json.dumps(
-            result_to_dict(baseline), sort_keys=True
-        )
 
 
 class TestCheckpointResume:

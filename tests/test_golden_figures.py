@@ -6,7 +6,7 @@ report of one figure, built exactly as ``repro figure <name> --scale tiny
 mode (``dual_tolerance=0``), the kernel's fixed subgradient schedule.
 
 The tables only pin summaries.  ``slot-pins.json`` pins every driver's
-per-slot output on six tiny one-trial scenarios (:data:`SLOT_PIN_CASES`):
+per-slot output on small one-trial scenarios (:data:`SLOT_PIN_CASES`):
 the sha256 of the serialised trial records and the merged kernel, physical,
 event, serving and fault stats.  They catch per-slot and timestamp changes
 the summaries average away.
@@ -86,7 +86,12 @@ def _event_faults(aware: bool) -> api.Scenario:
     )
 
 
-#: Per-slot pins: one tiny one-trial scenario per driver and layer mix.
+def _serving(**overrides) -> api.Scenario:
+    fields = {"arrival_rate": 1.0, **overrides}
+    return api.Scenario.tiny().with_serving(**fields)
+
+
+#: Per-slot pins: one small one-trial scenario per driver and layer mix.
 SLOT_PIN_CASES = {
     "slotted-physical": lambda: api.Scenario.tiny().with_physical(),
     "slotted-blind-faults": lambda: api.Scenario.tiny()
@@ -101,6 +106,30 @@ SLOT_PIN_CASES = {
     "serving-faults": lambda: api.Scenario.tiny()
     .with_serving(arrival_rate=1.0)
     .with_faults(edge_mtbf=20.0, mttr=3.0),
+    "serving-renewals": lambda: _serving(session_lifetime=3, renew_probability=0.9),
+    "serving-token-bucket": lambda: _serving(
+        arrival_rate=1.5, admission="token-bucket", token_rate=0.2, token_burst=1.0
+    ),
+    "serving-trace": lambda: _serving(arrival_kind="trace", arrival_trace=[2, 0, 1]),
+    # Admission binds and sees state up to four slots old; the long-lived
+    # sessions leave requests queued at departure (partial FIFO service).
+    "serving-stale-admission": lambda: api.Scenario.small()
+    .with_workload(horizon=300)
+    .with_serving(
+        arrival_rate=2.0,
+        session_rate=4.0,
+        admission="backlog-threshold",
+        admission_threshold=50,
+        merge_every=5,
+    ),
+    # Above rate 10 numpy draws Poisson counts with a different algorithm.
+    "serving-high-rate": lambda: _serving(session_rate=12),
+    # Capacity is 0 or 1 per slot, so the backlog grows.
+    "serving-starved": lambda: _serving(session_budget=2),
+    "serving-availability-gate": lambda: _serving(
+        arrival_rate=1.5, session_rate=2.5, admission="availability-gate"
+    ).with_faults(node_mtbf=15.0, edge_mtbf=15.0, mttr=3.0),
+    "serving-silent": lambda: _serving(session_rate=0),
 }
 
 #: Record fields a multi-user pin leaves out: the tenants' slot records

@@ -231,6 +231,85 @@ def test_serving_totals_conservation():
         guard.check_serving_totals(dict(good, requests_realized=9))
 
 
+def _serving_table():
+    """A session table after two slots: three sessions, all with a backlog."""
+    from repro.serving.arrivals import SessionSpec
+    from repro.serving.scheduler import SessionTable
+
+    joins = [
+        (
+            SessionSpec(
+                session_id=i, joined_slot=0, source="a", destination="b",
+                request_rate=3.0, lifetime=10, renew_probability=0.0, seed=i,
+            ),
+            2, 0.5, 1, 0,
+        )
+        for i in range(3)
+    ]
+    table = SessionTable()
+    table.step(0, joins)
+    outcome = table.step(1)
+    assert (table.backlog > 0).all() and (table.served > 0).all()
+    return table, outcome
+
+
+def _check_slot(guard, table, outcome, queue_length=0.0):
+    guard.check_serving_slot(
+        1, table, len(outcome.realized), outcome.backlog, queue_length
+    )
+
+
+def test_serving_slot_accepts_a_consistent_table():
+    table, outcome = _serving_table()
+    _check_slot(InvariantGuard("strict"), table, outcome)
+
+
+@pytest.mark.parametrize("queue_length", [-1.0, math.nan])
+def test_serving_slot_rejects_a_bad_virtual_queue(queue_length):
+    table, outcome = _serving_table()
+    with pytest.raises(InvariantViolation, match="serving-queue"):
+        _check_slot(InvariantGuard("cheap"), table, outcome, queue_length)
+
+
+def test_serving_slot_backlog_column_must_sum_to_the_reported_backlog():
+    table, outcome = _serving_table()
+    table.backlog[0] += 1
+    with pytest.raises(InvariantViolation, match="serving-backlog-merge"):
+        _check_slot(InvariantGuard("cheap"), table, outcome)
+
+
+def test_serving_slot_served_column_must_match_the_realisations():
+    table, outcome = _serving_table()
+    table.served[1] -= 1
+    _check_slot(InvariantGuard("cheap"), table, outcome)  # strict-only check
+    with pytest.raises(InvariantViolation, match="serving-realization-shape"):
+        _check_slot(InvariantGuard("strict"), table, outcome)
+
+
+def test_serving_slot_service_must_fit_the_capacity_column():
+    table, outcome = _serving_table()
+    table.capacity[2] = 0
+    with pytest.raises(InvariantViolation, match="serving-entry-range"):
+        _check_slot(InvariantGuard("strict"), table, outcome)
+
+
+def test_serving_slot_backlog_column_must_not_go_negative():
+    table, outcome = _serving_table()
+    shift = int(table.backlog[0]) + 1
+    table.backlog[0] -= shift
+    table.backlog[1] += shift  # the sum still matches the reported backlog
+    with pytest.raises(InvariantViolation, match="serving-entry-range"):
+        _check_slot(InvariantGuard("strict"), table, outcome)
+
+
+def test_serving_slot_queue_batches_must_sum_to_the_backlog_column():
+    table, outcome = _serving_table()
+    table.queue[2, 0] += 1  # one batch's count
+    _check_slot(InvariantGuard("cheap"), table, outcome)  # strict-only check
+    with pytest.raises(InvariantViolation, match="serving-queue-batches"):
+        _check_slot(InvariantGuard("strict"), table, outcome)
+
+
 class _StubState:
     def __init__(self, down):
         self.down_elements = down

@@ -1,11 +1,14 @@
-"""Tests for repro.serving.scheduler: sharded serving runs end to end.
+"""Tests for repro.serving.scheduler: serving runs end to end.
 
-The load-bearing property is byte-identity: partitioning sessions across
-shards (and processes), or merging less often, is an execution-layout choice
-that must never change a single recorded value.
+Every session draws from its own stream, so the recorded values depend only
+on the sessions admitted.  The merge window changes only how stale
+admission's view is: under ``always``, which never reads that view, it
+changes nothing, and under a binding backlog threshold it changes which
+sessions get in.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +20,6 @@ from repro.serving.scheduler import (
     mean_sojourn_slots,
     merge_serving_stats,
     serving_requests_per_second,
-    shard_for_session,
 )
 
 
@@ -49,26 +51,30 @@ def run_payload(record):
 
 
 class TestShardIdentity:
-    def test_multi_shard_matches_single_shard(self):
-        single = api.run_scenario(serving_scenario(shards=1))
-        multi = api.run_scenario(serving_scenario(shards=4))
-        assert run_payload(single) == run_payload(multi)
-
-    def test_pooled_shards_match_serial(self):
-        serial = api.run_scenario(serving_scenario(shards=4, shard_workers=1))
-        pooled = api.run_scenario(serving_scenario(shards=4, shard_workers=2))
-        assert run_payload(serial) == run_payload(pooled)
+    """What the merge window may and may not change (no shards remain)."""
 
     def test_merge_period_does_not_change_records(self):
-        every_slot = api.run_scenario(serving_scenario(merge_every=1))
-        windowed = api.run_scenario(serving_scenario(shards=3, merge_every=5))
+        every_slot = api.run_scenario(serving_scenario(admission="always", merge_every=1))
+        windowed = api.run_scenario(serving_scenario(admission="always", merge_every=5))
         assert run_payload(every_slot) == run_payload(windowed)
 
-    def test_shard_assignment_stable_and_in_range(self):
-        assignments = [shard_for_session(i, 4) for i in range(100)]
-        assert assignments == [shard_for_session(i, 4) for i in range(100)]
-        assert set(assignments) <= set(range(4))
-        assert len(set(assignments)) == 4  # spreads over all shards
+    def test_merge_period_changes_admission_under_binding_threshold(self):
+        def rejected(merge_every):
+            scenario = (
+                api.Scenario.small("stale-admission")
+                .with_workload(horizon=300)
+                .with_serving(
+                    arrival_rate=2.0,
+                    session_rate=4.0,
+                    admission="backlog-threshold",
+                    admission_threshold=50,
+                    merge_every=merge_every,
+                )
+                .with_trials(1)
+            )
+            return api.run_scenario(scenario).serving_stats()["sessions_rejected"]
+
+        assert rejected(1) != rejected(5)
 
 
 class TestServingRun:
@@ -181,11 +187,7 @@ class TestWallTimeAndThroughput:
 class TestServingModel:
     def test_defaults_validate(self):
         model = ServingModel()
-        assert model.shards == 1
-
-    def test_bad_shards_rejected(self):
-        with pytest.raises(ValueError):
-            ServingModel(shards=0)
+        assert model.merge_every == 1
 
     def test_bad_merge_period_rejected(self):
         with pytest.raises(ValueError):
@@ -229,3 +231,14 @@ class TestStatsHelpers:
 
     def test_merge_none_when_empty(self):
         assert merge_serving_stats([None, None]) is None
+
+
+class TestSavedRecords:
+    def test_record_saved_with_shard_layout_reruns_identically(self):
+        # Saved while the scheduler still took shard-layout knobs: its
+        # config carries serving_shards=4 and serving_shard_workers=2.
+        path = Path(__file__).parent / "data" / "record_with_shard_layout.json"
+        saved = api.RunRecord.load(path)
+        assert saved.scenario["config"]["serving_shards"] == 4
+        rerun = api.Scenario.from_dict(saved.scenario).run()
+        assert run_payload(rerun) == run_payload(saved)
