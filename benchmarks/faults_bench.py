@@ -127,7 +127,7 @@ def bench_overhead(quick: bool, repeats: int) -> dict:
         clean_s = min(clean_s, seconds)
         seconds, faulted = run_scenario(faulted_config)
         faulted_s = min(faulted_s, seconds)
-    stats = faulted.fault_stats()
+    stats = faulted.stats("faults")
     return {
         "clean_s": round(clean_s, 4),
         "faulted_s": round(faulted_s, 4),

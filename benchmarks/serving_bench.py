@@ -28,6 +28,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -74,6 +75,9 @@ def run_serving(config: ExperimentConfig, seed: int = 1):
         horizon=config.horizon,
         total_budget=config.total_budget,
     )
+    # Collect the previous run's garbage now, so a gen-2 collection cannot
+    # land inside the timed region.
+    gc.collect()
     started = time.perf_counter()
     result = simulator.run(seed=derive_seed(seed, "serving", 0))
     return time.perf_counter() - started, result
@@ -82,6 +86,7 @@ def run_serving(config: ExperimentConfig, seed: int = 1):
 def run_draw_baseline(draws: int) -> float:
     """A bare numpy Poisson/uniform draw loop (the normaliser)."""
     rng = np.random.default_rng(7)
+    gc.collect()
     started = time.perf_counter()
     for _ in range(draws // 100):
         counts = rng.poisson(2.5, size=100)

@@ -51,7 +51,7 @@ def main() -> None:
     for fraction in (0.0, 0.1, 0.25, 0.5):
         latency = fraction * window
         record = base_scenario().with_backend("event", latency=latency).run()
-        stats = record.event_stats()
+        stats = record.stats("eventsim")
         summary = record.summary()["OSCAR"]
         print(
             f"{latency:>9.3f}s "
@@ -67,7 +67,7 @@ def main() -> None:
         .with_backend("event", latency=0.1 * window, guard_time=2.0 * window)
         .run()
     )
-    assert guarded.event_stats()["deadline_misses"] == 0
+    assert guarded.stats("eventsim")["deadline_misses"] == 0
     print("\nwith a 2-window guard band the 10% latency run misses no deadline")
 
 

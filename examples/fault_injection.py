@@ -57,7 +57,7 @@ def payload(record: "api.RunRecord") -> str:
 def main() -> None:
     # 1. One fault-injected run, end to end.
     record = base_scenario().run()
-    stats = record.fault_stats()
+    stats = record.stats("faults")
     print(record.format_summary(title="Fault-injected run (degradation-aware)"))
     print()
     print(f"availability: {api.fault_availability(stats):.3f} "
@@ -71,11 +71,11 @@ def main() -> None:
 
     # 2. Aware vs blind degradation under the *same* outage schedule.
     blind = base_scenario(aware=False).run()
-    blind_stats = blind.fault_stats()
+    blind_stats = blind.stats("faults")
     assert blind_stats["down_element_slots"] == stats["down_element_slots"]
     print("\nSame schedule, opposite degradation modes:")
     for label, rec in (("aware", record), ("blind", blind)):
-        s = rec.fault_stats()
+        s = rec.stats("faults")
         rate = rec.summary()["OSCAR"]["realized_success_rate"].mean
         print(f"  {label:5s} success rate {rate:.3f}  "
               f"unservable {int(s['requests_unservable']):3d}  "
@@ -84,7 +84,7 @@ def main() -> None:
     # 3. The degradation ladder: cap the per-slot solve budget and the
     # solver falls back exhaustive -> Gibbs -> greedy, deterministically.
     capped = base_scenario().with_solver(solve_deadline=12).run()
-    kernel = capped.kernel_stats()
+    kernel = capped.stats("kernel")
     print(f"\nsolve_deadline=12: {int(kernel.get('deadline_gibbs_fallbacks', 0))} "
           f"Gibbs fallback(s), {int(kernel.get('deadline_greedy_fallbacks', 0))} "
           f"greedy fallback(s)")

@@ -50,7 +50,7 @@ def main() -> None:
         config.with_overrides(guard_level="strict"), name="guarded"
     ).with_policies("oscar")
     record = api.run_scenario(scenario)
-    stats = record.guard_stats()
+    stats = record.stats("guard")
     print(f"guard level : strict")
     print(f"slots       : {stats['slots']}")
     print(f"checks      : {stats['checks']} "

@@ -56,7 +56,7 @@ def payload(record: "api.RunRecord") -> str:
 def main() -> None:
     # 1. One open-system run, end to end.
     record = base_scenario().run()
-    stats = record.serving_stats()
+    stats = record.stats("serving")
     print(record.format_summary(title="Open-system serving run"))
     print()
     print(f"sessions: {int(stats['sessions_admitted'])} admitted, "
@@ -83,7 +83,7 @@ def main() -> None:
     assert payload(windowed("always", 1)) == payload(windowed("always", 5))
     print("\nalways-admit: a 5-slot merge window is byte-identical to every slot")
     for merge_every in (1, 5):
-        s = windowed("backlog-threshold", merge_every).serving_stats()
+        s = windowed("backlog-threshold", merge_every).stats("serving")
         print(f"  backlog-threshold, merge_every={merge_every}: "
               f"admitted {int(s['sessions_admitted']):3d} "
               f"rejected {int(s['sessions_rejected']):3d} "
@@ -103,7 +103,7 @@ def main() -> None:
             )
             .run()
         )
-        s = overloaded.serving_stats()
+        s = overloaded.stats("serving")
         print(f"  {admission:18s} admitted {int(s['sessions_admitted']):3d} "
               f"rejected {int(s['sessions_rejected']):3d} "
               f"served {int(s['requests_served']):4d} "

@@ -32,7 +32,7 @@ def main() -> None:
     print(record.format_summary())
 
     print("=== Hottest spans ===")
-    rows = api.summarize_spans(record.telemetry_stats())
+    rows = api.summarize_spans(record.stats("telemetry"))
     for row in rows:
         print(
             f"  {row['name']:<22} {row['count']:>5.0f}x  "
@@ -47,7 +47,7 @@ def main() -> None:
           "written to traced_run.json — load it in Perfetto / chrome://tracing")
 
     print("\n=== Prometheus exposition (excerpt) ===")
-    for line in api.render_prometheus(record.telemetry_stats()).splitlines()[:12]:
+    for line in api.render_prometheus(record.stats("telemetry")).splitlines()[:12]:
         print(f"  {line}")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,18 +44,16 @@ def t_quantile(probability: float, df: int) -> float:
     return float(scipy_stats.t.ppf(probability, df))
 
 
-def merge_stat_mappings(
-    stats_mappings, cast: Optional[Callable[[object], object]] = None
-) -> Optional[Dict[str, object]]:
+def merge_stat_mappings(stats_mappings) -> Optional[Dict[str, object]]:
     """Sum counter mappings key by key; ``None`` when none are present.
 
-    The single merge implementation behind the kernel-stats and
-    physical-stats aggregation (``RunRecord.kernel_stats()`` /
-    ``physical_stats()`` and their ``StudyResult`` counterparts).
-    Non-mapping entries contribute nothing — results without diagnostics are
-    simply skipped.  ``cast`` coerces each value before summing (the kernel
-    merge uses ``int``); without it values keep their numeric type, so float
-    accumulators like a fidelity sum stay floats.
+    The one merge of the stats channel: ``RunRecord.stats(layer)`` sums a
+    layer's per-result mappings with it, and ``StudyResult.stats(layer)``
+    the per-point sums.  Non-mapping entries contribute nothing, so results
+    without the layer are skipped.  Values keep their builtin type: counters
+    stay ``int`` and accumulators like a fidelity sum stay ``float``.  Each
+    key's sum runs in mapping order, so a merge is bit-identical for any
+    worker layout.
     """
     totals: Dict[str, object] = {}
     found = False
@@ -64,7 +62,6 @@ def merge_stat_mappings(
             continue
         found = True
         for key, value in stats.items():
-            value = cast(value) if cast is not None else value
             totals[key] = totals.get(key, 0) + value
     return totals if found else None
 

@@ -64,7 +64,7 @@ from repro.api.events import (
     TrialCompleted,
     TrialStarted,
 )
-from repro.api.records import RunRecord
+from repro.api.records import STATS_LAYERS, RunRecord
 from repro.api.registry import (
     PolicyRegistry,
     UnknownPolicyError,
@@ -87,7 +87,6 @@ from repro.faults import (
     WorkerPoolError,
     checkpoint_key,
     fault_availability,
-    merge_fault_stats,
 )
 from repro.api.study import (
     ResultStore,
@@ -115,7 +114,6 @@ from repro.telemetry import (
     TelemetryModel,
     Tracer,
     effective_telemetry_level,
-    merge_telemetry_stats,
     render_prometheus,
     spans_to_chrome_trace,
     summarize_spans,
@@ -168,6 +166,7 @@ __all__ = [
     "run_study",
     # records
     "RunRecord",
+    "STATS_LAYERS",
     # guard / replay / differential
     "ConfigError",
     "DiffReport",
@@ -185,7 +184,6 @@ __all__ = [
     "TelemetryModel",
     "Tracer",
     "effective_telemetry_level",
-    "merge_telemetry_stats",
     "render_prometheus",
     "spans_to_chrome_trace",
     "summarize_spans",
@@ -202,7 +200,6 @@ __all__ = [
     "WorkerPoolError",
     "checkpoint_key",
     "fault_availability",
-    "merge_fault_stats",
     # serving
     "AdmissionPolicy",
     "AlwaysAdmit",

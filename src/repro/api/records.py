@@ -7,6 +7,12 @@ multi-user runs, and free-form run metadata.  Records round-trip through
 JSON (:meth:`RunRecord.save` / :meth:`RunRecord.load`) and convert to the
 legacy :class:`~repro.experiments.runner.ComparisonResult` so the figure
 modules' aggregation helpers keep working unchanged.
+
+Every layer reports through one stats channel: the ``diagnostics`` mapping
+of each result holds one summable mapping per layer of
+:data:`STATS_LAYERS`, :meth:`RunRecord.stats` merges a layer across the
+record, and a saved record keeps those mappings, so a reloaded run reports
+the same stats as a live one.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.analysis.stats import TrialAggregate
+from repro.analysis.stats import TrialAggregate, merge_stat_mappings
 from repro.core.multiuser import ProviderSlotRecord
 from repro.experiments.config import ExperimentConfig
 from repro.simulation.results import SimulationResult
@@ -26,22 +32,76 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 PathLike = Union[str, Path]
 
-#: Schema version written into every persisted record.
-SCHEMA_VERSION = 1
+#: Schema version written into every persisted record.  Version 2 saves each
+#: result's layer stats in a ``diagnostics`` list beside ``trials``; version 1
+#: kept only a run-level ``telemetry`` section, which still loads.
+SCHEMA_VERSION = 2
+
+#: The layers of the stats channel, in ``[health]`` order.  Each names the
+#: key of a result's ``diagnostics`` mapping that holds the layer's counters:
+#: builtin ``int``/``float`` values that merge by sum.
+STATS_LAYERS = ("kernel", "physical", "eventsim", "serving", "faults", "guard", "telemetry")
+
+#: What a saved record keeps of each result's diagnostics: the layer stats
+#: and the span ring of ``full`` telemetry, none of the per-slot histories.
+SAVED_DIAGNOSTICS = STATS_LAYERS + ("telemetry_spans",)
 
 
-def merge_kernel_stats(stats_mappings) -> Optional[Dict[str, int]]:
-    """Sum integer kernel-counter mappings; ``None`` when none are present.
+def check_stats_layer(layer: str) -> None:
+    """Reject a name that is not one of :data:`STATS_LAYERS`."""
+    if layer not in STATS_LAYERS:
+        raise ValueError(
+            f"unknown stats layer {layer!r}; choose from {', '.join(STATS_LAYERS)}"
+        )
 
-    The merge behind :meth:`RunRecord.kernel_stats`,
-    :meth:`repro.api.study.StudyResult.kernel_stats` and the horizon
-    benchmark — a thin cast-to-int wrapper over
-    :func:`repro.analysis.stats.merge_stat_mappings` (the physical-stats
-    merge shares the same implementation without the cast).
+
+def trial_diagnostics(trial: Mapping[str, SimulationResult]) -> Dict[str, Dict[str, object]]:
+    """The saved diagnostics of one trial's results, by line-up name."""
+    return {
+        name: {
+            key: result.diagnostics[key]
+            for key in SAVED_DIAGNOSTICS
+            if key in result.diagnostics
+        }
+        for name, result in trial.items()
+    }
+
+
+def trial_from_dict(
+    results: Mapping[str, Mapping], diagnostics: Optional[Mapping[str, Mapping]] = None
+) -> Dict[str, SimulationResult]:
+    """Rebuild one trial's results with their saved diagnostics.
+
+    The inverse of ``result_to_dict`` per result plus
+    :func:`trial_diagnostics`; a trial saved without diagnostics loads
+    with empty ones.
     """
-    from repro.analysis.stats import merge_stat_mappings
+    from repro.experiments.persistence import result_from_dict
 
-    return merge_stat_mappings(stats_mappings, cast=int)
+    saved = diagnostics or {}
+    return {
+        name: result_from_dict(entry, diagnostics=saved.get(name))
+        for name, entry in results.items()
+    }
+
+
+def _v1_diagnostics(payload: Mapping) -> List[Dict[str, Dict[str, object]]]:
+    """A version-1 ``telemetry`` section as the first result's diagnostics.
+
+    Version 1 saved only the run's merged telemetry stats and stamped span
+    events; carried by the first result, they merge back to what was saved,
+    as multi-user runs carry their run-level layers on the first tenant.
+    """
+    section = payload.get("telemetry")
+    trials = payload.get("trials") or []
+    if not isinstance(section, Mapping) or not trials or not trials[0]:
+        return []
+    first: Dict[str, object] = {}
+    if isinstance(section.get("stats"), Mapping):
+        first["telemetry"] = dict(section["stats"])
+    if isinstance(section.get("spans"), list):
+        first["telemetry_spans"] = [dict(event) for event in section["spans"]]
+    return [{next(iter(trials[0])): first}]
 
 
 def _provider_record_to_dict(record: ProviderSlotRecord) -> Dict[str, object]:
@@ -89,13 +149,6 @@ class RunRecord:
     meta:
         Free-form run metadata (workers used, wall-clock, early stop, …).
         Never included in equality-sensitive summaries.
-    telemetry:
-        The persisted telemetry section (``{"stats": ..., "spans": ...}``)
-        restored from JSON.  Freshly-run records carry telemetry inside
-        the per-result diagnostics instead; the accessors below prefer the
-        live diagnostics and fall back to this section, and
-        :meth:`to_dict` persists whichever is present — the one
-        diagnostics family that survives a save/load round-trip.
     """
 
     scenario: Dict[str, object]
@@ -103,7 +156,6 @@ class RunRecord:
     trials: List[Dict[str, SimulationResult]] = field(default_factory=list)
     provider_trials: List[Tuple[ProviderSlotRecord, ...]] = field(default_factory=list)
     meta: Dict[str, object] = field(default_factory=dict)
-    telemetry: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -164,144 +216,43 @@ class RunRecord:
             "channels": sum(r.channel_utilisation for r in records) / len(records),
         }
 
-    def kernel_stats(self) -> Optional[Dict[str, int]]:
-        """Aggregate compiled-kernel statistics across trials and line-up.
+    def stats(self, layer: str) -> Optional[Dict[str, object]]:
+        """One layer's stats, summed over every trial and line-up entry.
 
-        Sums the per-policy ``diagnostics["kernel"]`` counters (solves,
-        cache/memo hits, structure re-binds vs recompiles, dual iterations,
-        …) every horizon produced.  Returns ``None`` when no result carries
-        kernel diagnostics — runs of policies that solve nothing, or records
-        loaded from JSON (diagnostics are in-memory only).
+        ``layer`` is one of :data:`STATS_LAYERS`: ``kernel`` (solves,
+        cache/memo hits, prunes, exhaustive vs Gibbs slots, …), ``physical``
+        (the delivery chain), ``eventsim`` (the event backend's signaling),
+        ``serving`` (sessions and requests), ``faults`` (outages and lost
+        requests), ``guard`` (invariant checks) or ``telemetry`` (span
+        profiles and latency histograms).  ``None`` when no result carries
+        the layer: it was off, or no policy used it.
         """
-        return merge_kernel_stats(
-            result.diagnostics.get("kernel")
+        check_stats_layer(layer)
+        return merge_stat_mappings(
+            result.diagnostics.get(layer)
             for trial in self.trials
             for result in trial.values()
         )
 
-    def physical_stats(self) -> Optional[Dict[str, float]]:
-        """Aggregate physical-layer statistics across trials and line-up.
+    # Named one-line delegations to :meth:`stats`, kept for callers that
+    # predate it.
+    def kernel_stats(self) -> Optional[Dict[str, object]]:
+        return self.stats("kernel")
 
-        Sums the per-run ``diagnostics["physical"]`` counters every
-        physical-layer engine produced (attempts, purification rounds and
-        failures, cutoff discards, swap failures, deliveries, raw pairs
-        consumed, delivered-fidelity sum — see
-        :class:`repro.simulation.physical.PhysicalStats`).  Returns ``None``
-        when no result carries physical diagnostics: runs with the physical
-        layer disabled, or records loaded from JSON (diagnostics are
-        in-memory only, exactly like :meth:`kernel_stats`).
-        """
-        from repro.simulation.physical import merge_physical_stats
+    def physical_stats(self) -> Optional[Dict[str, object]]:
+        return self.stats("physical")
 
-        return merge_physical_stats(
-            result.diagnostics.get("physical")
-            for trial in self.trials
-            for result in trial.values()
-        )
+    def event_stats(self) -> Optional[Dict[str, object]]:
+        return self.stats("eventsim")
 
-    def event_stats(self) -> Optional[Dict[str, float]]:
-        """Aggregate event-backend statistics across trials and line-up.
+    def serving_stats(self) -> Optional[Dict[str, object]]:
+        return self.stats("serving")
 
-        Sums the per-run ``diagnostics["eventsim"]`` counters the
-        event-driven backend produced (events processed, pairs generated,
-        heralds, swap messages, confirmations, deadline misses,
-        cutoff-expired pairs, deliveries — see
-        :class:`repro.simulation.eventsim.EventStats`).  Returns ``None``
-        when no result carries event diagnostics: slotted-backend runs, or
-        records loaded from JSON (diagnostics are in-memory only, exactly
-        like :meth:`kernel_stats`).
-        """
-        from repro.simulation.eventsim import merge_event_stats
+    def fault_stats(self) -> Optional[Dict[str, object]]:
+        return self.stats("faults")
 
-        return merge_event_stats(
-            result.diagnostics.get("eventsim")
-            for trial in self.trials
-            for result in trial.values()
-        )
-
-    def serving_stats(self) -> Optional[Dict[str, float]]:
-        """Aggregate serving-layer statistics across trials.
-
-        Sums the per-run ``diagnostics["serving"]`` counters the serving
-        scheduler produced (sessions arrived/admitted/rejected/departed,
-        requests arrived/served/dropped, sojourn slots, cost, the Jain
-        fairness raw moments, simulated seconds — see
-        :class:`repro.serving.scheduler.ServingSimulator`).  Returns
-        ``None`` when no result carries serving diagnostics: batch runs, or
-        records loaded from JSON (diagnostics are in-memory only, exactly
-        like :meth:`kernel_stats`).
-        """
-        from repro.serving.scheduler import merge_serving_stats
-
-        return merge_serving_stats(
-            result.diagnostics.get("serving")
-            for trial in self.trials
-            for result in trial.values()
-        )
-
-    def fault_stats(self) -> Optional[Dict[str, int]]:
-        """Aggregate fault-injection statistics across trials and line-up.
-
-        Sums the per-run ``diagnostics["faults"]`` counters the simulators
-        produced under an active fault schedule (element downtime, degraded
-        slots, failures/repairs, unservable and interrupted requests — see
-        :class:`repro.faults.FaultStats`).  Returns ``None`` when no result
-        carries fault diagnostics: fault-free runs, or records loaded from
-        JSON (diagnostics are in-memory only, exactly like
-        :meth:`kernel_stats`).
-        """
-        from repro.faults import merge_fault_stats
-
-        return merge_fault_stats(
-            result.diagnostics.get("faults")
-            for trial in self.trials
-            for result in trial.values()
-        )
-
-    def guard_stats(self) -> Optional[Dict[str, int]]:
-        """Aggregate invariant-guard check counters across trials and line-up.
-
-        Sums the per-run ``diagnostics["guard"]`` counters an armed
-        :class:`repro.guard.InvariantGuard` produced (slots observed, checks
-        executed per layer pack, breaches).  Returns ``None`` when no result
-        carries guard diagnostics: ``guard_level="off"`` runs, or records
-        loaded from JSON (diagnostics are in-memory only, exactly like
-        :meth:`kernel_stats`).
-        """
-        from repro.guard.invariants import merge_guard_stats
-
-        return merge_guard_stats(
-            result.diagnostics.get("guard")
-            for trial in self.trials
-            for result in trial.values()
-        )
-
-    def telemetry_stats(self) -> Optional[Dict[str, float]]:
-        """Aggregate telemetry statistics across trials and line-up.
-
-        Sums the per-run ``diagnostics["telemetry"]`` mappings an armed
-        :class:`repro.telemetry.Tracer` produced (per-span wall/CPU
-        profiles, counters, gauges, latency histograms) with the
-        deterministic sorted-key merge.  Unlike the other diagnostics
-        families, telemetry survives persistence: when no live
-        diagnostics are present (records loaded from JSON) the accessor
-        falls back to the stored ``telemetry`` section.  ``None`` for
-        untraced runs and legacy payloads.
-        """
-        from repro.telemetry.tracer import merge_telemetry_stats
-
-        merged = merge_telemetry_stats(
-            result.diagnostics.get("telemetry")
-            for trial in self.trials
-            for result in trial.values()
-        )
-        if merged is not None:
-            return merged
-        if self.telemetry:
-            stored = self.telemetry.get("stats")
-            if isinstance(stored, Mapping):
-                return dict(stored)
-        return None
+    def telemetry_stats(self) -> Optional[Dict[str, object]]:
+        return self.stats("telemetry")
 
     def telemetry_spans(self) -> List[Dict[str, object]]:
         """All span events of the run, stamped with line-up and trial.
@@ -310,9 +261,7 @@ class RunRecord:
         (``diagnostics["telemetry_spans"]``, present only at the ``full``
         telemetry level), annotating each event with the line-up name and
         trial index it came from so a merged Chrome trace stays
-        attributable.  Falls back to the persisted ``telemetry`` section
-        for records loaded from JSON; empty for untraced or ``light``
-        runs.
+        attributable.  Empty for untraced or ``light`` runs.
         """
         spans: List[Dict[str, object]] = []
         for index, trial in enumerate(self.trials):
@@ -322,13 +271,7 @@ class RunRecord:
                     span.setdefault("lineup", name)
                     span.setdefault("trial", index)
                     spans.append(span)
-        if spans:
-            return spans
-        if self.telemetry:
-            stored = self.telemetry.get("spans")
-            if isinstance(stored, list):
-                return [dict(event) for event in stored]
-        return []
+        return spans
 
     def wall_time_s(self) -> Optional[float]:
         """Total simulated wall-clock seconds across trials.
@@ -380,7 +323,7 @@ class RunRecord:
         """A JSON-serialisable representation of the whole record."""
         from repro.experiments.persistence import result_to_dict
 
-        payload: Dict[str, object] = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "scenario": self.scenario,
@@ -388,43 +331,32 @@ class RunRecord:
                 {name: result_to_dict(result) for name, result in trial.items()}
                 for trial in self.trials
             ],
+            "diagnostics": [trial_diagnostics(trial) for trial in self.trials],
             "provider_trials": [
                 [_provider_record_to_dict(record) for record in trial]
                 for trial in self.provider_trials
             ],
             "meta": dict(self.meta),
         }
-        stats = self.telemetry_stats()
-        spans = self.telemetry_spans()
-        if stats is not None or spans:
-            section: Dict[str, object] = {}
-            if stats is not None:
-                section["stats"] = stats
-            if spans:
-                section["spans"] = spans
-            payload["telemetry"] = section
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunRecord":
-        """Rebuild a record from :meth:`to_dict` output."""
-        from repro.experiments.persistence import result_from_dict
-
+        """Rebuild a record from :meth:`to_dict` output (either schema)."""
+        diagnostics = payload.get("diagnostics")
+        if diagnostics is None:
+            diagnostics = _v1_diagnostics(payload)
         return cls(
             scenario=dict(payload["scenario"]),
             kind=str(payload.get("kind", "comparison")),
             trials=[
-                {name: result_from_dict(entry) for name, entry in trial.items()}
-                for trial in payload.get("trials", [])
+                trial_from_dict(trial, diagnostics[index] if index < len(diagnostics) else None)
+                for index, trial in enumerate(payload.get("trials", []))
             ],
             provider_trials=[
                 tuple(_provider_record_from_dict(entry) for entry in trial)
                 for trial in payload.get("provider_trials", [])
             ],
             meta=dict(payload.get("meta", {})),
-            telemetry=dict(payload["telemetry"])
-            if isinstance(payload.get("telemetry"), Mapping)
-            else None,
         )
 
     def save(self, path: PathLike) -> Path:

@@ -37,7 +37,8 @@ index), so a parallel study is byte-identical to a serial one.
 Passing ``store=`` enables the content-hash result store: every completed
 point's :class:`~repro.api.records.RunRecord` is persisted under the SHA-256
 of its scenario description, and a re-run (after an interrupt, or with a
-grid that shares points) loads those records instead of recomputing them.
+grid that shares points) loads those records instead of recomputing them,
+layer stats included.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ from typing import (
     Union,
 )
 
-from repro.api.records import RunRecord
+from repro.analysis.stats import merge_stat_mappings
+from repro.api.records import RunRecord, check_stats_layer
 from repro.api.scenario import (
     BUDGET_FIELDS,
     FAULT_FIELDS,
@@ -464,91 +466,15 @@ class StudyResult:
         """The legacy per-point :class:`ComparisonResult` views (grid order)."""
         return [record.to_comparison() for record in self.records]
 
-    def kernel_stats(self) -> Optional[Dict[str, int]]:
-        """Compiled-kernel statistics summed over every point of the grid.
+    def stats(self, layer: str) -> Optional[Dict[str, object]]:
+        """One layer's stats summed over every point of the grid.
 
-        Aggregates :meth:`RunRecord.kernel_stats` across the study; points
-        served from the result store carry no kernel diagnostics and
-        contribute nothing.  ``None`` when no point carried any.
+        Merges :meth:`RunRecord.stats` point by point; store-served points
+        contribute like fresh ones.  ``None`` when no point carried the
+        layer.
         """
-        from repro.api.records import merge_kernel_stats
-
-        return merge_kernel_stats(record.kernel_stats() for record in self.records)
-
-    def physical_stats(self) -> Optional[Dict[str, float]]:
-        """Physical-layer statistics summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.physical_stats` across the study; points
-        without a physical layer (or served from the result store —
-        diagnostics are in-memory only) contribute nothing.  ``None`` when
-        no point carried any.
-        """
-        from repro.simulation.physical import merge_physical_stats
-
-        return merge_physical_stats(record.physical_stats() for record in self.records)
-
-    def event_stats(self) -> Optional[Dict[str, float]]:
-        """Event-backend statistics summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.event_stats` across the study; points
-        run on the slotted backend (or served from the result store —
-        diagnostics are in-memory only) contribute nothing.  ``None`` when
-        no point carried any.
-        """
-        from repro.simulation.eventsim import merge_event_stats
-
-        return merge_event_stats(record.event_stats() for record in self.records)
-
-    def serving_stats(self) -> Optional[Dict[str, float]]:
-        """Serving-layer statistics summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.serving_stats` across the study; points
-        without the serving layer (or served from the result store —
-        diagnostics are in-memory only) contribute nothing.  ``None`` when
-        no point carried any.
-        """
-        from repro.serving.scheduler import merge_serving_stats
-
-        return merge_serving_stats(record.serving_stats() for record in self.records)
-
-    def fault_stats(self) -> Optional[Dict[str, int]]:
-        """Fault-injection statistics summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.fault_stats` across the study; points
-        run without fault injection (or served from the result store —
-        diagnostics are in-memory only) contribute nothing.  ``None`` when
-        no point carried any.
-        """
-        from repro.faults import merge_fault_stats
-
-        return merge_fault_stats(record.fault_stats() for record in self.records)
-
-    def guard_stats(self) -> Optional[Dict[str, int]]:
-        """Invariant-guard check counters summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.guard_stats` across the study; points
-        run with ``guard_level="off"`` (or served from the result store —
-        diagnostics are in-memory only) contribute nothing.  ``None`` when
-        no point carried any.
-        """
-        from repro.guard.invariants import merge_guard_stats
-
-        return merge_guard_stats(record.guard_stats() for record in self.records)
-
-    def telemetry_stats(self) -> Optional[Dict[str, float]]:
-        """Telemetry statistics summed over every point of the grid.
-
-        Aggregates :meth:`RunRecord.telemetry_stats` across the study with
-        the deterministic sorted-key merge.  Telemetry is the one
-        diagnostics family that survives persistence, so store-served and
-        JSON-loaded points contribute too.  ``None`` when no point was
-        traced.
-        """
-        from repro.telemetry.tracer import merge_telemetry_stats
-
-        return merge_telemetry_stats(
-            record.telemetry_stats() for record in self.records
-        )
+        check_stats_layer(layer)
+        return merge_stat_mappings(record.stats(layer) for record in self.records)
 
     def telemetry_spans(self) -> List[Dict[str, object]]:
         """Every point's span events, stamped with the point name.

@@ -50,7 +50,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro import api
 from repro.experiments import (
@@ -362,29 +362,25 @@ def _telemetry_stats_fragment(stats) -> Optional[str]:
     )
 
 
-#: The health-line registry: one entry per diagnostics family, in render
-#: order.  ``key`` names the family, ``accessor`` is the stats method looked
-#: up on any result object (:class:`~repro.api.records.RunRecord` and
-#: :class:`~repro.api.study.StudyResult` both expose the full set), and
-#: ``renderer`` turns the merged mapping into a fragment (``None`` when the
-#: family has nothing to report).  Adding a family is one registry entry —
-#: telemetry rides the same path as the six original layers.
-_HEALTH_REGISTRY: Tuple[Tuple[str, str, Callable], ...] = (
-    ("kernel", "kernel_stats", _kernel_stats_fragment),
-    ("physical", "physical_stats", _physical_stats_fragment),
-    ("eventsim", "event_stats", _eventsim_stats_fragment),
-    ("serving", "serving_stats", _serving_stats_fragment),
-    ("faults", "fault_stats", _fault_stats_fragment),
-    ("guard", "guard_stats", _guard_stats_fragment),
-    ("telemetry", "telemetry_stats", _telemetry_stats_fragment),
-)
+#: The [health] table: one fragment renderer per stats layer, in
+#: ``STATS_LAYERS`` order.  Each turns a layer's merged stats into a
+#: fragment, or ``None`` when the layer has nothing to report.
+_HEALTH_FRAGMENTS: Dict[str, Callable] = {
+    "kernel": _kernel_stats_fragment,
+    "physical": _physical_stats_fragment,
+    "eventsim": _eventsim_stats_fragment,
+    "serving": _serving_stats_fragment,
+    "faults": _fault_stats_fragment,
+    "guard": _guard_stats_fragment,
+    "telemetry": _telemetry_stats_fragment,
+}
 
 
-def _render_health_line(stats_by_key: Mapping[str, Optional[Mapping]]) -> Optional[str]:
-    """Render the [health] line from per-family stats mappings (registry order)."""
+def _render_health_line(stats_by_layer: Mapping[str, Optional[Mapping]]) -> Optional[str]:
+    """Render the [health] line from per-layer stats mappings (table order)."""
     fragments = []
-    for key, _accessor, renderer in _HEALTH_REGISTRY:
-        fragment = renderer(stats_by_key.get(key))
+    for layer, renderer in _HEALTH_FRAGMENTS.items():
+        fragment = renderer(stats_by_layer.get(layer))
         if fragment:
             fragments.append(fragment)
     if not fragments:
@@ -393,29 +389,27 @@ def _render_health_line(stats_by_key: Mapping[str, Optional[Mapping]]) -> Option
 
 
 def _health_line(source) -> Optional[str]:
-    """One line summarising every layer's health, from any result object.
-
-    Walks the registry's accessors on ``source`` — works identically for a
-    :class:`~repro.api.records.RunRecord` and a
-    :class:`~repro.api.study.StudyResult`, so every command shares one
-    renderer.
-    """
-    stats_by_key = {}
-    for key, accessor, _renderer in _HEALTH_REGISTRY:
-        method = getattr(source, accessor, None)
-        stats_by_key[key] = method() if callable(method) else None
-    return _render_health_line(stats_by_key)
+    """One line summarising every layer's health, from a record or a study."""
+    return _render_health_line({layer: source.stats(layer) for layer in _HEALTH_FRAGMENTS})
 
 
 def _write_metrics_out(arguments: argparse.Namespace, source) -> None:
-    """Write the final Prometheus exposition when ``--metrics-out`` is given."""
+    """Write the final Prometheus exposition when ``--metrics-out`` is given.
+
+    The exposition holds the telemetry stats plus every other layer's
+    stats as ``counter.<layer>.<key>`` events.
+    """
     path = getattr(arguments, "metrics_out", None)
     if not path:
         return
     from repro.telemetry import render_prometheus
 
-    stats = source.telemetry_stats()
-    Path(path).write_text(render_prometheus(stats or {}))
+    stats = dict(source.stats("telemetry") or {})
+    for layer in api.STATS_LAYERS:
+        if layer != "telemetry":
+            for key, value in (source.stats(layer) or {}).items():
+                stats[f"counter.{layer}.{key}"] = value
+    Path(path).write_text(render_prometheus(stats))
     print(f"[metrics written to {path}]", file=sys.stderr, flush=True)
 
 
@@ -627,7 +621,7 @@ def _format_serving_report(record) -> str:
         serving_requests_per_second,
     )
 
-    stats = record.serving_stats() or {}
+    stats = record.stats("serving") or {}
     rate = serving_requests_per_second(stats)
     sojourn = mean_sojourn_slots(stats)
     wall = record.wall_time_s()
@@ -770,7 +764,7 @@ def command_top(arguments: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    rows = summarize_spans(source.telemetry_stats())
+    rows = summarize_spans(source.stats("telemetry"))
     if not rows:
         print(
             f"error: {arguments.result} carries no telemetry; re-run the "
@@ -947,8 +941,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "flags resumes from it (byte-identical result)")
     compare.add_argument("--metrics-out", default=None, metavar="PATH",
                          dest="metrics_out",
-                         help="write the run's merged metrics as Prometheus "
-                              "text exposition to this file (needs "
+                         help="write the run's merged layer stats as Prometheus "
+                              "text exposition to this file (spans need "
                               "--telemetry light or full)")
     add_common(compare)
     compare.set_defaults(handler=command_compare)
@@ -1030,8 +1024,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "flags resumes from it (byte-identical result)")
     serve.add_argument("--metrics-out", default=None, metavar="PATH",
                        dest="metrics_out",
-                       help="write the run's merged metrics as Prometheus "
-                            "text exposition to this file (needs "
+                       help="write the run's merged layer stats as Prometheus "
+                            "text exposition to this file (spans need "
                             "--telemetry light or full)")
     serve.add_argument("--metrics-every", type=int, default=None,
                        dest="metrics_every", metavar="N",

@@ -79,7 +79,7 @@ class Figure10Result:
             "delivered_fidelity": {
                 k: list(v) for k, v in self.delivered_fidelity.items()
             },
-            "event_stats": self.study.event_stats() if self.study is not None else None,
+            "event_stats": self.study.stats("eventsim") if self.study is not None else None,
             "study": self.study.to_dict() if self.study is not None else None,
         }
 

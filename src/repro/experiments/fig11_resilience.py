@@ -73,7 +73,7 @@ class Figure11Result:
             "delivered_fidelity": {
                 k: list(v) for k, v in self.delivered_fidelity.items()
             },
-            "fault_stats": self.study.fault_stats() if self.study is not None else None,
+            "fault_stats": self.study.stats("faults") if self.study is not None else None,
             "study": self.study.to_dict() if self.study is not None else None,
         }
 

@@ -65,7 +65,7 @@ class Figure9Result:
             "delivered_fidelity": {k: list(v) for k, v in self.delivered_fidelity.items()},
             "fidelity_throughput": {k: list(v) for k, v in self.fidelity_throughput.items()},
             "delivered_rate": {k: list(v) for k, v in self.delivered_rate.items()},
-            "physical_stats": self.study.physical_stats() if self.study is not None else None,
+            "physical_stats": self.study.stats("physical") if self.study is not None else None,
             "study": self.study.to_dict() if self.study is not None else None,
         }
 

@@ -52,8 +52,14 @@ def result_to_dict(result: SimulationResult) -> Dict:
     }
 
 
-def result_from_dict(payload: Mapping) -> SimulationResult:
-    """Rebuild a :class:`SimulationResult` from :func:`result_to_dict` output."""
+def result_from_dict(
+    payload: Mapping, diagnostics: Optional[Mapping] = None
+) -> SimulationResult:
+    """Rebuild a :class:`SimulationResult` from :func:`result_to_dict` output.
+
+    ``diagnostics`` becomes the result's diagnostics mapping (the saved
+    layer stats of :func:`repro.api.records.trial_diagnostics`).
+    """
     records = tuple(
         SlotRecord(
             t=int(entry["t"]),
@@ -81,6 +87,7 @@ def result_from_dict(payload: Mapping) -> SimulationResult:
         horizon=int(payload["horizon"]),
         total_budget=float(payload["total_budget"]),
         records=records,
+        diagnostics=dict(diagnostics or {}),
     )
 
 

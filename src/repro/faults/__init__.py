@@ -27,7 +27,6 @@ from repro.faults.model import (
     FaultStats,
     Outage,
     fault_availability,
-    merge_fault_stats,
 )
 from repro.faults.supervisor import PoolSupervisor, WorkerPoolError
 
@@ -45,5 +44,4 @@ __all__ = [
     "WorkerPoolError",
     "checkpoint_key",
     "fault_availability",
-    "merge_fault_stats",
 ]

@@ -15,10 +15,8 @@ two halves of graceful degradation at the run level:
   back to the ordinary ``KeyboardInterrupt``.
 
 Checkpointed results round-trip through the same serialisation as
-:class:`repro.api.records.RunRecord`, so a resumed run's tables are
-byte-identical to an uninterrupted one — with the standing caveat that
-in-memory diagnostics are not persisted (same as the Study
-``ResultStore``).
+:class:`repro.api.records.RunRecord`, layer stats included, so a resumed
+run's tables and stats are identical to an uninterrupted one's.
 """
 
 from __future__ import annotations
@@ -77,8 +75,7 @@ class RunCheckpoint:
         A checkpoint for a different scenario, or an unreadable/corrupt
         file, yields an empty list (with a warning for corruption).
         """
-        from repro.api.records import _provider_record_from_dict
-        from repro.experiments.persistence import result_from_dict
+        from repro.api.records import _provider_record_from_dict, trial_from_dict
 
         if not self.path.exists():
             return []
@@ -90,10 +87,9 @@ class RunCheckpoint:
                 return []
             outcomes = []
             for entry in payload["trials"]:
-                results = {
-                    name: result_from_dict(result)
-                    for name, result in entry["results"].items()
-                }
+                # Checkpoints written before the stats were saved carry no
+                # diagnostics and resume without them.
+                results = trial_from_dict(entry["results"], entry.get("diagnostics"))
                 provider = tuple(
                     _provider_record_from_dict(record)
                     for record in entry.get("provider", [])
@@ -118,7 +114,7 @@ class RunCheckpoint:
         completed: Sequence[Tuple[Dict[str, object], Tuple]],
     ) -> Path:
         """Write the completed-trial prefix atomically and return the path."""
-        from repro.api.records import _provider_record_to_dict
+        from repro.api.records import _provider_record_to_dict, trial_diagnostics
         from repro.experiments.persistence import result_to_dict
 
         payload = {
@@ -130,6 +126,7 @@ class RunCheckpoint:
                         name: result_to_dict(result)
                         for name, result in results.items()
                     },
+                    "diagnostics": trial_diagnostics(results),
                     "provider": [
                         _provider_record_to_dict(record) for record in provider
                     ],

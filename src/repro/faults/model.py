@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.network.graph import EdgeKey, QDNGraph
 from repro.network.routes import Route
@@ -387,21 +387,6 @@ class FaultStats:
         self.edge_failures += schedule.edge_failures
         self.repairs += schedule.repairs
         return self.to_dict()
-
-
-def merge_fault_stats(
-    mappings: Iterable[Optional[Mapping[str, float]]]
-) -> Optional[Dict[str, int]]:
-    """Sum fault-stats dicts (``None`` entries skipped; ``None`` if no data)."""
-    merged: Optional[Dict[str, int]] = None
-    for mapping in mappings:
-        if mapping is None:
-            continue
-        if merged is None:
-            merged = {}
-        for name, value in mapping.items():
-            merged[name] = merged.get(name, 0) + int(value)
-    return merged
 
 
 def fault_availability(stats: Optional[Mapping[str, float]]) -> Optional[float]:

@@ -33,7 +33,6 @@ from repro.guard.invariants import (
     InvariantViolation,
     effective_guard_level,
     forced_breach_slot,
-    merge_guard_stats,
 )
 from repro.guard.recorder import (
     BUNDLE_DIR_ENV_VAR,
@@ -66,7 +65,6 @@ __all__ = [
     "effective_guard_level",
     "forced_breach_slot",
     "load_bundle",
-    "merge_guard_stats",
     "replay_bundle",
     "run_all",
 ]

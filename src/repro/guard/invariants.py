@@ -717,14 +717,3 @@ class InvariantGuard:
                     f"recount ({recount}) over {slots} slot(s)",
                     details=dict(stats),
                 )
-
-
-def merge_guard_stats(stats_mappings) -> Optional[Dict[str, int]]:
-    """Sum guard counter mappings; ``None`` when none are present.
-
-    Same merge semantics as the kernel stats
-    (:func:`repro.analysis.stats.merge_stat_mappings` with the int cast).
-    """
-    from repro.analysis.stats import merge_stat_mappings
-
-    return merge_stat_mappings(stats_mappings, cast=int)

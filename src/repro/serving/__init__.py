@@ -44,7 +44,6 @@ from repro.serving.scheduler import (
     ServingSimulator,
     jain_fairness,
     mean_sojourn_slots,
-    merge_serving_stats,
     serving_requests_per_second,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "jain_fairness",
     "make_admission_policy",
     "mean_sojourn_slots",
-    "merge_serving_stats",
     "register_admission_policy",
     "serving_requests_per_second",
 ]

@@ -342,7 +342,7 @@ class ServingSimulator:
     arrivals, service counts, costs, per-request success probabilities and
     realisations, the Lyapunov queue length and the slot-clock timestamps —
     plus a ``diagnostics["serving"]`` mapping of summable counters
-    (:func:`merge_serving_stats` aggregates them across trials and points).
+    (``RunRecord.stats("serving")`` sums them across trials).
     """
 
     def __init__(
@@ -595,18 +595,6 @@ class ServingSimulator:
 # --------------------------------------------------------------------------- #
 # Stats helpers (operate on the summable diagnostics mapping)
 # --------------------------------------------------------------------------- #
-def merge_serving_stats(stats_mappings) -> Optional[Dict[str, float]]:
-    """Sum serving counter mappings; ``None`` when none are present.
-
-    Same merge semantics as the kernel/physical/event stats
-    (:func:`repro.analysis.stats.merge_stat_mappings` without a cast):
-    results without serving diagnostics contribute nothing.
-    """
-    from repro.analysis.stats import merge_stat_mappings
-
-    return merge_stat_mappings(stats_mappings)
-
-
 def jain_fairness(stats: Optional[Mapping[str, float]]) -> Optional[float]:
     """Jain's fairness index over per-session served counts, in (0, 1].
 

@@ -16,7 +16,6 @@ from repro.simulation.physical import (
     ReferencePhysicalEngine,
     VectorizedPhysicalEngine,
     build_physical_engine,
-    merge_physical_stats,
 )
 from repro.simulation.results import SlotRecord, SimulationResult
 from repro.simulation.engine import (
@@ -33,7 +32,6 @@ from repro.simulation.eventsim import (
     SwapProtocol,
     TimingModel,
     edge_latency_key,
-    merge_event_stats,
 )
 
 __all__ = [
@@ -51,7 +49,6 @@ __all__ = [
     "ReferencePhysicalEngine",
     "VectorizedPhysicalEngine",
     "build_physical_engine",
-    "merge_physical_stats",
     "SlotRecord",
     "SimulationResult",
     "BACKEND_KINDS",
@@ -65,5 +62,4 @@ __all__ = [
     "SwapProtocol",
     "TimingModel",
     "edge_latency_key",
-    "merge_event_stats",
 ]

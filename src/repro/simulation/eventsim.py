@@ -150,18 +150,6 @@ class EventStats:
         return self.messages / self.delivered
 
 
-def merge_event_stats(stats_mappings) -> Optional[Dict[str, float]]:
-    """Sum event-stats mappings; ``None`` when none are present.
-
-    The merge behind ``RunRecord.event_stats()`` and
-    ``StudyResult.event_stats()`` — same implementation as the kernel and
-    physical merges (:func:`repro.analysis.stats.merge_stat_mappings`).
-    """
-    from repro.analysis.stats import merge_stat_mappings
-
-    return merge_stat_mappings(stats_mappings)
-
-
 def first_success_attempt(u: float, attempt_success: float, attempts: int) -> int:
     """The first successful attempt tick implied by the slot-level draw ``u``.
 

@@ -36,14 +36,14 @@ through :class:`repro.experiments.config.ExperimentConfig`
 study axis group and the CLI (``--physical``, ``--swap-p``,
 ``--decoherence-t2``, ``--purify-rounds``, ``--fidelity-target``).  Engines
 accumulate :class:`PhysicalStats` which surface as
-``RunRecord.physical_stats()`` / ``StudyResult.physical_stats()`` and in the
-CLI ``--progress`` health line.
+``RunRecord.stats("physical")`` / ``StudyResult.stats("physical")`` and in
+the CLI ``--progress`` health line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.network.channels import (
     ATTEMPT_DURATION_S,
@@ -240,20 +240,6 @@ class PhysicalStats:
         if self.delivered == 0:
             return 0.0
         return self.fidelity_sum / self.delivered
-
-
-def merge_physical_stats(stats_mappings) -> Optional[Dict[str, float]]:
-    """Sum physical-stats mappings; ``None`` when none are present.
-
-    The merge behind ``RunRecord.physical_stats()``,
-    ``StudyResult.physical_stats()`` and the physical benchmark — shares its
-    implementation (:func:`repro.analysis.stats.merge_stat_mappings`) with
-    the kernel merge, but without the cast-to-int: ``fidelity_sum`` is a
-    float and must stay one.
-    """
-    from repro.analysis.stats import merge_stat_mappings
-
-    return merge_stat_mappings(stats_mappings)
 
 
 @dataclass(frozen=True)

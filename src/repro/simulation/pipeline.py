@@ -43,9 +43,6 @@ from repro.telemetry import hooks as telemetry_hooks
 from repro.telemetry.tracer import TelemetryModel, Tracer, maybe_span
 from repro.utils.rng import SeedLike, as_generator, spawn_rngs
 
-#: The diagnostics families the tracer folds into its metrics feed.
-ABSORBED_FAMILIES = ("kernel", "physical", "eventsim", "serving", "faults", "guard")
-
 
 class RunEnvelope:
     """Guard, tracer and fault bookkeeping of one simulator run.
@@ -130,12 +127,8 @@ class RunEnvelope:
             run["guard"] = guard.stats()
         tracer = self.tracer
         if tracer is not None:
-            # Fold layer-internal tallies into the metrics feed, then ship
-            # the telemetry payload through the diagnostics: the only
-            # channel that crosses worker-pool process boundaries.
-            for diagnostics in lanes:
-                for family in ABSORBED_FAMILIES:
-                    tracer.absorb(family, diagnostics.get(family))
+            # The diagnostics are the one channel that crosses worker-pool
+            # process boundaries and reaches a saved record.
             run["telemetry"] = tracer.stats()
             spans = tracer.span_events()
             if spans:

@@ -35,7 +35,6 @@ from repro.telemetry.tracer import (
     effective_telemetry_level,
     events_to_stats,
     maybe_span,
-    merge_telemetry_stats,
     summarize_spans,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "effective_telemetry_level",
     "events_to_stats",
     "maybe_span",
-    "merge_telemetry_stats",
     "render_prometheus",
     "spans_to_chrome_trace",
     "summarize_spans",

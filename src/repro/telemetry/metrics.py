@@ -6,9 +6,9 @@ Each :class:`~repro.telemetry.tracer.Tracer` owns one
 snapshots into a **flat dotted-key mapping** (``counter.<name>``,
 ``gauge.<name>``, ``hist.<name>.le_<bound>`` …) whose values are all
 summable numbers.  That shape is deliberate: it makes cross-worker and
-cross-trial aggregation a plain key-wise sum in sorted key order, so
-merged metrics are bit-identical for any worker layout (see
-:func:`repro.telemetry.tracer.merge_telemetry_stats`).
+cross-trial aggregation a plain key-wise sum, so merged metrics are
+bit-identical for any worker layout (see
+:func:`repro.analysis.stats.merge_stat_mappings`).
 
 Instruments draw no randomness and never raise out of the hot path; a
 histogram's bucket bounds are fixed at registration, Prometheus-style

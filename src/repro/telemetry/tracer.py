@@ -58,7 +58,6 @@ __all__ = [
     "effective_telemetry_level",
     "events_to_stats",
     "maybe_span",
-    "merge_telemetry_stats",
     "summarize_spans",
 ]
 
@@ -250,21 +249,6 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # Metrics plumbing
     # ------------------------------------------------------------------ #
-    def absorb(self, prefix: str, mapping: Optional[Mapping[str, Any]]) -> None:
-        """Fold a summable diagnostics mapping into namespaced counters.
-
-        Lets layer-internal tallies (Gibbs proposals, dual iterations,
-        guard checks …) ride the metrics feed without double bookkeeping.
-        Non-numeric values are skipped; keys are folded in sorted order.
-        """
-        if not mapping:
-            return
-        for key in sorted(mapping):
-            value = mapping[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            self.metrics.counter(f"{prefix}.{key}").inc(float(value))
-
     def maybe_flush(self, slot: int) -> None:
         """Append a JSONL metrics snapshot when the flush period elapses.
 
@@ -319,25 +303,6 @@ def maybe_span(
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name, slot=slot, **attrs)
-
-
-def merge_telemetry_stats(stats_mappings) -> Optional[Dict[str, float]]:
-    """Sum telemetry stat mappings key-wise, iterating keys in sorted order.
-
-    The sorted iteration pins the float summation order, so the merged
-    mapping is bit-identical for any worker layout or trial interleaving.
-    ``None`` when no mapping is present (e.g. records loaded from
-    pre-telemetry JSON).
-    """
-    totals: Dict[str, float] = {}
-    found = False
-    for mapping in stats_mappings:
-        if not isinstance(mapping, Mapping):
-            continue
-        found = True
-        for key in sorted(mapping):
-            totals[key] = totals.get(key, 0) + mapping[key]
-    return totals if found else None
 
 
 def events_to_stats(events) -> Dict[str, float]:

@@ -106,7 +106,7 @@ class TestMultiUser:
         [
             (lambda s: s.with_guard("strict"), "guard"),
             (lambda s: s.with_telemetry("light"), "telemetry"),
-            (lambda s: s.with_faults(edge_mtbf=20.0), "fault"),
+            (lambda s: s.with_faults(edge_mtbf=20.0), "faults"),
         ],
         ids=["guard", "telemetry", "faults"],
     )
@@ -117,7 +117,7 @@ class TestMultiUser:
             api.Scenario.tiny().with_user("a").with_user("b", "myopic-fixed")
         )
         record = scenario.validate().run()
-        assert getattr(record, f"{family}_stats")() is not None
+        assert record.stats(family) is not None
 
     @pytest.mark.parametrize(
         "variable,level,family",
@@ -130,9 +130,9 @@ class TestMultiUser:
         monkeypatch.delenv("REPRO_GUARD", raising=False)
         monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         scenario = api.Scenario.tiny().with_user("a").with_user("b", "myopic-fixed")
-        assert getattr(scenario.run(), f"{family}_stats")() is None
+        assert scenario.run().stats(family) is None
         monkeypatch.setenv(variable, level)
-        assert getattr(scenario.validate().run(), f"{family}_stats")() is not None
+        assert scenario.validate().run().stats(family) is not None
 
     @pytest.mark.parametrize(
         "configure,variable,level,family",

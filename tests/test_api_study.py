@@ -415,13 +415,13 @@ class TestServingStudies:
             .run()
         )
         assert len(result.records) == 2
-        stats = result.serving_stats()
+        stats = result.stats("serving")
         assert stats is not None
         assert stats["sessions_arrived"] > 0
         low, high = result.records
         assert (
-            low.serving_stats()["sessions_arrived"]
-            < high.serving_stats()["sessions_arrived"]
+            low.stats("serving")["sessions_arrived"]
+            < high.stats("serving")["sessions_arrived"]
         )
 
     def test_serving_study_parallel_matches_serial(self):

@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from repro import api
+from repro.analysis.stats import merge_stat_mappings
 from repro.core.baselines import MyopicFixedPolicy
 from repro.core.oscar import OscarPolicy
 from repro.experiments import fig3_time_evolving, fig5_budget, fig10_timing
@@ -22,7 +23,6 @@ from repro.simulation.eventsim import (
     TimingModel,
     edge_latency_key,
     first_success_attempt,
-    merge_event_stats,
 )
 from repro.workload.requests import UniformRequestProcess
 from repro.workload.traces import generate_trace
@@ -263,21 +263,21 @@ class TestStudyAndRecords:
         slotted = result.record_at(backend="slotted", latency_s=0.0)
         event = result.record_at(backend="event", latency_s=0.0)
         assert slotted.summary() == event.summary()
-        assert event.event_stats() is not None
-        assert slotted.event_stats() is None
-        assert result.event_stats()["slots"] == event.event_stats()["slots"]
+        assert event.stats("eventsim") is not None
+        assert slotted.stats("eventsim") is None
+        assert result.stats("eventsim")["slots"] == event.stats("eventsim")["slots"]
 
     def test_merge_event_stats_skips_missing(self):
-        merged = merge_event_stats([None, {"events": 2.0}, {"events": 3.0}])
+        merged = merge_stat_mappings([None, {"events": 2.0}, {"events": 3.0}])
         assert merged["events"] == 5.0
-        assert merge_event_stats([None, None]) is None
+        assert merge_stat_mappings([None, None]) is None
 
     def test_run_record_event_stats(self):
         config = ExperimentConfig.tiny().with_overrides(
             horizon=4, trials=1, backend="event"
         )
         record = api.compare(config, policies=("mf",), trials=1)
-        stats = record.event_stats()
+        stats = record.stats("eventsim")
         assert stats is not None and stats["slots"] == 4
 
     def test_fig10_overlay(self):

@@ -38,7 +38,7 @@ def record_payload(record):
 class TestFaultFreeIdentity:
     def test_disabled_faults_leave_diagnostics_untouched(self):
         record = api.Scenario.tiny().with_policies("oscar").run()
-        assert record.fault_stats() is None
+        assert record.stats("faults") is None
         for trial in record.trials:
             for result in trial.values():
                 assert "faults" not in result.diagnostics
@@ -57,7 +57,7 @@ class TestFaultFreeIdentity:
 class TestFaultInjectedRuns:
     def test_fault_stats_populated(self):
         record = fault_scenario().run()
-        stats = record.fault_stats()
+        stats = record.stats("faults")
         assert stats is not None
         assert stats["slots"] > 0
         assert stats["element_slots"] > 0
@@ -80,15 +80,15 @@ class TestFaultInjectedRuns:
                 fault_mttr=4.0,
             )
             scenario = api.Scenario.from_config(config).with_policies("oscar")
-            return scenario.run().fault_stats()
+            return scenario.run().stats("faults")
 
         slotted = run("slotted")
         event = run("event")
         assert slotted == event
 
     def test_blind_mode_interrupts_served_requests(self):
-        aware = fault_scenario(trials=2, aware=True).run().fault_stats()
-        blind = fault_scenario(trials=2, aware=False).run().fault_stats()
+        aware = fault_scenario(trials=2, aware=True).run().stats("faults")
+        blind = fault_scenario(trials=2, aware=False).run().stats("faults")
         # Identical schedules (same seed), opposite degradation modes.
         for key in ("slots", "element_slots", "down_element_slots", "edge_failures"):
             assert aware[key] == blind[key]
@@ -99,10 +99,10 @@ class TestFaultInjectedRuns:
     def test_multiuser_lineup_runs_with_faults(self, aware):
         single = fault_scenario(aware=aware)
         tenants = single.with_user("a").with_user("b", "myopic-fixed")
-        stats = tenants.with_guard("strict").run().fault_stats()
+        stats = tenants.with_guard("strict").run().stats("faults")
         # One schedule per trial, observed once per slot for all tenants:
         # the schedule counters equal the single-user run's.
-        expected = single.run().fault_stats()
+        expected = single.run().stats("faults")
         for key in ("slots", "element_slots", "down_element_slots", "edge_failures"):
             assert stats[key] == expected[key]
         lost = stats["requests_unservable"] + stats["requests_interrupted"]
@@ -165,8 +165,34 @@ class TestCheckpointResume:
         resumed = api.run_scenario(scenario, workers=1, checkpoint=checkpoint)
         assert resumed.meta["resumed_trials"] == 2
         assert record_payload(resumed) == record_payload(clean)
+        # The checkpointed trials keep their layer stats.
+        for layer in ("kernel", "faults"):
+            assert resumed.stats(layer) == clean.stats(layer), layer
         # A complete run clears its checkpoint.
         assert not checkpoint.path.exists()
+
+    def test_checkpoint_without_diagnostics_still_resumes(self, tmp_path):
+        scenario = fault_scenario(trials=2)
+        checkpoint = api.RunCheckpoint(tmp_path / "ckpt.json")
+        calls = {"n": 0}
+
+        def stop_after_one():
+            calls["n"] += 1
+            return calls["n"] > 1
+
+        api.run_scenario(scenario, checkpoint=checkpoint, stop_flag=stop_after_one)
+        # Strip the saved stats, as in a file written before they were kept.
+        payload = json.loads(checkpoint.path.read_text())
+        assert len(payload["trials"]) == 1
+        payload["trials"][0].pop("diagnostics")
+        checkpoint.path.write_text(json.dumps(payload))
+        resumed = api.run_scenario(scenario, checkpoint=checkpoint)
+        assert resumed.meta["resumed_trials"] == 1
+        clean = api.run_scenario(scenario)
+        assert json.dumps(resumed.to_dict()["trials"], sort_keys=True) == json.dumps(
+            clean.to_dict()["trials"], sort_keys=True
+        )
+        assert resumed.trials[0]["OSCAR"].diagnostics == {}
 
     def test_checkpoint_for_other_scenario_is_ignored(self, tmp_path):
         checkpoint = api.RunCheckpoint(tmp_path / "ckpt.json")
@@ -188,7 +214,7 @@ class TestStudyFaults:
             .over("faults.edge_mtbf", [15.0, 40.0])
         )
         result = study.run()
-        stats = result.fault_stats()
+        stats = result.stats("faults")
         assert stats is not None and stats["slots"] > 0
         assert len(result.points) == 2
 
@@ -245,7 +271,7 @@ class TestDegradationLadder:
         config = ExperimentConfig.tiny().with_overrides(
             solve_deadline=deadline, trials=1
         )
-        return api.compare(config, policies=("oscar",), name="ladder").kernel_stats()
+        return api.compare(config, policies=("oscar",), name="ladder").stats("kernel")
 
     def test_no_deadline_keeps_historical_payload(self):
         stats = self.run_stats(0)

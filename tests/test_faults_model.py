@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.stats import merge_stat_mappings
 from repro.faults.model import (
     HEALTHY,
     FaultModel,
@@ -10,7 +11,6 @@ from repro.faults.model import (
     FaultStats,
     Outage,
     fault_availability,
-    merge_fault_stats,
 )
 
 from conftest import make_diamond_graph, make_line_graph
@@ -172,8 +172,8 @@ class TestFaultStats:
         assert payload["repairs"] == 1
 
     def test_merge_skips_none(self):
-        assert merge_fault_stats([None, None]) is None
-        merged = merge_fault_stats([{"slots": 2}, None, {"slots": 3, "repairs": 1}])
+        assert merge_stat_mappings([None, None]) is None
+        merged = merge_stat_mappings([{"slots": 2}, None, {"slots": 3, "repairs": 1}])
         assert merged == {"slots": 5, "repairs": 1}
 
     def test_fault_availability(self):

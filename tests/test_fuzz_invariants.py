@@ -17,8 +17,8 @@ from typing import Tuple
 import pytest
 
 from repro import api
+from repro.analysis.stats import merge_stat_mappings
 from repro.experiments.config import ExperimentConfig
-from repro.guard.invariants import merge_guard_stats
 
 FUZZ_CASES = 50
 
@@ -77,7 +77,7 @@ def test_randomized_scenario_runs_breach_free(seed):
     scenario = _fuzz_scenario(seed, f"fuzz/{seed}")
     results, _ = api.execute_trial(scenario, 0)  # raises InvariantViolation on breach
     assert len(results) == (2 if scenario.is_multiuser else 1)
-    stats = merge_guard_stats(result.diagnostics.get("guard") for result in results.values())
+    stats = merge_stat_mappings(result.diagnostics.get("guard") for result in results.values())
     assert stats is not None
     assert stats["breaches"] == 0
     assert stats["slots"] >= scenario.config.horizon
@@ -92,5 +92,5 @@ def test_guarded_parallel_matches_serial(seed):
     serial_trials = json.dumps(serial.to_dict()["trials"], sort_keys=True)
     parallel_trials = json.dumps(parallel.to_dict()["trials"], sort_keys=True)
     assert serial_trials == parallel_trials
-    assert serial.guard_stats() == parallel.guard_stats()
-    assert serial.guard_stats()["breaches"] == 0
+    assert serial.stats("guard") == parallel.stats("guard")
+    assert serial.stats("guard")["breaches"] == 0

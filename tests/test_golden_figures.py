@@ -150,11 +150,11 @@ def slot_pins(stem: str) -> dict:
     digest = hashlib.sha256(json.dumps(trials, sort_keys=True).encode()).hexdigest()
     return {
         "trials_sha256": digest,
-        "kernel": record.kernel_stats(),
-        "physical": record.physical_stats(),
-        "event": record.event_stats(),
-        "serving": record.serving_stats(),
-        "fault": record.fault_stats(),
+        "kernel": record.stats("kernel"),
+        "physical": record.stats("physical"),
+        "event": record.stats("eventsim"),
+        "serving": record.stats("serving"),
+        "fault": record.stats("faults"),
     }
 
 

@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from repro.analysis.stats import merge_stat_mappings
 from repro.guard import hooks as guard_hooks
 from repro.guard.invariants import (
     FORCE_BREACH_ENV_VAR,
@@ -16,7 +17,6 @@ from repro.guard.invariants import (
     InvariantViolation,
     effective_guard_level,
     forced_breach_slot,
-    merge_guard_stats,
 )
 
 
@@ -354,9 +354,9 @@ def test_counters_accumulate_per_layer():
 
 
 def test_merge_guard_stats():
-    merged = merge_guard_stats([{"checks": 2, "slots": 1}, {"checks": 3, "slots": 4}])
+    merged = merge_stat_mappings([{"checks": 2, "slots": 1}, {"checks": 3, "slots": 4}])
     assert merged == {"checks": 5, "slots": 5}
-    assert merge_guard_stats([None, "x"]) is None
+    assert merge_stat_mappings([None, "x"]) is None
 
 
 # --------------------------------------------------------------------- #

@@ -297,7 +297,7 @@ class TestStatsSurfacing:
         record = api.run_scenario(
             api.Scenario.from_config(small_config()).with_policies("oscar", "mf")
         )
-        stats = record.kernel_stats()
+        stats = record.stats("kernel")
         assert stats is not None
         assert stats["solves"] > 0
         assert stats["binds"] > 0
@@ -309,7 +309,7 @@ class TestStatsSurfacing:
         result = api.Study("stats").base(base).over(
             "budget.total_budget", [300.0, 400.0]
         ).run()
-        stats = result.kernel_stats()
+        stats = result.stats("kernel")
         assert stats is not None and stats["solves"] > 0
 
 

@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 
 from repro import api
+from repro.analysis.stats import merge_stat_mappings
 from repro.experiments.persistence import result_to_dict
 from repro.serving.scheduler import (
     ServingModel,
     jain_fairness,
     mean_sojourn_slots,
-    merge_serving_stats,
     serving_requests_per_second,
 )
 
@@ -72,7 +72,7 @@ class TestShardIdentity:
                 )
                 .with_trials(1)
             )
-            return api.run_scenario(scenario).serving_stats()["sessions_rejected"]
+            return api.run_scenario(scenario).stats("serving")["sessions_rejected"]
 
         assert rejected(1) != rejected(5)
 
@@ -85,7 +85,7 @@ class TestServingRun:
 
     def test_accounting_invariant(self):
         record = api.run_scenario(serving_scenario())
-        stats = record.serving_stats()
+        stats = record.stats("serving")
         assert stats["requests_arrived"] == (
             stats["requests_served"]
             + stats["requests_dropped"]
@@ -97,7 +97,7 @@ class TestServingRun:
 
     def test_records_mirror_stats(self):
         record = api.run_scenario(serving_scenario())
-        stats = record.serving_stats()
+        stats = record.stats("serving")
         result = record.trials[0]["serving"]
         assert sum(r.num_requests for r in result.records) == stats["requests_arrived"]
         assert sum(r.num_served for r in result.records) == stats["requests_served"]
@@ -108,7 +108,7 @@ class TestServingRun:
         record = api.run_scenario(
             serving_scenario(session_lifetime=3.0, renew_probability=0.9)
         )
-        stats = record.serving_stats()
+        stats = record.stats("serving")
         assert stats["sessions_renewed"] > 0
 
     def test_admission_policies_change_outcomes(self):
@@ -116,8 +116,8 @@ class TestServingRun:
         throttled = api.run_scenario(
             serving_scenario(admission="token-bucket", token_rate=0.2, token_burst=1.0)
         )
-        assert open_door.serving_stats()["sessions_rejected"] == 0
-        assert throttled.serving_stats()["sessions_rejected"] > 0
+        assert open_door.stats("serving")["sessions_rejected"] == 0
+        assert throttled.stats("serving")["sessions_rejected"] > 0
 
     def test_backlog_threshold_zero_rejects_under_pressure(self):
         record = api.run_scenario(
@@ -128,14 +128,14 @@ class TestServingRun:
                 session_rate=4.0,
             )
         )
-        stats = record.serving_stats()
+        stats = record.stats("serving")
         assert stats["sessions_rejected"] > 0
 
     def test_trace_arrivals_supported(self):
         record = api.run_scenario(
             serving_scenario(arrival_kind="trace", arrival_trace=[2, 0, 1])
         )
-        stats = record.serving_stats()
+        stats = record.stats("serving")
         assert stats["sessions_arrived"] > 0
 
     def test_slot_records_carry_clock_stamps(self):
@@ -151,7 +151,7 @@ class TestWallTimeAndThroughput:
     def test_run_record_wall_time_and_rps(self):
         record = api.run_scenario(serving_scenario())
         assert record.wall_time_s() > 0.0
-        stats = record.serving_stats()
+        stats = record.stats("serving")
         assert record.requests_per_second() == pytest.approx(
             stats["requests_arrived"] / record.wall_time_s()
         )
@@ -177,11 +177,11 @@ class TestWallTimeAndThroughput:
         assert legacy.wall_time_s() is None
         assert legacy.requests_per_second() is None
 
-    def test_diagnostics_are_in_memory_only(self, tmp_path):
+    def test_diagnostics_survive_save_load(self, tmp_path):
         record = api.run_scenario(serving_scenario())
-        assert record.serving_stats() is not None
+        assert record.stats("serving") is not None
         loaded = api.RunRecord.load(record.save(tmp_path / "serving.json"))
-        assert loaded.serving_stats() is None
+        assert loaded.stats("serving") == record.stats("serving")
 
 
 class TestServingModel:
@@ -225,12 +225,12 @@ class TestStatsHelpers:
     def test_merge_is_summable(self):
         a = {"requests_served": 3, "slots": 2}
         b = {"requests_served": 5, "slots": 4}
-        merged = merge_serving_stats([a, b])
+        merged = merge_stat_mappings([a, b])
         assert merged["requests_served"] == 8
         assert merged["slots"] == 6
 
     def test_merge_none_when_empty(self):
-        assert merge_serving_stats([None, None]) is None
+        assert merge_stat_mappings([None, None]) is None
 
 
 class TestSavedRecords:

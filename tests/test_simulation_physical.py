@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.analysis.stats import merge_stat_mappings
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.persistence import result_to_dict
 from repro.network.routes import Route
@@ -26,7 +27,6 @@ from repro.simulation.physical import (
     PhysicalStats,
     ReferencePhysicalEngine,
     VectorizedPhysicalEngine,
-    merge_physical_stats,
 )
 from repro.utils.rng import spawn_rngs
 from repro.workload.budget import purification_rounds_within_budget
@@ -163,11 +163,11 @@ class TestEngineSemantics:
     def test_stats_merge(self):
         a = PhysicalStats(requests=3, delivered=2, fidelity_sum=1.5)
         b = PhysicalStats(requests=4, delivered=1, fidelity_sum=0.7)
-        merged = merge_physical_stats([a.to_dict(), None, b.to_dict()])
+        merged = merge_stat_mappings([a.to_dict(), None, b.to_dict()])
         assert merged["requests"] == 7
         assert merged["delivered"] == 3
         assert merged["fidelity_sum"] == pytest.approx(2.2)
-        assert merge_physical_stats([None, "nope"]) is None
+        assert merge_stat_mappings([None, "nope"]) is None
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -203,7 +203,7 @@ class TestFullRunIdentity:
         vectorized = scenario_with_physical(engine="vectorized").run()
         reference = scenario_with_physical(engine="reference").run()
         assert record_payloads(vectorized) == record_payloads(reference)
-        assert vectorized.physical_stats() == reference.physical_stats()
+        assert vectorized.stats("physical") == reference.stats("physical")
 
     def test_parallel_workers_bit_identical(self):
         base = scenario_with_physical().with_trials(2)
@@ -226,7 +226,7 @@ class TestFullRunIdentity:
 class TestDisabledDefault:
     def test_disabled_run_has_no_physical_artifacts(self):
         record = api.Scenario.tiny().with_policies("mf").run()
-        assert record.physical_stats() is None
+        assert record.stats("physical") is None
         for trial in record.trials:
             for result in trial.values():
                 assert "physical" not in result.diagnostics
@@ -274,7 +274,7 @@ class TestDisabledDefault:
 class TestRecordsAndStats:
     def test_run_record_aggregates_physical_stats(self):
         record = scenario_with_physical().run()
-        stats = record.physical_stats()
+        stats = record.stats("physical")
         assert stats is not None
         assert stats["requests"] > 0
         assert stats["delivered"] <= stats["attempts"] <= stats["requests"]
@@ -291,7 +291,7 @@ class TestRecordsAndStats:
         result = api.Study("physical-stats").base(base).over(
             "physical.swap_success", [0.9, 1.0]
         ).run()
-        stats = result.physical_stats()
+        stats = result.stats("physical")
         assert stats is not None and stats["requests"] > 0
 
     def test_delivered_fields_roundtrip_through_json(self, tmp_path):
@@ -306,8 +306,8 @@ class TestRecordsAndStats:
                     assert a.delivered_successes == b.delivered_successes
                     assert a.delivered_fidelities == b.delivered_fidelities
                     assert a.fidelity_served == b.fidelity_served
-        # diagnostics (and therefore stats) are in-memory only, like kernel's
-        assert loaded.physical_stats() is None
+        # The saved record keeps the layer stats.
+        assert loaded.stats("physical") == record.stats("physical")
 
     def test_delivery_never_exceeds_realization(self):
         record = scenario_with_physical().run()
@@ -434,7 +434,7 @@ class TestMultiUserPhysical:
 
     def test_multiuser_runs_carry_delivery_and_stats(self):
         record = self.multiuser_scenario().run()
-        stats = record.physical_stats()
+        stats = record.stats("physical")
         assert stats is not None and stats["requests"] > 0
         for trial in record.trials:
             for result in trial.values():
@@ -445,7 +445,7 @@ class TestMultiUserPhysical:
         first = self.multiuser_scenario().run()
         second = self.multiuser_scenario().run()
         assert record_payloads(first) == record_payloads(second)
-        assert first.physical_stats() == second.physical_stats()
+        assert first.stats("physical") == second.stats("physical")
 
 
 class TestCliIntegration:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis.stats import merge_stat_mappings
 from repro.telemetry import (
     DEFAULT_SPAN_RING,
     METRICS_EVERY_ENV_VAR,
@@ -20,7 +21,6 @@ from repro.telemetry import (
     effective_telemetry_level,
     events_to_stats,
     maybe_span,
-    merge_telemetry_stats,
     render_prometheus,
     spans_to_chrome_trace,
     summarize_spans,
@@ -197,31 +197,17 @@ class TestMetrics:
         with pytest.raises(ValueError):
             Histogram(bounds=(2.0, 1.0))
 
-    def test_absorb_folds_numeric_mappings(self):
-        tracer = Tracer("light")
-        tracer.absorb("kernel", {"solves": 3, "flag": True, "name": "x"})
-        tracer.absorb("kernel", {"solves": 2})
-        stats = tracer.stats()
-        assert stats["counter.kernel.solves"] == 5.0
-        assert "counter.kernel.flag" not in stats
-        assert "counter.kernel.name" not in stats
-
-    def test_absorb_none_is_noop(self):
-        tracer = Tracer("light")
-        tracer.absorb("kernel", None)
-        assert "counter.kernel.solves" not in tracer.stats()
-
 
 class TestMerge:
     def test_merge_sums_keywise(self):
-        merged = merge_telemetry_stats(
+        merged = merge_stat_mappings(
             [{"spans": 2, "span.a.count": 2}, {"spans": 1, "span.b.count": 1}]
         )
         assert merged == {"spans": 3, "span.a.count": 2, "span.b.count": 1}
 
     def test_merge_skips_non_mappings(self):
-        assert merge_telemetry_stats([None, "x", 3]) is None
-        merged = merge_telemetry_stats([None, {"spans": 1}])
+        assert merge_stat_mappings([None, "x", 3]) is None
+        merged = merge_stat_mappings([None, {"spans": 1}])
         assert merged == {"spans": 1}
 
     def test_merge_is_order_deterministic(self):
@@ -230,10 +216,10 @@ class TestMerge:
             {"c": 0.4, "a": 0.5},
             {"b": 0.6},
         ]
-        forward = merge_telemetry_stats(mappings)
-        backward = merge_telemetry_stats(list(reversed(mappings)))
-        # Sorted-key iteration pins the float summation order per mapping;
-        # the totals are exactly equal for any input ordering here.
+        forward = merge_stat_mappings(mappings)
+        backward = merge_stat_mappings(list(reversed(mappings)))
+        # Each key sums in mapping order; the totals are exactly equal for
+        # any input ordering here.
         assert forward == pytest.approx(backward)
 
     def test_events_to_stats(self):
@@ -364,7 +350,7 @@ class TestPrometheus:
         tracer = Tracer("light")
         with tracer.span("a.b", hist="lat"):
             pass
-        tracer.absorb("k", {"x": 1})
+        tracer.metrics.counter("k.x").inc()
         text = render_prometheus(tracer.stats())
         for line in text.splitlines():
             if line.startswith("#"):

@@ -72,7 +72,7 @@ class TestByteIdentity:
     def test_off_is_a_true_noop(self, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
         record = api.run_scenario(_scenario("off"))
-        assert record.telemetry_stats() is None
+        assert record.stats("telemetry") is None
         assert record.telemetry_spans() == []
         for trial in record.trials:
             for result in trial.values():
@@ -82,7 +82,7 @@ class TestByteIdentity:
     def test_light_collects_stats_but_no_events(self, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
         record = api.run_scenario(_scenario("light"))
-        stats = record.telemetry_stats()
+        stats = record.stats("telemetry")
         assert stats is not None
         assert stats["span.kernel.solve.count"] > 0
         assert stats["hist.kernel.solve_s.count"] > 0
@@ -105,7 +105,7 @@ class TestByteIdentity:
     def test_env_override_silences_full_config(self, monkeypatch):
         monkeypatch.setenv(TELEMETRY_ENV_VAR, "off")
         record = api.run_scenario(_scenario("full"))
-        assert record.telemetry_stats() is None
+        assert record.stats("telemetry") is None
         assert record.telemetry_spans() == []
 
 
@@ -129,7 +129,8 @@ def test_every_driver_observes_the_same_stages(driver, monkeypatch):
         .with_physical()
         .with_telemetry("light")
     )
-    stats = scenario.run().telemetry_stats()
+    record = scenario.run()
+    stats = record.stats("telemetry")
     for span in (
         "workload.candidates",
         "faults.schedule",
@@ -139,12 +140,12 @@ def test_every_driver_observes_the_same_stages(driver, monkeypatch):
         "records.emit",
     ):
         assert stats[f"span.{span}.count"] > 0, span
-    for family in ("physical", "faults"):
-        assert any(key.startswith(f"counter.{family}.") for key in stats), family
+    for layer in ("physical", "faults"):
+        assert record.stats(layer), layer
 
 
 # --------------------------------------------------------------------- #
-# Persistence: the one diagnostics family that survives JSON
+# Persistence: telemetry is saved with the other layers
 # --------------------------------------------------------------------- #
 class TestPersistence:
     def test_record_round_trip_keeps_telemetry(self, tmp_path, monkeypatch):
@@ -152,14 +153,17 @@ class TestPersistence:
         record = api.run_scenario(_scenario("full"))
         path = record.save(tmp_path / "run.json")
         loaded = api.RunRecord.load(path)
-        assert loaded.telemetry_stats() == pytest.approx(record.telemetry_stats())
-        assert len(loaded.telemetry_spans()) == len(record.telemetry_spans())
+        assert loaded.stats("telemetry") == record.stats("telemetry")
+        assert loaded.telemetry_spans() == record.telemetry_spans()
 
     def test_untraced_record_has_no_telemetry_section(self, tmp_path, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
         record = api.run_scenario(_scenario("off"))
         payload = record.to_dict()
         assert "telemetry" not in payload
+        for trial in payload["diagnostics"]:
+            for saved in trial.values():
+                assert "telemetry" not in saved and "telemetry_spans" not in saved
 
 
 # --------------------------------------------------------------------- #
@@ -176,7 +180,7 @@ class TestStudy:
             .run()
         )
         assert len(result.points) == 2
-        stats = result.telemetry_stats()
+        stats = result.stats("telemetry")
         assert stats is not None  # the light point contributed
         assert stats["spans"] > 0
 
@@ -248,58 +252,55 @@ class TestBundles:
 # --------------------------------------------------------------------- #
 # Satellite: diagnostics merge paths on legacy / empty payloads
 # --------------------------------------------------------------------- #
+def _v1_payload(telemetry=None):
+    """A schema-1 record payload: no diagnostics, at most a telemetry section."""
+    payload = api.run_scenario(_scenario("off")).to_dict()
+    payload["schema_version"] = 1
+    del payload["diagnostics"]
+    if telemetry is not None:
+        payload["telemetry"] = telemetry
+    return payload
+
+
 class TestDiagnosticsMergeEdges:
     def test_empty_record_accessors(self):
         record = api.RunRecord(scenario={"config": {}}, trials=[])
-        assert record.kernel_stats() is None
-        assert record.physical_stats() is None
-        assert record.event_stats() is None
-        assert record.serving_stats() is None
-        assert record.fault_stats() is None
-        assert record.guard_stats() is None
-        assert record.telemetry_stats() is None
+        for layer in api.STATS_LAYERS:
+            assert record.stats(layer) is None
         assert record.telemetry_spans() == []
 
-    def test_legacy_payload_without_telemetry_key(self, tmp_path, monkeypatch):
+    def test_legacy_payload_without_telemetry_key(self, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
-        record = api.run_scenario(_scenario("off"))
-        payload = record.to_dict()
-        payload.pop("telemetry", None)  # simulate a pre-PR-10 file
-        loaded = api.RunRecord.from_dict(payload)
-        assert loaded.telemetry is None
-        assert loaded.telemetry_stats() is None
+        loaded = api.RunRecord.from_dict(_v1_payload())
+        for layer in api.STATS_LAYERS:
+            assert loaded.stats(layer) is None
         assert loaded.telemetry_spans() == []
 
-    def test_partial_telemetry_sections_tolerated(self):
-        record = api.RunRecord(
-            scenario={"config": {}}, trials=[], telemetry={"stats": {"spans": 2}}
-        )
-        assert record.telemetry_stats() == {"spans": 2}
+    def test_partial_telemetry_sections_tolerated(self, monkeypatch):
+        monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
+        record = api.RunRecord.from_dict(_v1_payload({"stats": {"spans": 2}}))
+        assert record.stats("telemetry") == {"spans": 2}
         assert record.telemetry_spans() == []
-        record = api.RunRecord(
-            scenario={"config": {}}, trials=[],
-            telemetry={"spans": [{"name": "a"}]},
-        )
-        assert record.telemetry_stats() is None
-        assert record.telemetry_spans() == [{"name": "a"}]
+        record = api.RunRecord.from_dict(_v1_payload({"spans": [{"name": "a"}]}))
+        assert record.stats("telemetry") is None
+        # The section rides the first result, which stamps unstamped events.
+        assert record.telemetry_spans() == [{"name": "a", "lineup": "OSCAR", "trial": 0}]
 
-    def test_malformed_telemetry_section_is_ignored(self):
-        record = api.RunRecord(
-            scenario={"config": {}}, trials=[],
-            telemetry={"stats": "broken", "spans": "broken"},
+    def test_malformed_telemetry_section_is_ignored(self, monkeypatch):
+        monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
+        record = api.RunRecord.from_dict(
+            _v1_payload({"stats": "broken", "spans": "broken"})
         )
-        assert record.telemetry_stats() is None
+        assert record.stats("telemetry") is None
         assert record.telemetry_spans() == []
 
-    def test_non_telemetry_merges_round_trip_as_none(self, tmp_path, monkeypatch):
-        # The in-memory-only families stay None after save/load — the JSON
-        # round trip must not invent diagnostics.
+    def test_every_layer_round_trips(self, tmp_path, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
         record = api.run_scenario(_scenario("light"))
-        assert record.kernel_stats() is not None
+        assert record.stats("kernel") is not None
         loaded = api.RunRecord.load(record.save(tmp_path / "r.json"))
-        assert loaded.kernel_stats() is None
-        assert loaded.telemetry_stats() is not None
+        for layer in api.STATS_LAYERS:
+            assert loaded.stats(layer) == record.stats(layer), layer
 
 
 # --------------------------------------------------------------------- #
@@ -405,6 +406,7 @@ class TestCli:
         text = metrics.read_text()
         assert "# TYPE repro_span_count counter" in text
         assert 'repro_span_count{span="kernel.solve"}' in text
+        assert 'repro_events_total{name="kernel.solves"}' in text
 
     def test_serve_periodic_metrics_flush(self, tmp_path, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
