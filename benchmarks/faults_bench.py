@@ -12,7 +12,7 @@ Three measurements:
   reported as ``relative_run_efficiency`` (clean seconds over faulted
   seconds, ≤ ~1); a drop means the per-slot fault path got expensive.
 * **identity** — the standing determinism contracts: a run with
-  ``fault_enabled=False`` is byte-identical to one that never mentions
+  ``faults=None`` is byte-identical to one that never mentions
   faults, and a fault-injected run is byte-identical on one and two
   worker processes.
 
@@ -54,12 +54,7 @@ def bench_config(quick: bool) -> ExperimentConfig:
 
 
 def fault_overrides() -> dict:
-    return dict(
-        fault_enabled=True,
-        fault_edge_mtbf=25.0,
-        fault_node_mtbf=80.0,
-        fault_mttr=4.0,
-    )
+    return dict(faults=FaultModel(edge_mtbf=25.0, node_mtbf=80.0, mttr=4.0))
 
 
 def run_scenario(config: ExperimentConfig, workers: int = 1):
@@ -142,7 +137,7 @@ def bench_identity(quick: bool) -> dict:
     """The fault layer's standing byte-identity contracts."""
     config = bench_config(quick)
     _, plain = run_scenario(config)
-    _, disabled = run_scenario(config.with_overrides(fault_enabled=False))
+    _, disabled = run_scenario(config.with_overrides(faults=None))
     faulted_config = config.with_overrides(**fault_overrides())
     _, serial = run_scenario(faulted_config, workers=1)
     _, parallel = run_scenario(faulted_config, workers=2)
@@ -178,7 +173,7 @@ def check_against_baseline(results: dict, baseline: dict) -> list:
         ]
     if not results["identity"]["fault_free_identical"]:
         failures.append(
-            "identity: a fault_enabled=False run diverged from the plain run "
+            "identity: a faults=None run diverged from the plain run "
             "(fault-free byte-identity break)"
         )
     if not results["identity"]["serial_parallel_identical"]:

@@ -138,11 +138,9 @@ def fig6_config(quick: bool, engine: str) -> ExperimentConfig:
         initial_queue=10.0,
         gamma=500.0,
         base_seed=2024,
-        physical_enabled=True,
-        physical_swap_success=0.95,
-        physical_purify_rounds=2,
-        physical_fidelity_target=0.6,
-        physical_engine=engine,
+        physical=PhysicalModel(
+            swap_success=0.95, purify_rounds=2, fidelity_target=0.6, engine=engine
+        ),
     )
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.persistence import result_to_dict
-from repro.serving.scheduler import ServingSimulator, serving_requests_per_second
+from repro.serving.scheduler import ServingModel, ServingSimulator, serving_requests_per_second
 from repro.utils.rng import derive_seed
 from repro.version import __version__
 
@@ -55,14 +55,15 @@ def serving_config(quick: bool, merge_every: int = 1) -> ExperimentConfig:
     return ExperimentConfig.small().with_overrides(
         horizon=60 if quick else 400,
         total_budget=1.0e9,
-        serving_enabled=True,
-        serving_arrival_rate=1.0 if quick else 2.0,
-        serving_session_rate=2.5,
-        serving_session_lifetime=20.0 if quick else 60.0,
-        serving_renew_probability=0.2,
-        serving_session_budget=12.0,
-        serving_admission="always",
-        serving_merge_every=merge_every,
+        serving=ServingModel(
+            arrival_rate=1.0 if quick else 2.0,
+            session_rate=2.5,
+            session_lifetime=20.0 if quick else 60.0,
+            renew_probability=0.2,
+            session_budget=12.0,
+            admission="always",
+            merge_every=merge_every,
+        ),
     )
 
 
@@ -71,7 +72,7 @@ def run_serving(config: ExperimentConfig, seed: int = 1):
     graph = config.build_graph(seed=derive_seed(seed, "graph", 0))
     simulator = ServingSimulator(
         graph=graph,
-        model=config.serving_model(),
+        model=config.serving,
         horizon=config.horizon,
         total_budget=config.total_budget,
     )

@@ -5,8 +5,9 @@ telemetry level plus a *bypass* reference that calls the inner runner
 directly (no level dispatch at all):
 
 * **bypass** — ``_execute_trial_inner``: the pre-telemetry code path;
-* **off** — ``execute_trial`` with ``telemetry_level="off"``: a level check
-  resolving to *no tracer built*, then straight to the inner runner.  The
+* **off** — ``execute_trial`` with telemetry off (``config.telemetry`` is
+  ``None``): a level check resolving to *no tracer built*, then straight
+  to the inner runner.  The
   committed contract is that this costs < 3 % over bypass — the ``off``
   level must be a true no-op;
 * **light / full** — the tracer armed, measuring what span aggregation and
@@ -61,7 +62,7 @@ def bench_config(quick: bool) -> ExperimentConfig:
 
 def _scenario(config: ExperimentConfig, level: str) -> Scenario:
     return Scenario.from_config(
-        config.with_overrides(telemetry_level=level),
+        config.with_overrides(**{"telemetry.level": level}),
         name=f"telemetry-bench/{level}",
     ).with_policies("oscar")
 

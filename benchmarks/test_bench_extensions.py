@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.registry import default_registry
 from repro.core.multiuser import MultiUserSimulator, QDNUser
 from repro.core.offline import OfflineOraclePolicy
 from repro.core.per_slot import PerSlotSolver
@@ -37,8 +38,8 @@ def test_offline_oracle_vs_oscar(benchmark, figure_config):
             graph=graph, trace=trace, total_budget=config.total_budget, realize=False
         )
         oracle_result = simulator.run(oracle, seed=44)
-        oscar_result = simulator.run(config.make_oscar(), seed=44)
-        mf_result = simulator.run(config.make_myopic_fixed(), seed=44)
+        oscar_result = simulator.run(default_registry.make("oscar", config), seed=44)
+        mf_result = simulator.run(default_registry.make("myopic-fixed", config), seed=44)
         return oracle_result, oscar_result, mf_result
 
     oracle_result, oscar_result, mf_result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -68,7 +69,7 @@ def test_multi_tenant_sharing(benchmark, figure_config):
         return [
             QDNUser(
                 name=f"user-{index}",
-                policy=config.make_oscar(total_budget=per_user_budget),
+                policy=default_registry.make("oscar", config, total_budget=per_user_budget),
                 request_process=UniformRequestProcess(min_pairs=1, max_pairs=2),
                 total_budget=per_user_budget,
             )

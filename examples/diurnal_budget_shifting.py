@@ -15,6 +15,7 @@ Run it with::
 
 from __future__ import annotations
 
+from repro import api
 from repro.core.offline import OfflineOraclePolicy
 from repro.core.per_slot import PerSlotSolver
 from repro.experiments.plots import line_chart
@@ -43,9 +44,7 @@ def main() -> None:
 
     config = ExperimentConfig.small().with_overrides(horizon=horizon, total_budget=total_budget)
     policies = [
-        config.make_oscar(),
-        config.make_myopic_adaptive(),
-        config.make_myopic_fixed(),
+        *(api.default_registry.make(name, config) for name in ("oscar", "ma", "mf")),
         OfflineOraclePolicy.for_trace(
             graph, trace, total_budget=total_budget,
             solver=PerSlotSolver(gibbs_iterations=20), seed=23,

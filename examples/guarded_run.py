@@ -27,6 +27,7 @@ import tempfile
 from repro import api
 from repro.experiments.config import ExperimentConfig
 from repro.guard.invariants import FORCE_BREACH_ENV_VAR, InvariantViolation
+from repro.simulation.physical import PhysicalModel
 
 
 def example_config() -> ExperimentConfig:
@@ -38,7 +39,7 @@ def example_config() -> ExperimentConfig:
         max_pairs=4,
         gibbs_iterations=20,
         num_candidate_routes=3,
-        physical_enabled=True,
+        physical=PhysicalModel(),
     )
 
 

@@ -113,7 +113,6 @@ from repro.telemetry import (
     TELEMETRY_LEVELS,
     TelemetryModel,
     Tracer,
-    effective_telemetry_level,
     render_prometheus,
     spans_to_chrome_trace,
     summarize_spans,
@@ -183,7 +182,6 @@ __all__ = [
     "TELEMETRY_LEVELS",
     "TelemetryModel",
     "Tracer",
-    "effective_telemetry_level",
     "render_prometheus",
     "spans_to_chrome_trace",
     "summarize_spans",

@@ -9,8 +9,9 @@ policy classes:
 
 Factories are keyword-configurable; anything not supplied explicitly is
 filled in from an :class:`~repro.experiments.config.ExperimentConfig` (the
-paper's defaults when none is given), so ``make_policy("oscar")`` and
-``config.make_oscar()`` build identical policies.
+paper's defaults when none is given): ``make_policy("oscar")`` builds the
+paper's OSCAR and ``default_registry.make("oscar", config)`` the OSCAR a
+configuration describes.
 
 User-defined policies join the same namespace through the decorator:
 
@@ -80,8 +81,8 @@ def apply_fidelity_constraint(
 ) -> RoutingPolicy:
     """Wrap ``policy`` for fidelity-constrained mode when the config asks for it.
 
-    With the physical layer enabled, ``physical_fidelity_constrained`` set
-    and a positive ``physical_fidelity_target``, the policy is wrapped in a
+    With the physical layer on, ``physical.fidelity_constrained`` set and a
+    positive ``physical.fidelity_target``, the policy is wrapped in a
     :class:`~repro.core.fidelity.FidelityAwarePolicy` whose route model uses
     the physical model's best-case per-edge delivered fidelity
     (:meth:`~repro.simulation.physical.PhysicalModel.edge_fidelity_bound`) —
@@ -91,16 +92,12 @@ def apply_fidelity_constraint(
     point).  Every registry ``make`` applies this, which is how the
     constraint reaches scenarios, studies and the CLI uniformly.
     """
-    model = config.physical_model()
-    if (
-        model is None
-        or not config.physical_fidelity_constrained
-        or model.fidelity_target <= 0.0
-    ):
+    model = config.physical
+    if model is None or not model.fidelity_constrained or model.fidelity_target <= 0.0:
         return policy
     return FidelityAwarePolicy(
         base=policy,
-        fidelity_model=model.route_fidelity_model(),
+        fidelity_model=model.route_fidelity_model(config.attempts_per_slot),
         fidelity_target=model.fidelity_target,
     )
 

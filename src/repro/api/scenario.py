@@ -16,6 +16,12 @@ A multi-tenant scenario swaps the policy line-up for users sharing the QDN:
 ...           .with_user("lab", policy="oscar", total_budget=300.0)
 ...           .with_user("startup", policy="naive", min_pairs=0, max_pairs=2))
 
+Every ``with_*`` builder sets config paths through the one setter,
+:meth:`~repro.experiments.config.ExperimentConfig.with_overrides`: its
+keywords are ``<group>.<keyword>`` paths (``with_faults(edge_mtbf=5)`` sets
+``faults.edge_mtbf``, which turns the fault layer on), and
+:meth:`Scenario.with_config` takes any path directly.
+
 Scenarios round-trip through JSON (:meth:`Scenario.to_dict` /
 :meth:`Scenario.from_dict`), which is also how parallel sessions ship them
 to worker processes.
@@ -30,7 +36,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.api.registry import PolicyRegistry, default_registry
 from repro.core.multiuser import QDNUser
 from repro.core.policy import RoutingPolicy
-from repro.experiments.config import REMOVED_SERVING_LAYOUT, ExperimentConfig
+from repro.experiments.config import CONFIG_PATHS, ExperimentConfig
 from repro.workload.requests import (
     DiurnalRequestProcess,
     HotspotRequestProcess,
@@ -49,56 +55,6 @@ WORKLOAD_KINDS = {
 
 #: Anything :meth:`Scenario.with_policies` accepts as one line-up entry.
 PolicyLike = Union[str, "PolicySpec", Tuple[str, Mapping], Mapping]
-
-#: The fields of :class:`ExperimentConfig` grouped by builder method, used to
-#: give precise errors when an override lands in the wrong ``with_*`` call.
-TOPOLOGY_FIELDS = frozenset(
-    {
-        "topology_kind", "num_nodes", "area", "waxman_alpha", "target_degree",
-        "qubit_capacity_min", "qubit_capacity_max",
-        "channel_capacity_min", "channel_capacity_max",
-        "attempt_success", "attempts_per_slot",
-    }
-)
-WORKLOAD_FIELDS = frozenset(
-    {"horizon", "min_pairs", "max_pairs", "num_candidate_routes", "max_extra_hops"}
-)
-BUDGET_FIELDS = frozenset(
-    {"total_budget", "trade_off_v", "initial_queue", "gamma"}
-)
-SOLVER_FIELDS = frozenset({"dual_tolerance", "solve_deadline"})
-PHYSICAL_FIELDS = frozenset(
-    {
-        "physical_enabled", "physical_swap_success", "physical_link_fidelity",
-        "physical_memory_time", "physical_dwell_fraction",
-        "physical_purify_rounds", "physical_cutoff_fidelity",
-        "physical_fidelity_target", "physical_fidelity_constrained",
-        "physical_engine",
-    }
-)
-TIMING_FIELDS = frozenset(
-    {"backend", "signaling_latency_s", "edge_latency_s", "slot_guard_time_s"}
-)
-SERVING_FIELDS = frozenset(
-    {
-        "serving_enabled", "serving_arrival_kind", "serving_arrival_rate",
-        "serving_arrival_trace", "serving_session_rate",
-        "serving_session_lifetime", "serving_renew_probability",
-        "serving_session_budget", "serving_admission",
-        "serving_admission_threshold", "serving_token_rate",
-        "serving_token_burst", "serving_merge_every",
-        "serving_min_availability",
-    }
-)
-FAULT_FIELDS = frozenset(
-    {
-        "fault_enabled", "fault_node_mtbf", "fault_edge_mtbf", "fault_mttr",
-        "fault_outages", "fault_aware",
-    }
-)
-GUARD_FIELDS = frozenset({"guard_level"})
-TELEMETRY_FIELDS = frozenset({"telemetry_level", "telemetry_span_ring"})
-
 
 def unsupported_backend_error(backend: str, feature: str, remedy: str) -> ValueError:
     """A targeted error for an unsupported ``backend × feature`` combination.
@@ -121,22 +77,23 @@ def check_driver_combination(config: ExperimentConfig, tenants: int) -> None:
     check behind :meth:`Scenario.validate` and
     :func:`repro.api.session.build_trial`.
     """
+    backend = config.timing.backend
     if tenants:
-        if config.backend != "slotted":
+        if backend != "slotted":
             raise unsupported_backend_error(
-                config.backend,
+                backend,
                 f"a multi-user tenant line-up ({tenants} user(s))",
                 "use with_backend('slotted') or drop the tenant line-up",
             )
-        if config.serving_enabled:
+        if config.serving is not None:
             raise ValueError(
                 "unsupported combination: the serving layer and a "
                 "multi-user tenant line-up are mutually exclusive; "
                 "drop with_serving() or the tenant line-up"
             )
-    elif config.serving_enabled and config.backend != "slotted":
+    elif config.serving is not None and backend != "slotted":
         raise unsupported_backend_error(
-            config.backend,
+            backend,
             "the serving layer (with_serving)",
             "use with_backend('slotted') or with_serving(False)",
         )
@@ -335,17 +292,28 @@ class Scenario:
         return self._replace(name=name)
 
     def with_config(self, **overrides) -> "Scenario":
-        """Override arbitrary :class:`ExperimentConfig` fields."""
+        """Override config values by path (any spelling of
+        :data:`~repro.experiments.config.CONFIG_PATHS`)::
+
+            scenario.with_config(horizon=20, **{"faults.edge_mtbf": 40.0})
+
+        Setting a field of a layer that is off turns the layer on.
+        """
         return self._replace(config=self.config.with_overrides(**overrides))
 
-    def _with_fields(self, allowed: frozenset, method: str, overrides: Dict) -> "Scenario":
-        unknown = sorted(set(overrides) - allowed)
+    def _with_group(self, group: str, method: str, overrides: Mapping) -> "Scenario":
+        """Apply every keyword ``key`` as the config path ``<group>.<key>``."""
+        prefix = f"{group}."
+        unknown = sorted(key for key in overrides if prefix + key not in CONFIG_PATHS)
         if unknown:
+            allowed = sorted(
+                name[len(prefix):] for name in CONFIG_PATHS if name.startswith(prefix)
+            )
             raise TypeError(
                 f"{method}() got unexpected field(s) {', '.join(unknown)}; "
-                f"allowed: {', '.join(sorted(allowed))}"
+                f"allowed: {', '.join(allowed)}"
             )
-        return self.with_config(**overrides)
+        return self.with_config(**{prefix + key: value for key, value in overrides.items()})
 
     def with_topology(self, kind: Optional[str] = None, **overrides) -> "Scenario":
         """Configure the network (``num_nodes``, ``target_degree``, capacities, …).
@@ -356,26 +324,18 @@ class Scenario:
         :data:`repro.network.topology.TOPOLOGY_KINDS`.
         """
         if kind is not None:
-            from repro.network.topology import TOPOLOGY_KINDS
-
-            kind = str(kind).strip().lower()
-            if kind not in TOPOLOGY_KINDS:
-                raise ValueError(
-                    f"unknown topology kind {kind!r}; "
-                    f"choose from {', '.join(TOPOLOGY_KINDS)}"
-                )
-            overrides["topology_kind"] = kind
-        return self._with_fields(TOPOLOGY_FIELDS, "with_topology", overrides)
+            overrides["kind"] = str(kind).strip().lower()
+        return self._with_group("topology", "with_topology", overrides)
 
     def with_workload(self, **overrides) -> "Scenario":
         """Configure the trace (``horizon``, ``min_pairs``/``max_pairs``, routes)."""
-        return self._with_fields(WORKLOAD_FIELDS, "with_workload", overrides)
+        return self._with_group("workload", "with_workload", overrides)
 
     def with_budget(self, total_budget: Optional[float] = None, **overrides) -> "Scenario":
         """Configure the budget and Lyapunov parameters (``trade_off_v``, …)."""
         if total_budget is not None:
             overrides["total_budget"] = float(total_budget)
-        return self._with_fields(BUDGET_FIELDS, "with_budget", overrides)
+        return self._with_group("budget", "with_budget", overrides)
 
     def with_solver(self, **overrides) -> "Scenario":
         """Configure the per-slot solver (the compiled slot kernel).
@@ -388,14 +348,14 @@ class Scenario:
         :class:`~repro.core.per_slot.PerSlotSolver`); ``0`` (default) keeps
         the solve unlimited.
         """
-        return self._with_fields(SOLVER_FIELDS, "with_solver", overrides)
+        return self._with_group("solver", "with_solver", overrides)
 
     def with_physical(self, enabled: bool = True, **overrides) -> "Scenario":
-        """Configure the physical delivery co-simulation layer.
+        """Configure the physical delivery co-simulation layer (``config.physical``).
 
         ``with_physical()`` switches it on with the defaults; keyword
-        arguments accept the short names of the ``physical_*`` config fields
-        (the prefix is added automatically)::
+        arguments are fields of
+        :class:`~repro.simulation.physical.PhysicalModel`::
 
             scenario.with_physical(
                 swap_success=0.98, purify_rounds=2,
@@ -413,49 +373,37 @@ class Scenario:
         implementation — bit-identical under the same seeds.
         ``with_physical(False)`` switches the layer back off.
         """
-        mapped: Dict[str, object] = {"physical_enabled": bool(enabled)}
-        for key, value in overrides.items():
-            name = key if key.startswith("physical_") else f"physical_{key}"
-            mapped[name] = value
-        return self._with_fields(PHYSICAL_FIELDS, "with_physical", mapped)
+        return self._with_group("physical", "with_physical", {**overrides, "enabled": enabled})
 
     def with_backend(self, backend: str = "event", **overrides) -> "Scenario":
-        """Select the simulation backend and its timing configuration.
+        """Select the simulation backend and its timing (``config.timing``).
 
         ``with_backend()`` switches to the event-driven co-simulation
         backend (:mod:`repro.simulation.eventsim`); ``with_backend("slotted")``
-        returns to the paper's slotted abstraction.  Keyword arguments accept
-        the timing fields plus convenience aliases::
+        returns to the paper's slotted abstraction.  Keyword arguments are
+        fields of :class:`~repro.simulation.eventsim.TimingModel` or their
+        aliases::
 
             scenario.with_backend(latency=0.05)                 # 50 ms one-way
             scenario.with_backend(edge_latencies={"0|3": 0.2})  # per-edge map
             scenario.with_backend(guard_time=0.1)               # deadline slack
 
-        ``latency`` maps to ``signaling_latency_s`` (the default one-way
-        classical latency of every edge), ``edge_latencies`` to
+        ``latency`` is ``signaling_latency_s`` (the default one-way
+        classical latency of every edge), ``edge_latencies`` is
         ``edge_latency_s`` (per-edge overrides keyed by
         :func:`repro.simulation.eventsim.edge_latency_key` strings) and
-        ``guard_time`` to ``slot_guard_time_s`` (extra slot time beyond the
-        attempt window, available for classical message round-trips).  With
-        zero latency the event backend reproduces the slotted backend's
-        realised outcomes exactly.
+        ``guard_time`` is extra slot time beyond the attempt window,
+        available for classical message round-trips.  With zero latency the
+        event backend reproduces the slotted backend's realised outcomes
+        exactly.
         """
-        aliases = {
-            "latency": "signaling_latency_s",
-            "edge_latencies": "edge_latency_s",
-            "guard_time": "slot_guard_time_s",
-        }
-        mapped: Dict[str, object] = {"backend": str(backend)}
-        for key, value in overrides.items():
-            mapped[aliases.get(key, key)] = value
-        return self._with_fields(TIMING_FIELDS, "with_backend", mapped)
+        return self._with_group("timing", "with_backend", {**overrides, "backend": backend})
 
     def with_serving(self, enabled: bool = True, **overrides) -> "Scenario":
-        """Configure the open-system serving layer (:mod:`repro.serving`).
+        """Configure the open-system serving layer (``config.serving``).
 
         ``with_serving()`` switches it on with the defaults; keyword
-        arguments accept the short names of the ``serving_*`` config fields
-        (the prefix is added automatically)::
+        arguments are fields of :class:`~repro.serving.scheduler.ServingModel`::
 
             scenario.with_serving(
                 arrival_rate=2.0, session_lifetime=40,
@@ -471,24 +419,18 @@ class Scenario:
         ``token-bucket`` with ``token_rate``/``token_burst``).  Admission
         runs once per window of ``merge_every`` slots against the state at
         the window start.  The layout keywords of earlier releases
-        (:data:`~repro.experiments.config.REMOVED_SERVING_LAYOUT`, with or
-        without the prefix) are accepted and ignored, as in saved
-        configurations.  ``with_serving(False)`` switches the layer back off.
+        (``shards``, ``shard_workers``, ``shard_timeout_s``) are accepted and
+        ignored, as in saved configurations.  ``with_serving(False)``
+        switches the layer back off.
         """
-        mapped: Dict[str, object] = {"serving_enabled": bool(enabled)}
-        for key, value in overrides.items():
-            name = key if key.startswith("serving_") else f"serving_{key}"
-            if name not in REMOVED_SERVING_LAYOUT:
-                mapped[name] = value
-        return self._with_fields(SERVING_FIELDS, "with_serving", mapped)
+        return self._with_group("serving", "with_serving", {**overrides, "enabled": enabled})
 
     def with_faults(self, enabled: bool = True, **overrides) -> "Scenario":
-        """Configure the deterministic fault-injection layer (:mod:`repro.faults`).
+        """Configure the deterministic fault-injection layer (``config.faults``).
 
         ``with_faults()`` switches it on with the defaults (no transient
-        outages until an MTBF is set); keyword arguments accept the short
-        names of the ``fault_*`` config fields (the prefix is added
-        automatically)::
+        outages until an MTBF is set); keyword arguments are fields of
+        :class:`~repro.faults.model.FaultModel`::
 
             scenario.with_faults(
                 node_mtbf=100.0, edge_mtbf=50.0, mttr=5.0,
@@ -507,11 +449,7 @@ class Scenario:
         trace or realization draws — and fault-free runs stay
         byte-identical.  ``with_faults(False)`` switches the layer off.
         """
-        mapped: Dict[str, object] = {"fault_enabled": bool(enabled)}
-        for key, value in overrides.items():
-            name = key if key.startswith("fault_") else f"fault_{key}"
-            mapped[name] = value
-        return self._with_fields(FAULT_FIELDS, "with_faults", mapped)
+        return self._with_group("faults", "with_faults", {**overrides, "enabled": enabled})
 
     def with_guard(self, level: str = "cheap") -> "Scenario":
         """Arm the runtime invariant guard (:mod:`repro.guard`).
@@ -526,28 +464,24 @@ class Scenario:
         ``REPRO_GUARD`` environment variable overrides the level at run
         time without changing the scenario's identity.
         """
-        return self._with_fields(GUARD_FIELDS, "with_guard", {"guard_level": str(level)})
+        return self.with_config(guard_level=str(level))
 
     def with_telemetry(self, level: str = "light", **overrides) -> "Scenario":
-        """Arm the observability layer (:mod:`repro.telemetry`).
+        """Arm the observability layer (``config.telemetry``).
 
         ``level`` is one of ``"off"``/``"light"``/``"full"``: ``light``
         aggregates per-span wall/CPU profiles and the metrics registry
         (constant memory, the always-on default), ``full`` additionally
         keeps a bounded ring of span events for Chrome-trace/Perfetto
-        export and crash-bundle attachment.  Keyword arguments accept the
-        short names of the ``telemetry_*`` fields (the prefix is added
-        automatically), e.g. ``with_telemetry("full", span_ring=4096)``.
-        Telemetry is purely observational and draws no randomness —
-        results are byte-identical at every level; the ``REPRO_TELEMETRY``
-        environment variable overrides the level at run time without
-        changing the scenario's identity.
+        export and crash-bundle attachment.  Keyword arguments are fields
+        of :class:`~repro.telemetry.tracer.TelemetryModel`, e.g.
+        ``with_telemetry("full", span_ring=4096)``.  Telemetry is purely
+        observational and draws no randomness — results are byte-identical
+        at every level; the ``REPRO_TELEMETRY`` environment variable
+        overrides the level at run time without changing the scenario's
+        identity.
         """
-        mapped: Dict[str, object] = {"telemetry_level": str(level)}
-        for key, value in overrides.items():
-            name = key if key.startswith("telemetry_") else f"telemetry_{key}"
-            mapped[name] = value
-        return self._with_fields(TELEMETRY_FIELDS, "with_telemetry", mapped)
+        return self._with_group("telemetry", "with_telemetry", {**overrides, "level": str(level)})
 
     def with_trials(self, trials: int) -> "Scenario":
         """Number of independent trials (fresh topology + trace each)."""
@@ -620,7 +554,7 @@ class Scenario:
     @property
     def is_serving(self) -> bool:
         """Whether this scenario runs the open-system serving layer."""
-        return bool(self.config.serving_enabled)
+        return self.config.serving is not None
 
     @property
     def kind(self) -> str:

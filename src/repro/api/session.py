@@ -39,13 +39,14 @@ from repro.api.records import RunRecord
 from repro.api.scenario import Scenario, check_driver_combination
 from repro.core.multiuser import MultiUserSimulator, ProviderSlotRecord
 from repro.faults import PoolSupervisor, RunCheckpoint, WorkerPoolError, checkpoint_key
-from repro.guard.invariants import InvariantViolation, effective_guard_level
+from repro.guard.invariants import GUARD_ENV_VAR, GUARD_LEVELS, InvariantViolation
 from repro.guard.recorder import FlightRecorder, dump_bundle
 from repro.serving.scheduler import SERVING_LINEUP_NAME
 from repro.simulation.engine import build_simulator
 from repro.telemetry import hooks as telemetry_hooks
 from repro.simulation.results import SimulationResult
 from repro.utils.rng import derive_seed
+from repro.utils.validation import effective_level
 
 #: One executed trial: line-up results plus provider records (multi-user only).
 TrialOutcome = Tuple[Dict[str, SimulationResult], Tuple[ProviderSlotRecord, ...]]
@@ -69,7 +70,7 @@ def execute_trial(
     deterministically (:mod:`repro.guard.replay`).  Guard off runs the
     historical path with zero extra work.
     """
-    level = effective_guard_level(scenario.config.guard_level)
+    level = effective_level(scenario.config.guard_level, GUARD_ENV_VAR, GUARD_LEVELS)
     if level == "off":
         return _execute_trial_inner(scenario, trial, on_slot)
     recorder = FlightRecorder()
@@ -138,13 +139,14 @@ def build_trial(scenario: Scenario, trial: int) -> Tuple[object, int]:
     # The fault schedule draws from its own spawned stream, so enabling it
     # perturbs no other stream; fault-free runs skip this branch entirely.
     faults = None
-    if config.fault_enabled:
+    if config.faults is not None:
         faults = config.build_faults(graph, derive_seed(seed, "faults", trial))
-    timing = config.timing_model()
+    timing = config.timing
+    clock = timing.slot_clock(graph.attempts_per_slot)
     layers = dict(
         faults=faults,
         guard_level=config.guard_level,
-        telemetry=config.telemetry_model(),
+        telemetry=config.telemetry,
     )
     routes = dict(
         num_candidate_routes=config.num_candidate_routes,
@@ -155,11 +157,11 @@ def build_trial(scenario: Scenario, trial: int) -> Tuple[object, int]:
 
         simulator = ServingSimulator(
             graph=graph,
-            model=config.serving_model(),
+            model=config.serving,
             horizon=config.horizon,
             total_budget=config.total_budget,
             initial_queue=config.initial_queue,
-            clock=timing.slot_clock(graph.attempts_per_slot),
+            clock=clock,
             **routes,
             **layers,
         )
@@ -170,8 +172,8 @@ def build_trial(scenario: Scenario, trial: int) -> Tuple[object, int]:
             users=scenario.build_users(),
             horizon=config.horizon,
             realize=config.realize,
-            physical=config.physical_model(),
-            clock=timing.slot_clock(graph.attempts_per_slot),
+            physical=config.physical,
+            clock=clock,
             **routes,
             **layers,
         )
@@ -179,10 +181,9 @@ def build_trial(scenario: Scenario, trial: int) -> Tuple[object, int]:
     simulator = build_simulator(
         graph,
         config.build_trace(graph, seed=derive_seed(seed, "trace", trial)),
-        backend=config.backend,
         total_budget=config.total_budget,
         realize=config.realize,
-        physical=config.physical_model(),
+        physical=config.physical,
         timing=timing,
         **layers,
     )
@@ -400,7 +401,7 @@ class Session:
             # recorder tail exists here — dump a meta-only bundle (scenario,
             # first unfinished trial, error) so the failure is still
             # replayable deterministically.
-            level = effective_guard_level(scenario.config.guard_level)
+            level = effective_level(scenario.config.guard_level, GUARD_ENV_VAR, GUARD_LEVELS)
             if level != "off":
                 dump_bundle(
                     scenario.to_dict(), first + next_index, level, error=exc

@@ -16,10 +16,11 @@ shape as data instead of a hand-rolled loop:
 
 Axes come in four kinds:
 
-* :meth:`Study.over` — a (dotted) :class:`ExperimentConfig` field path such
-  as ``"budget.total_budget"``, ``"topology.num_nodes"`` or plain
-  ``"horizon"``; the group prefix is validated against the scenario
-  builder's field groups.
+* :meth:`Study.over` — a config path such as ``"budget.total_budget"``,
+  ``"topology.num_nodes"``, ``"faults.edge_mtbf"`` or plain ``"horizon"``
+  (any spelling of :data:`~repro.experiments.config.CONFIG_PATHS`).  It
+  goes through the same setter as ``Scenario.with_config``, so sweeping a
+  field of a layer that is off turns that layer on.
 * :meth:`Study.over_topology` — the topology family (``"waxman"``,
   ``"grid"``, ``"ring"``, ``"star"``, ``"line"``, ``"complete"``).
 * :meth:`Study.over_policies` — alternative policy line-ups.
@@ -36,14 +37,13 @@ index), so a parallel study is byte-identical to a serial one.
 
 Passing ``store=`` enables the content-hash result store: every completed
 point's :class:`~repro.api.records.RunRecord` is persisted under the SHA-256
-of its scenario description, and a re-run (after an interrupt, or with a
-grid that shares points) loads those records instead of recomputing them,
-layer stats included.
+of its scenario description and the record schema version, and a re-run
+(after an interrupt, or with a grid that shares points) loads those records
+instead of recomputing them, layer stats included.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -64,24 +64,11 @@ from typing import (
 )
 
 from repro.analysis.stats import merge_stat_mappings
+from repro.api import records as records_schema
 from repro.api.records import RunRecord, check_stats_layer
-from repro.api.scenario import (
-    BUDGET_FIELDS,
-    FAULT_FIELDS,
-    GUARD_FIELDS,
-    PHYSICAL_FIELDS,
-    SERVING_FIELDS,
-    SOLVER_FIELDS,
-    TELEMETRY_FIELDS,
-    TIMING_FIELDS,
-    TOPOLOGY_FIELDS,
-    WORKLOAD_FIELDS,
-    PolicyLike,
-    PolicySpec,
-    Scenario,
-)
+from repro.api.scenario import PolicyLike, PolicySpec, Scenario
 from repro.api.session import build_trial, execute_trial
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ConfigError, resolve_path
 from repro.faults import PoolSupervisor
 from repro.network.topology import TOPOLOGY_KINDS
 from repro.simulation.results import SimulationResult
@@ -94,85 +81,6 @@ PathLike = Union[str, Path]
 
 #: Schema version written into every persisted study result.
 STUDY_SCHEMA_VERSION = 1
-
-#: Dotted-path prefixes accepted by :meth:`Study.over`, mapped to the field
-#: group they must resolve into (``config`` accepts any field).
-_AXIS_GROUPS: Dict[str, Optional[frozenset]] = {
-    "topology": TOPOLOGY_FIELDS,
-    "workload": WORKLOAD_FIELDS,
-    "budget": BUDGET_FIELDS,
-    "solver": SOLVER_FIELDS,
-    "physical": PHYSICAL_FIELDS,
-    "timing": TIMING_FIELDS,
-    "serving": SERVING_FIELDS,
-    "faults": FAULT_FIELDS,
-    "guard": GUARD_FIELDS,
-    "telemetry": TELEMETRY_FIELDS,
-    "config": None,
-}
-
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
-
-
-def resolve_config_path(path: str) -> str:
-    """Resolve a (dotted) axis path to the :class:`ExperimentConfig` field.
-
-    ``"topology.num_nodes"`` → ``"num_nodes"`` (validated against the
-    topology field group), ``"budget.total_budget"`` → ``"total_budget"``,
-    plain ``"horizon"`` → ``"horizon"``.  ``"topology.kind"`` is accepted as
-    an alias for ``topology_kind``, the ``physical`` group accepts the
-    short field names (``"physical.swap_success"`` →
-    ``"physical_swap_success"``), the ``serving`` group likewise
-    (``"serving.arrival_rate"`` → ``"serving_arrival_rate"``), the
-    ``faults`` group likewise (``"faults.node_mtbf"`` →
-    ``"fault_node_mtbf"``), the ``telemetry`` group likewise
-    (``"telemetry.level"`` → ``"telemetry_level"``), and the ``timing``
-    group accepts the
-    :meth:`Scenario.with_backend` aliases (``"timing.latency"`` →
-    ``"signaling_latency_s"``, ``"timing.guard_time"`` →
-    ``"slot_guard_time_s"``).
-    """
-    parts = str(path).split(".")
-    if len(parts) == 1:
-        group, name = None, parts[0]
-    elif len(parts) == 2:
-        group, name = parts
-    else:
-        raise ValueError(f"axis path {path!r} has too many components (max one dot)")
-    if group == "topology" and name == "kind":
-        name = "topology_kind"
-    if group == "physical" and not name.startswith("physical_"):
-        name = f"physical_{name}"
-    if group == "serving" and not name.startswith("serving_"):
-        name = f"serving_{name}"
-    if group == "faults" and not name.startswith("fault_"):
-        name = f"fault_{name}"
-    if group == "telemetry" and not name.startswith("telemetry_"):
-        name = f"telemetry_{name}"
-    if group == "timing":
-        name = {
-            "latency": "signaling_latency_s",
-            "edge_latencies": "edge_latency_s",
-            "guard_time": "slot_guard_time_s",
-        }.get(name, name)
-    if group is not None:
-        if group not in _AXIS_GROUPS:
-            raise ValueError(
-                f"unknown axis group {group!r} in {path!r}; "
-                f"choose from {', '.join(sorted(_AXIS_GROUPS))}"
-            )
-        allowed = _AXIS_GROUPS[group]
-        if allowed is not None and name not in allowed:
-            raise ValueError(
-                f"{name!r} is not a {group} field; allowed: {', '.join(sorted(allowed))}"
-            )
-    if name not in _CONFIG_FIELDS:
-        raise ValueError(
-            f"unknown config field {name!r} in axis path {path!r}; "
-            f"fields: {', '.join(sorted(_CONFIG_FIELDS))}"
-        )
-    return name
-
 
 def _display(value: object) -> str:
     """Compact human-readable form of one axis value (used in point names)."""
@@ -303,10 +211,11 @@ class ResultStore:
 
     Each :class:`~repro.api.records.RunRecord` is written to
     ``<root>/<sha256(scenario)>.json``: the key covers the full scenario
-    description (config including trials/seed, line-up, users), so a store
-    can be shared between studies — any study whose grid contains an
-    already-computed point reuses it.  Scenarios carrying an unserialisable
-    ``lineup_factory`` are never cached.
+    description (config including trials/seed, line-up, users) and the
+    record schema version, so a store can be shared between studies — any
+    study whose grid contains an already-computed point reuses it — and a
+    record schema bump recomputes every point.  Scenarios carrying an
+    unserialisable ``lineup_factory`` are never cached.
     """
 
     root: Path
@@ -332,6 +241,7 @@ class ResultStore:
         """
         description = scenario.to_dict()
         description.pop("name", None)
+        description["schema_version"] = records_schema.SCHEMA_VERSION
         payload = json.dumps(description, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -603,8 +513,14 @@ class Study:
         return self
 
     def over(self, path: str, values: Sequence, label: Optional[str] = None) -> "Study":
-        """Sweep one config field, addressed by its (dotted) path."""
-        resolved = resolve_config_path(path)
+        """Sweep one config value, addressed by any spelling of its path.
+
+        The default label is the canonical path (``"faults.edge_mtbf"``
+        for ``"fault_edge_mtbf"``).
+        """
+        resolved = resolve_path(path)
+        if resolved is None:
+            raise ConfigError(f"{path!r} is a removed setting; it cannot be swept")
         self._axes.append(
             StudyAxis(
                 label=label or resolved, kind="config",

@@ -65,7 +65,7 @@ from repro.experiments import (
     fig10_timing,
     fig11_resilience,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ConfigError, ExperimentConfig
 from repro.experiments.persistence import save_text_report
 from repro.experiments.reporting import format_table
 from repro.network.channels import per_slot_success
@@ -93,91 +93,37 @@ SCALES = {
 }
 
 
+def _config_paths(arguments: argparse.Namespace) -> Dict[str, object]:
+    """The config values set on the command line, by config path.
+
+    Every config flag's ``dest`` is its config path (``--swap-p`` is
+    ``physical.swap_success``), so the flags go through the same setter as
+    ``Scenario.with_config`` and ``Study.over``: a field of a layer that is
+    off turns the layer on.  A signaling latency implies the event backend
+    unless ``--backend`` is given.
+    """
+    paths = {
+        dest: value
+        for dest, value in vars(arguments).items()
+        if "." in dest and value is not None
+    }
+    if "timing.signaling_latency_s" in paths:
+        paths.setdefault("timing.backend", "event")
+    return paths
+
+
 def _config_from_args(arguments: argparse.Namespace) -> ExperimentConfig:
     """Build the experiment configuration selected on the command line."""
-    config = SCALES[arguments.scale]()
-    overrides = {}
-    if getattr(arguments, "trials", None) is not None:
-        overrides["trials"] = arguments.trials
-    if getattr(arguments, "seed", None) is not None:
-        overrides["base_seed"] = arguments.seed
-    if getattr(arguments, "dual_tolerance", None) is not None:
-        overrides["dual_tolerance"] = arguments.dual_tolerance
-    # Physical-layer flags: any parameter flag implies --physical.
-    enable_physical = bool(getattr(arguments, "physical", False))
-    explicit = _explicit_physical_fields(arguments)
-    for flag, field in _PHYSICAL_FLAG_FIELDS.items():
-        if field in explicit:
-            overrides[field] = getattr(arguments, flag)
-    if "physical_fidelity_constrained" in explicit:
-        overrides["physical_fidelity_constrained"] = True
-    if enable_physical or explicit:
-        overrides["physical_enabled"] = True
-    # Timing flags: a latency implies the event-driven backend.
-    if getattr(arguments, "backend", None) is not None:
-        overrides["backend"] = arguments.backend
-    if getattr(arguments, "signaling_latency", None) is not None:
-        overrides["signaling_latency_s"] = arguments.signaling_latency
-        if getattr(arguments, "backend", None) is None:
-            overrides["backend"] = "event"
-    # Fault-injection flags: any fault parameter implies --faults.
-    fault_overrides = {
-        field: getattr(arguments, flag)
-        for flag, field in _FAULT_FLAG_FIELDS.items()
-        if getattr(arguments, flag, None) is not None
-    }
-    if getattr(arguments, "fault_blind", False):
-        fault_overrides["fault_aware"] = False
-    if getattr(arguments, "faults", False) or fault_overrides:
-        fault_overrides["fault_enabled"] = True
-    overrides.update(fault_overrides)
-    # Degradation ladder: cap the per-slot solve work (independent of faults).
-    if getattr(arguments, "solve_deadline", None) is not None:
-        overrides["solve_deadline"] = arguments.solve_deadline
-    # Runtime invariant guard level (off compiles to no-ops).
-    if getattr(arguments, "guard", None) is not None:
-        overrides["guard_level"] = arguments.guard
-    # Telemetry level (off builds no tracer; results byte-identical anyway).
-    if getattr(arguments, "telemetry", None) is not None:
-        overrides["telemetry_level"] = arguments.telemetry
-    if overrides:
-        config = config.with_overrides(**overrides)
-    return config
+    return SCALES[arguments.scale]().with_overrides(**_config_paths(arguments))
 
 
-#: Value-taking fault-injection CLI flags mapped to their config fields.
-_FAULT_FLAG_FIELDS = {
-    "node_mtbf": "fault_node_mtbf",
-    "edge_mtbf": "fault_edge_mtbf",
-    "mttr": "fault_mttr",
+#: Figures that switch layers on for their study: the paths pinned on the
+#: command line keep the user's values, the figure's defaults fill the rest.
+FIGURE_CONFIGS = {
+    "fig9": fig9_fidelity.fig9_config,
+    "fig10": fig10_timing.fig10_config,
+    "fig11": fig11_resilience.fig11_config,
 }
-
-
-#: Value-taking physical CLI flags mapped to their config fields.
-_PHYSICAL_FLAG_FIELDS = {
-    "swap_p": "physical_swap_success",
-    "decoherence_t2": "physical_memory_time",
-    "purify_rounds": "physical_purify_rounds",
-    "fidelity_target": "physical_fidelity_target",
-    "physical_engine": "physical_engine",
-}
-
-
-def _explicit_physical_fields(arguments: argparse.Namespace) -> set:
-    """The ``physical_*`` config fields the user pinned on the command line.
-
-    Used both to apply the flags and to tell ``fig9`` which of its defaults
-    must yield to the user's values (even values that coincide with a field
-    default, e.g. ``--swap-p 1.0``).
-    """
-    explicit = {
-        field
-        for flag, field in _PHYSICAL_FLAG_FIELDS.items()
-        if getattr(arguments, flag, None) is not None
-    }
-    if getattr(arguments, "fidelity_constrained", False):
-        explicit.add("physical_fidelity_constrained")
-    return explicit
 
 
 def command_info(arguments: argparse.Namespace) -> int:
@@ -199,20 +145,8 @@ def command_info(arguments: argparse.Namespace) -> int:
 def command_figure(arguments: argparse.Namespace) -> int:
     """Regenerate one of the paper's figures."""
     config = _config_from_args(arguments)
-    if arguments.name == "fig9":
-        # Merge fig9's defining physical defaults around the user's explicit
-        # flags: pinned knobs win, everything else gets the figure's values.
-        config = fig9_fidelity.fig9_config(
-            config, explicit=_explicit_physical_fields(arguments)
-        )
-    elif arguments.name == "fig10":
-        config = fig10_timing.fig10_config(
-            config, explicit=_explicit_physical_fields(arguments)
-        )
-    elif arguments.name == "fig11":
-        config = fig11_resilience.fig11_config(
-            config, explicit=_explicit_physical_fields(arguments)
-        )
+    if arguments.name in FIGURE_CONFIGS:
+        config = FIGURE_CONFIGS[arguments.name](config, explicit=_config_paths(arguments))
     started = time.time()
     result = FIGURE_RUNNERS[arguments.name](config, arguments.workers)
     elapsed = time.time() - started
@@ -596,23 +530,6 @@ def command_sweep(arguments: argparse.Namespace) -> int:
     return 0
 
 
-#: Value-taking serving CLI flags mapped to their config fields.
-_SERVING_FLAG_FIELDS = {
-    "horizon": "horizon",
-    "arrival_kind": "serving_arrival_kind",
-    "arrival_rate": "serving_arrival_rate",
-    "session_rate": "serving_session_rate",
-    "session_lifetime": "serving_session_lifetime",
-    "renew_probability": "serving_renew_probability",
-    "session_budget": "serving_session_budget",
-    "admission": "serving_admission",
-    "admission_threshold": "serving_admission_threshold",
-    "token_rate": "serving_token_rate",
-    "token_burst": "serving_token_burst",
-    "merge_every": "serving_merge_every",
-}
-
-
 def _format_serving_report(record) -> str:
     """The serving metrics table (deterministic — CI diffs it across layouts)."""
     from repro.serving.scheduler import (
@@ -647,16 +564,11 @@ def _format_serving_report(record) -> str:
 
 def command_serve(arguments: argparse.Namespace) -> int:
     """Run the open-system serving layer and print the serving metrics."""
-    overrides = {"serving_enabled": True}
-    for flag, field in _SERVING_FLAG_FIELDS.items():
-        value = getattr(arguments, flag, None)
-        if value is not None:
-            overrides[field] = value
     observers = [api.ProgressObserver()] if arguments.progress else []
     try:
-        # with_overrides validates eagerly (unknown admission policy,
-        # negative rates, ...), so it sits inside the error envelope too.
-        config = _config_from_args(arguments).with_overrides(**overrides)
+        # The setter validates eagerly (unknown admission policy, negative
+        # rates, ...), so it sits inside the error envelope too.
+        config = _config_from_args(arguments)
         scenario = api.Scenario.from_config(config, name=f"serve/{arguments.scale}")
         with api.InterruptGuard() as guard, _metrics_flush_env(arguments):
             record = api.run_scenario(
@@ -799,8 +711,6 @@ def command_diff_check(arguments: argparse.Namespace) -> int:
     from repro.guard.differential import run_all
 
     config = _config_from_args(arguments)
-    if getattr(arguments, "horizon", None) is not None:
-        config = config.with_overrides(horizon=arguments.horizon)
     try:
         reports = run_all(config=config, trial=arguments.trial)
     except ValueError as error:
@@ -827,83 +737,91 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sub: argparse.ArgumentParser) -> None:
+        # Every config flag's dest is its config path (see _config_paths).
         sub.add_argument("--scale", default="small", choices=sorted(SCALES.keys()),
                          help="experiment scale (default: small)")
-        sub.add_argument("--trials", type=int, default=None, help="override the number of trials")
-        sub.add_argument("--seed", type=int, default=None, help="override the base random seed")
+        sub.add_argument("--trials", type=int, default=None, dest="config.trials",
+                         help="override the number of trials")
+        sub.add_argument("--seed", type=int, default=None, dest="config.base_seed",
+                         help="override the base random seed")
         sub.add_argument("--dual-tolerance", type=float, default=None,
+                         dest="solver.dual_tolerance",
                          help="kernel duality-gap early-stop tolerance "
                               "(0 selects replay mode: the full fixed "
                               "iteration schedule)")
-        sub.add_argument("--physical", action="store_true",
+        sub.add_argument("--physical", action="store_const", const=True,
+                         dest="physical.enabled",
                          help="simulate the physical delivery chain "
                               "(swap/purify/decohere) under every realised EC")
-        sub.add_argument("--swap-p", type=float, default=None, dest="swap_p",
+        sub.add_argument("--swap-p", type=float, default=None, dest="physical.swap_success",
                          help="Bell-state-measurement success probability "
                               "(implies --physical)")
         sub.add_argument("--decoherence-t2", type=float, default=None,
-                         dest="decoherence_t2",
+                         dest="physical.memory_time",
                          help="memory decoherence time constant in seconds "
                               "(implies --physical)")
         sub.add_argument("--purify-rounds", type=int, default=None,
-                         dest="purify_rounds",
+                         dest="physical.purify_rounds",
                          help="requested BBPSSW recurrence rounds per link, "
                               "clipped by each edge's channel allocation "
                               "(implies --physical)")
         sub.add_argument("--fidelity-target", type=float, default=None,
-                         dest="fidelity_target",
+                         dest="physical.fidelity_target",
                          help="delivered-fidelity target (implies --physical)")
-        sub.add_argument("--fidelity-constrained", action="store_true",
+        sub.add_argument("--fidelity-constrained", action="store_const", const=True,
+                         dest="physical.fidelity_constrained",
                          help="only count a request as served when its route "
                               "can deliver the fidelity target (re-ranks "
                               "candidate routes; implies --physical)")
         sub.add_argument("--physical-engine", default=None,
                          choices=["vectorized", "reference"],
-                         dest="physical_engine",
+                         dest="physical.engine",
                          help="physical-layer engine implementation "
                               "(bit-identical; reference is the per-pair "
                               "cross-check, implies --physical)")
         sub.add_argument("--backend", default=None,
-                         choices=["slotted", "event"],
+                         choices=["slotted", "event"], dest="timing.backend",
                          help="simulation backend: the slot-batched engine "
                               "or the event-driven engine with classical "
                               "signaling (default: slotted)")
         sub.add_argument("--signaling-latency", type=float, default=None,
-                         dest="signaling_latency",
+                         dest="timing.signaling_latency_s",
                          help="classical one-way signaling latency per edge "
                               "in seconds (implies --backend event)")
-        sub.add_argument("--faults", action="store_true",
+        sub.add_argument("--faults", action="store_const", const=True,
+                         dest="faults.enabled",
                          help="inject seeded node/edge outages (transient "
                               "failures with MTBF/MTTR; schedules are "
                               "byte-identical across worker layouts)")
-        sub.add_argument("--node-mtbf", type=float, default=None, dest="node_mtbf",
+        sub.add_argument("--node-mtbf", type=float, default=None, dest="faults.node_mtbf",
                          help="mean slots between failures per node "
                               "(0 disables node outages; implies --faults)")
-        sub.add_argument("--edge-mtbf", type=float, default=None, dest="edge_mtbf",
+        sub.add_argument("--edge-mtbf", type=float, default=None, dest="faults.edge_mtbf",
                          help="mean slots between failures per edge "
                               "(0 disables edge outages; implies --faults)")
-        sub.add_argument("--mttr", type=float, default=None, dest="mttr",
+        sub.add_argument("--mttr", type=float, default=None, dest="faults.mttr",
                          help="mean slots to repair a failed element "
                               "(implies --faults)")
-        sub.add_argument("--fault-blind", action="store_true", dest="fault_blind",
+        sub.add_argument("--fault-blind", action="store_const", const=False,
+                         dest="faults.aware",
                          help="hide outages from the policies: routes are "
                               "chosen on the healthy topology and served "
                               "requests crossing a down element are "
                               "interrupted (implies --faults)")
         sub.add_argument("--solve-deadline", type=int, default=None,
-                         dest="solve_deadline",
+                         dest="solver.solve_deadline",
                          help="per-slot solve budget in combination "
                               "evaluations; over budget the solver degrades "
                               "exhaustive -> gibbs -> greedy (0 = unlimited)")
         sub.add_argument("--guard", default=None,
-                         choices=["off", "cheap", "strict"],
+                         choices=["off", "cheap", "strict"], dest="guard.guard_level",
                          help="runtime invariant guard: off compiles to "
                               "no-ops, cheap checks per-slot accounting, "
                               "strict replays constraint rows and queue "
                               "recursions (results are byte-identical at "
                               "every level)")
         sub.add_argument("--telemetry", default=None,
-                         choices=["off", "light", "full"],
+                         choices=["off", "light", "full"], dest="telemetry.level",
                          help="observability level: off builds no tracer, "
                               "light aggregates per-span profiles and "
                               "metrics, full adds the span-event ring for "
@@ -980,34 +898,35 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve", help="run the open-system serving layer (streaming sessions)"
     )
-    serve.add_argument("--horizon", type=int, default=None,
+    serve.set_defaults(**{"serving.enabled": True})
+    serve.add_argument("--horizon", type=int, default=None, dest="workload.horizon",
                        help="override the number of simulated slots")
     serve.add_argument("--arrival-kind", default=None, choices=["poisson", "trace"],
-                       dest="arrival_kind",
+                       dest="serving.arrival_kind",
                        help="session arrival process (default: poisson)")
-    serve.add_argument("--arrival-rate", type=float, default=None, dest="arrival_rate",
+    serve.add_argument("--arrival-rate", type=float, default=None, dest="serving.arrival_rate",
                        help="mean session joins per slot (poisson arrivals)")
-    serve.add_argument("--session-rate", type=float, default=None, dest="session_rate",
+    serve.add_argument("--session-rate", type=float, default=None, dest="serving.session_rate",
                        help="mean EC requests per session per slot")
     serve.add_argument("--session-lifetime", type=float, default=None,
-                       dest="session_lifetime",
+                       dest="serving.session_lifetime",
                        help="mean session lifetime in slots (geometric)")
     serve.add_argument("--renew-probability", type=float, default=None,
-                       dest="renew_probability",
+                       dest="serving.renew_probability",
                        help="probability a session renews at expiry")
     serve.add_argument("--session-budget", type=float, default=None,
-                       dest="session_budget",
+                       dest="serving.session_budget",
                        help="qubit budget one session may spend per slot")
-    serve.add_argument("--admission", default=None,
+    serve.add_argument("--admission", default=None, dest="serving.admission",
                        help="admission policy (always, backlog-threshold, token-bucket)")
     serve.add_argument("--admission-threshold", type=float, default=None,
-                       dest="admission_threshold",
+                       dest="serving.admission_threshold",
                        help="virtual-queue backlog above which sessions are rejected")
-    serve.add_argument("--token-rate", type=float, default=None, dest="token_rate",
+    serve.add_argument("--token-rate", type=float, default=None, dest="serving.token_rate",
                        help="token-bucket refill per slot")
-    serve.add_argument("--token-burst", type=float, default=None, dest="token_burst",
+    serve.add_argument("--token-burst", type=float, default=None, dest="serving.token_burst",
                        help="token-bucket capacity")
-    serve.add_argument("--merge-every", type=int, default=None, dest="merge_every",
+    serve.add_argument("--merge-every", type=int, default=None, dest="serving.merge_every",
                        help="slots per admission window (admission sees the "
                             "state at the window start)")
     serve.add_argument("--workers", type=int, default=1,
@@ -1068,7 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diff-check",
         help="run lockstep implementation pairs and report the first divergence",
     )
-    diff_check.add_argument("--horizon", type=int, default=None,
+    diff_check.add_argument("--horizon", type=int, default=None, dest="workload.horizon",
                             help="override the number of simulated slots")
     diff_check.add_argument("--trial", type=int, default=0,
                             help="trial index to compare (default: 0)")
@@ -1084,6 +1003,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     arguments = parser.parse_args(argv)
     try:
         return arguments.handler(arguments)
+    except ConfigError as error:
+        # Flag values are validated as the config is built, before any run.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # ``repro top run.json | head`` closes stdout early; that is not
         # an error.  Detach so the interpreter-exit flush cannot re-raise.

@@ -1,9 +1,38 @@
 """Experiment configuration.
 
-:class:`ExperimentConfig` captures every parameter of the paper's default
-simulation setup (Sec. V-A) in one frozen-ish dataclass, provides factory
-methods for the network, the workload and the policies, and offers scaled
-presets: :meth:`ExperimentConfig.paper` reproduces the published setting
+:class:`ExperimentConfig` holds the paper's simulation setup (Sec. V-A) —
+network, workload, budget and Lyapunov parameters — as plain fields, and
+each layer built on top of it as one model field:
+
+* ``physical`` — :class:`~repro.simulation.physical.PhysicalModel`, the
+  swap/purify/decohere delivery chain;
+* ``timing`` — :class:`~repro.simulation.eventsim.TimingModel`, the
+  simulation backend and its classical-signaling latencies;
+* ``serving`` — :class:`~repro.serving.scheduler.ServingModel`, the
+  open-system session scheduler;
+* ``faults`` — :class:`~repro.faults.model.FaultModel`, seeded node and
+  edge outages;
+* ``telemetry`` — :class:`~repro.telemetry.tracer.TelemetryModel`, spans
+  and profiles.
+
+``None`` means the layer is off; ``timing`` is always present.  Each model
+validates itself when it is built.
+
+Every value has one dotted path: ``"horizon"``, ``"physical.swap_success"``,
+``"timing.backend"``.  :data:`CONFIG_PATHS` maps each spelling the library
+accepts to its path — the builder groups (``"topology.num_nodes"``), the
+flat names of earlier releases (``"physical_swap_success"``,
+``"fault_edge_mtbf"``, ``"slot_guard_time_s"``), the prefixed forms
+(``"faults.fault_node_mtbf"``) and the aliases (``"timing.latency"``,
+``"topology.kind"``).  :meth:`ExperimentConfig.with_overrides` is the one
+setter behind ``Scenario.with_*``, ``Study.over`` and the CLI flags:
+setting a field of a layer that is off turns the layer on with its
+defaults, and ``<layer>.enabled = False`` (for telemetry, ``level =
+"off"``) turns it off.  :meth:`ExperimentConfig.from_dict` loads the nested
+dictionaries ``dataclasses.asdict`` writes as well as the flat ones of
+earlier releases.
+
+Presets: :meth:`ExperimentConfig.paper` reproduces the published setting
 (20 nodes, T=200, C=5000, 5 trials) while :meth:`ExperimentConfig.small`
 and :meth:`ExperimentConfig.tiny` shrink the horizon and network so the
 full pipeline can run inside unit tests and CI benchmarks.
@@ -12,37 +41,29 @@ full pipeline can run inside unit tests and CI benchmarks.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (lazy import at runtime)
-    from repro.faults import FaultModel, FaultSchedule
-    from repro.serving.scheduler import ServingModel
-
-from repro.core.baselines import (
-    MyopicAdaptivePolicy,
-    MyopicFixedPolicy,
-    ShortestRouteUniformPolicy,
-    UnconstrainedPolicy,
-)
-from repro.core.oscar import OscarPolicy
-from repro.core.policy import RoutingPolicy
-from repro.network.channels import DECOHERENCE_TIME_S
+from repro.faults.model import FaultModel, FaultSchedule
+from repro.guard.invariants import GUARD_LEVELS
 from repro.network.graph import QDNGraph
-from repro.simulation.engine import BACKEND_KINDS
-from repro.simulation.eventsim import TimingModel
-from repro.simulation.physical import ENGINE_KINDS, PhysicalModel
 from repro.network.resources import ResourceProcess, StaticResources
 from repro.network.store import TopologyStore, default_topology_store
 from repro.network.topology import TOPOLOGY_KINDS, CapacityRanges, build_topology
+from repro.serving.scheduler import ServingModel
+from repro.simulation.eventsim import TimingModel
+from repro.simulation.physical import PhysicalModel
+from repro.telemetry.tracer import TelemetryModel
 from repro.utils.rng import SeedLike, derive_seed
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import (
+    check_choice,
+    check_non_negative,
+    check_positive,
+    did_you_mean,
+)
 from repro.workload.requests import RequestProcess, UniformRequestProcess
 from repro.workload.traces import WorkloadTrace, generate_trace
-from repro.guard.invariants import GUARD_LEVELS
-from repro.telemetry.tracer import TELEMETRY_LEVELS, TelemetryModel
 
 
 class ConfigError(ValueError):
@@ -54,25 +75,12 @@ class ConfigError(ValueError):
     """
 
 
-def _did_you_mean(value: str, options: Sequence[str]) -> str:
-    """A ``"; did you mean 'x'?"`` suffix, or empty when nothing is close."""
-    matches = difflib.get_close_matches(str(value), list(options), n=1)
-    return f"; did you mean {matches[0]!r}?" if matches else ""
-
-
 #: Solver switches of earlier releases → the solver path their ``false``
 #: value selected.  Both paths are gone; see :meth:`ExperimentConfig.from_dict`.
 _REMOVED_SOLVER_SWITCHES = {
     "use_kernel": "the legacy per-combination solver",
     "kernel_cache": "the recompile-per-slot kernel",
 }
-
-#: Serving knobs of earlier releases that chose only the scheduler's
-#: execution layout (shards and shard worker processes).  No result ever
-#: depended on them, so they are dropped at any value.
-REMOVED_SERVING_LAYOUT = frozenset(
-    {"serving_shards", "serving_shard_workers", "serving_shard_timeout_s"}
-)
 
 
 @contextmanager
@@ -102,6 +110,8 @@ class ExperimentConfig:
     channel_capacity_max: int = 8
 
     # --- link physics (Sec. V-A2) ---------------------------------------- #
+    # ``attempts_per_slot`` is the one setting of the slot's length; the
+    # physical layer's memory dwell and every slot clock derive from it.
     attempt_success: float = 2.0e-4
     attempts_per_slot: int = 4000
 
@@ -132,107 +142,26 @@ class ExperimentConfig:
     dual_tolerance: float = 1e-4
     solve_deadline: int = 0
 
-    # --- physical layer (repro.simulation.physical) ------------------------ #
-    # ``physical_enabled`` switches on the physical delivery co-simulation:
-    # every realised EC additionally runs its swap/purify/decohere chain and
-    # the records carry delivered fidelities.  Disabled (the default) the
-    # simulators consume exactly the historical random streams, so every
-    # existing figure stays byte-identical.  ``physical_fidelity_constrained``
-    # additionally wraps registry-built policies so a request only counts as
-    # served when its route can deliver ``physical_fidelity_target``.
-    physical_enabled: bool = False
-    physical_swap_success: float = 1.0
-    physical_link_fidelity: float = 0.98
-    physical_memory_time: float = DECOHERENCE_TIME_S
-    physical_dwell_fraction: float = 0.5
-    physical_purify_rounds: int = 0
-    physical_cutoff_fidelity: float = 0.0
-    physical_fidelity_target: float = 0.0
-    physical_fidelity_constrained: bool = False
-    physical_engine: str = "vectorized"
-
-    # --- timing / simulation backend (repro.simulation.eventsim) ----------- #
-    # ``backend`` selects the simulation backend: the paper's slotted
-    # abstraction (default) or the event-driven co-simulation with classical
-    # signaling latency.  ``signaling_latency_s`` is the default one-way
-    # classical latency per edge; ``edge_latency_s`` overrides it per edge
-    # (keys are ``repro.simulation.eventsim.edge_latency_key`` strings so the
-    # map survives JSON round trips); ``slot_guard_time_s`` extends each slot
-    # beyond the attempt window — the slack available for classical message
-    # round-trips.  With zero latency the event backend reproduces the
-    # slotted backend's realised outcomes exactly.
-    backend: str = "slotted"
-    signaling_latency_s: float = 0.0
-    edge_latency_s: Optional[Dict[str, float]] = None
-    slot_guard_time_s: float = 0.0
-
-    # --- serving layer (repro.serving) ------------------------------------- #
-    # ``serving_enabled`` switches a scenario from the closed batch system to
-    # the open serving system: sessions stream in (``serving_arrival_kind``
-    # "poisson" at ``serving_arrival_rate`` joins/slot, or "trace" replaying
-    # ``serving_arrival_trace`` per-slot join counts), each issuing
-    # ``serving_session_rate`` EC requests/slot for a geometric lifetime of
-    # mean ``serving_session_lifetime`` slots (renewing with probability
-    # ``serving_renew_probability``).  Joins are gated by the
-    # ``serving_admission`` policy (see repro.serving.admission), which runs
-    # once per window of ``serving_merge_every`` slots against the state at
-    # the window start; the session table then advances the window's slots.
-    serving_enabled: bool = False
-    serving_arrival_kind: str = "poisson"
-    serving_arrival_rate: float = 0.5
-    serving_arrival_trace: Optional[List[int]] = None
-    serving_session_rate: float = 2.0
-    serving_session_lifetime: float = 20.0
-    serving_renew_probability: float = 0.0
-    serving_session_budget: float = 8.0
-    serving_admission: str = "backlog-threshold"
-    serving_admission_threshold: float = 200.0
-    serving_token_rate: float = 1.0
-    serving_token_burst: float = 4.0
-    serving_merge_every: int = 1
-    serving_min_availability: float = 0.9
-
-    # --- fault injection (repro.faults) ------------------------------------ #
-    # ``fault_enabled`` switches on the deterministic fault-injection layer:
-    # nodes and edges suffer transient outages (exponential up-times with
-    # mean ``fault_node_mtbf``/``fault_edge_mtbf`` slots, down-times with
-    # mean ``fault_mttr`` slots; 0 disables that element class) plus the
-    # scripted one-shots in ``fault_outages`` (each a JSON-friendly
-    # ``[kind, element, start, duration]`` entry).  The schedule is derived
-    # from its own spawned seed, so fault-free runs consume exactly the
-    # historical random streams and stay byte-identical.  With
-    # ``fault_aware`` (default) policies see the degraded topology — routes
-    # over failed elements leave the candidate sets; blind mode keeps the
-    # full sets and loses the affected requests at realization time.
-    fault_enabled: bool = False
-    fault_node_mtbf: float = 0.0
-    fault_edge_mtbf: float = 0.0
-    fault_mttr: float = 5.0
-    fault_outages: Optional[List[List[object]]] = None
-    fault_aware: bool = True
+    # --- layers (see the module docstring; ``None`` = off) ----------------- #
+    # Off layers draw nothing, so runs without them consume exactly the
+    # historical random streams.
+    physical: Optional[PhysicalModel] = None
+    timing: TimingModel = field(default_factory=TimingModel)
+    serving: Optional[ServingModel] = None
+    faults: Optional[FaultModel] = None
 
     # --- runtime invariant guard (repro.guard) ----------------------------- #
-    # ``guard_level`` arms the runtime invariant guard: "off" (the default)
-    # builds no guard at all and keeps every table and benchmark
-    # byte-identical to the unguarded build; "cheap" runs O(1) per-slot
-    # accounting checks; "strict" additionally recomputes constraint rows,
-    # the virtual-queue recursion, kernel dual bounds and fault-schedule
-    # accounting.  The guard is observational — any level produces identical
-    # results or raises.  ``REPRO_GUARD`` overrides the level at run time.
+    # "off" (the default) builds no guard; "cheap" runs O(1) per-slot
+    # accounting checks; "strict" also recomputes constraint rows, the
+    # virtual-queue recursion, kernel dual bounds and fault accounting.  Any
+    # level produces identical results or raises.  ``REPRO_GUARD``
+    # overrides the level at run time.
     guard_level: str = "off"
 
-    # --- telemetry (repro.telemetry) ---------------------------------------- #
-    # ``telemetry_level`` arms the observability layer: "off" (the default)
-    # builds no tracer at all and keeps every table and benchmark
-    # byte-identical to the uninstrumented build; "light" aggregates
-    # per-span wall/CPU profiles and the metrics registry; "full"
-    # additionally keeps a bounded ring of ``telemetry_span_ring`` span
-    # events (pid/tid stamped) for Chrome-trace export and crash-bundle
-    # attachment.  Telemetry is observational and draws no randomness —
-    # any level produces identical results.  ``REPRO_TELEMETRY`` overrides
-    # the level at run time, exactly like ``REPRO_GUARD``.
-    telemetry_level: str = "off"
-    telemetry_span_ring: int = 2048
+    # --- telemetry (repro.telemetry; ``None`` = off) ------------------------ #
+    # Observational and draws no randomness.  ``REPRO_TELEMETRY`` overrides
+    # the level at run time, like ``REPRO_GUARD``.
+    telemetry: Optional[TelemetryModel] = None
 
     # --- experiment bookkeeping ------------------------------------------- #
     trials: int = 5
@@ -243,22 +172,17 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> "ExperimentConfig":
-        """Check every field; raises :class:`ConfigError` on the first problem.
+        """Check every plain field and the type of every layer field.
 
-        Also invoked by ``__post_init__`` so an ``ExperimentConfig`` can
-        never exist in an invalid state, and re-invoked (idempotent, cheap)
-        by the Scenario/Study/CLI entry points so configurations rebuilt
-        from dictionaries or mutated by hand fail early with one exception
-        type.  :class:`ConfigError` subclasses :class:`ValueError` and is
-        picklable, so it crosses worker-pool boundaries intact.
+        Raises :class:`ConfigError` on the first problem.  Also invoked by
+        ``__post_init__``, so an ``ExperimentConfig`` can never exist in an
+        invalid state, and re-invoked (idempotent, cheap) by the
+        Scenario/Study/CLI entry points so configurations mutated by hand
+        fail early with one exception type.  The layer models validated
+        their own fields when they were built.
         """
-        if self.topology_kind not in TOPOLOGY_KINDS:
-            raise ConfigError(
-                f"unknown topology kind {self.topology_kind!r}; "
-                f"choose from {', '.join(TOPOLOGY_KINDS)}"
-                f"{_did_you_mean(self.topology_kind, TOPOLOGY_KINDS)}"
-            )
         with _config_errors():
+            check_choice(self.topology_kind, TOPOLOGY_KINDS, "topology kind")
             check_positive(self.num_nodes, "num_nodes")
             check_positive(self.horizon, "horizon")
             check_positive(self.trials, "trials")
@@ -267,67 +191,20 @@ class ExperimentConfig:
             check_positive(self.attempt_success, "attempt_success")
             check_positive(self.num_candidate_routes, "num_candidate_routes")
             check_non_negative(self.max_extra_hops, "max_extra_hops")
+            check_non_negative(self.solve_deadline, "solve_deadline")
+            check_choice(self.guard_level, GUARD_LEVELS, "guard level")
         if self.min_pairs < 1 or self.max_pairs < self.min_pairs:
             raise ConfigError(
                 f"request-pair range [{self.min_pairs}, {self.max_pairs}] is "
                 "empty; need 1 <= min_pairs <= max_pairs"
             )
-        if self.physical_engine not in ENGINE_KINDS:
-            raise ConfigError(
-                f"unknown physical engine {self.physical_engine!r}; "
-                f"choose from {', '.join(ENGINE_KINDS)}"
-                f"{_did_you_mean(self.physical_engine, ENGINE_KINDS)}"
-            )
-        if self.backend not in BACKEND_KINDS:
-            raise ConfigError(
-                f"unknown simulation backend {self.backend!r}; "
-                f"choose from {', '.join(BACKEND_KINDS)}"
-                f"{_did_you_mean(self.backend, BACKEND_KINDS)}"
-            )
-        if self.guard_level not in GUARD_LEVELS:
-            raise ConfigError(
-                f"unknown guard level {self.guard_level!r}; "
-                f"choose from {', '.join(GUARD_LEVELS)}"
-                f"{_did_you_mean(self.guard_level, GUARD_LEVELS)}"
-            )
-        if self.telemetry_level not in TELEMETRY_LEVELS:
-            raise ConfigError(
-                f"unknown telemetry level {self.telemetry_level!r}; "
-                f"choose from {', '.join(TELEMETRY_LEVELS)}"
-                f"{_did_you_mean(self.telemetry_level, TELEMETRY_LEVELS)}"
-            )
-        if int(self.telemetry_span_ring) <= 0:
-            raise ConfigError(
-                f"telemetry_span_ring must be positive, got {self.telemetry_span_ring}"
-            )
-        with _config_errors():
-            check_non_negative(self.signaling_latency_s, "signaling_latency_s")
-            check_non_negative(self.slot_guard_time_s, "slot_guard_time_s")
-            if self.edge_latency_s:
-                for key, value in self.edge_latency_s.items():
-                    check_non_negative(value, f"edge_latency_s[{key!r}]")
-        if self.solve_deadline < 0:
-            raise ConfigError(
-                f"solve_deadline must be non-negative, got {self.solve_deadline}"
-            )
-        if self.serving_enabled and self.serving_arrival_rate < 0:
-            raise ConfigError(
-                "serving_arrival_rate must be non-negative, got "
-                f"{self.serving_arrival_rate}"
-            )
-        if self.fault_enabled and self.fault_mttr <= 0:
-            raise ConfigError(
-                f"fault_mttr must be positive, got {self.fault_mttr}"
-            )
-        with _config_errors():
-            if self.serving_enabled:
-                # Building the model validates every serving field (arrival
-                # kind, admission name, merge window) in one place.
-                self.serving_model()
-            if self.fault_enabled:
-                # Likewise: building the fault model validates the fault
-                # fields (MTBF/MTTR signs, scripted-outage shapes).
-                self.fault_model()
+        for name, (model, _) in LAYERS.items():
+            value = getattr(self, name)
+            if not isinstance(value, model) and (value is not None or name == "timing"):
+                optional = "" if name == "timing" else " or None"
+                raise ConfigError(
+                    f"{name} must be a {model.__name__}{optional}, got {value!r}"
+                )
         return self
 
     # ------------------------------------------------------------------ #
@@ -370,31 +247,75 @@ class ExperimentConfig:
             num_candidate_routes=3,
         )
 
-    def with_overrides(self, **overrides) -> "ExperimentConfig":
-        """A copy of this configuration with selected fields replaced."""
-        return dataclasses.replace(self, **overrides)
+    # ------------------------------------------------------------------ #
+    # Paths: the one setter and the one loader
+    # ------------------------------------------------------------------ #
+    def with_overrides(self, **overrides: object) -> "ExperimentConfig":
+        """A copy with each override applied through its config path.
+
+        Keys are any spelling of :data:`CONFIG_PATHS` — pass dotted paths
+        as ``**{"physical.swap_success": 0.9}`` — or a layer field with a
+        whole model (or ``None``).  Setting a field of a layer that is off
+        turns the layer on with its defaults.  The switches
+        (``<layer>.enabled``, ``telemetry.level``) apply after the fields,
+        so ``physical_enabled=False`` turns the layer off whatever else the
+        call sets.  Spellings of removed knobs are accepted and ignored.
+        """
+        paths: Dict[str, object] = {}
+        for spelling, value in overrides.items():
+            path = resolve_path(spelling)
+            if path is not None:
+                paths[path] = value
+        changes: Dict[str, object] = {}
+        with _config_errors():
+            for path in sorted(paths, key=_SWITCHES.__contains__):
+                name, _, key = path.partition(".")
+                value = paths[path]
+                if key:
+                    model = changes.get(name, getattr(self, name))
+                    value = _set_layer_field(name, model, key, value)
+                changes[name] = value
+            return dataclasses.replace(self, **changes)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "ExperimentConfig":
         """Rebuild a configuration from ``dataclasses.asdict`` output.
 
         The one loader of saved configurations (records, scenarios, result
-        stores, crash bundles).  Payloads saved before the solver switches
-        were removed carry them: a true switch names the path every run now
-        takes and is dropped; a false one asked for a removed solver path
-        and raises :class:`ConfigError`.  The removed serving layout knobs
-        (:data:`REMOVED_SERVING_LAYOUT`) are dropped at any value.
+        stores, checkpoints, crash bundles).  Nested layer dictionaries
+        rebuild their models.  Flat keys of earlier releases go through
+        :data:`CONFIG_PATHS`; a flat layer whose switch was off
+        (``physical_enabled: false``, ``telemetry_level: "off"``) loads as
+        ``None`` whatever its other keys hold, because that is what ran.
+        Payloads saved before the solver switches were removed carry them:
+        a true switch names the path every run now takes and is dropped; a
+        false one asked for a removed solver path and raises
+        :class:`ConfigError`.
         """
-        fields = dict(payload)
-        for name in REMOVED_SERVING_LAYOUT:
-            fields.pop(name, None)
-        for name, removed in _REMOVED_SOLVER_SWITCHES.items():
-            if name in fields and not fields.pop(name):
-                raise ConfigError(
-                    f"{name}=false selects {removed}, which has been removed; "
-                    f"drop the {name!r} key to run on the slot kernel"
-                )
-        return cls(**fields)
+        with _config_errors():
+            direct: Dict[str, object] = {}
+            flat: Dict[str, object] = {}
+            for key, value in payload.items():
+                if key in _REMOVED_SOLVER_SWITCHES:
+                    if not value:
+                        raise ConfigError(
+                            f"{key}=false selects {_REMOVED_SOLVER_SWITCHES[key]}, which has "
+                            f"been removed; drop the {key!r} key to run on the slot kernel"
+                        )
+                elif key in LAYERS:
+                    model = LAYERS[key][0]
+                    direct[key] = model(**value) if isinstance(value, Mapping) else value
+                elif key in _PLAIN_NAMES:
+                    direct[key] = value
+                else:
+                    path = resolve_path(key)
+                    if path is not None:
+                        flat[path] = value
+            off = {layer for layer in _SWITCHED if not flat.get(f"{layer}.enabled", False)}
+            if flat.get("telemetry.level", "off") == "off":
+                off.add("telemetry")
+            kept = {path: v for path, v in flat.items() if path.partition(".")[0] not in off}
+            return cls(**direct).with_overrides(**kept)
 
     def with_run_overrides(
         self, trials: Optional[int] = None, seed: Optional[int] = None
@@ -481,129 +402,19 @@ class ExperimentConfig:
         )
         return store.graph_for(key, build)
 
-    def physical_model(self) -> Optional[PhysicalModel]:
-        """The configured physical-layer model, or ``None`` when disabled.
-
-        This is the single place the flat ``physical_*`` fields become the
-        :class:`~repro.simulation.physical.PhysicalModel` the simulators
-        consume; the slot length (``attempts_per_slot`` × attempt duration)
-        comes from the link-physics section so the memory dwell matches the
-        configured slot.
-        """
-        if not self.physical_enabled:
-            return None
-        return PhysicalModel(
-            swap_success=self.physical_swap_success,
-            link_fidelity=self.physical_link_fidelity,
-            memory_time=self.physical_memory_time,
-            attempts_per_slot=self.attempts_per_slot,
-            dwell_fraction=self.physical_dwell_fraction,
-            purify_rounds=self.physical_purify_rounds,
-            cutoff_fidelity=self.physical_cutoff_fidelity,
-            fidelity_target=self.physical_fidelity_target,
-            engine=self.physical_engine,
-        )
-
-    def timing_model(self) -> TimingModel:
-        """The classical-signaling timing model of the ``timing`` fields.
-
-        This is the single place the flat ``backend``-adjacent fields become
-        the :class:`~repro.simulation.eventsim.TimingModel` the simulators
-        consume.  Always defined (the slotted backend uses only its
-        ``guard_time``, for slot timestamps).
-        """
-        return TimingModel(
-            signaling_latency_s=self.signaling_latency_s,
-            edge_latency_s=dict(self.edge_latency_s) if self.edge_latency_s else None,
-            guard_time=self.slot_guard_time_s,
-        )
-
-    def serving_model(self) -> Optional["ServingModel"]:
-        """The configured serving-layer model, or ``None`` when disabled.
-
-        The single place the flat ``serving_*`` fields become the
-        :class:`~repro.serving.scheduler.ServingModel` the
-        :class:`~repro.serving.scheduler.ServingSimulator` consumes;
-        constructing it validates every serving field.
-        """
-        if not self.serving_enabled:
-            return None
-        from repro.serving.scheduler import ServingModel
-
-        return ServingModel(
-            arrival_kind=self.serving_arrival_kind,
-            arrival_rate=self.serving_arrival_rate,
-            arrival_trace=(
-                tuple(self.serving_arrival_trace)
-                if self.serving_arrival_trace is not None
-                else None
-            ),
-            session_rate=self.serving_session_rate,
-            session_lifetime=self.serving_session_lifetime,
-            renew_probability=self.serving_renew_probability,
-            session_budget=self.serving_session_budget,
-            admission=self.serving_admission,
-            admission_threshold=self.serving_admission_threshold,
-            token_rate=self.serving_token_rate,
-            token_burst=self.serving_token_burst,
-            merge_every=self.serving_merge_every,
-            min_availability=self.serving_min_availability,
-        )
-
-    def fault_model(self) -> Optional["FaultModel"]:
-        """The configured fault model, or ``None`` when disabled.
-
-        The single place the flat ``fault_*`` fields become the
-        :class:`~repro.faults.FaultModel` the simulators consume;
-        constructing it validates every fault field.
-        """
-        if not self.fault_enabled:
-            return None
-        from repro.faults import FaultModel
-
-        return FaultModel(
-            node_mtbf=self.fault_node_mtbf,
-            edge_mtbf=self.fault_edge_mtbf,
-            mttr=self.fault_mttr,
-            outages=tuple(
-                tuple(entry) for entry in (self.fault_outages or ())
-            ),
-            aware=self.fault_aware,
-        )
-
-    def telemetry_model(self) -> Optional[TelemetryModel]:
-        """The configured telemetry model, or ``None`` when configured off.
-
-        The single place the flat ``telemetry_*`` fields become the
-        :class:`~repro.telemetry.TelemetryModel` the simulators consume.
-        The ``REPRO_TELEMETRY`` override is deliberately *not* applied
-        here — it takes effect at :meth:`repro.telemetry.Tracer.build`
-        time (which also arms a ``None`` model), so scenario dictionaries
-        and content-addressed store keys never depend on the variable.
-        """
-        if self.telemetry_level == "off":
-            return None
-        return TelemetryModel(
-            level=self.telemetry_level,
-            span_ring=int(self.telemetry_span_ring),
-        )
-
     def build_faults(
         self, graph: QDNGraph, seed: SeedLike, horizon: Optional[int] = None
-    ) -> Optional["FaultSchedule"]:
+    ) -> Optional[FaultSchedule]:
         """The precomputed fault schedule of one run (``None`` when disabled).
 
         ``seed`` must be the run's dedicated fault seed
         (``derive_seed(base_seed, "faults", trial)``) so schedules are
         byte-identical across serial/parallel execution and worker layouts.
         """
-        model = self.fault_model()
-        if model is None:
+        if self.faults is None:
             return None
-        from repro.faults import FaultSchedule
-
         return FaultSchedule.build(
-            model, graph, seed, self.horizon if horizon is None else int(horizon)
+            self.faults, graph, seed, self.horizon if horizon is None else int(horizon)
         )
 
     def request_process(self) -> RequestProcess:
@@ -663,77 +474,148 @@ class ExperimentConfig:
         )
         return store.trace_for(key, build)
 
-    # ------------------------------------------------------------------ #
-    # Policies
-    # ------------------------------------------------------------------ #
-    def make_oscar(self, **overrides) -> OscarPolicy:
-        """The OSCAR policy configured per this experiment."""
-        parameters = dict(
-            total_budget=self.total_budget,
-            horizon=self.horizon,
-            trade_off_v=self.trade_off_v,
-            initial_queue=self.initial_queue,
-            gamma=self.gamma,
-            gibbs_iterations=self.gibbs_iterations,
-            exhaustive_limit=self.exhaustive_limit,
-            dual_tolerance=self.dual_tolerance,
-            solve_deadline=self.solve_deadline,
-        )
-        parameters.update(overrides)
-        return OscarPolicy(**parameters)
-
-    def make_myopic_fixed(self, **overrides) -> MyopicFixedPolicy:
-        """The MF baseline configured per this experiment."""
-        parameters = dict(
-            total_budget=self.total_budget,
-            horizon=self.horizon,
-            gamma=self.gamma,
-            gibbs_iterations=self.gibbs_iterations,
-            exhaustive_limit=self.exhaustive_limit,
-            dual_tolerance=self.dual_tolerance,
-            solve_deadline=self.solve_deadline,
-        )
-        parameters.update(overrides)
-        return MyopicFixedPolicy(**parameters)
-
-    def make_myopic_adaptive(self, **overrides) -> MyopicAdaptivePolicy:
-        """The MA baseline configured per this experiment."""
-        parameters = dict(
-            total_budget=self.total_budget,
-            horizon=self.horizon,
-            gamma=self.gamma,
-            gibbs_iterations=self.gibbs_iterations,
-            exhaustive_limit=self.exhaustive_limit,
-            dual_tolerance=self.dual_tolerance,
-            solve_deadline=self.solve_deadline,
-        )
-        parameters.update(overrides)
-        return MyopicAdaptivePolicy(**parameters)
-
-    def make_unconstrained(self, **overrides) -> UnconstrainedPolicy:
-        """The budget-oblivious reference policy."""
-        parameters = dict(
-            total_budget=self.total_budget,
-            horizon=self.horizon,
-            gamma=self.gamma,
-            gibbs_iterations=self.gibbs_iterations,
-            exhaustive_limit=self.exhaustive_limit,
-            dual_tolerance=self.dual_tolerance,
-            solve_deadline=self.solve_deadline,
-        )
-        parameters.update(overrides)
-        return UnconstrainedPolicy(**parameters)
-
-    def make_shortest_uniform(self, **overrides) -> ShortestRouteUniformPolicy:
-        """The naive shortest-route / uniform-spread heuristic."""
-        parameters = dict(total_budget=self.total_budget, horizon=self.horizon)
-        parameters.update(overrides)
-        return ShortestRouteUniformPolicy(**parameters)
-
-    def default_policies(self) -> List[RoutingPolicy]:
-        """The three policies compared throughout the paper: OSCAR, MA, MF."""
-        return [self.make_oscar(), self.make_myopic_adaptive(), self.make_myopic_fixed()]
-
     def describe(self) -> Dict[str, object]:
-        """A flat description of the configuration (for reports and logs)."""
-        return dataclasses.asdict(self)
+        """Every value by its dotted path, for reports and logs (an off
+        layer reads ``None``)."""
+        out: Dict[str, object] = {}
+        for item in dataclasses.fields(self):
+            value = getattr(self, item.name)
+            if item.name in LAYERS and value is not None:
+                for key, entry in dataclasses.asdict(value).items():
+                    out[f"{item.name}.{key}"] = entry
+            else:
+                out[item.name] = value
+        return out
+
+
+# --------------------------------------------------------------------------- #
+# The name table
+# --------------------------------------------------------------------------- #
+#: The layer models: config field → (model class, prefix of the flat field
+#: names of earlier releases; ``None`` where those names are irregular).
+LAYERS: Dict[str, Tuple[type, Optional[str]]] = {
+    "physical": (PhysicalModel, "physical_"),
+    "timing": (TimingModel, None),
+    "serving": (ServingModel, "serving_"),
+    "faults": (FaultModel, "fault_"),
+    "telemetry": (TelemetryModel, "telemetry_"),
+}
+
+#: The layers switched by an ``enabled`` path (telemetry switches by level).
+_SWITCHED = ("physical", "serving", "faults")
+
+#: The paths that switch a layer on or off; the setter applies them last.
+_SWITCHES = frozenset({f"{layer}.enabled" for layer in _SWITCHED} | {"telemetry.level"})
+
+_PLAIN_NAMES = frozenset(
+    item.name for item in dataclasses.fields(ExperimentConfig) if item.name not in LAYERS
+)
+
+#: The builder groups of the plain fields: ``<group>.<field>`` spells
+#: ``<field>`` (``Scenario.with_topology(num_nodes=…)``, the study axis
+#: ``"topology.num_nodes"``).
+_GROUPS = {
+    "topology": (
+        "topology_kind", "num_nodes", "area", "waxman_alpha", "target_degree",
+        "qubit_capacity_min", "qubit_capacity_max",
+        "channel_capacity_min", "channel_capacity_max",
+        "attempt_success", "attempts_per_slot",
+    ),
+    "workload": ("horizon", "min_pairs", "max_pairs", "num_candidate_routes", "max_extra_hops"),
+    "budget": ("total_budget", "trade_off_v", "initial_queue", "gamma"),
+    "solver": ("dual_tolerance", "solve_deadline"),
+    "guard": ("guard_level",),
+}
+
+#: Spellings outside the ``<group>.<field>`` / ``<prefix><field>`` pattern.
+_IRREGULAR = {
+    "topology.kind": "topology_kind",
+    "backend": "timing.backend",
+    "signaling_latency_s": "timing.signaling_latency_s",
+    "edge_latency_s": "timing.edge_latency_s",
+    "slot_guard_time_s": "timing.guard_time",
+    "timing.slot_guard_time_s": "timing.guard_time",
+    "timing.latency": "timing.signaling_latency_s",
+    "timing.edge_latencies": "timing.edge_latency_s",
+}
+
+#: Serving knobs of earlier releases that chose only the scheduler's
+#: execution layout (shards and shard worker processes).  No result ever
+#: depended on them, so every spelling is accepted and ignored.
+_REMOVED_SERVING_LAYOUT = ("shards", "shard_workers", "shard_timeout_s")
+
+
+def _config_paths() -> Dict[str, Optional[str]]:
+    table: Dict[str, Optional[str]] = {name: name for name in _PLAIN_NAMES | set(LAYERS)}
+    for group, names in _GROUPS.items():
+        table.update({f"{group}.{name}": name for name in names})
+    for layer, (model, prefix) in LAYERS.items():
+        names = [item.name for item in dataclasses.fields(model)]
+        if layer in _SWITCHED:
+            names.append("enabled")
+        for name in names:
+            path = f"{layer}.{name}"
+            table[path] = path
+            if prefix is not None:
+                table[prefix + name] = table[f"{layer}.{prefix}{name}"] = path
+    for name in _REMOVED_SERVING_LAYOUT:
+        for spelling in (f"serving.{name}", f"serving_{name}", f"serving.serving_{name}"):
+            table[spelling] = None
+    table.update(_IRREGULAR)
+    return table
+
+
+#: Every accepted spelling → its dotted config path (``None``: a removed
+#: knob, accepted and ignored).  A ``config.`` prefix is also accepted.
+CONFIG_PATHS: Dict[str, Optional[str]] = _config_paths()
+
+
+def resolve_path(spelling: str) -> Optional[str]:
+    """The config path ``spelling`` names (``None`` for a removed knob).
+
+    Raises :class:`ConfigError`, with the closest spelling, for an
+    unknown one.
+    """
+    name = str(spelling)
+    if name.startswith("config."):
+        name = name[len("config."):]
+    try:
+        return CONFIG_PATHS[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown config path {spelling!r}{did_you_mean(name, CONFIG_PATHS)}"
+        ) from None
+
+
+def with_physical_defaults(
+    config: ExperimentConfig,
+    defaults: Mapping[str, object],
+    explicit: Optional[Iterable[str]] = None,
+) -> ExperimentConfig:
+    """``config`` with a figure's physical-layer ``defaults`` switched on.
+
+    Without ``explicit`` (the library path), a config whose physical layer
+    is on is taken exactly as configured — turning it on is the caller's
+    statement of intent — and one with the layer off gets ``defaults``.
+    ``explicit`` is the CLI path: the config paths (any spelling) the user
+    pinned with flags keep their values, even one equal to a default
+    (``--swap-p 1.0``), while every other default still applies, so a bare
+    ``--physical`` keeps the settings a figure is defined by.  The result
+    always has the layer on, so a second call without ``explicit`` is a
+    no-op.
+    """
+    if explicit is None and config.physical is not None:
+        return config
+    pinned = {resolve_path(name) for name in explicit or ()}
+    overrides = {f"physical.{key}": value for key, value in defaults.items()}
+    overrides = {path: value for path, value in overrides.items() if path not in pinned}
+    return config.with_overrides(**overrides, **{"physical.enabled": True})
+
+
+def _set_layer_field(layer: str, model: Optional[object], key: str, value: object):
+    """Layer ``layer``'s model (``None``: off) with field ``key`` set to ``value``."""
+    if key == "enabled" and not value or (layer, key, value) == ("telemetry", "level", "off"):
+        return None
+    if model is None:
+        model = LAYERS[layer][0]()
+    return model if key == "enabled" else dataclasses.replace(model, **{key: value})

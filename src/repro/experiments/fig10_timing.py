@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import api
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, with_physical_defaults
 from repro.experiments.reporting import format_series_table
 from repro.network.channels import ATTEMPT_DURATION_S
 
@@ -106,26 +106,10 @@ class Figure10Result:
 def fig10_config(
     config: ExperimentConfig, explicit: Optional[Sequence[str]] = None
 ) -> ExperimentConfig:
-    """``config`` with the figure's physical layer applied.
-
-    Same contract as :func:`repro.experiments.fig9_fidelity.fig9_config`:
-    without ``explicit`` an already-enabled physical layer is taken as
-    configured, a disabled one gets :data:`PHYSICAL_DEFAULTS` switched on;
-    with ``explicit`` (the CLI path) the pinned ``physical_*`` fields keep
-    the user's values while the remaining figure defaults still apply.
-    The backend/latency fields are left alone — the study axes own them.
-    """
-    if explicit is None:
-        if config.physical_enabled:
-            return config
-        explicit = ()
-    pinned = set(explicit)
-    overrides: Dict[str, object] = {"physical_enabled": True}
-    for key, value in PHYSICAL_DEFAULTS.items():
-        name = f"physical_{key}"
-        if name not in pinned:
-            overrides[name] = value
-    return config.with_overrides(**overrides)
+    """``config`` with the figure's physical layer on: see
+    :func:`~repro.experiments.config.with_physical_defaults`, with
+    :data:`PHYSICAL_DEFAULTS`."""
+    return with_physical_defaults(config, PHYSICAL_DEFAULTS, explicit)
 
 
 def build_study(

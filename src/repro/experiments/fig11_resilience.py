@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import api
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, with_physical_defaults
 from repro.experiments.reporting import format_series_table
 
 #: Per-edge failure probabilities per slot swept on the x-axis.  Zero
@@ -100,25 +100,16 @@ class Figure11Result:
 def fig11_config(
     config: ExperimentConfig, explicit: Optional[Sequence[str]] = None
 ) -> ExperimentConfig:
-    """``config`` with the figure's physical layer and fault model applied.
+    """``config`` with the figure's physical layer and fault layer on.
 
-    Same contract as :func:`repro.experiments.fig10_timing.fig10_config`:
-    without ``explicit`` an already-enabled physical layer is taken as
-    configured, a disabled one gets :data:`PHYSICAL_DEFAULTS` switched on;
-    with ``explicit`` (the CLI path) the pinned ``physical_*`` fields keep
-    the user's values.  Faults are enabled but the failure-rate, repair
-    and awareness fields are left alone — the study axes own the rates,
-    and the config's MTTR carries through (CLI ``--mttr`` included).
+    The physical layer follows
+    :func:`~repro.experiments.config.with_physical_defaults` with
+    :data:`PHYSICAL_DEFAULTS`.  Faults are switched on but their rates,
+    repair time and awareness are left alone — the study axes own the
+    rates, and the config's MTTR carries through (CLI ``--mttr`` included).
     """
-    pinned = set(explicit) if explicit is not None else set()
-    overrides: Dict[str, object] = {"fault_enabled": True}
-    if explicit is not None or not config.physical_enabled:
-        overrides["physical_enabled"] = True
-        for key, value in PHYSICAL_DEFAULTS.items():
-            name = f"physical_{key}"
-            if name not in pinned:
-                overrides[name] = value
-    return config.with_overrides(**overrides)
+    config = with_physical_defaults(config, PHYSICAL_DEFAULTS, explicit)
+    return config.with_overrides(**{"faults.enabled": True})
 
 
 def build_study(

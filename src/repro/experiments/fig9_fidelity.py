@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import api
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, with_physical_defaults
 from repro.experiments.fig5_budget import sweep_budgets_for
 from repro.experiments.reporting import format_series_table
 from repro.experiments.runner import ComparisonResult
@@ -92,32 +92,10 @@ class Figure9Result:
 def fig9_config(
     config: ExperimentConfig, explicit: Optional[Sequence[str]] = None
 ) -> ExperimentConfig:
-    """``config`` with the figure's physical layer applied.
-
-    Without ``explicit`` (the library path), a config that already enables
-    the physical layer is taken exactly as configured — enabling it is the
-    caller's statement of intent — and a disabled one gets the figure's
-    defaults (:data:`PHYSICAL_DEFAULTS`) switched on.
-
-    ``explicit`` is the CLI path: the ``physical_*`` field names the user
-    pinned with flags.  Those keep the user's values (even when a value
-    coincides with a field default, e.g. ``--swap-p 1.0``) while every
-    other default of the figure still applies — so a bare ``--physical``
-    does not strip the fidelity target the figure is defined by.  The
-    result always has the layer enabled, which also makes a second
-    ``fig9_config`` call (inside :func:`run`) a no-op.
-    """
-    if explicit is None:
-        if config.physical_enabled:
-            return config
-        explicit = ()
-    pinned = set(explicit)
-    overrides: Dict[str, object] = {"physical_enabled": True}
-    for key, value in PHYSICAL_DEFAULTS.items():
-        name = f"physical_{key}"
-        if name not in pinned:
-            overrides[name] = value
-    return config.with_overrides(**overrides)
+    """``config`` with the figure's physical layer on: see
+    :func:`~repro.experiments.config.with_physical_defaults`, with
+    :data:`PHYSICAL_DEFAULTS`."""
+    return with_physical_defaults(config, PHYSICAL_DEFAULTS, explicit)
 
 
 def build_study(

@@ -53,11 +53,6 @@ PHYSICAL_SUMMARY_METRICS = (
 )
 
 
-def default_policy_factory(config: ExperimentConfig) -> Sequence[RoutingPolicy]:
-    """The paper's policy line-up: OSCAR, Myopic-Adaptive, Myopic-Fixed."""
-    return config.default_policies()
-
-
 @dataclass
 class ComparisonResult:
     """Results of every policy over every trial of one experiment."""

@@ -74,10 +74,13 @@ class Outage:
 
     @classmethod
     def coerce(cls, value: object) -> "Outage":
-        """Build an outage from an ``Outage`` or a ``[kind, element, start,
-        duration]`` sequence (the JSON-friendly form used by the config)."""
+        """Build an outage from an ``Outage``, a ``[kind, element, start,
+        duration]`` sequence or the mapping a saved configuration holds."""
         if isinstance(value, cls):
             return value
+        fields = ("kind", "element", "start", "duration")
+        if isinstance(value, Mapping) and set(value) == set(fields):
+            value = [value[key] for key in fields]
         if isinstance(value, (list, tuple)) and len(value) == 4:
             kind, element, start, duration = value
             return cls(
@@ -94,15 +97,15 @@ class Outage:
 
 @dataclass(frozen=True)
 class FaultModel:
-    """Parameters of the fault process (all times in slots).
+    """The fault layer of a configuration (``ExperimentConfig.faults``).
 
-    ``node_mtbf``/``edge_mtbf`` are mean up-times; zero disables the
-    transient process for that element class.  ``mttr`` is the mean
-    down-time of a transient outage.  ``outages`` are scripted one-shots.
-    ``aware`` selects the degradation mode: aware policies see the degraded
-    topology (routes over failed elements are removed from the candidate
-    sets), blind policies keep routing into the outage and lose the
-    affected requests at realization time.
+    All times are in slots.  ``node_mtbf``/``edge_mtbf`` are mean
+    up-times; zero disables the transient process for that element class.
+    ``mttr`` is the mean down-time of a transient outage.  ``outages`` are
+    scripted one-shots.  ``aware`` selects the degradation mode: aware
+    policies see the degraded topology (routes over failed elements are
+    removed from the candidate sets), blind policies keep routing into the
+    outage and lose the affected requests at realization time.
     """
 
     node_mtbf: float = 0.0
@@ -119,7 +122,7 @@ class FaultModel:
                 f"mttr must be positive when a transient MTBF is set, got {self.mttr}"
             )
         object.__setattr__(
-            self, "outages", tuple(Outage.coerce(entry) for entry in self.outages)
+            self, "outages", tuple(Outage.coerce(entry) for entry in self.outages or ())
         )
 
     @property

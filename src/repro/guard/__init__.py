@@ -31,7 +31,6 @@ from repro.guard.invariants import (
     GUARD_LEVELS,
     InvariantGuard,
     InvariantViolation,
-    effective_guard_level,
     forced_breach_slot,
 )
 from repro.guard.recorder import (
@@ -62,7 +61,6 @@ __all__ = [
     "diff_backends",
     "diff_physical_engines",
     "dump_bundle",
-    "effective_guard_level",
     "forced_breach_slot",
     "load_bundle",
     "replay_bundle",

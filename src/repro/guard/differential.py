@@ -140,14 +140,14 @@ def compare_slot_records(
 # --------------------------------------------------------------------------- #
 def _collect_run(config, trial: int = 0) -> List[Any]:
     """Per-slot records of OSCAR alone under ``config``, wired like any trial."""
+    from repro.api.registry import default_registry
     from repro.api.scenario import Scenario
     from repro.api.session import build_trial
     from repro.utils.rng import spawn_rngs
 
     simulator, run_seed = build_trial(Scenario.from_config(config), trial)
-    return list(
-        simulator.run(config.make_oscar(), seed=spawn_rngs(run_seed, 1)[0]).records
-    )
+    oscar = default_registry.make("oscar", config)
+    return list(simulator.run(oscar, seed=spawn_rngs(run_seed, 1)[0]).records)
 
 
 def diff_backends(config=None, trial: int = 0) -> DiffReport:
@@ -162,14 +162,11 @@ def diff_backends(config=None, trial: int = 0) -> DiffReport:
     from repro.experiments.config import ExperimentConfig
 
     base = config or ExperimentConfig.tiny()
-    slotted = base.with_overrides(
-        backend="slotted", signaling_latency_s=0.0, edge_latency_s=None,
-        physical_enabled=False,
+    zero_latency = base.with_overrides(
+        physical=None, **{"timing.signaling_latency_s": 0.0, "timing.edge_latency_s": None}
     )
-    event = base.with_overrides(
-        backend="event", signaling_latency_s=0.0, edge_latency_s=None,
-        physical_enabled=False,
-    )
+    slotted = zero_latency.with_overrides(**{"timing.backend": "slotted"})
+    event = zero_latency.with_overrides(**{"timing.backend": "event"})
     return compare_slot_records(
         "backend",
         "slotted",
@@ -184,9 +181,8 @@ def diff_physical_engines(config=None, trial: int = 0) -> DiffReport:
     from repro.experiments.config import ExperimentConfig
 
     base = config or ExperimentConfig.tiny()
-    base = base.with_overrides(physical_enabled=True)
-    reference = base.with_overrides(physical_engine="reference")
-    vectorized = base.with_overrides(physical_engine="vectorized")
+    reference = base.with_overrides(**{"physical.engine": "reference"})
+    vectorized = base.with_overrides(**{"physical.engine": "vectorized"})
     return compare_slot_records(
         "physical-engine",
         "reference",

@@ -29,9 +29,10 @@ Levels
     fault-schedule availability recount.
 
 The environment variable ``REPRO_GUARD`` overrides the configured level at
-guard-construction time (see :func:`effective_guard_level`) without touching
-the configuration itself — scenario dictionaries, checkpoint keys and result
-stores are identical whether the override is set or not.
+guard-construction time (see :func:`repro.utils.validation.effective_level`)
+without touching the configuration itself — scenario dictionaries,
+checkpoint keys and result stores are identical whether the override is set
+or not.
 ``REPRO_FORCE_BREACH=<slot>`` injects a deterministic synthetic breach at
 the given slot (used by the crash-replay round-trip tests and CI).
 """
@@ -41,6 +42,8 @@ from __future__ import annotations
 import math
 import os
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.utils.validation import effective_level
 
 #: The three guard levels, in increasing order of scrutiny.
 GUARD_LEVELS = ("off", "cheap", "strict")
@@ -55,26 +58,6 @@ FORCE_BREACH_ENV_VAR = "REPRO_FORCE_BREACH"
 #: enough to absorb accumulated rounding over long horizons, tight enough
 #: that any real accounting bug (off by one request/qubit) trips it.
 _TOLERANCE = 1e-6
-
-
-def effective_guard_level(configured: str) -> str:
-    """The guard level actually in force: ``REPRO_GUARD`` wins over config.
-
-    The override is applied here — at guard-construction time — rather than
-    inside :class:`~repro.experiments.config.ExperimentConfig`, so scenario
-    dictionaries and content-addressed store/checkpoint keys stay identical
-    whether the variable is set or not, and worker processes (which inherit
-    the environment) apply the same level as the parent.
-    """
-    override = os.environ.get(GUARD_ENV_VAR, "").strip().lower()
-    if override:
-        if override not in GUARD_LEVELS:
-            raise ValueError(
-                f"invalid {GUARD_ENV_VAR}={override!r}; "
-                f"choose from {', '.join(GUARD_LEVELS)}"
-            )
-        return override
-    return configured
 
 
 def forced_breach_slot() -> Optional[int]:
@@ -191,7 +174,7 @@ class InvariantGuard:
         hook; pass an explicit integer to force a breach programmatically
         (the replay harness does).
         """
-        effective = effective_guard_level(level)
+        effective = effective_level(level, GUARD_ENV_VAR, GUARD_LEVELS)
         if effective not in GUARD_LEVELS:
             raise ValueError(
                 f"unknown guard level {level!r}; choose from {', '.join(GUARD_LEVELS)}"
@@ -492,8 +475,10 @@ class InvariantGuard:
     ) -> None:
         """Physical pack: delivered fidelities live in ``[0, 1]``.
 
-        Strict, with a model: decoherence is monotone non-increasing —
-        waiting out the slot dwell can never raise a fidelity.
+        Strict, with a model (the lane's physical engine: anything with a
+        ``dwell_time`` and ``decohered_fidelity``): decoherence is monotone
+        non-increasing — waiting out the slot dwell can never raise a
+        fidelity.
         """
         self._count("physical")
         for value in fidelities:

@@ -132,10 +132,12 @@ def replay_bundle(path: str) -> ReplayResult:
             observed_exc = exc
         # Re-dump (in memory) under the pinned environment so the forced
         # breach spec lands in the bundle content exactly as the original.
+        # The bundle's own scenario dictionary keys it, so a bundle saved
+        # with an older config layout (flat fields) still compares equal.
         replay_key = None
         if observed_exc is not None:
             replay_key = build_bundle(
-                scenario.to_dict(),
+                content["scenario"],
                 trial,
                 guard_level,
                 recorder=recorder,

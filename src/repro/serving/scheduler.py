@@ -54,7 +54,16 @@ SERVING_LINEUP_NAME = "serving"
 
 @dataclass(frozen=True)
 class ServingModel:
-    """The flat serving parameters (built by ``ExperimentConfig.serving_model()``)."""
+    """The serving layer of a configuration (``ExperimentConfig.serving``).
+
+    ``arrival_kind`` selects ``"poisson"`` joins at ``arrival_rate``
+    sessions/slot or ``"trace"`` replaying ``arrival_trace`` per-slot join
+    counts; each session issues ``session_rate`` requests/slot for a
+    geometric lifetime of mean ``session_lifetime`` slots, renewing with
+    ``renew_probability``.  Joins are gated by the ``admission`` policy
+    (see :mod:`repro.serving.admission`), run once per window of
+    ``merge_every`` slots against the state at the window start.
+    """
 
     arrival_kind: str = "poisson"
     arrival_rate: float = 0.5
@@ -71,6 +80,8 @@ class ServingModel:
     min_availability: float = 0.9
 
     def __post_init__(self) -> None:
+        if self.arrival_trace is not None:
+            object.__setattr__(self, "arrival_trace", tuple(self.arrival_trace))
         check_non_negative(self.arrival_rate, "arrival_rate")
         check_non_negative(self.session_rate, "session_rate")
         check_positive(self.session_lifetime, "session_lifetime")

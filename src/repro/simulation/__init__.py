@@ -15,7 +15,6 @@ from repro.simulation.physical import (
     PhysicalStats,
     ReferencePhysicalEngine,
     VectorizedPhysicalEngine,
-    build_physical_engine,
 )
 from repro.simulation.results import SlotRecord, SimulationResult
 from repro.simulation.engine import (
@@ -48,7 +47,6 @@ __all__ = [
     "PhysicalStats",
     "ReferencePhysicalEngine",
     "VectorizedPhysicalEngine",
-    "build_physical_engine",
     "SlotRecord",
     "SimulationResult",
     "BACKEND_KINDS",

@@ -146,7 +146,6 @@ class SlottedSimulator(SlotPipeline):
 def build_simulator(
     graph: QDNGraph,
     trace: WorkloadTrace,
-    backend: str = "slotted",
     total_budget: float = 5000.0,
     realize: bool = True,
     physical: Optional[PhysicalModel] = None,
@@ -155,22 +154,19 @@ def build_simulator(
     guard_level: str = "off",
     telemetry: Optional[TelemetryModel] = None,
 ):
-    """Construct the simulator for ``backend`` (``"slotted"`` or ``"event"``).
+    """Construct the simulator of ``timing.backend`` (``"slotted"`` or ``"event"``).
 
     Both backends expose the same ``run(policy, seed, on_slot)`` interface
     and produce the same record schema, so every caller (``simulate_policies``
     and :func:`repro.api.session.build_trial`) dispatches through this one
     factory.
-    ``timing`` is a :class:`~repro.simulation.eventsim.TimingModel`; its
-    ``guard_time`` shapes the :class:`SlotClock` of *both* backends (the
-    slotted backend only uses it for timestamps), while its latencies only
-    exist on the event backend.  ``faults`` is an optional precomputed
+    ``timing`` is a :class:`~repro.simulation.eventsim.TimingModel`
+    (default: the slotted backend); its ``guard_time`` shapes the
+    :class:`SlotClock` of *both* backends (the slotted backend only uses it
+    for timestamps), while its latencies only exist on the event backend.
+    ``faults`` is an optional precomputed
     :class:`~repro.faults.FaultSchedule` both backends consult per slot.
     """
-    if backend not in BACKEND_KINDS:
-        raise ValueError(
-            f"unknown simulation backend {backend!r}; choose from {', '.join(BACKEND_KINDS)}"
-        )
     # Imported lazily: eventsim imports this module for SlottedSimulator.
     from repro.simulation.eventsim import EventDrivenSimulator, TimingModel
 
@@ -186,7 +182,7 @@ def build_simulator(
         guard_level=guard_level,
         telemetry=telemetry,
     )
-    if backend == "event":
+    if timing.backend == "event":
         return EventDrivenSimulator(timing=timing, **options)
     return SlottedSimulator(**options)
 
@@ -200,7 +196,6 @@ def simulate_policies(
     seed: SeedLike = None,
     on_slot: Optional[SlotCallback] = None,
     physical: Optional[PhysicalModel] = None,
-    backend: str = "slotted",
     timing=None,
     faults: Optional[FaultSchedule] = None,
     guard_level: str = "off",
@@ -213,15 +208,14 @@ def simulate_policies(
     yet uncorrelated across policies.  ``on_slot`` is forwarded to every
     policy's run (see :class:`SlottedSimulator`); ``physical`` switches on
     the physical delivery chain for every policy (each run gets its own
-    fresh engine and spawned stream).  ``backend`` / ``timing`` select and
-    configure the simulation backend (see :func:`build_simulator`);
+    fresh engine and spawned stream).  ``timing`` selects and configures
+    the simulation backend (see :func:`build_simulator`);
     ``faults`` is shared by every policy, like the trace — outages hit the
     whole line-up identically.
     """
     simulator = build_simulator(
         graph,
         trace,
-        backend=backend,
         total_budget=total_budget,
         realize=realize,
         physical=physical,

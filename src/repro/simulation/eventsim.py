@@ -59,12 +59,12 @@ from repro.physics.entanglement import sample_successes
 from repro.physics.fidelity import fidelity_of_chain
 from repro.physics.purification import purification_ladder
 from repro.simulation.clock import SlotClock
-from repro.simulation.engine import SlottedSimulator
+from repro.simulation.engine import BACKEND_KINDS, SlottedSimulator
 from repro.simulation.events import Event, EventLoop
 from repro.simulation.physical import PhysicalModel, PhysicalStats
 from repro.simulation.pipeline import RouteItems, SlotLane
 from repro.telemetry.tracer import Tracer, maybe_span
-from repro.utils.validation import check_non_negative
+from repro.utils.validation import check_choice, check_non_negative
 
 
 def edge_latency_key(u: object, v: object) -> str:
@@ -74,23 +74,29 @@ def edge_latency_key(u: object, v: object) -> str:
 
 @dataclass(frozen=True)
 class TimingModel:
-    """Classical-signaling timing configuration of the event backend.
+    """The simulation backend and its classical-signaling timing.
 
-    ``signaling_latency_s`` is the default one-way classical latency of every
-    edge; ``edge_latency_s`` optionally overrides it per edge, keyed by
+    The ``timing`` field of :class:`~repro.experiments.config.ExperimentConfig`
+    (always present).  ``backend`` selects the paper's ``"slotted"``
+    abstraction or the ``"event"`` co-simulation.  ``signaling_latency_s``
+    is the default one-way classical latency of every edge;
+    ``edge_latency_s`` optionally overrides it per edge, keyed by
     :func:`edge_latency_key` (``"u|v"`` with the endpoints sorted as
-    strings, which is how :class:`~repro.experiments.config.ExperimentConfig`
-    keeps the map JSON-serialisable).  ``guard_time`` extends the slot beyond
-    the attempt window (see :class:`~repro.simulation.clock.SlotClock`) —
-    generation only runs inside the attempt window, so the guard is exactly
-    the slack available for classical message round-trips.
+    strings, so the map survives JSON).  ``guard_time`` extends the slot
+    beyond the attempt window (see :class:`~repro.simulation.clock.SlotClock`)
+    — generation only runs inside the attempt window, so the guard is
+    exactly the slack available for classical message round-trips.  With
+    zero latency the event backend reproduces the slotted backend's
+    realised outcomes exactly.
     """
 
+    backend: str = "slotted"
     signaling_latency_s: float = 0.0
     edge_latency_s: Optional[Mapping[str, float]] = None
     guard_time: float = 0.0
 
     def __post_init__(self) -> None:
+        check_choice(self.backend, BACKEND_KINDS, "simulation backend")
         check_non_negative(self.signaling_latency_s, "signaling_latency_s")
         check_non_negative(self.guard_time, "guard_time")
         if self.edge_latency_s:
@@ -348,10 +354,12 @@ class MemoryAgent:
     slot, and the cutoff policy tests that timed fidelity.
     """
 
-    def __init__(self, model: PhysicalModel):
+    def __init__(self, model: PhysicalModel, attempts_per_slot: int):
         self.model = model
         self.stats = PhysicalStats()
         self.decoherence = model.decoherence_model()
+        # The slotted engines' fixed dwell, for the guard's monotonicity probe.
+        self.dwell_time = model.dwell_time(attempts_per_slot)
         # channels -> (rounds, round_probs, purified fidelity, pairs consumed)
         self._ladders: Dict[int, Tuple[int, Tuple[float, ...], float, int]] = {}
 
@@ -367,6 +375,10 @@ class MemoryAgent:
     def stored_fidelity(self, purified: float, dwell: float) -> float:
         """Fidelity of a purified pair after ``dwell`` seconds in memory."""
         return self.decoherence.fidelity_after(purified, max(0.0, dwell))
+
+    def decohered_fidelity(self, fidelity: float) -> float:
+        """``fidelity`` after the slotted engines' fixed dwell."""
+        return self.stored_fidelity(fidelity, self.dwell_time)
 
 
 class ProtocolLane(SlotLane):
@@ -456,7 +468,9 @@ class EventDrivenSimulator(SlottedSimulator):
             self.clock = self.timing.slot_clock(self.graph.attempts_per_slot)
 
     def _lane(self, policy, streams, tracer: Optional[Tracer]) -> SlotLane:
-        memory = MemoryAgent(self.physical) if self.physical is not None else None
+        memory = None
+        if self.physical is not None:
+            memory = MemoryAgent(self.physical, self.graph.attempts_per_slot)
         return ProtocolLane(self, policy, streams, memory, tracer)
 
     # ------------------------------------------------------------------ #

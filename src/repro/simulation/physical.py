@@ -30,11 +30,13 @@ link realisation).  Every scheduled operation consumes its randomness even
 when an earlier stage already failed; that fixed draw schedule is what makes
 the batching exact rather than approximate.
 
-The subsystem is configured by one :class:`PhysicalModel` object threaded
-through :class:`repro.experiments.config.ExperimentConfig`
-(``physical_*`` fields), ``Scenario.with_physical(...)``, the ``physical.*``
-study axis group and the CLI (``--physical``, ``--swap-p``,
-``--decoherence-t2``, ``--purify-rounds``, ``--fidelity-target``).  Engines
+The subsystem is configured by one :class:`PhysicalModel`, the
+``physical`` field of :class:`repro.experiments.config.ExperimentConfig`
+(``None`` when the layer is off), set through ``Scenario.with_physical(...)``,
+the ``physical.*`` config paths and the CLI (``--physical``, ``--swap-p``,
+``--decoherence-t2``, ``--purify-rounds``, ``--fidelity-target``).  The
+slot length is not part of the model: the engines take it from the graph
+(``attempts_per_slot``), the one place it is configured.  Engines
 accumulate :class:`PhysicalStats` which surface as
 ``RunRecord.stats("physical")`` / ``StudyResult.stats("physical")`` and in
 the CLI ``--progress`` health line.
@@ -46,9 +48,9 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.network.channels import (
-    ATTEMPT_DURATION_S,
     DECOHERENCE_TIME_S,
     DEFAULT_ATTEMPTS_PER_SLOT,
+    slot_duration_seconds,
 )
 from repro.network.graph import EdgeKey
 from repro.network.routes import Route
@@ -62,7 +64,7 @@ from repro.physics.purification import (
 )
 from repro.physics.swapping import sample_swap_successes
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_choice, check_in_range, check_positive
 from repro.workload.budget import purification_rounds_within_budget
 
 #: The two engine implementations (``vectorized`` is the default).
@@ -87,12 +89,12 @@ class PhysicalModel:
         Fidelity of a freshly generated elementary pair.
     memory_time:
         Decoherence (T2) time constant of quantum memory, seconds.
-    attempt_duration / attempts_per_slot:
-        Define the slot's wall-clock length (their product).
     dwell_fraction:
         Fraction of the slot a pair waits in memory before the swaps run at
         the slot boundary (0.5 ≙ generated mid-slot on average).  The dwell
-        is deterministic so that both engines schedule identical randomness.
+        is deterministic so that both engines schedule identical randomness;
+        the slot's length comes from ``attempts_per_slot`` (see
+        :meth:`dwell_time`).
     purify_rounds:
         Requested BBPSSW recurrence rounds per link; the affordable schedule
         is clipped per edge by its channel allocation
@@ -105,6 +107,10 @@ class PhysicalModel:
     fidelity_target:
         End-to-end delivered-fidelity target; 0 disables it.  With a target,
         delivered requests are additionally classified as fidelity-served.
+    fidelity_constrained:
+        Wrap registry-built policies so a request only counts as served
+        when its route can deliver ``fidelity_target`` (see
+        :func:`repro.api.registry.apply_fidelity_constraint`).
     engine:
         ``"vectorized"`` (batched draws, default) or ``"reference"``
         (per-pair scalar draws) — bit-identical under the same streams.
@@ -113,37 +119,31 @@ class PhysicalModel:
     swap_success: float = 1.0
     link_fidelity: float = 0.98
     memory_time: float = DECOHERENCE_TIME_S
-    attempt_duration: float = ATTEMPT_DURATION_S
-    attempts_per_slot: int = DEFAULT_ATTEMPTS_PER_SLOT
     dwell_fraction: float = 0.5
     purify_rounds: int = 0
     cutoff_fidelity: float = 0.0
     fidelity_target: float = 0.0
+    fidelity_constrained: bool = False
     engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         check_in_range(self.swap_success, 0.0, 1.0, "swap_success")
         check_in_range(self.link_fidelity, 0.0, 1.0, "link_fidelity")
         check_positive(self.memory_time, "memory_time")
-        check_positive(self.attempt_duration, "attempt_duration")
-        check_positive(self.attempts_per_slot, "attempts_per_slot")
         check_in_range(self.dwell_fraction, 0.0, 1.0, "dwell_fraction")
         if self.purify_rounds < 0:
             raise ValueError(f"purify_rounds must be non-negative, got {self.purify_rounds}")
         check_in_range(self.cutoff_fidelity, 0.0, 1.0, "cutoff_fidelity")
         check_in_range(self.fidelity_target, 0.0, 1.0, "fidelity_target")
-        if self.engine not in ENGINE_KINDS:
-            raise ValueError(
-                f"unknown physical engine {self.engine!r}; choose from {', '.join(ENGINE_KINDS)}"
-            )
+        check_choice(self.engine, ENGINE_KINDS, "physical engine")
 
     # ------------------------------------------------------------------ #
     # Derived quantities
     # ------------------------------------------------------------------ #
-    @property
-    def dwell_time(self) -> float:
-        """Seconds a stored pair waits in memory before the slot-end swaps."""
-        return self.attempts_per_slot * self.attempt_duration * self.dwell_fraction
+    def dwell_time(self, attempts_per_slot: int) -> float:
+        """Seconds a stored pair waits in memory before the slot-end swaps,
+        in a slot of ``attempts_per_slot`` entanglement attempts."""
+        return slot_duration_seconds(attempts_per_slot) * self.dwell_fraction
 
     def decoherence_model(self) -> DecoherenceModel:
         """The :mod:`repro.physics.decoherence` model this configuration implies.
@@ -155,21 +155,13 @@ class PhysicalModel:
         """
         return DecoherenceModel(memory_time=self.memory_time)
 
-    def survival_factor(self) -> float:
-        """The Werner-parameter multiplier the dwell in memory costs."""
-        return self.decoherence_model().survival_factor(self.dwell_time)
-
-    def decohered_fidelity(self, fidelity: float) -> float:
-        """``fidelity`` after waiting out the slot dwell in quantum memory."""
-        return self.decoherence_model().fidelity_after(fidelity, self.dwell_time)
-
     def affordable_rounds(self, channels: int) -> int:
         """Purification rounds one edge can schedule given its allocation."""
         if self.purify_rounds <= 0 or self.link_fidelity <= PURIFICATION_THRESHOLD:
             return 0
         return purification_rounds_within_budget(channels, self.purify_rounds)
 
-    def edge_fidelity_bound(self) -> float:
+    def edge_fidelity_bound(self, attempts_per_slot: int) -> float:
         """Best-case delivered fidelity of one link (full purification, then decoherence).
 
         This is the optimistic per-edge fidelity the fidelity-constrained
@@ -182,9 +174,11 @@ class PhysicalModel:
         if self.purify_rounds > 0 and self.link_fidelity > PURIFICATION_THRESHOLD:
             rounds = self.purify_rounds
         _, purified = purification_ladder(self.link_fidelity, rounds)
-        return self.decohered_fidelity(purified)
+        return self.decoherence_model().fidelity_after(
+            purified, self.dwell_time(attempts_per_slot)
+        )
 
-    def route_fidelity_model(self):
+    def route_fidelity_model(self, attempts_per_slot: int):
         """The analytic route model matching this physical configuration.
 
         Used to re-rank (filter) candidate routes in fidelity-constrained
@@ -193,13 +187,17 @@ class PhysicalModel:
         """
         from repro.core.fidelity import RouteFidelityModel  # lazy: avoids a package cycle
 
-        return RouteFidelityModel(link_fidelity=self.edge_fidelity_bound())
+        return RouteFidelityModel(
+            link_fidelity=self.edge_fidelity_bound(attempts_per_slot)
+        )
 
-    def build_engine(self) -> "PhysicalEngine":
-        """A fresh engine (zeroed stats, empty plan caches) for one run."""
-        if self.engine == "reference":
-            return ReferencePhysicalEngine(self)
-        return VectorizedPhysicalEngine(self)
+    def build_engine(
+        self, attempts_per_slot: int = DEFAULT_ATTEMPTS_PER_SLOT
+    ) -> "PhysicalEngine":
+        """A fresh engine (zeroed stats, empty plan caches) for one run in
+        slots of ``attempts_per_slot`` attempts."""
+        engine = ReferencePhysicalEngine if self.engine == "reference" else VectorizedPhysicalEngine
+        return engine(self, attempts_per_slot)
 
 
 @dataclass
@@ -281,9 +279,13 @@ class PhysicalEngine:
     structural property instead of a numerical accident.
     """
 
-    def __init__(self, model: PhysicalModel):
+    def __init__(
+        self, model: PhysicalModel, attempts_per_slot: int = DEFAULT_ATTEMPTS_PER_SLOT
+    ):
         self.model = model
+        self.dwell_time = model.dwell_time(attempts_per_slot)
         self.stats = PhysicalStats()
+        self._decoherence = model.decoherence_model()
         self._plans: Dict[int, EdgePlan] = {}
         self._chain_cache: Dict[Tuple[int, ...], float] = {}
 
@@ -295,6 +297,10 @@ class PhysicalEngine:
         """Zero the statistics (plan caches are pure and survive resets)."""
         self.stats = PhysicalStats()
 
+    def decohered_fidelity(self, fidelity: float) -> float:
+        """``fidelity`` after waiting out the slot dwell in quantum memory."""
+        return self._decoherence.fidelity_after(fidelity, self.dwell_time)
+
     # ------------------------------------------------------------------ #
     # Deterministic schedules (shared by both engines)
     # ------------------------------------------------------------------ #
@@ -304,7 +310,7 @@ class PhysicalEngine:
         if plan is None:
             rounds = self.model.affordable_rounds(channels)
             round_probs, purified = purification_ladder(self.model.link_fidelity, rounds)
-            fidelity = self.model.decohered_fidelity(purified)
+            fidelity = self.decohered_fidelity(purified)
             plan = EdgePlan(
                 channels=channels,
                 rounds=rounds,
@@ -525,8 +531,3 @@ class VectorizedPhysicalEngine(PhysicalEngine):
             fidelities=tuple(fidelities),
             fidelity_ok=tuple(fidelity_ok),
         )
-
-
-def build_physical_engine(model: PhysicalModel) -> PhysicalEngine:
-    """Function-style alias of :meth:`PhysicalModel.build_engine`."""
-    return model.build_engine()

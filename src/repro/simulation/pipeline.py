@@ -225,7 +225,9 @@ class SlotPipeline:
 
     def _lane(self, policy, streams: Sequence, tracer: Optional[Tracer]) -> SlotLane:
         """Backend hook: the lane that realises ``policy``'s decisions."""
-        engine = self.physical.build_engine() if self.physical is not None else None
+        engine = None
+        if self.physical is not None:
+            engine = self.physical.build_engine(self.graph.attempts_per_slot)
         return SlotLane(self.graph, policy, streams, engine, tracer)
 
     def _step(
@@ -316,9 +318,9 @@ class SlotPipeline:
             with maybe_span(tracer, "guard.check", slot=t):
                 guard.check_decision(context, decision, queue_length)
                 guard.check_objective(utility, slot=t)
-                guard.check_fidelities(fidelities, slot=t, model=self.physical)
+                guard.check_fidelities(fidelities, slot=t, model=lane.engine)
                 if delivered_fidelities:
-                    guard.check_fidelities(delivered_fidelities, slot=t, model=self.physical)
+                    guard.check_fidelities(delivered_fidelities, slot=t, model=lane.engine)
 
         clock = self.clock
         record = SlotRecord(

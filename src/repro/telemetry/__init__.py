@@ -19,8 +19,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BOUNDS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -32,7 +30,6 @@ from repro.telemetry.tracer import (
     TELEMETRY_LEVELS,
     TelemetryModel,
     Tracer,
-    effective_telemetry_level,
     events_to_stats,
     maybe_span,
     summarize_spans,
@@ -45,14 +42,11 @@ __all__ = [
     "METRICS_JSONL_ENV_VAR",
     "TELEMETRY_ENV_VAR",
     "TELEMETRY_LEVELS",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "TelemetryModel",
     "Tracer",
     "append_jsonl_snapshot",
-    "effective_telemetry_level",
     "events_to_stats",
     "maybe_span",
     "render_prometheus",

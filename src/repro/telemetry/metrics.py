@@ -1,14 +1,15 @@
-"""The metrics registry: counters, gauges and fixed-bucket histograms.
+"""The metrics registry: fixed-bucket latency histograms.
 
 Each :class:`~repro.telemetry.tracer.Tracer` owns one
-:class:`MetricsRegistry`.  Layers register instruments lazily by name
-(``registry.counter("serving.sessions_admitted").inc()``) and the registry
-snapshots into a **flat dotted-key mapping** (``counter.<name>``,
-``gauge.<name>``, ``hist.<name>.le_<bound>`` …) whose values are all
-summable numbers.  That shape is deliberate: it makes cross-worker and
-cross-trial aggregation a plain key-wise sum, so merged metrics are
-bit-identical for any worker layout (see
-:func:`repro.analysis.stats.merge_stat_mappings`).
+:class:`MetricsRegistry`.  Spans register histograms lazily by name
+(``registry.histogram("kernel.solve").observe(seconds)``) and the registry
+snapshots into a **flat dotted-key mapping** (``hist.<name>.le_<bound>``,
+``hist.<name>.sum``, ``hist.<name>.count``) whose values are all summable
+numbers.  That shape is deliberate: it makes cross-worker and cross-trial
+aggregation a plain key-wise sum, so merged metrics are bit-identical for
+any worker layout (see :func:`repro.analysis.stats.merge_stat_mappings`).
+Layer counters are not kept here: they travel in the stats channel (each
+result's ``diagnostics``).
 
 Instruments draw no randomness and never raise out of the hot path; a
 histogram's bucket bounds are fixed at registration, Prometheus-style
@@ -21,8 +22,6 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BOUNDS",
@@ -33,36 +32,6 @@ __all__ = [
 DEFAULT_LATENCY_BOUNDS: Tuple[float, ...] = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0,
 )
-
-
-class Counter:
-    """A monotonically increasing count (merged across workers by sum)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (last write wins within a process).
-
-    Gauges merge by sum like every other key — callers that need a
-    cross-worker maximum or last-value should model the quantity as a
-    counter or histogram instead; the built-in sites only gauge values
-    that are meaningful when summed (e.g. per-trial final backlogs).
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 class Histogram:
@@ -92,26 +61,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Lazily named instruments plus a flat, summable snapshot."""
+    """Lazily named histograms plus a flat, summable snapshot."""
 
-    __slots__ = ("_counters", "_gauges", "_histograms")
+    __slots__ = ("_histograms",)
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter()
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge()
-        return instrument
 
     def histogram(
         self, name: str, bounds: Sequence[float] = DEFAULT_LATENCY_BOUNDS
@@ -124,10 +79,6 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, float]:
         """The flat dotted-key mapping (iterated in sorted-name order)."""
         out: Dict[str, float] = {}
-        for name in sorted(self._counters):
-            out[f"counter.{name}"] = self._counters[name].value
-        for name in sorted(self._gauges):
-            out[f"gauge.{name}"] = self._gauges[name].value
         for name in sorted(self._histograms):
             histogram = self._histograms[name]
             cumulative = 0

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Any, ContextManager, Deque, Dict, Iterator, List, Mapping, Optional
 
 from repro.telemetry.metrics import MetricsRegistry
+from repro.utils.validation import check_choice, effective_level
 
 __all__ = [
     "TELEMETRY_LEVELS",
@@ -55,7 +56,6 @@ __all__ = [
     "DEFAULT_SPAN_RING",
     "TelemetryModel",
     "Tracer",
-    "effective_telemetry_level",
     "events_to_stats",
     "maybe_span",
     "summarize_spans",
@@ -77,38 +77,19 @@ METRICS_EVERY_ENV_VAR = "REPRO_METRICS_EVERY"
 DEFAULT_SPAN_RING = 2048
 
 
-def effective_telemetry_level(configured: str) -> str:
-    """The level actually in force: ``REPRO_TELEMETRY`` wins over config.
-
-    Applied here — at tracer-construction time — rather than inside
-    :class:`~repro.experiments.config.ExperimentConfig`, exactly like
-    :func:`repro.guard.invariants.effective_guard_level`, so scenario
-    dictionaries and store/checkpoint keys never depend on the variable.
-    """
-    override = os.environ.get(TELEMETRY_ENV_VAR, "").strip().lower()
-    if override:
-        if override not in TELEMETRY_LEVELS:
-            raise ValueError(
-                f"invalid {TELEMETRY_ENV_VAR}={override!r}; "
-                f"choose from {', '.join(TELEMETRY_LEVELS)}"
-            )
-        return override
-    return configured
-
-
 @dataclass(frozen=True)
 class TelemetryModel:
-    """The flat telemetry parameters (built by ``ExperimentConfig.telemetry_model()``)."""
+    """The telemetry layer of a configuration (``ExperimentConfig.telemetry``).
+
+    ``level`` is ``"light"`` or ``"full"``; a configuration with telemetry
+    off holds no model at all, so ``"off"`` is not a model level.
+    """
 
     level: str = "light"
     span_ring: int = DEFAULT_SPAN_RING
 
     def __post_init__(self) -> None:
-        if self.level not in TELEMETRY_LEVELS:
-            raise ValueError(
-                f"unknown telemetry level {self.level!r}; "
-                f"choose from {', '.join(TELEMETRY_LEVELS)}"
-            )
+        check_choice(self.level, TELEMETRY_LEVELS[1:], "telemetry level")
         if int(self.span_ring) <= 0:
             raise ValueError(f"span_ring must be positive, got {self.span_ring}")
 
@@ -178,7 +159,7 @@ class Tracer:
         mirroring how ``REPRO_GUARD`` arms an unconfigured guard.
         """
         configured = model.level if model is not None else "off"
-        effective = effective_telemetry_level(configured)
+        effective = effective_level(configured, TELEMETRY_ENV_VAR, TELEMETRY_LEVELS)
         if effective == "off":
             return None
         ring = model.span_ring if model is not None else DEFAULT_SPAN_RING

@@ -6,8 +6,10 @@ domain modules focused on their logic.
 
 from __future__ import annotations
 
+import difflib
+import os
 from numbers import Real
-from typing import Any, Tuple, Type, Union
+from typing import Any, Sequence, Tuple, Type, Union
 
 
 def check_type(value: Any, expected: Union[Type, Tuple[Type, ...]], name: str) -> None:
@@ -56,3 +58,34 @@ def check_integer(value: Any, name: str) -> None:
     """Raise :class:`TypeError` unless ``value`` is an integral number."""
     if isinstance(value, bool) or not isinstance(value, (int,)):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+
+
+def did_you_mean(value: object, options: Sequence[str]) -> str:
+    """A ``"; did you mean 'x'?"`` suffix, or empty when nothing is close."""
+    matches = difflib.get_close_matches(str(value), list(options), n=1)
+    return f"; did you mean {matches[0]!r}?" if matches else ""
+
+
+def check_choice(value: object, options: Sequence[str], name: str) -> None:
+    """Raise :class:`ValueError` unless ``value`` is one of ``options``."""
+    if value not in options:
+        raise ValueError(
+            f"unknown {name} {value!r}; choose from {', '.join(options)}"
+            f"{did_you_mean(value, options)}"
+        )
+
+
+def effective_level(configured: str, env_var: str, levels: Sequence[str]) -> str:
+    """The level in force: a non-empty ``env_var`` wins over ``configured``.
+
+    The guard and telemetry levels both resolve here, when their guard or
+    tracer is built, so scenario dictionaries and store/checkpoint keys
+    never depend on the variable, and worker processes (which inherit the
+    environment) apply the same level as their parent.
+    """
+    override = os.environ.get(env_var, "").strip().lower()
+    if not override:
+        return configured
+    if override not in levels:
+        raise ValueError(f"invalid {env_var}={override!r}; choose from {', '.join(levels)}")
+    return override

@@ -34,10 +34,9 @@ class TestDefaultRegistry:
     def test_config_supplies_defaults(self):
         config = ExperimentConfig.tiny()
         policy = api.make_policy("oscar", config)
-        reference = config.make_oscar()
-        assert policy.total_budget == reference.total_budget
-        assert policy.horizon == reference.horizon
-        assert policy.gibbs_iterations == reference.gibbs_iterations
+        assert policy.total_budget == config.total_budget
+        assert policy.horizon == config.horizon
+        assert policy.gibbs_iterations == config.gibbs_iterations
 
     def test_defaults_are_paper_scale_without_config(self):
         policy = api.make_policy("oscar")

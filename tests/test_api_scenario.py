@@ -247,11 +247,10 @@ class TestServingScenario:
         scenario = api.Scenario.tiny().with_serving(
             arrival_rate=1.25, merge_every=3, admission="token-bucket"
         )
-        config = scenario.config
-        assert config.serving_enabled is True
-        assert config.serving_arrival_rate == 1.25
-        assert config.serving_merge_every == 3
-        assert config.serving_admission == "token-bucket"
+        serving = scenario.config.serving
+        assert serving.arrival_rate == 1.25
+        assert serving.merge_every == 3
+        assert serving.admission == "token-bucket"
         assert scenario.is_serving
         assert scenario.kind == "serving"
         assert scenario.lineup_names() == ("serving",)
@@ -281,7 +280,7 @@ class TestServingScenario:
         )
         rebuilt = api.Scenario.from_dict(scenario.to_dict())
         assert rebuilt.is_serving
-        assert rebuilt.config.serving_arrival_trace == [1, 0, 2]
+        assert rebuilt.config.serving.arrival_trace == (1, 0, 2)
 
     def test_serving_rejects_event_backend_with_targeted_error(self):
         scenario = api.Scenario.tiny().with_serving().with_backend("event")

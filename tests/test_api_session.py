@@ -42,7 +42,10 @@ class TestDeterminism:
         record = api.run_scenario(scenario)
         legacy = run_comparison(
             scenario.config,
-            policy_factory=lambda cfg: [cfg.make_oscar(), cfg.make_myopic_adaptive()],
+            policy_factory=lambda cfg: [
+                api.default_registry.make("oscar", cfg),
+                api.default_registry.make("myopic-adaptive", cfg),
+            ],
         )
         from repro.experiments.persistence import result_to_dict
 

@@ -6,9 +6,8 @@ import math
 import pytest
 
 from repro import api
-from repro.api.study import resolve_config_path
 from repro.experiments import fig5_budget, fig7_control_v
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, resolve_path
 
 
 def tiny_base(horizon=4, trials=1, seed=11, policies=("oscar", "ma")):
@@ -36,26 +35,23 @@ def study_payload(result):
 
 class TestAxisResolution:
     def test_bare_and_dotted_paths(self):
-        assert resolve_config_path("horizon") == "horizon"
-        assert resolve_config_path("budget.total_budget") == "total_budget"
-        assert resolve_config_path("topology.num_nodes") == "num_nodes"
-        assert resolve_config_path("workload.horizon") == "horizon"
-        assert resolve_config_path("config.base_seed") == "base_seed"
+        assert resolve_path("horizon") == "horizon"
+        assert resolve_path("budget.total_budget") == "total_budget"
+        assert resolve_path("topology.num_nodes") == "num_nodes"
+        assert resolve_path("workload.horizon") == "horizon"
+        assert resolve_path("config.base_seed") == "base_seed"
 
     def test_topology_kind_alias(self):
-        assert resolve_config_path("topology.kind") == "topology_kind"
+        assert resolve_path("topology.kind") == "topology_kind"
 
     def test_wrong_group_rejected(self):
-        with pytest.raises(ValueError, match="not a workload field"):
-            resolve_config_path("workload.total_budget")
+        with pytest.raises(ValueError, match="unknown config path 'workload.total_budget'"):
+            resolve_path("workload.total_budget")
 
     def test_unknown_group_and_field(self):
-        with pytest.raises(ValueError, match="unknown axis group"):
-            resolve_config_path("physics.total_budget")
-        with pytest.raises(ValueError, match="unknown config field"):
-            resolve_config_path("nope")
-        with pytest.raises(ValueError, match="too many components"):
-            resolve_config_path("a.b.c")
+        for path in ("physics.total_budget", "nope", "a.b.c"):
+            with pytest.raises(ValueError, match="unknown config path"):
+                resolve_path(path)
 
 
 class TestGridExpansion:
@@ -383,15 +379,44 @@ class TestFigureRewire:
         assert figure.study.axis_values("V") == [100.0, 500.0]
 
 
+class TestOffLayerAxes:
+    """A field of a layer that is off turns the layer on (it used to be
+    ignored: every point ran the same comparison)."""
+
+    def test_fault_axis_without_faults_changes_the_rows(self):
+        result = (
+            api.Study("faults")
+            .base(api.Scenario.tiny().with_policies("oscar"))
+            .over("faults.edge_mtbf", [0.0, 5.0])
+            .run()
+        )
+        first, second = (summary["OSCAR"] for summary in result.summaries())
+        assert first["total_cost"].mean != second["total_cost"].mean
+
+    def test_serving_axis_on_a_batch_scenario_serves(self):
+        points = (
+            api.Study("serving")
+            .base(api.Scenario.tiny())
+            .over("serving.arrival_rate", [1.0])
+            .points()
+        )
+        assert points[0].scenario.is_serving
+
+    def test_with_config_field_of_an_off_layer_runs_it(self):
+        base = api.Scenario.tiny().with_policies("oscar")
+        faulty = base.with_config(fault_edge_mtbf=5.0)
+        assert faulty.run().summary() != base.run().summary()
+
+
 class TestServingStudies:
     def test_serving_axis_short_names_resolve(self):
-        assert resolve_config_path("serving.arrival_rate") == "serving_arrival_rate"
-        assert resolve_config_path("serving.serving_merge_every") == "serving_merge_every"
-        assert resolve_config_path("serving.admission") == "serving_admission"
+        assert resolve_path("serving.arrival_rate") == "serving.arrival_rate"
+        assert resolve_path("serving.serving_merge_every") == "serving.merge_every"
+        assert resolve_path("serving.admission") == "serving.admission"
 
     def test_serving_axis_rejects_foreign_fields(self):
         with pytest.raises(ValueError):
-            resolve_config_path("serving.total_budget")
+            resolve_path("serving.total_budget")
 
     def test_serving_trials_are_not_unit_split(self):
         from repro.api.study import _unit_count

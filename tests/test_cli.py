@@ -120,12 +120,22 @@ class TestSweepCommand:
         assert code == 2
         assert "unknown metric(s) sucess_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["compare"], ["sweep", "--axis", "horizon", "--values", "4"],
+         ["figure", "fig3"], ["info"], ["serve"]],
+    )
+    def test_invalid_flag_value_is_a_clean_error(self, command, capsys):
+        code = main(command + ["--scale", "tiny", "--swap-p", "2"])
+        assert code == 2
+        assert "error: swap_success must be in [0.0, 1.0], got 2.0" in capsys.readouterr().err
+
     def test_unknown_axis_path(self, capsys):
         code = main([
             "sweep", "--scale", "tiny", "--axis", "bogus", "--values", "1",
         ])
         assert code == 2
-        assert "unknown config field" in capsys.readouterr().err
+        assert "unknown config path 'bogus'" in capsys.readouterr().err
 
     def test_topology_axis(self, capsys):
         assert main([

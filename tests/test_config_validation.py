@@ -42,17 +42,18 @@ def test_negative_budget():
 
 
 def test_negative_arrival_rate_only_when_serving():
-    # The invalid value is ignored while serving is disabled…
-    config = ExperimentConfig.tiny().with_overrides(serving_arrival_rate=-1.0)
-    # …and rejected the moment serving is switched on.
-    with pytest.raises(ConfigError, match="serving_arrival_rate"):
-        config.with_overrides(serving_enabled=True)
+    # Setting a serving field switches serving on, so the value is checked
+    # at once; the switched-off layer holds no value to check.
+    with pytest.raises(ConfigError, match="arrival_rate"):
+        ExperimentConfig.tiny().with_overrides(serving_arrival_rate=-1.0)
+    assert ExperimentConfig.tiny().with_overrides(serving_enabled=False).serving is None
 
 
 def test_nonpositive_mttr_only_when_faulty():
+    # The repair time matters once a transient outage process can fail.
     config = ExperimentConfig.tiny().with_overrides(fault_mttr=0.0)
-    with pytest.raises(ConfigError, match="fault_mttr"):
-        config.with_overrides(fault_enabled=True)
+    with pytest.raises(ConfigError, match="mttr"):
+        config.with_overrides(fault_edge_mtbf=5.0)
 
 
 def test_empty_pair_range():

@@ -85,11 +85,10 @@ class TestZeroLatencyEquivalence:
     def test_build_simulator_dispatch(self, small_setup):
         graph, trace = small_setup
         assert isinstance(build_simulator(graph, trace), SlottedSimulator)
-        assert isinstance(
-            build_simulator(graph, trace, backend="event"), EventDrivenSimulator
-        )
+        event = build_simulator(graph, trace, timing=TimingModel(backend="event"))
+        assert isinstance(event, EventDrivenSimulator)
         with pytest.raises(ValueError):
-            build_simulator(graph, trace, backend="quantum")
+            TimingModel(backend="quantum")
 
     def test_fig3_tables_identical_at_zero_latency(self):
         config = ExperimentConfig.tiny().with_overrides(horizon=5, trials=1)
@@ -192,7 +191,7 @@ class TestPhysicalLayerOnEventBackend:
             physical_enabled=True,
             physical_swap_success=0.95,
             physical_memory_time=1.0,
-        ).physical_model()
+        ).physical
         result = EventDrivenSimulator(
             graph=graph, trace=trace, total_budget=60.0, physical=physical
         ).run(make_oscar(), seed=5)
@@ -215,9 +214,9 @@ class TestConfigAndScenario:
             edge_latency_s={"0|1": 0.2},
             slot_guard_time_s=0.5,
         )
-        rebuilt = ExperimentConfig(**dataclasses.asdict(config))
-        assert rebuilt.backend == "event"
-        timing = rebuilt.timing_model()
+        rebuilt = ExperimentConfig.from_dict(dataclasses.asdict(config))
+        timing = rebuilt.timing
+        assert timing.backend == "event"
         assert timing.signaling_latency_s == pytest.approx(0.01)
         assert timing.guard_time == pytest.approx(0.5)
         assert timing.latency_of((0, 1)) == pytest.approx(0.2)
@@ -230,11 +229,12 @@ class TestConfigAndScenario:
         scenario = api.Scenario.tiny().with_backend(
             "event", latency=0.02, guard_time=0.1
         )
-        assert scenario.config.backend == "event"
-        assert scenario.config.signaling_latency_s == pytest.approx(0.02)
-        assert scenario.config.slot_guard_time_s == pytest.approx(0.1)
+        timing = scenario.config.timing
+        assert timing.backend == "event"
+        assert timing.signaling_latency_s == pytest.approx(0.02)
+        assert timing.guard_time == pytest.approx(0.1)
         payload = scenario.to_dict()
-        assert api.Scenario.from_dict(payload).config.backend == "event"
+        assert api.Scenario.from_dict(payload).config.timing == timing
 
     def test_scenario_with_backend_rejects_unknown_field(self):
         with pytest.raises(TypeError):
@@ -322,15 +322,15 @@ class TestCli:
         from repro.cli import _config_from_args, build_parser
 
         arguments = build_parser().parse_args(["info", "--backend", "event"])
-        assert _config_from_args(arguments).backend == "event"
+        assert _config_from_args(arguments).timing.backend == "event"
 
     def test_latency_flag_implies_event_backend(self):
         from repro.cli import _config_from_args, build_parser
 
         arguments = build_parser().parse_args(["info", "--signaling-latency", "0.25"])
-        config = _config_from_args(arguments)
-        assert config.backend == "event"
-        assert config.signaling_latency_s == pytest.approx(0.25)
+        timing = _config_from_args(arguments).timing
+        assert timing.backend == "event"
+        assert timing.signaling_latency_s == pytest.approx(0.25)
 
     def test_health_line_includes_event_fragment(self):
         from repro.cli import _render_health_line

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.registry import default_registry
 from repro.core.baselines import MyopicAdaptivePolicy, MyopicFixedPolicy
 from repro.core.oscar import OscarPolicy
 from repro.experiments.config import ExperimentConfig
@@ -74,28 +75,29 @@ class TestExperimentConfigFactories:
 
     def test_policy_factories_use_config(self):
         config = ExperimentConfig.tiny()
-        oscar = config.make_oscar()
+        oscar = default_registry.make("oscar", config)
         assert isinstance(oscar, OscarPolicy)
         assert oscar.total_budget == config.total_budget
         assert oscar.trade_off_v == config.trade_off_v
-        mf = config.make_myopic_fixed()
-        ma = config.make_myopic_adaptive()
+        mf = default_registry.make("myopic-fixed", config)
+        ma = default_registry.make("myopic-adaptive", config)
         assert isinstance(mf, MyopicFixedPolicy) and isinstance(ma, MyopicAdaptivePolicy)
         assert mf.horizon == config.horizon
 
     def test_policy_overrides(self):
         config = ExperimentConfig.tiny()
-        oscar = config.make_oscar(trade_off_v=77.0)
+        oscar = default_registry.make("oscar", config, trade_off_v=77.0)
         assert oscar.trade_off_v == 77.0
 
     def test_default_policies_line_up(self):
-        names = [policy.name for policy in ExperimentConfig.tiny().default_policies()]
+        config = ExperimentConfig.tiny()
+        names = [default_registry.make(name, config).name for name in ("oscar", "ma", "mf")]
         assert names == ["OSCAR", "MA", "MF"]
 
     def test_extra_policy_factories(self):
         config = ExperimentConfig.tiny()
-        assert config.make_unconstrained().name == "Unconstrained"
-        assert config.make_shortest_uniform().name == "ShortestUniform"
+        assert default_registry.make("unconstrained", config).name == "Unconstrained"
+        assert default_registry.make("shortest-uniform", config).name == "ShortestUniform"
 
 
 class TestReporting:

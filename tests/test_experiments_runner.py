@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.registry import default_registry
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ComparisonResult, run_comparison
 
@@ -61,7 +62,10 @@ class TestRunComparison:
         config = ExperimentConfig.tiny().with_overrides(horizon=4, trials=1)
         comparison = run_comparison(
             config,
-            policy_factory=lambda cfg: [cfg.make_oscar(), cfg.make_shortest_uniform()],
+            policy_factory=lambda cfg: [
+                default_registry.make("oscar", cfg),
+                default_registry.make("shortest-uniform", cfg),
+            ],
             seed=3,
         )
         assert comparison.policy_names == ["OSCAR", "ShortestUniform"]

@@ -66,12 +66,8 @@ class TestSolverThreading:
 
     def test_config_factories_thread_the_toggle(self):
         config = regression_config(dual_tolerance=1e-6, solve_deadline=9)
-        for policy in (
-            config.make_oscar(),
-            config.make_myopic_adaptive(),
-            config.make_myopic_fixed(),
-            config.make_unconstrained(),
-        ):
+        for name in ("oscar", "myopic-adaptive", "myopic-fixed", "unconstrained"):
+            policy = api.default_registry.make(name, config)
             assert policy.dual_tolerance == pytest.approx(1e-6)
             assert policy.solve_deadline == 9
 
@@ -92,18 +88,18 @@ class TestSolverThreading:
             api.Scenario.tiny().with_solver(fast=False)
 
     def test_study_solver_axis(self):
-        from repro.api.study import resolve_config_path
+        from repro.experiments.config import resolve_path
 
-        assert resolve_config_path("solver.dual_tolerance") == "dual_tolerance"
+        assert resolve_path("solver.dual_tolerance") == "dual_tolerance"
         with pytest.raises(ValueError):
-            resolve_config_path("solver.total_budget")
+            resolve_path("solver.total_budget")
         with pytest.raises(ValueError):
-            resolve_config_path("solver.use_kernel")
+            resolve_path("solver.use_kernel")
 
     def test_cli_flags(self):
         parser = build_parser()
         arguments = parser.parse_args(["compare", "--scale", "tiny", "--dual-tolerance", "0"])
-        assert arguments.dual_tolerance == 0.0
+        assert getattr(arguments, "solver.dual_tolerance") == 0.0
         from repro.cli import _config_from_args
 
         config = _config_from_args(arguments)

@@ -20,37 +20,37 @@ def parse(*argv):
 class TestFaultFlags:
     def test_disabled_by_default(self):
         config = _config_from_args(parse("info", "--scale", "tiny"))
-        assert not config.fault_enabled
+        assert config.faults is None
 
     def test_faults_flag_enables(self):
         config = _config_from_args(parse("info", "--scale", "tiny", "--faults"))
-        assert config.fault_enabled
-        assert config.fault_aware
+        assert config.faults is not None
+        assert config.faults.aware
 
     def test_parameters_imply_faults(self):
         config = _config_from_args(
             parse("info", "--scale", "tiny", "--edge-mtbf", "30", "--mttr", "4")
         )
-        assert config.fault_enabled
-        assert config.fault_edge_mtbf == 30.0
-        assert config.fault_mttr == 4.0
+        assert config.faults is not None
+        assert config.faults.edge_mtbf == 30.0
+        assert config.faults.mttr == 4.0
 
     def test_node_mtbf_implies_faults(self):
         config = _config_from_args(parse("info", "--scale", "tiny", "--node-mtbf", "50"))
-        assert config.fault_enabled
-        assert config.fault_node_mtbf == 50.0
+        assert config.faults is not None
+        assert config.faults.node_mtbf == 50.0
 
     def test_fault_blind_disables_awareness(self):
         config = _config_from_args(parse("info", "--scale", "tiny", "--fault-blind"))
-        assert config.fault_enabled
-        assert not config.fault_aware
+        assert config.faults is not None
+        assert not config.faults.aware
 
     def test_solve_deadline_is_independent_of_faults(self):
         config = _config_from_args(
             parse("info", "--scale", "tiny", "--solve-deadline", "12")
         )
         assert config.solve_deadline == 12
-        assert not config.fault_enabled
+        assert config.faults is None
 
     def test_checkpoint_flag_accepted(self):
         assert parse("compare", "--checkpoint", "/tmp/c.json").checkpoint == "/tmp/c.json"
@@ -107,17 +107,17 @@ class TestFig11:
 
     def test_fig11_config_enables_faults_and_physical(self):
         config = fig11_resilience.fig11_config(ExperimentConfig.tiny())
-        assert config.fault_enabled
-        assert config.physical_enabled
-        assert config.physical_swap_success == pytest.approx(0.98)
+        assert config.faults is not None
+        assert config.physical is not None
+        assert config.physical.swap_success == pytest.approx(0.98)
 
     def test_fig11_config_respects_pinned_fields(self):
         base = ExperimentConfig.tiny().with_overrides(physical_swap_success=0.5)
         config = fig11_resilience.fig11_config(
             base, explicit=["physical_swap_success"]
         )
-        assert config.physical_swap_success == pytest.approx(0.5)
-        assert config.physical_cutoff_fidelity == pytest.approx(0.25)
+        assert config.physical.swap_success == pytest.approx(0.5)
+        assert config.physical.cutoff_fidelity == pytest.approx(0.25)
 
     def test_build_study_axes(self):
         study = fig11_resilience.build_study(

@@ -9,13 +9,13 @@ import pytest
 
 from repro.analysis.stats import merge_stat_mappings
 from repro.guard import hooks as guard_hooks
+from repro.utils.validation import effective_level
 from repro.guard.invariants import (
     FORCE_BREACH_ENV_VAR,
     GUARD_ENV_VAR,
     GUARD_LEVELS,
     InvariantGuard,
     InvariantViolation,
-    effective_guard_level,
     forced_breach_slot,
 )
 
@@ -29,21 +29,21 @@ def test_levels_tuple():
 
 def test_effective_level_without_env(monkeypatch):
     monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
-    assert effective_guard_level("off") == "off"
-    assert effective_guard_level("cheap") == "cheap"
-    assert effective_guard_level("strict") == "strict"
+    assert effective_level("off", GUARD_ENV_VAR, GUARD_LEVELS) == "off"
+    assert effective_level("cheap", GUARD_ENV_VAR, GUARD_LEVELS) == "cheap"
+    assert effective_level("strict", GUARD_ENV_VAR, GUARD_LEVELS) == "strict"
 
 
 def test_env_override_wins(monkeypatch):
     monkeypatch.setenv(GUARD_ENV_VAR, "strict")
-    assert effective_guard_level("off") == "strict"
-    assert effective_guard_level("cheap") == "strict"
+    assert effective_level("off", GUARD_ENV_VAR, GUARD_LEVELS) == "strict"
+    assert effective_level("cheap", GUARD_ENV_VAR, GUARD_LEVELS) == "strict"
 
 
 def test_invalid_env_level_raises(monkeypatch):
     monkeypatch.setenv(GUARD_ENV_VAR, "paranoid")
     with pytest.raises(ValueError, match="paranoid"):
-        effective_guard_level("off")
+        effective_level("off", GUARD_ENV_VAR, GUARD_LEVELS)
 
 
 def test_build_off_returns_none(monkeypatch):

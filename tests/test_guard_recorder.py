@@ -186,6 +186,21 @@ def test_forced_breach_dumps_bundle_and_replays(monkeypatch, tmp_path):
     assert "MATCH" in result.describe()
 
 
+def test_bundle_with_a_flat_config_replays_to_its_key(monkeypatch, tmp_path):
+    """A bundle dumped when the layers were flat config fields (``repro
+    compare --scale tiny --trials 1 --policies oscar --guard cheap
+    --physical`` with ``REPRO_FORCE_BREACH=3``) still replays and matches:
+    its flat config loads through the name table, and the replay key is
+    computed over the bundle's own scenario dictionary."""
+    monkeypatch.setenv("REPRO_BUNDLE_DIR", str(tmp_path / "bundles"))
+    monkeypatch.delenv(FORCE_BREACH_ENV_VAR, raising=False)
+    monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
+    path = os.path.join(os.path.dirname(__file__), "data", "bundle_flat_config.json")
+    result = replay_bundle(path)
+    assert result.matched, result.describe()
+    assert result.replay_key == result.source_key
+
+
 def test_unhandled_exception_dumps_bundle(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_BUNDLE_DIR", str(tmp_path / "bundles"))
     scenario = _tiny_scenario()

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from repro.api import make_policy
 from repro.analysis.theory import (
     delta_optimality_gap,
     drift_constant_bound,
@@ -130,7 +131,7 @@ class TestCrossLayerConsistency:
         simulator = SlottedSimulator(
             graph=graph, trace=trace, total_budget=integration_config.total_budget
         )
-        first = simulator.run(integration_config.make_oscar(), seed=5)
-        second = simulator.run(integration_config.make_oscar(), seed=5)
+        first = simulator.run(make_policy("oscar", integration_config), seed=5)
+        second = simulator.run(make_policy("oscar", integration_config), seed=5)
         assert first.per_slot_costs() == second.per_slot_costs()
         assert first.average_utility() == pytest.approx(second.average_utility())

@@ -325,14 +325,13 @@ class TestConfigThreading:
         scenario = api.Scenario.tiny().with_physical(
             swap_success=0.9, memory_time=2.0, engine="reference"
         )
-        config = scenario.config
-        assert config.physical_enabled is True
-        assert config.physical_swap_success == 0.9
-        assert config.physical_memory_time == 2.0
-        assert config.physical_engine == "reference"
+        physical = scenario.config.physical
+        assert physical.swap_success == 0.9
+        assert physical.memory_time == 2.0
+        assert physical.engine == "reference"
         disabled = scenario.with_physical(False)
-        assert disabled.config.physical_enabled is False
-        assert disabled.config.physical_swap_success == 0.9  # knobs survive
+        assert disabled.config.physical is None  # off holds no knobs
+        assert disabled.with_physical().config.physical == PhysicalModel()
 
     def test_with_physical_rejects_unknown_fields(self):
         with pytest.raises(TypeError, match="with_physical"):
@@ -340,34 +339,36 @@ class TestConfigThreading:
 
     def test_physical_model_factory(self):
         config = ExperimentConfig.tiny()
-        assert config.physical_model() is None
+        assert config.physical is None
         enabled = config.with_overrides(
             physical_enabled=True, physical_swap_success=0.9,
             physical_purify_rounds=1,
         )
-        model = enabled.physical_model()
+        model = enabled.physical
         assert isinstance(model, PhysicalModel)
         assert model.swap_success == 0.9
-        assert model.attempts_per_slot == config.attempts_per_slot
+        # The slot length is the config's alone; the model has no copy.
+        assert not hasattr(model, "attempts_per_slot")
+        engine = model.build_engine(config.attempts_per_slot)
+        assert engine.dwell_time == model.dwell_time(config.attempts_per_slot)
 
     def test_invalid_engine_rejected_by_config(self):
         with pytest.raises(ValueError, match="physical engine"):
             ExperimentConfig.tiny().with_overrides(physical_engine="warp")
 
     def test_physical_axis_group(self):
-        from repro.api.study import resolve_config_path
+        from repro.experiments.config import resolve_path
 
-        assert resolve_config_path("physical.swap_success") == "physical_swap_success"
-        assert resolve_config_path("physical.physical_enabled") == "physical_enabled"
+        assert resolve_path("physical.swap_success") == "physical.swap_success"
+        assert resolve_path("physical.physical_enabled") == "physical.enabled"
         with pytest.raises(ValueError):
-            resolve_config_path("physical.total_budget")
+            resolve_path("physical.total_budget")
 
     def test_scenario_json_roundtrip_keeps_physical_fields(self):
         scenario = scenario_with_physical()
         restored = api.Scenario.from_dict(scenario.to_dict())
-        assert restored.config.physical_enabled is True
-        assert restored.config.physical_swap_success == 0.95
-        assert restored.config.physical_purify_rounds == 2
+        assert restored.config.physical.swap_success == 0.95
+        assert restored.config.physical.purify_rounds == 2
 
 
 class TestFidelityConstrainedMode:
@@ -399,7 +400,7 @@ class TestFidelityConstrainedMode:
     def test_wrapper_uses_physical_edge_bound(self):
         config = self.constrained_config()
         policy = api.make_policy("mf", config)
-        bound = config.physical_model().edge_fidelity_bound()
+        bound = config.physical.edge_fidelity_bound(config.attempts_per_slot)
         assert policy.fidelity_model.link_fidelity == bound
 
     def test_constrained_run_carries_wrapped_names(self):
@@ -458,18 +459,18 @@ class TestCliIntegration:
              "--fidelity-constrained", "--decoherence-t2", "2.0"]
         )
         config = _config_from_args(arguments)
-        assert config.physical_enabled is True
-        assert config.physical_swap_success == 0.9
-        assert config.physical_purify_rounds == 2
-        assert config.physical_fidelity_target == 0.7
-        assert config.physical_fidelity_constrained is True
-        assert config.physical_memory_time == 2.0
+        assert config.physical is not None
+        assert config.physical.swap_success == 0.9
+        assert config.physical.purify_rounds == 2
+        assert config.physical.fidelity_target == 0.7
+        assert config.physical.fidelity_constrained is True
+        assert config.physical.memory_time == 2.0
 
     def test_no_flags_leave_physical_disabled(self):
         from repro.cli import _config_from_args, build_parser
 
         arguments = build_parser().parse_args(["compare", "--scale", "tiny"])
-        assert _config_from_args(arguments).physical_enabled is False
+        assert _config_from_args(arguments).physical is None
 
     def test_fig9_registered(self):
         from repro.cli import FIGURE_RUNNERS
@@ -539,9 +540,9 @@ class TestFig9:
         assert fig9_config(config) == config
         # A disabled config gets the figure's full defaults switched on.
         defaulted = fig9_config(ExperimentConfig.tiny())
-        assert defaulted.physical_enabled is True
-        assert defaulted.physical_fidelity_constrained is True
-        assert defaulted.physical_fidelity_target == 0.6
+        assert defaulted.physical is not None
+        assert defaulted.physical.fidelity_constrained is True
+        assert defaulted.physical.fidelity_target == 0.6
         # CLI path: pinned fields keep the user's value — even one that
         # coincides with a field default (--swap-p 1.0) — while the
         # remaining figure defaults still apply (a bare --physical must not
@@ -552,17 +553,17 @@ class TestFig9:
             ),
             explicit={"physical_swap_success"},
         )
-        assert merged.physical_swap_success == 1.0
-        assert merged.physical_fidelity_target == 0.6
-        assert merged.physical_purify_rounds == 2
+        assert merged.physical.swap_success == 1.0
+        assert merged.physical.fidelity_target == 0.6
+        assert merged.physical.purify_rounds == 2
         bare = fig9_config(
             ExperimentConfig.tiny().with_overrides(physical_enabled=True),
             explicit=set(),
         )
-        assert bare.physical_fidelity_constrained is True
+        assert bare.physical.fidelity_constrained is True
 
     def test_cli_fig9_explicit_flags_survive_the_merge(self):
-        from repro.cli import _config_from_args, _explicit_physical_fields, build_parser
+        from repro.cli import _config_from_args, _config_paths, build_parser
         from repro.experiments.fig9_fidelity import fig9_config
 
         arguments = build_parser().parse_args(
@@ -570,7 +571,7 @@ class TestFig9:
         )
         config = fig9_config(
             _config_from_args(arguments),
-            explicit=_explicit_physical_fields(arguments),
+            explicit=_config_paths(arguments),
         )
-        assert config.physical_swap_success == 1.0  # the user's 1.0, not 0.98
-        assert config.physical_fidelity_target == 0.6
+        assert config.physical.swap_success == 1.0  # the user's 1.0, not 0.98
+        assert config.physical.fidelity_target == 0.6

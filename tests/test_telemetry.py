@@ -11,14 +11,11 @@ from repro.telemetry import (
     METRICS_JSONL_ENV_VAR,
     TELEMETRY_ENV_VAR,
     TELEMETRY_LEVELS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     TelemetryModel,
     Tracer,
     append_jsonl_snapshot,
-    effective_telemetry_level,
     events_to_stats,
     maybe_span,
     render_prometheus,
@@ -26,6 +23,7 @@ from repro.telemetry import (
     summarize_spans,
     write_chrome_trace,
 )
+from repro.utils.validation import effective_level
 
 
 class TestLevels:
@@ -34,29 +32,30 @@ class TestLevels:
 
     def test_env_override_wins(self, monkeypatch):
         monkeypatch.setenv(TELEMETRY_ENV_VAR, "full")
-        assert effective_telemetry_level("off") == "full"
+        assert effective_level("off", TELEMETRY_ENV_VAR, TELEMETRY_LEVELS) == "full"
         monkeypatch.setenv(TELEMETRY_ENV_VAR, "off")
-        assert effective_telemetry_level("full") == "off"
+        assert effective_level("full", TELEMETRY_ENV_VAR, TELEMETRY_LEVELS) == "off"
 
     def test_env_unset_keeps_configured(self, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
-        assert effective_telemetry_level("light") == "light"
+        assert effective_level("light", TELEMETRY_ENV_VAR, TELEMETRY_LEVELS) == "light"
 
     def test_invalid_env_raises(self, monkeypatch):
         monkeypatch.setenv(TELEMETRY_ENV_VAR, "verbose")
         with pytest.raises(ValueError, match="REPRO_TELEMETRY"):
-            effective_telemetry_level("off")
+            effective_level("off", TELEMETRY_ENV_VAR, TELEMETRY_LEVELS)
 
     def test_model_validates(self):
         with pytest.raises(ValueError, match="telemetry level"):
             TelemetryModel(level="loud")
+        with pytest.raises(ValueError, match="telemetry level"):
+            TelemetryModel(level="off")  # off is no model: config.telemetry is None
         with pytest.raises(ValueError, match="span_ring"):
             TelemetryModel(span_ring=0)
 
     def test_build_off_returns_none(self, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
         assert Tracer.build(None) is None
-        assert Tracer.build(TelemetryModel(level="off")) is None
 
     def test_build_env_arms_unconfigured_tracer(self, monkeypatch):
         monkeypatch.setenv(TELEMETRY_ENV_VAR, "full")
@@ -165,20 +164,9 @@ class TestSpans:
 
 
 class TestMetrics:
-    def test_counter_and_gauge(self):
+    def test_histogram_identity_is_memoized(self):
         registry = MetricsRegistry()
-        registry.counter("hits").inc()
-        registry.counter("hits").inc(2.5)
-        registry.gauge("depth").set(4.0)
-        snapshot = registry.snapshot()
-        assert snapshot["counter.hits"] == 3.5
-        assert snapshot["gauge.depth"] == 4.0
-
-    def test_counter_identity_is_memoized(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert isinstance(registry.counter("x"), Counter)
-        assert isinstance(registry.gauge("y"), Gauge)
+        assert registry.histogram("z") is registry.histogram("z")
         assert isinstance(registry.histogram("z"), Histogram)
 
     def test_histogram_buckets_are_cumulative(self):
@@ -350,8 +338,9 @@ class TestPrometheus:
         tracer = Tracer("light")
         with tracer.span("a.b", hist="lat"):
             pass
-        tracer.metrics.counter("k.x").inc()
-        text = render_prometheus(tracer.stats())
+        # Layer counters reach the exposition from the stats channel, as
+        # ``repro --metrics-out`` renders them.
+        text = render_prometheus({**tracer.stats(), "counter.kernel.solves": 3})
         for line in text.splitlines():
             if line.startswith("#"):
                 assert line.startswith("# TYPE ")

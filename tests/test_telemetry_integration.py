@@ -30,9 +30,8 @@ def _scenario(level="off", **overrides):
 class TestConfig:
     def test_defaults_off(self):
         config = ExperimentConfig.tiny()
-        assert config.telemetry_level == "off"
-        assert config.telemetry_span_ring == 2048
-        assert config.telemetry_model() is None
+        assert config.telemetry is None
+        assert config.with_overrides(telemetry_level="light").telemetry.span_ring == 2048
 
     def test_level_validates(self):
         with pytest.raises(ConfigError):
@@ -44,17 +43,17 @@ class TestConfig:
         config = ExperimentConfig.tiny().with_overrides(
             telemetry_level="full", telemetry_span_ring=128
         )
-        model = config.telemetry_model()
+        model = config.telemetry
         assert model.level == "full"
         assert model.span_ring == 128
 
     def test_scenario_with_telemetry(self):
         scenario = api.Scenario.tiny().with_telemetry("full", span_ring=4096)
-        assert scenario.config.telemetry_level == "full"
-        assert scenario.config.telemetry_span_ring == 4096
+        assert scenario.config.telemetry.level == "full"
+        assert scenario.config.telemetry.span_ring == 4096
 
     def test_with_telemetry_default_level(self):
-        assert api.Scenario.tiny().with_telemetry().config.telemetry_level == "light"
+        assert api.Scenario.tiny().with_telemetry().config.telemetry.level == "light"
 
 
 # --------------------------------------------------------------------- #

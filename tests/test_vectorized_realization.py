@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import make_policy
 from repro.experiments.config import ExperimentConfig
 from repro.physics.entanglement import EntanglementGenerator, sample_successes
 from repro.simulation.engine import SlottedSimulator
@@ -114,7 +115,7 @@ class TestEngineUsesBatchedRealization:
 
         def run_once():
             simulator = SlottedSimulator(graph=graph, trace=trace, realize=True)
-            return simulator.run(config.make_oscar(), seed=17)
+            return simulator.run(make_policy("oscar", config), seed=17)
 
         batched = run_once()
 
