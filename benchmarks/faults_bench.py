@@ -5,16 +5,18 @@ Three measurements:
 * **schedule** — :meth:`FaultSchedule.build` precompiles the per-slot
   outage states for a small-scale graph over a long horizon, reported as
   element-slots/s of wall clock and normalised against a bare numpy
-  exponential-draw loop measured in the same process.  The headline
+  exponential-draw loop timed right after each build.  The headline
   number is the dimensionless ``relative_schedule_throughput``
   (element-slots/s over raw draws/s), which is stable across machines.
 * **overhead** — the same scenario run fault-free and fault-injected,
   reported as ``relative_run_efficiency`` (clean seconds over faulted
-  seconds, ≤ ~1); a drop means the per-slot fault path got expensive.
+  seconds); a drop means the per-slot fault path got expensive.
 * **identity** — the standing determinism contracts: a run with
   ``faults=None`` is byte-identical to one that never mentions
   faults, and a fault-injected run is byte-identical on one and two
   worker processes.
+
+Both ratios are the median over :data:`TIMED_PAIRS` back-to-back pairs.
 
 Writes the numbers to ``BENCH_faults.json`` (``--output``); with
 ``--check BASELINE.json`` it exits non-zero when an identity contract
@@ -30,6 +32,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -47,6 +50,17 @@ from repro.version import __version__
 #: fraction of the committed baseline's value.
 REGRESSION_FRACTION = 0.8
 
+#: Timed pairs behind each relative metric: a schedule build and its draw
+#: normaliser, or a clean and a faulted run.  A quick sample takes 6-110 ms,
+#: so one slow spell of a shared machine can cover a whole best-of-three;
+#: the median pair ratio moves only when more than half the pairs are hit.  On a shared
+#: 2-core machine, over consecutive windows of one process, the median of
+#: seven schedule ratios read 0.038-0.049 where the best build over the best
+#: draw of three read 0.032-0.069 (floor 0.0343), and the median of seven
+#: run ratios read 1.58-1.96 where the best of three read 1.39-2.00 (floor
+#: 1.438).
+TIMED_PAIRS = 7
+
 
 def bench_config(quick: bool) -> ExperimentConfig:
     base = ExperimentConfig.tiny() if quick else ExperimentConfig.small()
@@ -60,6 +74,7 @@ def fault_overrides() -> dict:
 def run_scenario(config: ExperimentConfig, workers: int = 1):
     """One OSCAR run through the facade; returns (seconds, record)."""
     scenario = api.Scenario.from_config(config).with_policies("oscar")
+    gc.collect()
     started = time.perf_counter()
     record = api.run_scenario(scenario, workers=workers)
     return time.perf_counter() - started, record
@@ -74,59 +89,61 @@ def payload(record) -> str:
 def run_draw_baseline(draws: int) -> float:
     """A bare numpy exponential-draw loop (the normaliser)."""
     rng = np.random.default_rng(7)
+    gc.collect()
     started = time.perf_counter()
     for _ in range(draws // 1000):
         rng.exponential(25.0, size=1000)
     return time.perf_counter() - started
 
 
-def bench_schedule(quick: bool, repeats: int) -> dict:
+def bench_schedule(quick: bool) -> dict:
     """Throughput of the per-slot outage-schedule precompilation."""
     config = ExperimentConfig.small()
     graph = config.build_graph(seed=derive_seed(1, "graph", 0))
     model = FaultModel(edge_mtbf=25.0, node_mtbf=80.0, mttr=4.0)
     horizon = 2000 if quick else 10000
+    draws = 500_000 if quick else 1_000_000
 
-    best_s = float("inf")
-    schedule = None
-    for _ in range(repeats):
+    # Each timed sample starts after a collection, so a gen-2 pass of the
+    # previous sample's garbage cannot land inside it.
+    samples = []
+    for _ in range(TIMED_PAIRS):
+        gc.collect()
         started = time.perf_counter()
         schedule = FaultSchedule.build(model, graph, seed=11, horizon=horizon)
-        best_s = min(best_s, time.perf_counter() - started)
-
-    element_slots = schedule.num_elements * horizon
-    draws = 500_000 if quick else 1_000_000
-    draw_s = min(run_draw_baseline(draws) for _ in range(repeats))
-    element_slots_per_s = element_slots / best_s
-    draws_per_s = draws / draw_s
+        build_s = time.perf_counter() - started
+        draw_s = run_draw_baseline(draws)
+        element_slots_per_s = schedule.num_elements * horizon / build_s
+        draws_per_s = draws / draw_s
+        samples.append(
+            (element_slots_per_s / draws_per_s, build_s, element_slots_per_s, draws_per_s)
+        )
+    ratio, build_s, element_slots_per_s, draws_per_s = sorted(samples)[TIMED_PAIRS // 2]
     return {
         "horizon": horizon,
         "num_elements": schedule.num_elements,
-        "build_s": round(best_s, 4),
+        "build_s": round(build_s, 4),
         "element_slots_per_s": round(element_slots_per_s, 1),
         "draws_per_s": round(draws_per_s, 1),
-        "relative_schedule_throughput": round(
-            element_slots_per_s / draws_per_s, 4
-        ),
+        "relative_schedule_throughput": round(ratio, 4),
     }
 
 
-def bench_overhead(quick: bool, repeats: int) -> dict:
+def bench_overhead(quick: bool) -> dict:
     """Wall-clock cost of running the same scenario with faults on."""
     clean_config = bench_config(quick)
     faulted_config = clean_config.with_overrides(**fault_overrides())
-    clean_s = faulted_s = float("inf")
-    faulted = None
-    for _ in range(repeats):
-        seconds, _ = run_scenario(clean_config)
-        clean_s = min(clean_s, seconds)
-        seconds, faulted = run_scenario(faulted_config)
-        faulted_s = min(faulted_s, seconds)
+    samples = []
+    for _ in range(TIMED_PAIRS):
+        clean_s, _ = run_scenario(clean_config)
+        faulted_s, faulted = run_scenario(faulted_config)
+        samples.append((clean_s / faulted_s, clean_s, faulted_s))
+    efficiency, clean_s, faulted_s = sorted(samples)[TIMED_PAIRS // 2]
     stats = faulted.stats("faults")
     return {
         "clean_s": round(clean_s, 4),
         "faulted_s": round(faulted_s, 4),
-        "relative_run_efficiency": round(clean_s / faulted_s, 4),
+        "relative_run_efficiency": round(efficiency, 4),
         "availability": round(api.fault_availability(stats) or 1.0, 4),
         "edge_failures": int(stats["edge_failures"]),
         "node_failures": int(stats["node_failures"]),
@@ -148,15 +165,14 @@ def bench_identity(quick: bool) -> dict:
 
 
 def run_benchmarks(quick: bool) -> dict:
-    repeats = 3
     return {
         "meta": {
             "version": __version__,
             "quick": quick,
             "python": sys.version.split()[0],
         },
-        "schedule": bench_schedule(quick, repeats),
-        "overhead": bench_overhead(quick, repeats),
+        "schedule": bench_schedule(quick),
+        "overhead": bench_overhead(quick),
         "identity": bench_identity(quick),
     }
 

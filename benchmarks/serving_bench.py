@@ -36,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api.records import result_to_dict
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.persistence import result_to_dict
 from repro.serving.scheduler import ServingModel, ServingSimulator, serving_requests_per_second
 from repro.utils.rng import derive_seed
 from repro.version import __version__

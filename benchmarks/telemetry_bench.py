@@ -7,9 +7,11 @@ directly (no level dispatch at all):
 * **bypass** — ``_execute_trial_inner``: the pre-telemetry code path;
 * **off** — ``execute_trial`` with telemetry off (``config.telemetry`` is
   ``None``): a level check resolving to *no tracer built*, then straight
-  to the inner runner.  The
-  committed contract is that this costs < 3 % over bypass — the ``off``
-  level must be a true no-op;
+  to the inner runner.  Its ratio to bypass is reported as
+  ``off_overhead`` but not gated: a best-of-N timing ratio spreads wider
+  than the 3 % it was meant to bound, so the contract that ``off`` is a
+  no-op is held structurally by ``tests/test_off_builds_nothing.py`` (no
+  tracer, guard or flight recorder is built on any driver);
 * **light / full** — the tracer armed, measuring what span aggregation and
   (at ``full``) the bounded event ring add.
 
@@ -17,9 +19,8 @@ All four levels must produce byte-identical per-slot cost series — the
 tracer is observational by construction, and this benchmark re-asserts it.
 
 Writes ``BENCH_telemetry.json`` (``--output``); with ``--check
-BASELINE.json`` it exits non-zero when the telemetry-off overhead exceeds
-the committed bound or when any armed level's slowdown doubles against
-the baseline.
+BASELINE.json`` it exits non-zero when the levels' cost series differ or
+when any armed level's slowdown doubles against the baseline.
 
 Usage::
 
@@ -39,9 +40,6 @@ from repro.api.scenario import Scenario
 from repro.api.session import _execute_trial_inner, execute_trial
 from repro.experiments.config import ExperimentConfig
 from repro.version import __version__
-
-#: The committed ceiling on telemetry-off overhead vs. the bypass path.
-OFF_OVERHEAD_BOUND = 1.03
 
 #: An armed level regresses when its slowdown doubles against the baseline.
 SLOWDOWN_REGRESSION_FACTOR = 2.0
@@ -132,7 +130,7 @@ def run_benchmarks(quick: bool) -> dict:
 
 
 def check_against_baseline(results: dict, baseline: dict) -> list:
-    """Violations of the overhead contract and slowdown regressions."""
+    """Cost-series identity breaks and armed-level slowdown regressions."""
     failures = []
     baseline_quick = (baseline.get("meta") or {}).get("quick")
     if baseline_quick is not None and baseline_quick != results["meta"]["quick"]:
@@ -143,11 +141,6 @@ def check_against_baseline(results: dict, baseline: dict) -> list:
         ]
     if not results["costs_identical_across_levels"]:
         failures.append("telemetry levels changed the per-slot cost series")
-    if results["off_overhead"] > OFF_OVERHEAD_BOUND:
-        failures.append(
-            f"telemetry-off overhead {results['off_overhead']:.3f}x exceeds "
-            f"the {OFF_OVERHEAD_BOUND:.2f}x contract"
-        )
     for level in ("light", "full"):
         current = (results["levels"].get(level) or {}).get("slowdown_vs_bypass")
         reference = ((baseline.get("levels") or {}).get(level) or {}).get(

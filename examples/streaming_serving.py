@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 
 from repro import api
-from repro.experiments.persistence import result_to_dict
+from repro.api.records import trial_to_dict
 
 
 def base_scenario() -> "api.Scenario":
@@ -47,10 +47,7 @@ def base_scenario() -> "api.Scenario":
 
 
 def payload(record: "api.RunRecord") -> str:
-    return json.dumps(
-        {name: result_to_dict(result) for name, result in record.trials[0].items()},
-        sort_keys=True,
-    )
+    return json.dumps(trial_to_dict(record.trials[0]), sort_keys=True)
 
 
 def main() -> None:

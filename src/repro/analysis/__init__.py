@@ -3,7 +3,6 @@
 from repro.analysis.metrics import (
     jain_fairness_index,
     success_rate_histogram,
-    compare_summaries,
 )
 from repro.analysis.stats import (
     TrialAggregate,
@@ -21,7 +20,6 @@ from repro.analysis.theory import (
 __all__ = [
     "jain_fairness_index",
     "success_rate_histogram",
-    "compare_summaries",
     "TrialAggregate",
     "aggregate_scalar",
     "aggregate_series",

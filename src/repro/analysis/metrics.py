@@ -4,18 +4,16 @@ Beyond the per-run aggregates already exposed by
 :class:`~repro.simulation.results.SimulationResult`, the paper's evaluation
 uses a success-rate *distribution* across SD pairs (Fig. 4) to argue that
 OSCAR distributes resources more fairly than the myopic baselines.  This
-module provides that histogram, Jain's fairness index (the standard scalar
-fairness measure for the proportional-fairness objective the paper adopts)
-and small helpers to compare policy summaries.
+module provides that histogram and Jain's fairness index (the standard
+scalar fairness measure for the proportional-fairness objective the paper
+adopts).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-
-from repro.simulation.results import SimulationResult
 
 
 def _require_finite(array: np.ndarray, what: str) -> None:
@@ -46,13 +44,6 @@ def jain_fairness_index(values: Sequence[float]) -> float:
     if square_total == 0:
         return 1.0
     return total_square / square_total
-
-
-def result_fairness(result: SimulationResult) -> float:
-    """Jain's index over a run's per-request success probabilities (unserved
-    = 0); a run without requests is trivially fair, as all-zero input is."""
-    values = result.all_success_probabilities(include_unserved=True)
-    return jain_fairness_index(values) if values else 1.0
 
 
 def success_rate_histogram(
@@ -87,18 +78,6 @@ def success_rate_quantiles(
         return {float(q): 0.0 for q in quantiles}
     _require_finite(array, "success-rate quantiles")
     return {float(q): float(np.quantile(array, q)) for q in quantiles}
-
-
-def compare_summaries(
-    results: Mapping[str, SimulationResult]
-) -> Dict[str, Dict[str, float]]:
-    """Side-by-side summary of several policies' results (used by reports)."""
-    comparison: Dict[str, Dict[str, float]] = {}
-    for name, result in results.items():
-        summary = result.summary()
-        summary["fairness"] = result_fairness(result)
-        comparison[name] = summary
-    return comparison
 
 
 def relative_improvement(candidate: float, baseline: float) -> float:

@@ -1,12 +1,20 @@
-"""The unified result schema of facade runs.
+"""The one result type of every run, and the one saved trial layout.
 
-Every session — single policy line-up, multi-trial comparison, or
+Every session — single policy line-up, multi-trial comparison, serving or
 multi-tenant — produces one :class:`RunRecord`: the scenario that was run,
 the per-trial results keyed by line-up name, the provider-side records for
-multi-user runs, and free-form run metadata.  Records round-trip through
-JSON (:meth:`RunRecord.save` / :meth:`RunRecord.load`) and convert to the
-legacy :class:`~repro.experiments.runner.ComparisonResult` so the figure
-modules' aggregation helpers keep working unchanged.
+multi-user runs, and free-form run metadata.  Its :meth:`~RunRecord.summary`
+aggregates the headline metrics
+(:data:`~repro.simulation.results.SUMMARY_METRICS`) straight from the
+results, and the figure modules read their series from
+:meth:`~RunRecord.results_for`.
+
+Records round-trip through JSON (:meth:`RunRecord.save` /
+:meth:`RunRecord.load`).  This module is the only one that knows the saved
+trial layout: the checkpoints of :mod:`repro.faults.checkpoint` write their
+trials with its public codecs (:func:`trial_to_dict`,
+:func:`trial_diagnostics`, :func:`provider_record_to_dict` and their
+inverses).
 
 Every layer reports through one stats channel: the ``diagnostics`` mapping
 of each result holds one summable mapping per layer of
@@ -20,15 +28,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.analysis.stats import TrialAggregate, merge_stat_mappings
+from repro.analysis.stats import TrialAggregate, aggregate_scalar, merge_stat_mappings
 from repro.core.multiuser import ProviderSlotRecord
 from repro.experiments.config import ExperimentConfig
-from repro.simulation.results import SimulationResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.experiments.runner import ComparisonResult
+from repro.simulation.results import SimulationResult, SlotRecord, summary_metrics
 
 PathLike = Union[str, Path]
 
@@ -67,17 +72,86 @@ def trial_diagnostics(trial: Mapping[str, SimulationResult]) -> Dict[str, Dict[s
     }
 
 
+def result_to_dict(result: SimulationResult) -> Dict:
+    """A JSON-serialisable representation of one policy run."""
+    return {
+        "policy_name": result.policy_name,
+        "horizon": result.horizon,
+        "total_budget": result.total_budget,
+        "summary": result.summary(),
+        "records": [
+            {
+                "t": record.t,
+                "num_requests": record.num_requests,
+                "num_served": record.num_served,
+                "cost": record.cost,
+                "utility": record.utility,
+                "success_probabilities": list(record.success_probabilities),
+                "realized_successes": [bool(v) for v in record.realized_successes],
+                "queue_length": record.queue_length,
+                "delivered_successes": [bool(v) for v in record.delivered_successes],
+                "delivered_fidelities": list(record.delivered_fidelities),
+                "fidelity_served": [bool(v) for v in record.fidelity_served],
+                "slot_start_s": record.slot_start_s,
+                "slot_end_s": record.slot_end_s,
+            }
+            for record in result.records
+        ],
+    }
+
+
+def result_from_dict(
+    payload: Mapping, diagnostics: Optional[Mapping] = None
+) -> SimulationResult:
+    """Rebuild a :class:`SimulationResult` from :func:`result_to_dict` output.
+
+    ``diagnostics`` becomes the result's diagnostics mapping (the saved
+    layer stats of :func:`trial_diagnostics`).
+    """
+    records = tuple(
+        SlotRecord(
+            t=int(entry["t"]),
+            num_requests=int(entry["num_requests"]),
+            num_served=int(entry["num_served"]),
+            cost=int(entry["cost"]),
+            utility=float(entry["utility"]),
+            success_probabilities=tuple(float(p) for p in entry["success_probabilities"]),
+            realized_successes=tuple(bool(v) for v in entry.get("realized_successes", [])),
+            queue_length=entry.get("queue_length"),
+            delivered_successes=tuple(
+                bool(v) for v in entry.get("delivered_successes", [])
+            ),
+            delivered_fidelities=tuple(
+                float(v) for v in entry.get("delivered_fidelities", [])
+            ),
+            fidelity_served=tuple(bool(v) for v in entry.get("fidelity_served", [])),
+            slot_start_s=entry.get("slot_start_s"),
+            slot_end_s=entry.get("slot_end_s"),
+        )
+        for entry in payload["records"]
+    )
+    return SimulationResult(
+        policy_name=str(payload["policy_name"]),
+        horizon=int(payload["horizon"]),
+        total_budget=float(payload["total_budget"]),
+        records=records,
+        diagnostics=dict(diagnostics or {}),
+    )
+
+
+def trial_to_dict(trial: Mapping[str, SimulationResult]) -> Dict[str, Dict]:
+    """One trial's results in the saved layout, by line-up name."""
+    return {name: result_to_dict(result) for name, result in trial.items()}
+
+
 def trial_from_dict(
     results: Mapping[str, Mapping], diagnostics: Optional[Mapping[str, Mapping]] = None
 ) -> Dict[str, SimulationResult]:
     """Rebuild one trial's results with their saved diagnostics.
 
-    The inverse of ``result_to_dict`` per result plus
-    :func:`trial_diagnostics`; a trial saved without diagnostics loads
-    with empty ones.
+    The inverse of :func:`trial_to_dict` plus :func:`trial_diagnostics`; a
+    trial saved without diagnostics loads with empty ones.
     """
-    from repro.experiments.persistence import result_from_dict
-
     saved = diagnostics or {}
     return {
         name: result_from_dict(entry, diagnostics=saved.get(name))
@@ -104,7 +178,8 @@ def _v1_diagnostics(payload: Mapping) -> List[Dict[str, Dict[str, object]]]:
     return [{next(iter(trials[0])): first}]
 
 
-def _provider_record_to_dict(record: ProviderSlotRecord) -> Dict[str, object]:
+def provider_record_to_dict(record: ProviderSlotRecord) -> Dict[str, object]:
+    """A JSON-serialisable representation of one provider-side slot record."""
     return {
         "t": record.t,
         "qubit_utilisation": record.qubit_utilisation,
@@ -115,7 +190,8 @@ def _provider_record_to_dict(record: ProviderSlotRecord) -> Dict[str, object]:
     }
 
 
-def _provider_record_from_dict(payload: Mapping) -> ProviderSlotRecord:
+def provider_record_from_dict(payload: Mapping) -> ProviderSlotRecord:
+    """Rebuild a provider-side slot record from :func:`provider_record_to_dict` output."""
     return ProviderSlotRecord(
         t=int(payload["t"]),
         qubit_utilisation=float(payload["qubit_utilisation"]),
@@ -138,8 +214,9 @@ class RunRecord:
         The JSON form of the scenario that was executed
         (:meth:`repro.api.scenario.Scenario.to_dict`).
     kind:
-        ``"comparison"`` (policy line-up on identical traces) or
-        ``"multiuser"`` (tenants sharing the QDN).
+        ``"comparison"`` (policy line-up on identical traces),
+        ``"serving"`` (the open-system serving layer) or ``"multiuser"``
+        (tenants sharing the QDN).
     trials:
         One mapping per trial from line-up name (policy name, or user name
         for multi-user runs) to that run's :class:`SimulationResult`.
@@ -181,24 +258,26 @@ class RunRecord:
         return ExperimentConfig.from_dict(self.scenario["config"])
 
     # ------------------------------------------------------------------ #
-    # Aggregation (delegates to the comparison machinery)
+    # Aggregation
     # ------------------------------------------------------------------ #
-    def to_comparison(self) -> "ComparisonResult":
-        """The legacy :class:`ComparisonResult` view of this record.
-
-        Works for both kinds — for multi-user runs the "policies" are the
-        tenants — so every aggregation helper (``summary``, ``mean_series``,
-        ``success_probability_pool``) applies uniformly.
-        """
-        from repro.experiments.runner import ComparisonResult
-
-        return ComparisonResult(
-            config=self.scenario_config(), trials=[dict(trial) for trial in self.trials]
-        )
-
     def summary(self) -> Dict[str, Dict[str, TrialAggregate]]:
-        """Mean ± CI of the headline metrics for every line-up entry."""
-        return self.to_comparison().summary()
+        """Mean ± CI of the headline metrics for every line-up entry.
+
+        The metrics are :data:`~repro.simulation.results.SUMMARY_METRICS`,
+        in table order, aggregated over the trials; an entry reports the
+        physical-layer metrics when any of its trials simulated the
+        physical chain.  Works for every kind — for multi-user runs the
+        entries are the tenants.
+        """
+        summaries: Dict[str, Dict[str, TrialAggregate]] = {}
+        for name in self.lineup:
+            results = self.results_for(name)
+            physical = any(result.has_physical_data for result in results)
+            summaries[name] = {
+                metric: aggregate_scalar([read(result) for result in results])
+                for metric, read in summary_metrics(physical).items()
+            }
+        return summaries
 
     def format_summary(self, title: str = "") -> str:
         """The summary as an aligned plain-text table."""
@@ -321,19 +400,14 @@ class RunRecord:
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
         """A JSON-serialisable representation of the whole record."""
-        from repro.experiments.persistence import result_to_dict
-
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "scenario": self.scenario,
-            "trials": [
-                {name: result_to_dict(result) for name, result in trial.items()}
-                for trial in self.trials
-            ],
+            "trials": [trial_to_dict(trial) for trial in self.trials],
             "diagnostics": [trial_diagnostics(trial) for trial in self.trials],
             "provider_trials": [
-                [_provider_record_to_dict(record) for record in trial]
+                [provider_record_to_dict(record) for record in trial]
                 for trial in self.provider_trials
             ],
             "meta": dict(self.meta),
@@ -353,7 +427,7 @@ class RunRecord:
                 for index, trial in enumerate(payload.get("trials", []))
             ],
             provider_trials=[
-                tuple(_provider_record_from_dict(entry) for entry in trial)
+                tuple(provider_record_from_dict(entry) for entry in trial)
                 for trial in payload.get("provider_trials", [])
             ],
             meta=dict(payload.get("meta", {})),
@@ -370,18 +444,3 @@ class RunRecord:
     def load(cls, path: PathLike) -> "RunRecord":
         """Load a record previously written by :meth:`save`."""
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-    # ------------------------------------------------------------------ #
-    # Interop
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_comparison(cls, comparison: "ComparisonResult", name: str = "comparison") -> "RunRecord":
-        """Wrap a legacy :class:`ComparisonResult` in the unified schema."""
-        from repro.api.scenario import Scenario
-
-        scenario = Scenario.from_config(comparison.config, name=name)
-        return cls(
-            scenario=scenario.to_dict(),
-            kind="comparison",
-            trials=[dict(trial) for trial in comparison.trials],
-        )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.registry import PolicyRegistry, default_registry
 from repro.core.multiuser import QDNUser
@@ -245,18 +245,17 @@ def _default_lineup() -> Tuple[PolicySpec, ...]:
 class Scenario:
     """A declarative experiment description (see module docstring).
 
-    ``lineup_factory`` is an escape hatch for callers that need to build
-    arbitrary policy objects per trial (the legacy ``policy_factory`` of
-    :func:`repro.experiments.runner.run_comparison`); it overrides
-    ``policies``, is excluded from serialisation, and must be picklable for
-    parallel sessions.
+    Every field serialises (:meth:`to_dict`); the result-store and
+    checkpoint keys hash that form.  A custom policy joins the line-up by
+    name: register it (:func:`~repro.api.registry.register_policy`), then
+    list it in :meth:`with_policies`.  :meth:`run` returns the run's
+    :class:`~repro.api.records.RunRecord`, the one result type.
     """
 
     name: str = "scenario"
     config: ExperimentConfig = field(default_factory=ExperimentConfig.paper)
     policies: Tuple[PolicySpec, ...] = field(default_factory=_default_lineup)
     users: Tuple[UserSpec, ...] = ()
-    lineup_factory: Optional[Callable[[ExperimentConfig], Sequence[RoutingPolicy]]] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -499,21 +498,12 @@ class Scenario:
         """Replace the policy line-up (names, ``(name, kwargs)`` or specs)."""
         if not entries:
             raise ValueError("at least one policy is required")
-        return self._replace(
-            policies=tuple(PolicySpec.coerce(entry) for entry in entries),
-            lineup_factory=None,
-        )
+        return self._replace(policies=tuple(PolicySpec.coerce(entry) for entry in entries))
 
     def with_policy(self, name: str, label: Optional[str] = None, **kwargs) -> "Scenario":
         """Append one policy to the line-up."""
         spec = PolicySpec(name=name, kwargs=kwargs, label=label)
-        return self._replace(policies=self.policies + (spec,), lineup_factory=None)
-
-    def with_lineup_factory(
-        self, factory: Callable[[ExperimentConfig], Sequence[RoutingPolicy]]
-    ) -> "Scenario":
-        """Use a callable building the per-trial line-up (legacy escape hatch)."""
-        return self._replace(lineup_factory=factory)
+        return self._replace(policies=self.policies + (spec,))
 
     def with_users(self, *users: UserSpec) -> "Scenario":
         """Replace the tenant line-up (switches to multi-user mode)."""
@@ -573,8 +563,6 @@ class Scenario:
             from repro.serving.scheduler import SERVING_LINEUP_NAME
 
             return (SERVING_LINEUP_NAME,)
-        if self.lineup_factory is not None:
-            return tuple(p.name for p in self.lineup_factory(self.config))
         # Probe against this scenario's config so config-dependent renames
         # (the fidelity-constrained wrapper's suffix) match the result keys.
         return tuple(
@@ -587,8 +575,6 @@ class Scenario:
         """Fresh policy instances for one trial (single-user mode)."""
         if self.is_multiuser:
             raise ValueError("a multi-user scenario builds users, not a policy line-up")
-        if self.lineup_factory is not None:
-            return list(self.lineup_factory(self.config))
         return [spec.resolve(self.config, registry=registry) for spec in self.policies]
 
     def build_users(self, registry: Optional[PolicyRegistry] = None) -> List[QDNUser]:
@@ -608,7 +594,7 @@ class Scenario:
             names = [user.name for user in self.users]
             if len(set(names)) != len(names):
                 raise ValueError("user names must be unique")
-        elif not self.is_serving and self.lineup_factory is None:
+        elif not self.is_serving:
             if not self.policies:
                 raise ValueError("the policy line-up is empty")
             names = list(self.lineup_names())
@@ -634,7 +620,7 @@ class Scenario:
     # Serialisation
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-serialisable description (``lineup_factory`` excluded)."""
+        """A JSON-serialisable description of every field."""
         return {
             "name": self.name,
             "config": dataclasses.asdict(self.config),

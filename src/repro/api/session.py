@@ -498,11 +498,10 @@ def compare(
     name: str = "comparison",
     **session_options,
 ) -> RunRecord:
-    """Run a multi-trial policy comparison in one call.
+    """Run a multi-trial policy comparison in one call; returns its :class:`RunRecord`.
 
-    The facade equivalent of the historical
-    :func:`repro.experiments.runner.run_comparison`: every trial draws a
-    fresh topology and trace, every policy runs on the identical trace.
+    Every trial draws a fresh topology and trace, and every policy runs on
+    the identical trace.  ``trials`` and ``seed`` override the config's.
     ``policies`` accepts anything :meth:`Scenario.with_policies` does.
     Extra keyword arguments become :class:`Session` fields (``checkpoint``,
     ``stop_flag``, ``max_retries``, ...).

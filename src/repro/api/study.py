@@ -52,7 +52,6 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -73,9 +72,6 @@ from repro.faults import PoolSupervisor
 from repro.network.topology import TOPOLOGY_KINDS
 from repro.simulation.results import SimulationResult
 from repro.utils.rng import spawn_rngs
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.runner import ComparisonResult
 
 PathLike = Union[str, Path]
 
@@ -214,8 +210,7 @@ class ResultStore:
     description (config including trials/seed, line-up, users) and the
     record schema version, so a store can be shared between studies — any
     study whose grid contains an already-computed point reuses it — and a
-    record schema bump recomputes every point.  Scenarios carrying an
-    unserialisable ``lineup_factory`` are never cached.
+    record schema bump recomputes every point.
     """
 
     root: Path
@@ -371,10 +366,6 @@ class StudyResult:
                     float(aggregate.mean) if aggregate is not None else float("nan")
                 )
         return out
-
-    def to_comparisons(self) -> List["ComparisonResult"]:
-        """The legacy per-point :class:`ComparisonResult` views (grid order)."""
-        return [record.to_comparison() for record in self.records]
 
     def stats(self, layer: str) -> Optional[Dict[str, object]]:
         """One layer's stats summed over every point of the grid.
@@ -656,7 +647,7 @@ class Study:
         cached = 0
         for position, point in enumerate(points):
             point.scenario.validate()
-            if store_obj is not None and point.scenario.lineup_factory is None:
+            if store_obj is not None:
                 hit = store_obj.load(point.scenario)
                 if hit is not None:
                     # The stored record may come from a differently-named
@@ -697,7 +688,7 @@ class Study:
             record = _assemble_record(
                 point, position, unit_counts[position], outcomes, self.name, workers
             )
-            if store_obj is not None and point.scenario.lineup_factory is None:
+            if store_obj is not None:
                 store_obj.save(point.scenario, record)
             records[position] = record
             self._notify(on_progress, f"{point.name}: done")

@@ -66,9 +66,9 @@ from repro.experiments import (
     fig11_resilience,
 )
 from repro.experiments.config import ConfigError, ExperimentConfig
-from repro.experiments.persistence import save_text_report
 from repro.experiments.reporting import format_table
 from repro.network.channels import per_slot_success
+from repro.simulation.results import SUMMARY_METRICS
 from repro.version import __version__
 
 #: Each runner returns a result object exposing ``format_tables()`` (the
@@ -160,7 +160,9 @@ def command_figure(arguments: argparse.Namespace) -> int:
         print(f"\n[{arguments.name} at scale={arguments.scale} in {elapsed:.1f} s]",
               file=sys.stderr)
     if arguments.output:
-        path = save_text_report(Path(arguments.output), report)
+        path = Path(arguments.output)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(report if report.endswith("\n") else report + "\n")
         print(f"[report written to {path}]", file=sys.stderr if arguments.json else sys.stdout)
     return 0
 
@@ -465,8 +467,6 @@ def command_sweep(arguments: argparse.Namespace) -> int:
         print("error: declare at least one axis (--axis/--values or --topologies)",
               file=sys.stderr)
         return 2
-    from repro.experiments.runner import SUMMARY_METRICS
-
     unknown_metrics = sorted(set(arguments.metrics) - set(SUMMARY_METRICS))
     if unknown_metrics:
         print(
@@ -619,7 +619,7 @@ def command_replay(arguments: argparse.Namespace) -> int:
     return 0 if result.matched else 1
 
 
-def _load_result_source(path: str):
+def _load_run_or_study(path: str):
     """Load a saved RunRecord or StudyResult JSON file, detecting the schema."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
@@ -645,7 +645,7 @@ def command_trace(arguments: argparse.Namespace) -> int:
     from repro.telemetry import write_chrome_trace
 
     try:
-        source = _load_result_source(arguments.result)
+        source = _load_run_or_study(arguments.result)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -672,7 +672,7 @@ def command_top(arguments: argparse.Namespace) -> int:
     from repro.telemetry import summarize_spans
 
     try:
-        source = _load_result_source(arguments.result)
+        source = _load_run_or_study(arguments.result)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

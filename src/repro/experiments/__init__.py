@@ -1,7 +1,13 @@
-"""The experiment harness: paper configuration, runner and one module per figure."""
+"""The experiment harness: the paper configuration and one module per figure.
+
+Every figure runs through :mod:`repro.api` and keeps what it ran:
+``fig3``/``fig4`` hold the run's :class:`~repro.api.records.RunRecord` as
+``.record``, the sweeps (fig5–fig11) their
+:class:`~repro.api.study.StudyResult` as ``.study``, whose ``records`` are
+the runs of each point.  Tables and series are read from those records.
+"""
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ComparisonResult, run_comparison
 from repro.experiments import (
     fig3_time_evolving,
     fig4_distribution,
@@ -17,8 +23,6 @@ from repro.experiments import (
 
 __all__ = [
     "ExperimentConfig",
-    "ComparisonResult",
-    "run_comparison",
     "fig3_time_evolving",
     "fig4_distribution",
     "fig5_budget",

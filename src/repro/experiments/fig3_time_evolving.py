@@ -17,13 +17,13 @@ reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro import api
-from repro.analysis.stats import downsample
+from repro.analysis.stats import aggregate_series, downsample
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_series_table
-from repro.experiments.runner import ComparisonResult
+from repro.simulation.results import SimulationResult
 
 #: Number of time points reported in the plain-text series tables.
 REPORT_POINTS = 11
@@ -38,17 +38,12 @@ class Figure3Result:
     running_utility: Dict[str, List[float]]
     running_success_rate: Dict[str, List[float]]
     cumulative_cost: Dict[str, List[float]]
-    comparison: Optional[ComparisonResult] = field(default=None, repr=False)
+    record: Optional[api.RunRecord] = field(default=None, repr=False)
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-serialisable payload; the run uses the RunRecord schema."""
         import dataclasses
 
-        record = (
-            api.RunRecord.from_comparison(self.comparison, name="fig3")
-            if self.comparison is not None
-            else None
-        )
         return {
             "figure": "fig3",
             "config": dataclasses.asdict(self.config),
@@ -58,7 +53,7 @@ class Figure3Result:
                 k: list(v) for k, v in self.running_success_rate.items()
             },
             "cumulative_cost": {k: list(v) for k, v in self.cumulative_cost.items()},
-            "record": record.to_dict() if record is not None else None,
+            "record": self.record.to_dict() if self.record is not None else None,
         }
 
     def final_values(self) -> Dict[str, Dict[str, float]]:
@@ -108,6 +103,16 @@ class Figure3Result:
         return "\n\n".join(tables)
 
 
+def _mean_series(
+    record: api.RunRecord, series: Callable[[SimulationResult], List[float]]
+) -> Dict[str, List[float]]:
+    """Across-trial mean of one per-slot series, per line-up entry."""
+    return {
+        name: aggregate_series([series(result) for result in record.results_for(name)])[0]
+        for name in record.lineup
+    }
+
+
 def run(
     config: Optional[ExperimentConfig] = None,
     trials: Optional[int] = None,
@@ -116,29 +121,16 @@ def run(
 ) -> Figure3Result:
     """Run the Fig. 3 experiment and return its time-evolving series."""
     config = config or ExperimentConfig.paper()
-    comparison = api.compare(
-        config, trials=trials, seed=seed, workers=workers, name="fig3"
-    ).to_comparison()
-    slots = list(range(config.horizon))
-    running_utility = {
-        name: comparison.mean_series(name, "running_utility")
-        for name in comparison.policy_names
-    }
-    running_success = {
-        name: comparison.mean_series(name, "running_success")
-        for name in comparison.policy_names
-    }
-    cumulative_cost = {
-        name: comparison.mean_series(name, "cumulative_cost")
-        for name in comparison.policy_names
-    }
+    record = api.compare(config, trials=trials, seed=seed, workers=workers, name="fig3")
     return Figure3Result(
         config=config,
-        slots=slots,
-        running_utility=running_utility,
-        running_success_rate=running_success,
-        cumulative_cost=cumulative_cost,
-        comparison=comparison,
+        slots=list(range(config.horizon)),
+        running_utility=_mean_series(record, SimulationResult.running_average_utility),
+        running_success_rate=_mean_series(
+            record, SimulationResult.running_average_success_rate
+        ),
+        cumulative_cost=_mean_series(record, SimulationResult.cumulative_costs),
+        record=record,
     )
 
 

@@ -16,7 +16,6 @@ from repro import api
 from repro.analysis.metrics import jain_fairness_index, success_rate_histogram
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ComparisonResult
 
 
 @dataclass
@@ -27,24 +26,19 @@ class Figure4Result:
     bin_edges: List[float]
     histograms: Dict[str, List[float]]
     fairness: Dict[str, float]
-    comparison: Optional[ComparisonResult] = field(default=None, repr=False)
+    record: Optional[api.RunRecord] = field(default=None, repr=False)
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-serialisable payload; the run uses the RunRecord schema."""
         import dataclasses
 
-        record = (
-            api.RunRecord.from_comparison(self.comparison, name="fig4")
-            if self.comparison is not None
-            else None
-        )
         return {
             "figure": "fig4",
             "config": dataclasses.asdict(self.config),
             "bin_edges": list(self.bin_edges),
             "histograms": {k: list(v) for k, v in self.histograms.items()},
             "fairness": dict(self.fairness),
-            "record": record.to_dict() if record is not None else None,
+            "record": self.record.to_dict() if self.record is not None else None,
         }
 
     def format_tables(self) -> str:
@@ -73,21 +67,24 @@ def run(
     bins: int = 10,
     trials: Optional[int] = None,
     seed: Optional[int] = None,
-    comparison: Optional[ComparisonResult] = None,
+    record: Optional[api.RunRecord] = None,
     workers: int = 1,
 ) -> Figure4Result:
-    """Run the Fig. 4 experiment (or reuse an existing comparison run)."""
+    """Run the Fig. 4 experiment (or reuse an existing run's ``record``)."""
     config = config or ExperimentConfig.paper()
-    if comparison is None:
-        comparison = api.compare(
-            config, trials=trials, seed=seed, workers=workers, name="fig4"
-        ).to_comparison()
+    if record is None:
+        record = api.compare(config, trials=trials, seed=seed, workers=workers, name="fig4")
 
     bin_edges: List[float] = []
     histograms: Dict[str, List[float]] = {}
     fairness: Dict[str, float] = {}
-    for name in comparison.policy_names:
-        pool = comparison.success_probability_pool(name)
+    for name in record.lineup:
+        # Every request's success probability, pooled over the trials.
+        pool = [
+            probability
+            for result in record.results_for(name)
+            for probability in result.all_success_probabilities(include_unserved=True)
+        ]
         edges, fractions = success_rate_histogram(pool, bins=bins)
         bin_edges = edges
         histograms[name] = fractions
@@ -97,7 +94,7 @@ def run(
         bin_edges=bin_edges,
         histograms=histograms,
         fairness=fairness,
-        comparison=comparison,
+        record=record,
     )
 
 

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro import api
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_series_table
-from repro.experiments.runner import ComparisonResult
 
 #: Budget sweep used when reproducing the paper-scale experiment.
 PAPER_BUDGETS = (3000.0, 4000.0, 5000.0, 6000.0, 7000.0, 8000.0)
@@ -30,7 +29,6 @@ class Figure5Result:
     budgets: List[float]
     success_rate: Dict[str, List[float]]
     total_cost: Dict[str, List[float]]
-    comparisons: List[ComparisonResult] = field(default_factory=list, repr=False)
     study: Optional["api.StudyResult"] = field(default=None, repr=False)
 
     def to_dict(self) -> Dict[str, object]:
@@ -110,7 +108,6 @@ def run(
         budgets=[float(b) for b in budgets],
         success_rate=result.series("average_success_rate"),
         total_cost=result.series("total_cost"),
-        comparisons=result.to_comparisons(),
         study=result,
     )
 

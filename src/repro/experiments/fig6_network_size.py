@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro import api
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_series_table
-from repro.experiments.runner import ComparisonResult
 
 #: Node-count sweep used at paper scale.
 PAPER_SIZES = (10, 15, 20, 25, 30)
@@ -30,7 +29,6 @@ class Figure6Result:
     sizes: List[int]
     success_rate: Dict[str, List[float]]
     total_cost: Dict[str, List[float]]
-    comparisons: List[ComparisonResult] = field(default_factory=list, repr=False)
     study: Optional["api.StudyResult"] = field(default=None, repr=False)
 
     def to_dict(self) -> Dict[str, object]:
@@ -100,7 +98,6 @@ def run(
         sizes=[int(s) for s in sizes],
         success_rate=result.series("average_success_rate"),
         total_cost=result.series("total_cost"),
-        comparisons=result.to_comparisons(),
         study=result,
     )
 

@@ -21,7 +21,6 @@ from repro.analysis.theory import (
 from repro import api
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_series_table
-from repro.experiments.runner import ComparisonResult
 
 #: V sweep used at paper scale (the paper's default is V = 2500).
 PAPER_V_VALUES = (500.0, 1000.0, 2500.0, 5000.0, 10000.0)
@@ -38,7 +37,6 @@ class Figure7Result:
     total_cost: List[float]
     budget_violation: List[float]
     theorem1_bounds: List[float]
-    comparisons: List[ComparisonResult] = field(default_factory=list, repr=False)
     study: Optional["api.StudyResult"] = field(default=None, repr=False)
 
     def to_dict(self) -> Dict[str, object]:
@@ -105,15 +103,14 @@ def run(
     average_success = study_result.series("average_success_rate")["OSCAR"]
     total_cost = study_result.series("total_cost")["OSCAR"]
     violation = study_result.series("budget_violation")["OSCAR"]
-    comparisons = study_result.to_comparisons()
 
     bounds: List[float] = []
-    for v, comparison in zip(v_values, comparisons):
+    for v, record in zip(v_values, study_result.records):
         swept = config.with_overrides(trade_off_v=v)
 
         # Theoretical Theorem-1 bound for this V (an upper bound on the
         # *time-averaged* violation, reported per slot).
-        results = comparison.results_for("OSCAR")
+        results = record.results_for("OSCAR")
         max_slot_cost = max(
             (max(result.per_slot_costs()) if result.records else 0.0) for result in results
         )
@@ -144,7 +141,6 @@ def run(
         total_cost=total_cost,
         budget_violation=violation,
         theorem1_bounds=bounds,
-        comparisons=comparisons,
         study=study_result,
     )
 

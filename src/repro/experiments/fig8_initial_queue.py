@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro import api
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_series_table
-from repro.experiments.runner import ComparisonResult
 
 #: q0 sweep used at paper scale (the paper's default is q0 = 10).
 PAPER_Q0_VALUES = (0.0, 10.0, 50.0, 100.0, 200.0)
@@ -32,7 +31,6 @@ class Figure8Result:
     average_success_rate: List[float]
     total_cost: List[float]
     early_cost: List[float]
-    comparisons: List[ComparisonResult] = field(default_factory=list, repr=False)
     study: Optional["api.StudyResult"] = field(default=None, repr=False)
 
     def to_dict(self) -> Dict[str, object]:
@@ -90,13 +88,12 @@ def run(
     q0_values = [float(q) for q in (q0_values if q0_values is not None else PAPER_Q0_VALUES)]
 
     result = build_study(config, q0_values).run(workers=workers, store=store)
-    comparisons = result.to_comparisons()
     early_slots = max(1, config.horizon // 10)
     early_cost: List[float] = []
-    for comparison in comparisons:
+    for record in result.records:
         early = [
             float(sum(r.per_slot_costs()[:early_slots]))
-            for r in comparison.results_for("OSCAR")
+            for r in record.results_for("OSCAR")
         ]
         early_cost.append(sum(early) / len(early))
 
@@ -107,7 +104,6 @@ def run(
         average_success_rate=result.series("average_success_rate")["OSCAR"],
         total_cost=result.series("total_cost")["OSCAR"],
         early_cost=early_cost,
-        comparisons=comparisons,
         study=result,
     )
 

@@ -30,7 +30,6 @@ from repro import api
 from repro.experiments.config import ExperimentConfig, with_physical_defaults
 from repro.experiments.fig5_budget import sweep_budgets_for
 from repro.experiments.reporting import format_series_table
-from repro.experiments.runner import ComparisonResult
 
 #: Physical-layer setting used when the caller's config leaves it disabled:
 #: near-deterministic swapping, two requested purification rounds per link
@@ -53,7 +52,6 @@ class Figure9Result:
     delivered_fidelity: Dict[str, List[float]]
     fidelity_throughput: Dict[str, List[float]]
     delivered_rate: Dict[str, List[float]]
-    comparisons: List[ComparisonResult] = field(default_factory=list, repr=False)
     study: Optional["api.StudyResult"] = field(default=None, repr=False)
 
     def to_dict(self) -> Dict[str, object]:
@@ -129,7 +127,6 @@ def run(
         delivered_fidelity=result.series("mean_delivered_fidelity"),
         fidelity_throughput=result.series("fidelity_served_rate"),
         delivered_rate=result.series("delivered_success_rate"),
-        comparisons=result.to_comparisons(),
         study=result,
     )
 

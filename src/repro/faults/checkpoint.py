@@ -14,8 +14,9 @@ two halves of graceful degradation at the run level:
   flushes a partial record, and exits cleanly); a second signal falls
   back to the ordinary ``KeyboardInterrupt``.
 
-Checkpointed results round-trip through the same serialisation as
-:class:`repro.api.records.RunRecord`, layer stats included, so a resumed
+Checkpointed trials are written and read with the public codecs of
+:mod:`repro.api.records`, the saved layout of every
+:class:`~repro.api.records.RunRecord`, layer stats included, so a resumed
 run's tables and stats are identical to an uninterrupted one's.
 """
 
@@ -75,7 +76,7 @@ class RunCheckpoint:
         A checkpoint for a different scenario, or an unreadable/corrupt
         file, yields an empty list (with a warning for corruption).
         """
-        from repro.api.records import _provider_record_from_dict, trial_from_dict
+        from repro.api.records import provider_record_from_dict, trial_from_dict
 
         if not self.path.exists():
             return []
@@ -91,7 +92,7 @@ class RunCheckpoint:
                 # diagnostics and resume without them.
                 results = trial_from_dict(entry["results"], entry.get("diagnostics"))
                 provider = tuple(
-                    _provider_record_from_dict(record)
+                    provider_record_from_dict(record)
                     for record in entry.get("provider", [])
                 )
                 outcomes.append((results, provider))
@@ -114,22 +115,16 @@ class RunCheckpoint:
         completed: Sequence[Tuple[Dict[str, object], Tuple]],
     ) -> Path:
         """Write the completed-trial prefix atomically and return the path."""
-        from repro.api.records import _provider_record_to_dict, trial_diagnostics
-        from repro.experiments.persistence import result_to_dict
+        from repro.api.records import provider_record_to_dict, trial_diagnostics, trial_to_dict
 
         payload = {
             "schema": CHECKPOINT_SCHEMA,
             "key": key,
             "trials": [
                 {
-                    "results": {
-                        name: result_to_dict(result)
-                        for name, result in results.items()
-                    },
+                    "results": trial_to_dict(results),
                     "diagnostics": trial_diagnostics(results),
-                    "provider": [
-                        _provider_record_to_dict(record) for record in provider
-                    ],
+                    "provider": [provider_record_to_dict(record) for record in provider],
                 }
                 for results, provider in completed
             ],

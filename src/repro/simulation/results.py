@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
+
+from repro.analysis.metrics import jain_fairness_index
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,12 @@ class SimulationResult:
         served = sum(record.num_served for record in self.records)
         return served / total
 
+    def fairness(self) -> float:
+        """Jain's index over the per-request success probabilities (unserved
+        = 0); a run without requests is trivially fair, as all-zero input is."""
+        values = self.all_success_probabilities(include_unserved=True)
+        return jain_fairness_index(values) if values else 1.0
+
     # ------------------------------------------------------------------ #
     # Physical-layer delivery metrics (see repro.simulation.physical)
     # ------------------------------------------------------------------ #
@@ -251,23 +259,46 @@ class SimulationResult:
         return float(max(ends) - min(starts))
 
     def summary(self) -> Dict[str, float]:
-        """A flat summary dictionary used by the reporting layer.
+        """The run's :data:`SUMMARY_METRICS`, the dictionary a saved result keeps.
 
-        The physical-layer metrics appear only when the run simulated the
-        physical chain — their absence means "not simulated", which is a
-        different statement than a measured zero.
+        ``fairness`` is left out: every saved record stores this dictionary,
+        and those bytes are pinned.  The :data:`PHYSICAL_METRICS` appear only
+        when the run simulated the physical chain — their absence means "not
+        simulated", which is a different statement than a measured zero.
         """
-        summary = {
-            "average_utility": self.average_utility(),
-            "average_success_rate": self.average_success_rate(),
-            "realized_success_rate": self.realized_success_rate(),
-            "total_cost": self.total_cost,
-            "budget_utilisation": self.budget_utilisation,
-            "budget_violation": self.budget_violation,
-            "served_fraction": self.served_fraction(),
+        return {
+            name: read(self)
+            for name, read in summary_metrics(self.has_physical_data).items()
+            if name != "fairness"
         }
-        if self.has_physical_data:
-            summary["delivered_success_rate"] = self.delivered_success_rate()
-            summary["mean_delivered_fidelity"] = self.mean_delivered_fidelity()
-            summary["fidelity_served_rate"] = self.fidelity_served_rate()
-        return summary
+
+
+#: The headline metrics of a run, in table order, with their readers.
+#: ``SimulationResult.summary()``, ``RunRecord.summary()`` and ``repro sweep
+#: --metrics`` all read this table.
+SUMMARY_METRICS: Dict[str, Callable[[SimulationResult], float]] = {
+    "average_utility": SimulationResult.average_utility,
+    "average_success_rate": SimulationResult.average_success_rate,
+    "realized_success_rate": SimulationResult.realized_success_rate,
+    "total_cost": lambda result: result.total_cost,
+    "budget_utilisation": lambda result: result.budget_utilisation,
+    "budget_violation": lambda result: result.budget_violation,
+    "served_fraction": SimulationResult.served_fraction,
+    "fairness": SimulationResult.fairness,
+    "delivered_success_rate": SimulationResult.delivered_success_rate,
+    "mean_delivered_fidelity": SimulationResult.mean_delivered_fidelity,
+    "fidelity_served_rate": SimulationResult.fidelity_served_rate,
+}
+
+#: The metrics that exist only for runs that simulated the physical layer.
+PHYSICAL_METRICS = ("delivered_success_rate", "mean_delivered_fidelity", "fidelity_served_rate")
+
+
+def summary_metrics(physical: bool) -> Dict[str, Callable[[SimulationResult], float]]:
+    """The rows of :data:`SUMMARY_METRICS` a summary reports, in table order:
+    all of them when ``physical``, else all but :data:`PHYSICAL_METRICS`."""
+    return {
+        name: read
+        for name, read in SUMMARY_METRICS.items()
+        if physical or name not in PHYSICAL_METRICS
+    }

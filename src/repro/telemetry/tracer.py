@@ -10,7 +10,7 @@ environment — apply the same level as the parent), and a hard no-op
 contract at ``off``: :meth:`Tracer.build` returns ``None``, no recorder
 object exists, no randomness is drawn, and every produced table is
 byte-identical to the historical output
-(``benchmarks/telemetry_bench.py`` pins the residual overhead).
+(``tests/test_off_builds_nothing.py`` checks that no tracer is built).
 
 Levels:
 

@@ -1,5 +1,6 @@
 """Tests for the repro.api scenario builder."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,19 @@ class TestRoundTrip:
         scenario = api.Scenario.from_dict(record.scenario)
         assert scenario.config == config
         assert "use_kernel" not in scenario.to_dict()["config"]
+
+    def test_record_whose_config_no_longer_loads_still_summarises(self):
+        # Records saved by --legacy-solver runs carry use_kernel = false, a
+        # config that no longer loads; their summary needs only the results.
+        path = Path(__file__).parent / "data" / "record_with_solver_flags.json"
+        payload = json.loads(path.read_text())
+        payload["scenario"]["config"]["use_kernel"] = False
+        patched = api.RunRecord.from_dict(payload)
+        with pytest.raises(ConfigError, match="use_kernel"):
+            patched.scenario_config()
+        original = api.RunRecord.load(path)
+        assert repr(patched.summary()) == repr(original.summary())
+        assert patched.format_summary() == original.format_summary()
 
     @pytest.mark.parametrize(
         "switch,removed",

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro import api
-from repro.experiments.runner import run_comparison
 from repro.simulation.results import SlotRecord
 
 
@@ -36,25 +35,6 @@ class TestDeterminism:
         assert trials_payload(serial) == trials_payload(parallel)
         assert serial.meta["workers"] == 1
         assert parallel.meta["workers"] == 3
-
-    def test_facade_matches_legacy_runner(self):
-        scenario = tiny_scenario(trials=2)
-        record = api.run_scenario(scenario)
-        legacy = run_comparison(
-            scenario.config,
-            policy_factory=lambda cfg: [
-                api.default_registry.make("oscar", cfg),
-                api.default_registry.make("myopic-adaptive", cfg),
-            ],
-        )
-        from repro.experiments.persistence import result_to_dict
-
-        legacy_payload = json.dumps([
-            {name: result_to_dict(result) for name, result in trial.items()}
-            for trial in legacy.trials
-        ], sort_keys=True)
-        facade_payload = json.dumps(record.to_dict()["trials"], sort_keys=True)
-        assert facade_payload == legacy_payload
 
     def test_multiuser_parallel_matches_serial(self):
         scenario = (
@@ -190,14 +170,11 @@ class TestRunRecord:
         assert loaded.kind == record.kind
         assert loaded.lineup == record.lineup
 
-    def test_summary_and_comparison_view(self):
+    def test_summary(self):
         record = api.run_scenario(tiny_scenario(trials=2, horizon=3))
         summary = record.summary()
-        assert set(summary) == {"OSCAR", "MA"}
+        assert list(summary) == ["OSCAR", "MA"]
         assert summary["OSCAR"]["average_success_rate"].count == 2
-        comparison = record.to_comparison()
-        assert comparison.policy_names == ["OSCAR", "MA"]
-        assert len(comparison.mean_series("OSCAR", "cumulative_cost")) == 3
         assert "OSCAR" in record.format_summary()
 
     def test_compare_helper(self):

@@ -311,10 +311,9 @@ class TestStudyResult:
         ]
         assert study_payload(loaded) == study_payload(result)
 
-    def test_to_comparisons(self, result):
-        comparisons = result.to_comparisons()
-        assert len(comparisons) == 2
-        assert comparisons[0].policy_names == ["OSCAR", "MA"]
+    def test_records_per_point(self, result):
+        assert len(result.records) == 2
+        assert result.records[0].lineup == ["OSCAR", "MA"]
 
 
 class TestTopologyKinds:
@@ -354,20 +353,18 @@ class TestFigureRewire:
         budgets = [150.0, 250.0]
         figure = fig5_budget.run(config, budgets=budgets, trials=1, seed=5)
         for index, budget in enumerate(budgets):
-            comparison = api.compare(
+            record = api.compare(
                 config.with_overrides(total_budget=budget), trials=1, seed=5
-            ).to_comparison()
-            for name, metrics in comparison.summary().items():
+            )
+            for name, metrics in record.summary().items():
                 assert figure.success_rate[name][index] == pytest.approx(
                     metrics["average_success_rate"].mean
                 )
                 assert figure.total_cost[name][index] == pytest.approx(
                     metrics["total_cost"].mean
                 )
-        # Public result type intact: legacy comparisons still available.
-        assert len(figure.comparisons) == 2
-        assert figure.comparisons[0].policy_names == ["OSCAR", "MA", "MF"]
         assert figure.study is not None and figure.study.num_points == 2
+        assert figure.study.records[0].lineup == ["OSCAR", "MA", "MF"]
         payload = figure.to_dict()
         assert payload["figure"] == "fig5" and payload["study"]["points"]
 
@@ -452,17 +449,11 @@ class TestServingStudies:
     def test_serving_study_parallel_matches_serial(self):
         import json as _json
 
-        from repro.experiments.persistence import result_to_dict
+        from repro.api.records import trial_to_dict
 
         def payload(result):
             return _json.dumps(
-                [
-                    {
-                        name: result_to_dict(res)
-                        for name, res in record.trials[0].items()
-                    }
-                    for record in result.records
-                ],
+                [trial_to_dict(record.trials[0]) for record in result.records],
                 sort_keys=True,
             )
 

@@ -161,10 +161,14 @@ class TestFigureCommand:
         assert "[fig8 at scale=tiny in" in captured.err
 
     def test_report_written_to_file(self, tmp_path, capsys):
-        target = tmp_path / "fig8.txt"
+        target = tmp_path / "nested" / "fig8.txt"
         main(["figure", "fig8", "--scale", "tiny", "--trials", "1", "--output", str(target)])
-        assert target.exists()
-        assert "Fig. 8" in target.read_text()
+        captured = capsys.readouterr()
+        # The file holds the printed report, ending in one newline.
+        text = target.read_text()
+        assert text == captured.out.split("[report written to")[0]
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        assert "Fig. 8" in text
 
     def test_ablations_command(self, capsys):
         assert main(["figure", "ablations", "--scale", "tiny", "--trials", "1"]) == 0

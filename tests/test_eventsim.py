@@ -12,11 +12,11 @@ import pytest
 
 from repro import api
 from repro.analysis.stats import merge_stat_mappings
+from repro.api.records import result_from_dict, result_to_dict
 from repro.core.baselines import MyopicFixedPolicy
 from repro.core.oscar import OscarPolicy
 from repro.experiments import fig3_time_evolving, fig5_budget, fig10_timing
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.persistence import result_from_dict, result_to_dict
 from repro.simulation.engine import SlottedSimulator, build_simulator
 from repro.simulation.eventsim import (
     EventDrivenSimulator,

@@ -57,7 +57,7 @@ class TestFig3:
 class TestFig4:
     def test_histogram_structure(self, tiny_config, fig3_result):
         result = fig4_distribution.run(
-            tiny_config, bins=5, comparison=fig3_result.comparison
+            tiny_config, bins=5, record=fig3_result.record
         )
         assert len(result.bin_edges) == 6
         for fractions in result.histograms.values():
@@ -65,6 +65,7 @@ class TestFig4:
             assert sum(fractions) == pytest.approx(1.0)
         assert set(result.fairness.keys()) == {"OSCAR", "MA", "MF"}
         assert "Fig. 4" in result.format_tables()
+        assert result.record is fig3_result.record
 
 
 class TestFig5:

@@ -10,14 +10,13 @@ import math
 
 import pytest
 
-from repro.api import make_policy
+from repro.api import compare, make_policy
 from repro.analysis.theory import (
     delta_optimality_gap,
     drift_constant_bound,
     theorem1_violation_bound,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_comparison
 from repro.simulation.engine import SlottedSimulator
 
 
@@ -38,7 +37,7 @@ def integration_config():
 
 @pytest.fixture(scope="module")
 def comparison(integration_config):
-    return run_comparison(integration_config, seed=77)
+    return compare(integration_config, seed=77)
 
 
 class TestPaperHeadlineFindings:
@@ -92,8 +91,15 @@ class TestPaperHeadlineFindings:
         """OSCAR's per-request success rates are no less fair than MF's."""
         from repro.analysis.metrics import jain_fairness_index
 
-        oscar = jain_fairness_index(comparison.success_probability_pool("OSCAR"))
-        mf = jain_fairness_index(comparison.success_probability_pool("MF"))
+        def pooled(name):
+            return [
+                probability
+                for result in comparison.results_for(name)
+                for probability in result.all_success_probabilities(include_unserved=True)
+            ]
+
+        oscar = jain_fairness_index(pooled("OSCAR"))
+        mf = jain_fairness_index(pooled("MF"))
         assert oscar >= mf - 0.02
 
 
@@ -112,7 +118,7 @@ class TestCrossLayerConsistency:
 
     def test_realized_success_rate_tracks_analytic_rate(self, comparison):
         """Monte-Carlo realisations agree with the analytic probabilities in aggregate."""
-        for name in comparison.policy_names:
+        for name in comparison.lineup:
             for result in comparison.results_for(name):
                 analytic = result.average_success_rate()
                 realized = result.realized_success_rate()

@@ -14,7 +14,7 @@ import pytest
 
 from repro import api
 from repro.analysis.stats import merge_stat_mappings
-from repro.experiments.persistence import result_to_dict
+from repro.api.records import trial_to_dict
 from repro.serving.scheduler import (
     ServingModel,
     jain_fairness,
@@ -41,13 +41,7 @@ def serving_scenario(**overrides):
 
 def run_payload(record):
     """The equality-sensitive serving result as canonical JSON."""
-    return json.dumps(
-        [
-            {name: result_to_dict(result) for name, result in trial.items()}
-            for trial in record.trials
-        ],
-        sort_keys=True,
-    )
+    return json.dumps([trial_to_dict(trial) for trial in record.trials], sort_keys=True)
 
 
 class TestShardIdentity:

@@ -19,8 +19,8 @@ import pytest
 
 from repro import api
 from repro.analysis.stats import merge_stat_mappings
+from repro.api.records import trial_to_dict
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.persistence import result_to_dict
 from repro.network.routes import Route
 from repro.simulation.physical import (
     PhysicalModel,
@@ -189,13 +189,7 @@ def scenario_with_physical(**overrides):
 
 
 def record_payloads(record):
-    return json.dumps(
-        [
-            {name: result_to_dict(result) for name, result in trial.items()}
-            for trial in record.trials
-        ],
-        sort_keys=True,
-    )
+    return json.dumps([trial_to_dict(trial) for trial in record.trials], sort_keys=True)
 
 
 class TestFullRunIdentity:
