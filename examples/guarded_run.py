@@ -11,8 +11,8 @@ single random draw.  This example shows the full loop:
    repro bundle;
 4. replay the bundle and watch the exact same failure reproduce, keyed by
    an identical content hash;
-5. run the lockstep differential pairs (slotted vs. event backend,
-   reference vs. vectorized physical engine).
+5. run the lockstep differential pair (slotted vs. event backend at zero
+   latency).
 
 Run it with::
 
@@ -90,7 +90,7 @@ def main() -> None:
         print(result.describe())
         del os.environ["REPRO_BUNDLE_DIR"]
 
-    print("\n=== 5. Lockstep differential pairs ===")
+    print("\n=== 5. Lockstep differential pair ===")
     for report in api.diff_all_pairs(config=config.with_overrides(horizon=8)):
         print(report.describe())
 

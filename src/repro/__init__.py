@@ -22,10 +22,10 @@ entanglement-routing algorithm — together with every substrate it depends on:
 * :mod:`repro.physics` — a small quantum-information substrate (qubits, Bell
   pairs, entanglement generation, swapping, teleportation, decoherence and
   fidelity models).
-* :mod:`repro.simulation` — slotted and event-driven simulators, including an
-  attempt-level Monte-Carlo link layer and the physical-layer co-simulation
-  subsystem (vectorized swap/purify/decohere delivery chains with
-  delivered-fidelity accounting).
+* :mod:`repro.simulation` — slotted and event-driven simulators, including a
+  batched Monte-Carlo link layer and the physical-layer co-simulation
+  subsystem (one swap/purify/decohere delivery chain for both backends,
+  with delivered-fidelity accounting).
 * :mod:`repro.solvers` — the continuous-relaxation allocation solvers, the
   rounding procedure and a generic Gibbs sampler.
 * :mod:`repro.core` — OSCAR itself (virtual queue, per-slot problem, qubit

@@ -367,9 +367,7 @@ class Scenario:
         channel allocation), ``cutoff_fidelity`` the memory cutoff policy,
         ``fidelity_target`` the delivered-fidelity target and
         ``fidelity_constrained`` whether registry-built policies are wrapped
-        so only target-capable routes are eligible.  ``engine`` selects
-        ``"vectorized"`` (default) or the per-pair ``"reference"``
-        implementation — bit-identical under the same seeds.
+        so only target-capable routes are eligible.
         ``with_physical(False)`` switches the layer back off.
         """
         return self._with_group("physical", "with_physical", {**overrides, "enabled": enabled})

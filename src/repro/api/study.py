@@ -150,15 +150,18 @@ class StudyAxis:
 
 @dataclass(frozen=True)
 class StudyPoint:
-    """One cell of the expanded grid: its index, coordinates and scenario."""
+    """One cell of the expanded grid: its index, coordinates, name and scenario.
+
+    Only :meth:`Study.run` reads the scenario.  A point loaded with a
+    :class:`StudyResult` has none: its record keeps the scenario's
+    description, and a description that no longer builds a scenario must
+    not stop the results from loading.
+    """
 
     index: Tuple[int, ...]
     coordinates: Dict[str, object]
-    scenario: Scenario
-
-    @property
-    def name(self) -> str:
-        return self.scenario.name
+    name: str
+    scenario: Optional[Scenario] = None
 
 
 # --------------------------------------------------------------------------- #
@@ -455,7 +458,7 @@ class StudyResult:
                 StudyPoint(
                     index=tuple(entry.get("index", [])),
                     coordinates=dict(entry.get("coordinates", {})),
-                    scenario=Scenario.from_dict(record.scenario),
+                    name=str(entry.get("name", "")),
                 )
             )
             records.append(record)
@@ -610,6 +613,7 @@ class Study:
                 StudyPoint(
                     index=tuple(index),
                     coordinates=coordinates,
+                    name=name,
                     scenario=scenario.with_name(name),
                 )
             )

@@ -773,12 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="only count a request as served when its route "
                               "can deliver the fidelity target (re-ranks "
                               "candidate routes; implies --physical)")
-        sub.add_argument("--physical-engine", default=None,
-                         choices=["vectorized", "reference"],
-                         dest="physical.engine",
-                         help="physical-layer engine implementation "
-                              "(bit-identical; reference is the per-pair "
-                              "cross-check, implies --physical)")
         sub.add_argument("--backend", default=None,
                          choices=["slotted", "event"], dest="timing.backend",
                          help="simulation backend: the slot-batched engine "

@@ -283,7 +283,8 @@ class ExperimentConfig:
 
         The one loader of saved configurations (records, scenarios, result
         stores, checkpoints, crash bundles).  Nested layer dictionaries
-        rebuild their models.  Flat keys of earlier releases go through
+        rebuild their models, without the removed knobs they may hold.
+        Flat keys of earlier releases go through
         :data:`CONFIG_PATHS`; a flat layer whose switch was off
         (``physical_enabled: false``, ``telemetry_level: "off"``) loads as
         ``None`` whatever its other keys hold, because that is what ran.
@@ -303,8 +304,11 @@ class ExperimentConfig:
                             f"been removed; drop the {key!r} key to run on the slot kernel"
                         )
                 elif key in LAYERS:
-                    model = LAYERS[key][0]
-                    direct[key] = model(**value) if isinstance(value, Mapping) else value
+                    if isinstance(value, Mapping):
+                        removed = _REMOVED_KNOBS.get(key, ())
+                        fields = {k: v for k, v in value.items() if k not in removed}
+                        value = LAYERS[key][0](**fields)
+                    direct[key] = value
                 elif key in _PLAIN_NAMES:
                     direct[key] = value
                 else:
@@ -539,10 +543,15 @@ _IRREGULAR = {
     "timing.edge_latencies": "timing.edge_latency_s",
 }
 
-#: Serving knobs of earlier releases that chose only the scheduler's
-#: execution layout (shards and shard worker processes).  No result ever
-#: depended on them, so every spelling is accepted and ignored.
-_REMOVED_SERVING_LAYOUT = ("shards", "shard_workers", "shard_timeout_s")
+#: Layer knobs of earlier releases that chose only an implementation: the
+#: serving scheduler's execution layout (shards and shard worker processes)
+#: and the physical engine (batched or per-pair draws, bit-identical).  No
+#: result ever depended on them, so every spelling is accepted and ignored,
+#: also inside a saved layer mapping.
+_REMOVED_KNOBS = {
+    "serving": ("shards", "shard_workers", "shard_timeout_s"),
+    "physical": ("engine",),
+}
 
 
 def _config_paths() -> Dict[str, Optional[str]]:
@@ -558,9 +567,11 @@ def _config_paths() -> Dict[str, Optional[str]]:
             table[path] = path
             if prefix is not None:
                 table[prefix + name] = table[f"{layer}.{prefix}{name}"] = path
-    for name in _REMOVED_SERVING_LAYOUT:
-        for spelling in (f"serving.{name}", f"serving_{name}", f"serving.serving_{name}"):
-            table[spelling] = None
+    for layer, names in _REMOVED_KNOBS.items():
+        prefix = LAYERS[layer][1]
+        for name in names:
+            for spelling in (f"{layer}.{name}", prefix + name, f"{layer}.{prefix}{name}"):
+                table[spelling] = None
     table.update(_IRREGULAR)
     return table
 

@@ -12,8 +12,8 @@ Three pieces, one contract:
   repro bundle; :mod:`repro.guard.replay` re-executes a bundle's trial and
   re-asserts the identical failure (``repro replay <bundle>``).
 * :mod:`repro.guard.differential` — lockstep pairs (slotted vs event
-  backend, reference vs vectorized physical engine) reporting the first
-  diverging slot (``repro diff-check``).
+  backend at zero latency) reporting the first diverging slot
+  (``repro diff-check``).
 """
 
 from repro.guard.differential import (
@@ -22,7 +22,6 @@ from repro.guard.differential import (
     Divergence,
     compare_slot_records,
     diff_backends,
-    diff_physical_engines,
     run_all,
 )
 from repro.guard.invariants import (
@@ -59,7 +58,6 @@ __all__ = [
     "bundle_dir",
     "compare_slot_records",
     "diff_backends",
-    "diff_physical_engines",
     "dump_bundle",
     "forced_breach_slot",
     "load_bundle",

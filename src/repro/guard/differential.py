@@ -1,14 +1,12 @@
 """Differential harness: lockstep pairs that must agree slot for slot.
 
-The suite carries several bit-identity contracts as scattered tests — the
-event backend reproduces the slotted backend at zero classical-signaling
-latency, and the vectorized physical engine matches the reference engine.
-This module turns them
-into an on-demand validator: each :func:`diff_*` runner executes both sides
-of one pair under identical seeds, compares the per-slot records
-field-by-field, and reports the **first diverging slot with both
-snapshots** — the debugging artifact the equality assertions in the tests
-cannot give you.
+The suite carries bit-identity contracts as equality assertions, such as
+the event backend reproducing the slotted backend at zero
+classical-signaling latency.  This module turns them into an on-demand
+validator: each :func:`diff_*` runner executes both sides of one pair under
+identical seeds, compares the per-slot records field-by-field, and reports
+the **first diverging slot with both snapshots** — the debugging artifact
+the equality assertions in the tests cannot give you.
 
 Runners return a :class:`DiffReport`; :func:`run_all` executes every pair
 on a stock tiny scenario (the ``repro diff-check`` CLI).
@@ -155,9 +153,9 @@ def diff_backends(config=None, trial: int = 0) -> DiffReport:
 
     The zero-latency equivalence contract covers the logical layer only:
     the two backends intentionally model memory dwell differently (the
-    slotted engine decoheres delivered pairs over the slot dwell, the event
-    engine over the signaling round trip), so the physical delivery chain
-    is pinned off here — the physical-engine pair covers it.
+    slotted backend decoheres delivered pairs over the fixed slot dwell, the
+    event backend over each pair's measured dwell), so the physical delivery
+    chain is pinned off here.
     """
     from repro.experiments.config import ExperimentConfig
 
@@ -176,26 +174,9 @@ def diff_backends(config=None, trial: int = 0) -> DiffReport:
     )
 
 
-def diff_physical_engines(config=None, trial: int = 0) -> DiffReport:
-    """Reference vs vectorized physical link-layer engine."""
-    from repro.experiments.config import ExperimentConfig
-
-    base = config or ExperimentConfig.tiny()
-    reference = base.with_overrides(**{"physical.engine": "reference"})
-    vectorized = base.with_overrides(**{"physical.engine": "vectorized"})
-    return compare_slot_records(
-        "physical-engine",
-        "reference",
-        "vectorized",
-        _collect_run(reference, trial=trial),
-        _collect_run(vectorized, trial=trial),
-    )
-
-
 #: The stock pairs, in the order ``repro diff-check`` runs them.
 PAIRS: Tuple[Tuple[str, Callable[..., DiffReport]], ...] = (
     ("backend", diff_backends),
-    ("physical-engine", diff_physical_engines),
 )
 
 

@@ -475,10 +475,11 @@ class InvariantGuard:
     ) -> None:
         """Physical pack: delivered fidelities live in ``[0, 1]``.
 
-        Strict, with a model (the lane's physical engine: anything with a
-        ``dwell_time`` and ``decohered_fidelity``): decoherence is monotone
-        non-increasing — waiting out the slot dwell can never raise a
-        fidelity.
+        Strict, with a model (the lane's
+        :class:`~repro.simulation.physical.PhysicalEngine`, on either
+        backend, or anything with a ``dwell_time`` and
+        ``decohered_fidelity``): decoherence is monotone non-increasing —
+        waiting out the slot dwell can never raise a fidelity.
         """
         self._count("physical")
         for value in fidelities:

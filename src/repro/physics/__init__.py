@@ -4,8 +4,8 @@ The routing layer of the paper works with analytic success probabilities,
 but the underlying operations it abstracts — Bell-pair generation across a
 lossy fibre, entanglement swapping at repeaters, teleportation of data
 qubits — are implemented here from scratch so that the library can also run
-attempt-level, protocol-level simulations (used by the link-layer
-Monte-Carlo validator and by the examples).
+attempt-level, protocol-level simulations (used by the Eq. 1 ablation's
+Monte-Carlo check and by the examples).
 
 * :mod:`repro.physics.qubit` — qubits, Bell states and entangled pairs.
 * :mod:`repro.physics.entanglement` — attempt-level Bell-pair generation.

@@ -1,9 +1,9 @@
-"""Simulators: a discrete-event engine, an attempt-level link layer, the
+"""Simulators: a discrete-event engine, the batched link layer, the
 per-slot pipeline every slot-driven simulator shares, the slot-based network
-simulator that drives every experiment in the paper, the physical-layer
-co-simulation subsystem (swap/purify/decohere delivery chains with
-delivered-fidelity accounting), and the event-driven backend that adds
-classical-signaling latency on top of the same record schema."""
+simulator that drives every experiment in the paper, the physical delivery
+chain (swap/purify/decohere with delivered-fidelity accounting) both
+backends run, and the event-driven backend that adds classical-signaling
+latency on top of the same record schema."""
 
 from repro.simulation.clock import SlotClock
 from repro.simulation.events import Event, EventLoop, EventQueue, Timer
@@ -14,7 +14,6 @@ from repro.simulation.physical import (
     PhysicalSlotOutcome,
     PhysicalStats,
     ReferencePhysicalEngine,
-    VectorizedPhysicalEngine,
 )
 from repro.simulation.results import SlotRecord, SimulationResult
 from repro.simulation.engine import (
@@ -26,7 +25,6 @@ from repro.simulation.engine import (
 from repro.simulation.eventsim import (
     EventDrivenSimulator,
     EventStats,
-    MemoryAgent,
     SlotBridge,
     SwapProtocol,
     TimingModel,
@@ -46,7 +44,6 @@ __all__ = [
     "PhysicalSlotOutcome",
     "PhysicalStats",
     "ReferencePhysicalEngine",
-    "VectorizedPhysicalEngine",
     "SlotRecord",
     "SimulationResult",
     "BACKEND_KINDS",
@@ -55,7 +52,6 @@ __all__ = [
     "simulate_policies",
     "EventDrivenSimulator",
     "EventStats",
-    "MemoryAgent",
     "SlotBridge",
     "SwapProtocol",
     "TimingModel",

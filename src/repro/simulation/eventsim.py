@@ -16,10 +16,11 @@ take *time*:
   node fuses its two segments only once *both* heralds (or the upstream
   swap-outcome message) have arrived, and its own outcome message then
   propagates down the route until the end node confirms the end-to-end pair.
-* **Memory agents** — stored pairs decohere over their *actual* dwell time
-  (generation to consumption-by-swap) instead of the slotted backend's
-  deterministic ``dwell_fraction`` of a slot, and the memory-cutoff policy
-  is applied to the timed fidelity.
+* **Measured dwells** — each confirmed request's pairs reach the one
+  physical chain (:class:`~repro.simulation.physical.PhysicalEngine`) with
+  their *actual* dwell time (generation to consumption by a swap) instead
+  of the slotted backend's deterministic ``dwell_fraction`` of a slot, so
+  decoherence and the memory-cutoff policy act on the timed fidelity.
 * **SlotBridge** — the routing policies are invoked, unmodified, at
   :class:`~repro.simulation.clock.SlotClock` boundaries; a request is served
   only if its end-to-end confirmation arrives by the slot deadline (attempt
@@ -55,13 +56,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.network.graph import EdgeKey
 from repro.network.routes import Route
-from repro.physics.entanglement import sample_successes
-from repro.physics.fidelity import fidelity_of_chain
-from repro.physics.purification import purification_ladder
 from repro.simulation.clock import SlotClock
 from repro.simulation.engine import BACKEND_KINDS, SlottedSimulator
 from repro.simulation.events import Event, EventLoop
-from repro.simulation.physical import PhysicalModel, PhysicalStats
 from repro.simulation.pipeline import RouteItems, SlotLane
 from repro.telemetry.tracer import Tracer, maybe_span
 from repro.utils.validation import check_choice, check_non_negative
@@ -191,8 +188,9 @@ class SwapProtocol:
     ``max_j g_j``, which always lands inside the slot — the slotted model.
 
     Each elementary pair dwells in memory from its generation ``g_j`` until
-    the swap that consumes it (``consumed[j]``); the memory agent applies
-    decoherence and the cutoff policy over these actual dwell times.
+    the swap that consumes it (``consumed[j]``); the physical engine
+    applies decoherence and the cutoff policy over these actual dwell
+    times (:meth:`dwells`).
     """
 
     __slots__ = (
@@ -228,6 +226,15 @@ class SwapProtocol:
     def all_generated(self) -> bool:
         """Whether every edge of the route produced an elementary pair."""
         return all(g is not None for g in self.generated)
+
+    def dwells(self) -> List[float]:
+        """Seconds each link's pair waited in memory, for a confirmed request:
+        from generation to the swap that consumed it (to the confirmation
+        for a link no swap consumed)."""
+        return [
+            (self.confirm_time if consumed is None else consumed) - generated
+            for generated, consumed in zip(self.generated, self.consumed)
+        ]
 
     # ------------------------------------------------------------------ #
     # Event handlers
@@ -343,44 +350,6 @@ class SlotBridge:
         return deadline
 
 
-class MemoryAgent:
-    """Applies the physical decoherence/cutoff model over actual dwell times.
-
-    Mirrors the slotted physical engines' deterministic per-edge schedule
-    (affordable purification rounds and their success probabilities, raw
-    pairs consumed) but defers the decoherence decay until the protocol
-    knows *when* each pair was consumed: the stored fidelity decays over
-    ``consumed − generated`` instead of the fixed ``dwell_fraction`` of a
-    slot, and the cutoff policy tests that timed fidelity.
-    """
-
-    def __init__(self, model: PhysicalModel, attempts_per_slot: int):
-        self.model = model
-        self.stats = PhysicalStats()
-        self.decoherence = model.decoherence_model()
-        # The slotted engines' fixed dwell, for the guard's monotonicity probe.
-        self.dwell_time = model.dwell_time(attempts_per_slot)
-        # channels -> (rounds, round_probs, purified fidelity, pairs consumed)
-        self._ladders: Dict[int, Tuple[int, Tuple[float, ...], float, int]] = {}
-
-    def ladder_for(self, channels: int) -> Tuple[int, Tuple[float, ...], float, int]:
-        entry = self._ladders.get(channels)
-        if entry is None:
-            rounds = self.model.affordable_rounds(channels)
-            round_probs, purified = purification_ladder(self.model.link_fidelity, rounds)
-            entry = (rounds, round_probs, purified, 2**rounds)
-            self._ladders[channels] = entry
-        return entry
-
-    def stored_fidelity(self, purified: float, dwell: float) -> float:
-        """Fidelity of a purified pair after ``dwell`` seconds in memory."""
-        return self.decoherence.fidelity_after(purified, max(0.0, dwell))
-
-    def decohered_fidelity(self, fidelity: float) -> float:
-        """``fidelity`` after the slotted engines' fixed dwell."""
-        return self.stored_fidelity(fidelity, self.dwell_time)
-
-
 class ProtocolLane(SlotLane):
     """The event backend's realise and physical steps, on one event timeline.
 
@@ -389,13 +358,13 @@ class ProtocolLane(SlotLane):
     as realised when its end-to-end confirmation arrived in time.  The
     physical step does the confirmation accounting (after the pipeline's
     blind fault interruption, so interrupted protocols count as voided) and
-    runs the timed delivery chain.
+    runs the physical engine over the confirmed requests' measured dwells.
     """
 
     __slots__ = ("simulator", "loop", "bridge", "stats")
 
-    def __init__(self, simulator: "EventDrivenSimulator", policy, streams, memory, tracer):
-        super().__init__(simulator.graph, policy, streams, memory, tracer)
+    def __init__(self, simulator: "EventDrivenSimulator", policy, streams, tracer):
+        super().__init__(simulator.graph, policy, streams, simulator.physical, tracer)
         self.simulator = simulator
         self.loop = EventLoop()
         self.bridge = SlotBridge(loop=self.loop, clock=simulator.clock)
@@ -423,20 +392,21 @@ class ProtocolLane(SlotLane):
             if confirmed:
                 stats.delivered += 1
                 stats.messages += protocol.messages
-                continue
-            # Void an interrupted protocol, so the timed chain treats it as
-            # unconfirmed and the physical stats agree with the interruption.
-            protocol.confirm_time = None
-            if protocol.all_generated:
+            elif protocol.all_generated:
                 stats.deadline_misses += 1
         if self.engine is None:
             return (), (), ()
+        # An interrupted protocol counts as unconfirmed, as ``realized`` says.
+        dwells = [
+            protocol.dwells() if confirmed else None
+            for protocol, confirmed in zip(protocols, realized)
+        ]
         with maybe_span(self.tracer, "physical.chain", slot=t):
-            delivered, fidelities, served = self.simulator._realize_physical(
-                items, protocols, self.engine, self.physical_rng, stats
+            outcome = self.engine.realize_decision(
+                items, realized, num_unserved, seed=self.physical_rng, dwells=dwells
             )
-        padding = [False] * num_unserved
-        return delivered + padding, fidelities + [0.0] * num_unserved, served + padding
+        stats.cutoff_expired_pairs += outcome.expired_pairs
+        return outcome.delivered, outcome.fidelities, outcome.fidelity_ok
 
     def diagnostics(self) -> Dict[str, object]:
         diagnostics = super().diagnostics()
@@ -468,10 +438,7 @@ class EventDrivenSimulator(SlottedSimulator):
             self.clock = self.timing.slot_clock(self.graph.attempts_per_slot)
 
     def _lane(self, policy, streams, tracer: Optional[Tracer]) -> SlotLane:
-        memory = None
-        if self.physical is not None:
-            memory = MemoryAgent(self.physical, self.graph.attempts_per_slot)
-        return ProtocolLane(self, policy, streams, memory, tracer)
+        return ProtocolLane(self, policy, streams, tracer)
 
     # ------------------------------------------------------------------ #
     # Protocol scheduling
@@ -524,101 +491,3 @@ class EventDrivenSimulator(SlottedSimulator):
             generated = slot_start + tick * clock.attempt_duration
             protocols[index].schedule_generation(loop, position, generated)
         return protocols
-
-    # ------------------------------------------------------------------ #
-    # Timed physical chain
-    # ------------------------------------------------------------------ #
-    def _realize_physical(
-        self,
-        items: Sequence[Tuple[Route, Mapping[EdgeKey, int]]],
-        protocols: Sequence[SwapProtocol],
-        memory: MemoryAgent,
-        physical_rng,
-        stats: EventStats,
-    ) -> Tuple[List[bool], List[float], List[bool]]:
-        """Run the slot's confirmed requests through the timed delivery chain.
-
-        Randomness mirrors the vectorised slotted engine exactly: one
-        batched draw over every purification round then every swap, request
-        by request in decision order, confirmed requests only — at zero
-        latency "confirmed" coincides with the slotted "links realised", so
-        the draw schedule (and hence the stream) is identical.  What differs
-        is deterministic: each pair's stored fidelity decays over its actual
-        dwell time and the cutoff tests that timed fidelity, so delivered
-        fidelities respond to classical latency.
-        """
-        model = memory.model
-        pstats = memory.stats
-        draw_swaps = model.swap_success < 1.0
-
-        thresholds: List[float] = []
-        candidates: List[Tuple[int, list, int, int, SwapProtocol]] = []
-        for index, ((route, allocation), protocol) in enumerate(zip(items, protocols)):
-            pstats.requests += 1
-            if protocol.confirm_time is None:
-                pstats.link_failures += 1
-                continue
-            pstats.attempts += 1
-            plans = [memory.ladder_for(int(allocation.get(key, 0))) for key in route.edges]
-            purify_draws = 0
-            for rounds, round_probs, _, pairs_consumed in plans:
-                pstats.pairs_consumed += pairs_consumed
-                if rounds:
-                    pstats.purify_rounds += rounds
-                    thresholds.extend(round_probs)
-                    purify_draws += rounds
-            num_swaps = route.hops - 1
-            pstats.swaps += num_swaps
-            swap_draws = num_swaps if draw_swaps else 0
-            if swap_draws:
-                thresholds.extend([model.swap_success] * swap_draws)
-            candidates.append((index, plans, purify_draws, swap_draws, protocol))
-
-        outcomes = sample_successes(thresholds, physical_rng)
-
-        count = len(items)
-        delivered = [False] * count
-        fidelities = [0.0] * count
-        fidelity_ok = [False] * count
-        cursor = 0
-        for index, plans, purify_draws, swap_draws, protocol in candidates:
-            purify_ok = bool(outcomes[cursor : cursor + purify_draws].all())
-            cursor += purify_draws
-            swap_ok = bool(outcomes[cursor : cursor + swap_draws].all())
-            cursor += swap_draws
-
-            # Memory agent: decay each stored pair over its actual dwell.
-            link_fidelities: List[float] = []
-            cutoff_ok = True
-            for position, (_, _, purified, _) in enumerate(plans):
-                consumed = protocol.consumed[position]
-                if consumed is None:
-                    consumed = protocol.confirm_time
-                generated = protocol.generated[position]
-                assert generated is not None and consumed is not None
-                fidelity = memory.stored_fidelity(purified, consumed - generated)
-                link_fidelities.append(fidelity)
-                if fidelity < model.cutoff_fidelity:
-                    cutoff_ok = False
-                    stats.cutoff_expired_pairs += 1
-
-            if not purify_ok:
-                pstats.purify_failures += 1
-                continue
-            if not cutoff_ok:
-                pstats.cutoff_discards += 1
-                continue
-            if not swap_ok:
-                pstats.swap_failures += 1
-                continue
-            fidelity = fidelity_of_chain(link_fidelities)
-            pstats.delivered += 1
-            pstats.fidelity_sum += fidelity
-            delivered[index] = True
-            fidelities[index] = fidelity
-            target = model.fidelity_target
-            ok = target <= 0.0 or fidelity >= target
-            fidelity_ok[index] = ok
-            if ok:
-                pstats.fidelity_served += 1
-        return delivered, fidelities, fidelity_ok

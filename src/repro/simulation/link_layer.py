@@ -1,27 +1,24 @@
-"""Attempt-level link-layer simulation of an entanglement connection.
+"""Link-layer realisation of entanglement connections.
 
 The routing layer reasons with the analytic probability
 ``P(r, N) = Π_e [1 − (1 − p_e)^{n_e}]``; this module *realises* those
-probabilities by simulating each edge of a route — either with a fast
-Bernoulli draw per edge, or attempt-by-attempt via the physics layer
-(generation, swapping, decoherence), which is what validates that the
-analytic model and the protocol-level behaviour agree.
+probabilities with one Bernoulli draw per allocated edge, batched per slot,
+and checks them by Monte Carlo (:meth:`LinkLayerSimulator.empirical_route_success`).
+What happens in time on a link — attempts, heralds, swaps and memory
+decay — is modelled by the event backend (:mod:`repro.simulation.eventsim`)
+and the physical layer (:mod:`repro.simulation.physical`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.network.graph import EdgeKey, QDNGraph
 from repro.network.routes import Route
-from repro.physics.decoherence import DecoherenceModel
-from repro.physics.entanglement import EntanglementGenerator, sample_successes
-from repro.physics.qubit import BellPair
-from repro.physics.swapping import swap_chain
-from repro.simulation.clock import SlotClock
+from repro.physics.entanglement import sample_successes
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_in_range
 
@@ -32,7 +29,6 @@ class RouteRealization:
 
     succeeded: bool
     edge_outcomes: Mapping[EdgeKey, bool]
-    end_to_end_pair: Optional[BellPair] = None
     fidelity: float = 0.0
 
     @property
@@ -45,31 +41,16 @@ class RouteRealization:
 class LinkLayerSimulator:
     """Realises entanglement connections on top of a :class:`QDNGraph`.
 
-    ``detailed`` switches between the fast Bernoulli mode (default — exactly
-    the probabilities the routing layer optimises) and the attempt-level
-    physics mode, which also produces end-to-end fidelities by tracking when
-    each link was generated and applying decoherence until the end of the
-    slot before swapping.
+    Each allocated edge succeeds with exactly the probability the routing
+    layer optimises; a realised connection reports ``base_fidelity``.
     """
 
     graph: QDNGraph
-    detailed: bool = False
-    clock: Optional[SlotClock] = None
-    decoherence: Optional[DecoherenceModel] = None
     base_fidelity: float = 0.98
-    swap_success: float = 1.0
 
     def __post_init__(self) -> None:
         check_in_range(self.base_fidelity, 0.0, 1.0, "base_fidelity")
-        check_in_range(self.swap_success, 0.0, 1.0, "swap_success")
-        if self.clock is None:
-            self.clock = SlotClock(attempts_per_slot=self.graph.attempts_per_slot)
-        if self.decoherence is None:
-            self.decoherence = DecoherenceModel()
 
-    # ------------------------------------------------------------------ #
-    # Fast mode
-    # ------------------------------------------------------------------ #
     def realize_edge(self, key: EdgeKey, channels: int, rng: np.random.Generator) -> bool:
         """Bernoulli draw of whether the edge's link succeeds this slot."""
         if channels <= 0:
@@ -80,13 +61,10 @@ class LinkLayerSimulator:
         self,
         route: Route,
         allocation: Mapping[EdgeKey, int],
-        slot: int = 0,
         seed: SeedLike = None,
     ) -> RouteRealization:
         """Realise one EC along ``route`` given the per-edge channel allocation."""
         rng = as_generator(seed)
-        if self.detailed:
-            return self._realize_route_detailed(route, allocation, slot, rng)
         outcomes: Dict[EdgeKey, bool] = {}
         succeeded = True
         for key in route.edges:
@@ -102,25 +80,18 @@ class LinkLayerSimulator:
     def realize_routes(
         self,
         items: Sequence[Tuple[Route, Mapping[EdgeKey, int]]],
-        slot: int = 0,
         seed: SeedLike = None,
     ) -> List[RouteRealization]:
         """Realise one EC per (route, allocation) pair — batched per slot.
 
-        In fast (Bernoulli) mode the per-edge success draws of *all* routes
-        are taken in a single batched ``Generator.random(n)`` call per slot;
-        NumPy fills the batch from the same bit stream as sequential scalar
-        draws, so the outcomes are bit-identical to looping
-        :meth:`realize_route` over ``items`` with the same generator (edges
-        with no allocated channel consume no randomness, as before).  The
-        detailed attempt-level mode keeps its sequential physics simulation.
+        The per-edge success draws of *all* routes are taken in a single
+        batched ``Generator.random(n)`` call per slot; NumPy fills the batch
+        from the same bit stream as sequential scalar draws, so the outcomes
+        are bit-identical to looping :meth:`realize_route` over ``items``
+        with the same generator (edges with no allocated channel consume no
+        randomness).
         """
         rng = as_generator(seed)
-        if self.detailed:
-            return [
-                self._realize_route_detailed(route, allocation, slot, rng)
-                for route, allocation in items
-            ]
         flat_edges: List[Tuple[int, EdgeKey]] = []
         thresholds: List[float] = []
         for index, (route, allocation) in enumerate(items):
@@ -147,54 +118,6 @@ class LinkLayerSimulator:
                 )
             )
         return realizations
-
-    # ------------------------------------------------------------------ #
-    # Detailed (attempt-level) mode
-    # ------------------------------------------------------------------ #
-    def _realize_route_detailed(
-        self,
-        route: Route,
-        allocation: Mapping[EdgeKey, int],
-        slot: int,
-        rng: np.random.Generator,
-    ) -> RouteRealization:
-        assert self.clock is not None and self.decoherence is not None
-        slot_start = self.clock.slot_start(slot)
-        slot_end = self.clock.slot_end(slot)
-
-        outcomes: Dict[EdgeKey, bool] = {}
-        pairs: List[BellPair] = []
-        for (u, v), key in zip(zip(route.nodes[:-1], route.nodes[1:]), route.edges):
-            generator = EntanglementGenerator(
-                attempt_success=self.graph.attempt_success(key),
-                attempts_per_slot=self.graph.attempts_per_slot,
-                base_fidelity=self.base_fidelity,
-            )
-            result = generator.generate(
-                node_a=u,
-                node_b=v,
-                channels=int(allocation.get(key, 0)),
-                slot_start_time=slot_start,
-                seed=rng,
-            )
-            outcomes[key] = result.succeeded
-            if result.succeeded and result.pair is not None:
-                # The pair waits in memory until the end of the slot, when all
-                # links are ready and the swaps are performed.
-                pairs.append(self.decoherence.evolve_pair(result.pair, slot_end))
-
-        if len(pairs) != route.hops:
-            return RouteRealization(succeeded=False, edge_outcomes=outcomes)
-
-        swap = swap_chain(pairs, success_probability=self.swap_success, seed=rng)
-        if not swap.succeeded or swap.pair is None:
-            return RouteRealization(succeeded=False, edge_outcomes=outcomes)
-        return RouteRealization(
-            succeeded=True,
-            edge_outcomes=outcomes,
-            end_to_end_pair=swap.pair,
-            fidelity=swap.pair.fidelity,
-        )
 
     # ------------------------------------------------------------------ #
     # Validation helpers

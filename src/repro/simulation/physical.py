@@ -8,10 +8,10 @@ the physical delivery chain of a slotted quantum data network:
   the qubit budget its allocation paid for (round ``k`` consumes ``2^k`` raw
   pairs, so an edge with ``n`` channels affords ``⌊log2 n⌋`` rounds, see
   :func:`repro.workload.budget.purification_rounds_within_budget`).
-* **Decoherence** — the purified pair waits in quantum memory until the end
-  of the slot; its Werner parameter decays with the configured memory time
-  (:mod:`repro.physics.decoherence`).  A *cutoff policy* discards pairs
-  whose stored fidelity falls below a threshold.
+* **Decoherence** — the purified pair waits in quantum memory until the
+  swap that consumes it; its Werner parameter decays with the configured
+  memory time (:mod:`repro.physics.decoherence`).  A *cutoff policy*
+  discards pairs whose stored fidelity falls below a threshold.
 * **Swapping** — the route's links are fused by Bell-state measurements,
   each succeeding with a configurable probability
   (:mod:`repro.physics.swapping`); fidelities compose through the iterated
@@ -19,25 +19,27 @@ the physical delivery chain of a slotted quantum data network:
   single source of truth the analytic
   :class:`repro.core.fidelity.RouteFidelityModel` uses.
 
-Two engines implement the chain.  :class:`ReferencePhysicalEngine` walks it
-request by request with scalar draws (the obviously-correct per-pair
-implementation); :class:`VectorizedPhysicalEngine` schedules every
-purification round and swap of a slot up front and takes **one** batched
-``Generator.random(n)`` draw — NumPy fills the batch from the same bit
-stream as sequential scalar draws, so the two engines are *bit-identical*
-under the same spawned RNG streams (the same guarantee PR 4 established for
-link realisation).  Every scheduled operation consumes its randomness even
-when an earlier stage already failed; that fixed draw schedule is what makes
-the batching exact rather than approximate.
+:class:`PhysicalEngine` is the one chain of both backends.  It schedules
+every purification round and swap of a slot up front and takes **one**
+batched ``Generator.random(n)`` draw.  The backends differ only in how long
+each pair waits in memory: the slotted backend uses the model's fixed
+``dwell_fraction`` of a slot, and the event backend passes each link's
+measured dwell (:mod:`repro.simulation.eventsim`).
+:class:`ReferencePhysicalEngine` walks the same chain request by request
+with scalar draws; NumPy fills a batch from the same bit stream as
+sequential scalar draws, so the tests hold the two *bit-identical* under
+the same spawned RNG streams.  Every scheduled operation consumes its
+randomness even when an earlier stage already failed; that fixed draw
+schedule is what makes the batching exact rather than approximate.
 
 The subsystem is configured by one :class:`PhysicalModel`, the
 ``physical`` field of :class:`repro.experiments.config.ExperimentConfig`
 (``None`` when the layer is off), set through ``Scenario.with_physical(...)``,
 the ``physical.*`` config paths and the CLI (``--physical``, ``--swap-p``,
 ``--decoherence-t2``, ``--purify-rounds``, ``--fidelity-target``).  The
-slot length is not part of the model: the engines take it from the graph
-(``attempts_per_slot``), the one place it is configured.  Engines
-accumulate :class:`PhysicalStats` which surface as
+slot length is not part of the model: the engine takes it from the graph
+(``attempts_per_slot``), the one place it is configured.  The engine
+accumulates :class:`PhysicalStats`, which surface as
 ``RunRecord.stats("physical")`` / ``StudyResult.stats("physical")`` and in
 the CLI ``--progress`` health line.
 """
@@ -45,7 +47,7 @@ the CLI ``--progress`` health line.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.network.channels import (
     DECOHERENCE_TIME_S,
@@ -64,15 +66,17 @@ from repro.physics.purification import (
 )
 from repro.physics.swapping import sample_swap_successes
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_choice, check_in_range, check_positive
+from repro.utils.validation import check_in_range, check_positive
 from repro.workload.budget import purification_rounds_within_budget
-
-#: The two engine implementations (``vectorized`` is the default).
-ENGINE_KINDS = ("vectorized", "reference")
 
 #: One slot's physical input: the chosen route, its per-edge channel
 #: allocation, and whether the link layer realised every link this slot.
 PhysicalItem = Tuple[Route, Mapping[EdgeKey, int], bool]
+
+#: Per-request memory dwells of one slot, aligned with its items: the
+#: seconds each link's pair waited before a swap consumed it (``None`` for
+#: a request whose links did not all materialise).
+Dwells = Sequence[Optional[Sequence[float]]]
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,10 @@ class PhysicalModel:
         Decoherence (T2) time constant of quantum memory, seconds.
     dwell_fraction:
         Fraction of the slot a pair waits in memory before the swaps run at
-        the slot boundary (0.5 ≙ generated mid-slot on average).  The dwell
-        is deterministic so that both engines schedule identical randomness;
-        the slot's length comes from ``attempts_per_slot`` (see
-        :meth:`dwell_time`).
+        the slot boundary on the slotted backend (0.5 ≙ generated mid-slot
+        on average); the slot's length comes from ``attempts_per_slot`` (see
+        :meth:`dwell_time`).  The event backend measures each pair's dwell
+        instead.
     purify_rounds:
         Requested BBPSSW recurrence rounds per link; the affordable schedule
         is clipped per edge by its channel allocation
@@ -111,9 +115,6 @@ class PhysicalModel:
         Wrap registry-built policies so a request only counts as served
         when its route can deliver ``fidelity_target`` (see
         :func:`repro.api.registry.apply_fidelity_constraint`).
-    engine:
-        ``"vectorized"`` (batched draws, default) or ``"reference"``
-        (per-pair scalar draws) — bit-identical under the same streams.
     """
 
     swap_success: float = 1.0
@@ -124,7 +125,6 @@ class PhysicalModel:
     cutoff_fidelity: float = 0.0
     fidelity_target: float = 0.0
     fidelity_constrained: bool = False
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         check_in_range(self.swap_success, 0.0, 1.0, "swap_success")
@@ -135,7 +135,6 @@ class PhysicalModel:
             raise ValueError(f"purify_rounds must be non-negative, got {self.purify_rounds}")
         check_in_range(self.cutoff_fidelity, 0.0, 1.0, "cutoff_fidelity")
         check_in_range(self.fidelity_target, 0.0, 1.0, "fidelity_target")
-        check_choice(self.engine, ENGINE_KINDS, "physical engine")
 
     # ------------------------------------------------------------------ #
     # Derived quantities
@@ -149,9 +148,8 @@ class PhysicalModel:
         """The :mod:`repro.physics.decoherence` model this configuration implies.
 
         All decay in the physical layer goes through this one model (scalar
-        :func:`math.exp`, never a NumPy ufunc), so both engines — and any
-        future consumer of the decay law — stay bit-identical by
-        construction.
+        :func:`math.exp`, never a NumPy ufunc), so the engine, its reference
+        and the analytic route model stay bit-identical by construction.
         """
         return DecoherenceModel(memory_time=self.memory_time)
 
@@ -183,7 +181,7 @@ class PhysicalModel:
 
         Used to re-rank (filter) candidate routes in fidelity-constrained
         mode; built on :class:`repro.core.fidelity.RouteFidelityModel`, whose
-        chain composition is the same iterated Werner swap the engines use.
+        chain composition is the same iterated Werner swap the engine uses.
         """
         from repro.core.fidelity import RouteFidelityModel  # lazy: avoids a package cycle
 
@@ -196,8 +194,7 @@ class PhysicalModel:
     ) -> "PhysicalEngine":
         """A fresh engine (zeroed stats, empty plan caches) for one run in
         slots of ``attempts_per_slot`` attempts."""
-        engine = ReferencePhysicalEngine if self.engine == "reference" else VectorizedPhysicalEngine
-        return engine(self, attempts_per_slot)
+        return PhysicalEngine(self, attempts_per_slot)
 
 
 @dataclass
@@ -246,14 +243,16 @@ class EdgePlan:
 
     Everything that does not need randomness is resolved here once per
     distinct channel count: the affordable purification rounds and their
-    per-round success probabilities, the post-purification-post-decoherence
-    fidelity of the stored pair, whether it survives the cutoff policy, and
-    the raw pairs the schedule consumes.
+    per-round success probabilities, the purified fidelity, the fidelity of
+    the stored pair after the slotted backend's fixed dwell, whether it
+    survives the cutoff policy then, and the raw pairs the schedule
+    consumes.
     """
 
     channels: int
     rounds: int
     round_probs: Tuple[float, ...]
+    purified: float
     fidelity: float
     cutoff_ok: bool
     pairs_consumed: int
@@ -261,22 +260,32 @@ class EdgePlan:
 
 @dataclass(frozen=True)
 class PhysicalSlotOutcome:
-    """Per-request delivery outcome of one slot, aligned with the input order."""
+    """Per-request delivery outcome of one slot, aligned with the input order.
+
+    ``expired_pairs`` counts the stored pairs whose measured dwell decayed
+    them below the cutoff, over every request whose links all materialised
+    (0 without dwells).
+    """
 
     delivered: Tuple[bool, ...]
     fidelities: Tuple[float, ...]
     fidelity_ok: Tuple[bool, ...]
+    expired_pairs: int
 
 
 class PhysicalEngine:
-    """Shared machinery of the two engine implementations.
+    """The delivery chain of one run, on either backend.
 
     Holds the model, the cumulative :class:`PhysicalStats`, the per-channel
-    :class:`EdgePlan` cache and the per-allocation chain-fidelity memo.  The
-    subclasses differ *only* in how they consume randomness (scalar draws
-    vs. one batched draw per slot); all deterministic fidelity algebra runs
-    through the same scalar helpers here, which is what makes bit-identity a
-    structural property instead of a numerical accident.
+    :class:`EdgePlan` cache and the per-allocation chain-fidelity memo.
+    :meth:`realize_slot` schedules every draw of a slot and takes one
+    batched draw.  Without dwells each pair waits the slotted backend's
+    fixed dwell, and the plan and chain memos serve every fidelity; with
+    the event backend's measured dwells each stored fidelity is computed
+    from its own dwell (no memo is keyed by a measured dwell, which would
+    grow without bound).  All deterministic fidelity algebra runs through
+    the same scalar helpers here, which is what keeps
+    :class:`ReferencePhysicalEngine` bit-identical.
     """
 
     def __init__(
@@ -289,20 +298,12 @@ class PhysicalEngine:
         self._plans: Dict[int, EdgePlan] = {}
         self._chain_cache: Dict[Tuple[int, ...], float] = {}
 
-    @property
-    def name(self) -> str:
-        return type(self).__name__
-
-    def reset(self) -> None:
-        """Zero the statistics (plan caches are pure and survive resets)."""
-        self.stats = PhysicalStats()
-
     def decohered_fidelity(self, fidelity: float) -> float:
         """``fidelity`` after waiting out the slot dwell in quantum memory."""
         return self._decoherence.fidelity_after(fidelity, self.dwell_time)
 
     # ------------------------------------------------------------------ #
-    # Deterministic schedules (shared by both engines)
+    # Deterministic schedules (shared with the reference engine)
     # ------------------------------------------------------------------ #
     def plan_for(self, channels: int) -> EdgePlan:
         """The :class:`EdgePlan` of an edge allocated ``channels`` channels."""
@@ -315,6 +316,7 @@ class PhysicalEngine:
                 channels=channels,
                 rounds=rounds,
                 round_probs=round_probs,
+                purified=purified,
                 fidelity=fidelity,
                 cutoff_ok=fidelity >= self.model.cutoff_fidelity,
                 pairs_consumed=2**rounds,
@@ -331,46 +333,120 @@ class PhysicalEngine:
             self._chain_cache[key] = fidelity
         return fidelity
 
-    def _finish_request(
-        self,
-        index: int,
-        plans: Sequence[EdgePlan],
-        purify_ok: bool,
-        cutoff_ok: bool,
-        swap_ok: bool,
-        delivered: List[bool],
-        fidelities: List[float],
-        fidelity_ok: List[bool],
-    ) -> None:
-        """Attribute one attempt's outcome (purify → cutoff → swap precedence)."""
+    def _schedule(self, items: Sequence[PhysicalItem]) -> List[Tuple[int, List[EdgePlan]]]:
+        """Count the slot's requests; returns each attempt's index and edge plans.
+
+        An attempt is a request whose links all materialised; the rest are
+        link failures and draw nothing.
+        """
         stats = self.stats
-        if not purify_ok:
-            stats.purify_failures += 1
-            return
-        if not cutoff_ok:
-            stats.cutoff_discards += 1
-            return
-        if not swap_ok:
-            stats.swap_failures += 1
-            return
-        fidelity = self.chain_fidelity(plans)
-        stats.delivered += 1
-        stats.fidelity_sum += fidelity
-        delivered[index] = True
-        fidelities[index] = fidelity
-        target = self.model.fidelity_target
-        ok = target <= 0.0 or fidelity >= target
-        fidelity_ok[index] = ok
-        if ok:
-            stats.fidelity_served += 1
+        attempts: List[Tuple[int, List[EdgePlan]]] = []
+        for index, (route, allocation, links_ok) in enumerate(items):
+            if not links_ok:
+                continue
+            plans = [self.plan_for(int(allocation.get(key, 0))) for key in route.edges]
+            for plan in plans:
+                stats.pairs_consumed += plan.pairs_consumed
+                stats.purify_rounds += plan.rounds
+            stats.swaps += len(plans) - 1
+            attempts.append((index, plans))
+        stats.requests += len(items)
+        stats.attempts += len(attempts)
+        stats.link_failures += len(items) - len(attempts)
+        return attempts
+
+    def _attribute(
+        self,
+        count: int,
+        attempts: Sequence[Tuple[int, Sequence[EdgePlan]]],
+        results: Sequence[Tuple[bool, bool]],
+        dwells: Optional[Dwells],
+    ) -> PhysicalSlotOutcome:
+        """The slot's outcome from each attempt's ``(purify_ok, swap_ok)``.
+
+        Each attempt fails at the first failed stage (purify → cutoff →
+        swap) or is delivered.  Without dwells the cutoff and the delivered
+        fidelity come from the memoised plans; with them, from each stored
+        pair's fidelity after its own dwell.
+        """
+        stats = self.stats
+        model = self.model
+        decay = self._decoherence.fidelity_after
+        delivered = [False] * count
+        fidelities = [0.0] * count
+        fidelity_ok = [False] * count
+        expired = 0
+        for (index, plans), (purify_ok, swap_ok) in zip(attempts, results):
+            if dwells is None:
+                cutoff_ok = all(plan.cutoff_ok for plan in plans)
+            else:
+                stored = [
+                    decay(plan.purified, max(0.0, dwell))
+                    for plan, dwell in zip(plans, dwells[index])
+                ]
+                cutoff_ok = min(stored) >= model.cutoff_fidelity
+                if not cutoff_ok:
+                    expired += sum(1 for fidelity in stored if fidelity < model.cutoff_fidelity)
+            if not purify_ok:
+                stats.purify_failures += 1
+            elif not cutoff_ok:
+                stats.cutoff_discards += 1
+            elif not swap_ok:
+                stats.swap_failures += 1
+            else:
+                fidelity = self.chain_fidelity(plans) if dwells is None else fidelity_of_chain(stored)
+                stats.delivered += 1
+                stats.fidelity_sum += fidelity
+                delivered[index] = True
+                fidelities[index] = fidelity
+                ok = model.fidelity_target <= 0.0 or fidelity >= model.fidelity_target
+                fidelity_ok[index] = ok
+                if ok:
+                    stats.fidelity_served += 1
+        return PhysicalSlotOutcome(
+            delivered=tuple(delivered),
+            fidelities=tuple(fidelities),
+            fidelity_ok=tuple(fidelity_ok),
+            expired_pairs=expired,
+        )
 
     def realize_slot(
-        self, items: Sequence[PhysicalItem], seed: SeedLike = None
+        self,
+        items: Sequence[PhysicalItem],
+        seed: SeedLike = None,
+        dwells: Optional[Dwells] = None,
     ) -> PhysicalSlotOutcome:
-        raise NotImplementedError
+        """Run one slot's requests through the chain with one batched draw.
+
+        Assembles the slot's success-threshold vector — every purification
+        round of every link, then every swap, request by request in input
+        order — and realises it with a single batched uniform draw
+        (:func:`repro.physics.entanglement.sample_successes`).  ``dwells``
+        (aligned with ``items``) replaces the fixed slot dwell with each
+        link's measured one.
+        """
+        rng = as_generator(seed)
+        attempts = self._schedule(items)
+        swap_success = self.model.swap_success
+        thresholds: List[float] = []
+        slices: List[Tuple[int, int, int]] = []
+        for _, plans in attempts:
+            start = len(thresholds)
+            for plan in plans:
+                thresholds.extend(plan.round_probs)
+            purified = len(thresholds)
+            if swap_success < 1.0:
+                thresholds.extend([swap_success] * (len(plans) - 1))
+            slices.append((start, purified, len(thresholds)))
+        outcomes = sample_successes(thresholds, rng).tolist()
+        results = [
+            (all(outcomes[start:purified]), all(outcomes[purified:end]))
+            for start, purified, end in slices
+        ]
+        return self._attribute(len(items), attempts, results, dwells)
 
     # ------------------------------------------------------------------ #
-    # Simulator integration (the slotted lane of the per-slot pipeline)
+    # Simulator integration (the physical step of the per-slot pipeline)
     # ------------------------------------------------------------------ #
     def realize_decision(
         self,
@@ -378,156 +454,60 @@ class PhysicalEngine:
         realized: Sequence[bool],
         num_unserved: int,
         seed: SeedLike = None,
-    ) -> Tuple[List[bool], List[float], List[bool]]:
+        dwells: Optional[Dwells] = None,
+    ) -> PhysicalSlotOutcome:
         """Run one slot decision's served routes through the delivery chain.
 
         ``items`` are the served requests' ``(route, allocation)`` pairs in
-        decision order and ``realized`` their link-layer outcomes; unserved
-        requests are padded as failures, mirroring how the simulators pad
-        the link-layer lists.  Returns the aligned ``(delivered,
-        delivered_fidelities, fidelity_served)`` lists the slot record
-        stores.
+        decision order, ``realized`` their link-layer outcomes and
+        ``dwells`` their measured memory dwells on the event backend.  The
+        returned outcome pads the unserved requests as failures, mirroring
+        how the simulators pad the link-layer lists, so its sequences align
+        with the slot record's.
         """
         outcome = self.realize_slot(
-            [
-                (route, allocation, bool(realized[index]))
-                for index, (route, allocation) in enumerate(items)
-            ],
+            [(route, allocation, bool(ok)) for (route, allocation), ok in zip(items, realized)],
             seed=seed,
+            dwells=dwells,
         )
-        delivered = list(outcome.delivered) + [False] * num_unserved
-        fidelities = list(outcome.fidelities) + [0.0] * num_unserved
-        fidelity_ok = list(outcome.fidelity_ok) + [False] * num_unserved
-        return delivered, fidelities, fidelity_ok
+        return PhysicalSlotOutcome(
+            delivered=outcome.delivered + (False,) * num_unserved,
+            fidelities=outcome.fidelities + (0.0,) * num_unserved,
+            fidelity_ok=outcome.fidelity_ok + (False,) * num_unserved,
+            expired_pairs=outcome.expired_pairs,
+        )
 
 
 class ReferencePhysicalEngine(PhysicalEngine):
-    """The per-pair reference implementation: one scalar draw per operation.
+    """The per-pair reference the tests hold the batched draw against.
 
     Walks every request's chain with the granular physics entry points
     (:func:`repro.physics.purification.sample_purification` per link,
-    :func:`repro.physics.swapping.sample_swap_successes` per chain).  Every
-    scheduled operation consumes its randomness even after an earlier
-    failure, so the draw schedule matches the vectorised engine exactly.
+    :func:`repro.physics.swapping.sample_swap_successes` per chain): one
+    scalar draw per operation.  Every scheduled operation consumes its
+    randomness even after an earlier failure, so the draw schedule matches
+    :meth:`PhysicalEngine.realize_slot` exactly.
     """
 
     def realize_slot(
-        self, items: Sequence[PhysicalItem], seed: SeedLike = None
+        self,
+        items: Sequence[PhysicalItem],
+        seed: SeedLike = None,
+        dwells: Optional[Dwells] = None,
     ) -> PhysicalSlotOutcome:
         rng = as_generator(seed)
-        stats = self.stats
-        count = len(items)
-        delivered = [False] * count
-        fidelities = [0.0] * count
-        fidelity_ok = [False] * count
-        draw_swaps = self.model.swap_success < 1.0
-
-        for index, (route, allocation, links_ok) in enumerate(items):
-            stats.requests += 1
-            if not links_ok:
-                stats.link_failures += 1
-                continue
-            stats.attempts += 1
-            plans = [self.plan_for(int(allocation.get(key, 0))) for key in route.edges]
-
+        model = self.model
+        attempts = self._schedule(items)
+        results: List[Tuple[bool, bool]] = []
+        for _, plans in attempts:
             purify_ok = True
             for plan in plans:
-                stats.pairs_consumed += plan.pairs_consumed
                 if plan.rounds:
-                    stats.purify_rounds += plan.rounds
-                    sampled = sample_purification(
-                        self.model.link_fidelity, plan.rounds, seed=rng
-                    )
+                    sampled = sample_purification(model.link_fidelity, plan.rounds, seed=rng)
                     purify_ok = purify_ok and sampled.succeeded
-
-            cutoff_ok = all(plan.cutoff_ok for plan in plans)
-
-            num_swaps = route.hops - 1
-            stats.swaps += num_swaps
             swap_ok = True
-            if num_swaps > 0 and draw_swaps:
-                outcomes = sample_swap_successes(
-                    num_swaps, self.model.swap_success, seed=rng
-                )
-                swap_ok = bool(outcomes.all())
-
-            self._finish_request(
-                index, plans, purify_ok, cutoff_ok, swap_ok,
-                delivered, fidelities, fidelity_ok,
-            )
-
-        return PhysicalSlotOutcome(
-            delivered=tuple(delivered),
-            fidelities=tuple(fidelities),
-            fidelity_ok=tuple(fidelity_ok),
-        )
-
-
-class VectorizedPhysicalEngine(PhysicalEngine):
-    """The batched implementation: one ``Generator.random(n)`` draw per slot.
-
-    Assembles the full success-threshold vector of the slot — every
-    purification round of every link, then every swap, request by request in
-    input order — and realises it with a single batched uniform draw
-    (:func:`repro.physics.entanglement.sample_successes`).  NumPy fills the
-    batch from the same bit stream as the reference engine's sequential
-    scalar draws, so the outcomes are bit-identical; only the number of RNG
-    round-trips per slot changes (one, instead of one per link and chain).
-    """
-
-    def realize_slot(
-        self, items: Sequence[PhysicalItem], seed: SeedLike = None
-    ) -> PhysicalSlotOutcome:
-        rng = as_generator(seed)
-        stats = self.stats
-        count = len(items)
-        delivered = [False] * count
-        fidelities = [0.0] * count
-        fidelity_ok = [False] * count
-        draw_swaps = self.model.swap_success < 1.0
-
-        # Pass 1 — deterministic: schedule every draw of the slot.
-        thresholds: List[float] = []
-        candidates: List[Tuple[int, List[EdgePlan], int, int, bool]] = []
-        for index, (route, allocation, links_ok) in enumerate(items):
-            stats.requests += 1
-            if not links_ok:
-                stats.link_failures += 1
-                continue
-            stats.attempts += 1
-            plans = [self.plan_for(int(allocation.get(key, 0))) for key in route.edges]
-            purify_draws = 0
-            for plan in plans:
-                stats.pairs_consumed += plan.pairs_consumed
-                if plan.rounds:
-                    stats.purify_rounds += plan.rounds
-                    thresholds.extend(plan.round_probs)
-                    purify_draws += plan.rounds
-            num_swaps = route.hops - 1
-            stats.swaps += num_swaps
-            swap_draws = num_swaps if draw_swaps else 0
-            if swap_draws:
-                thresholds.extend([self.model.swap_success] * swap_draws)
-            cutoff_ok = all(plan.cutoff_ok for plan in plans)
-            candidates.append((index, plans, purify_draws, swap_draws, cutoff_ok))
-
-        # One batched draw realises every scheduled operation of the slot.
-        outcomes = sample_successes(thresholds, rng)
-
-        # Pass 2 — attribute each attempt from its slice of the batch.
-        cursor = 0
-        for index, plans, purify_draws, swap_draws, cutoff_ok in candidates:
-            purify_ok = bool(outcomes[cursor : cursor + purify_draws].all())
-            cursor += purify_draws
-            swap_ok = bool(outcomes[cursor : cursor + swap_draws].all())
-            cursor += swap_draws
-            self._finish_request(
-                index, plans, purify_ok, cutoff_ok, swap_ok,
-                delivered, fidelities, fidelity_ok,
-            )
-
-        return PhysicalSlotOutcome(
-            delivered=tuple(delivered),
-            fidelities=tuple(fidelities),
-            fidelity_ok=tuple(fidelity_ok),
-        )
+            if len(plans) > 1 and model.swap_success < 1.0:
+                swaps = sample_swap_successes(len(plans) - 1, model.swap_success, seed=rng)
+                swap_ok = bool(swaps.all())
+            results.append((purify_ok, swap_ok))
+        return self._attribute(len(items), attempts, results, dwells)

@@ -38,6 +38,7 @@ from repro.guard.invariants import InvariantGuard
 from repro.network.graph import EdgeKey, QDNGraph, ResourceSnapshot
 from repro.network.routes import Route
 from repro.simulation.link_layer import LinkLayerSimulator
+from repro.simulation.physical import PhysicalModel
 from repro.simulation.results import SlotRecord
 from repro.telemetry import hooks as telemetry_hooks
 from repro.telemetry.tracer import TelemetryModel, Tracer, maybe_span
@@ -142,9 +143,10 @@ RouteItems = List[Tuple[Route, Dict[EdgeKey, int]]]
 class SlotLane:
     """One policy's pass through the per-slot step, on the slotted backend.
 
-    Holds the policy, its random streams, its physical engine and its slot
-    records.  :meth:`links` and :meth:`chain` are the backend's realise and
-    physical steps; the event backend overrides them.
+    Holds the policy, its random streams, its physical engine (``None``
+    with the layer off) and its slot records.  :meth:`links` and
+    :meth:`chain` are the backend's realise and physical steps; the event
+    backend overrides them.
     """
 
     __slots__ = (
@@ -158,10 +160,12 @@ class SlotLane:
         "records",
     )
 
-    def __init__(self, graph: QDNGraph, policy, streams: Sequence, engine, tracer):
+    def __init__(
+        self, graph: QDNGraph, policy, streams: Sequence, physical: Optional[PhysicalModel], tracer
+    ):
         self.policy = policy
         self.decision_rng, self.realization_rng, self.physical_rng = streams
-        self.engine = engine
+        self.engine = None if physical is None else physical.build_engine(graph.attempts_per_slot)
         self.tracer = tracer
         self.link_layer = LinkLayerSimulator(graph=graph)
         self.records: List[SlotRecord] = []
@@ -175,9 +179,7 @@ class SlotLane:
         realized: List[bool] = []
         fidelities: List[float] = []
         with maybe_span(self.tracer, "link.realize", slot=t):
-            for realization in self.link_layer.realize_routes(
-                items, slot=t, seed=self.realization_rng
-            ):
+            for realization in self.link_layer.realize_routes(items, seed=self.realization_rng):
                 realized.append(realization.succeeded)
                 fidelities.append(realization.fidelity)
         return realized, fidelities, None
@@ -191,9 +193,10 @@ class SlotLane:
         if self.engine is None:
             return (), (), ()
         with maybe_span(self.tracer, "physical.chain", slot=t):
-            return self.engine.realize_decision(
+            outcome = self.engine.realize_decision(
                 items, realized, num_unserved, seed=self.physical_rng
             )
+        return outcome.delivered, outcome.fidelities, outcome.fidelity_ok
 
     def diagnostics(self) -> Dict[str, object]:
         """The policy's run diagnostics plus this lane's layer stats."""
@@ -225,10 +228,7 @@ class SlotPipeline:
 
     def _lane(self, policy, streams: Sequence, tracer: Optional[Tracer]) -> SlotLane:
         """Backend hook: the lane that realises ``policy``'s decisions."""
-        engine = None
-        if self.physical is not None:
-            engine = self.physical.build_engine(self.graph.attempts_per_slot)
-        return SlotLane(self.graph, policy, streams, engine, tracer)
+        return SlotLane(self.graph, policy, streams, self.physical, tracer)
 
     def _step(
         self,

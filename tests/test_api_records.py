@@ -1,6 +1,7 @@
 """Tests for repro.api.records: the one result type and its saved layout."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +96,28 @@ class TestResultCodec:
         payload = json.loads(json.dumps(result_to_dict(sample_result())))
         assert payload["policy_name"] == "OSCAR"
         assert isinstance(payload["records"], list)
+
+
+def trials_json(record):
+    """A record's saved trials, byte for byte."""
+    return json.dumps(record.to_dict()["trials"], sort_keys=True)
+
+
+class TestSavedPhysicalConfigs:
+    """Physical configs saved while the model still had an ``engine`` field
+    carry it in their nested ``physical`` mapping; they load and re-run."""
+
+    DATA = Path(__file__).parent / "data"
+
+    def test_record_reruns_identically(self):
+        saved = api.RunRecord.load(self.DATA / "record_nested_physical.json")
+        assert saved.scenario["config"]["physical"]["engine"] == "vectorized"
+        rerun = api.Scenario.from_dict(saved.scenario).run()
+        assert trials_json(rerun) == trials_json(saved)
+
+    def test_study_reruns_identically(self):
+        saved = api.StudyResult.load(self.DATA / "study_nested_physical.json")
+        (record,) = saved.records
+        assert record.scenario["config"]["physical"]["engine"] == "vectorized"
+        rerun = api.Scenario.from_dict(record.scenario).run()
+        assert trials_json(rerun) == trials_json(record)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -310,6 +311,21 @@ class TestStudyResult:
             p.coordinates for p in result.points
         ]
         assert study_payload(loaded) == study_payload(result)
+
+    def test_point_whose_config_no_longer_loads_still_loads(self):
+        # A --legacy-solver run saved use_kernel = false, a config that no
+        # longer loads; the study's points and summaries need only the
+        # results.
+        path = Path(__file__).parent / "data" / "study_nested_physical.json"
+        payload = json.loads(path.read_text())
+        original = api.StudyResult.from_dict(payload)
+        payload["points"][0]["record"]["scenario"]["config"]["use_kernel"] = False
+        patched = api.StudyResult.from_dict(payload)
+        (point,) = patched.points
+        assert point.index == (0,)
+        assert point.coordinates == {"physical.swap_success": 0.9}
+        assert point.name == "tiny/physical.swap_success=0.9"
+        assert patched.format_summary() == original.format_summary()
 
     def test_records_per_point(self, result):
         assert len(result.records) == 2

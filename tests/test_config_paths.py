@@ -8,7 +8,11 @@ each Study axis spelling and each benchmark workload yielded then, stored
 as the difference from ``ExperimentConfig.tiny()``.  The tests here rebuild
 every one through today's code, flatten the result back through
 :data:`~repro.experiments.config.CONFIG_PATHS` and require equality, so no
-name changed its meaning.
+name changed its meaning.  A removed knob (a spelling the table maps to
+``None``) is left out of the comparison.  The pins that set one alone
+(``--physical-engine`` and the ``physical.engine`` axis spellings) selected
+something that is gone, so they are checked to be refused, not replayed: a
+removed flag or swept knob fails loudly instead of being ignored.
 """
 
 from __future__ import annotations
@@ -64,7 +68,21 @@ def flatten(config: ExperimentConfig) -> dict:
 
 
 def expected(diff: dict) -> dict:
-    return {**PINS["tiny"], **diff}
+    pinned = {**PINS["tiny"], **diff}
+    return {name: value for name, value in pinned.items() if CONFIG_PATHS[name] is not None}
+
+
+def _sets_a_live_knob(pin: dict) -> bool:
+    """Whether a pin exercises a knob that still exists."""
+    if "path" in pin:
+        return resolve_path(pin["path"]) is not None
+    return "--physical-engine" not in pin["argv"]
+
+
+CLI_PINS = [pin for pin in PINS["cli"] if _sets_a_live_knob(pin)]
+AXIS_PINS = [pin for pin in PINS["axes"] if _sets_a_live_knob(pin)]
+REMOVED_CLI_PINS = [pin for pin in PINS["cli"] if not _sets_a_live_knob(pin)]
+REMOVED_AXIS_PINS = [pin for pin in PINS["axes"] if not _sets_a_live_knob(pin)]
 
 
 class _Captured(BaseException):
@@ -96,17 +114,17 @@ def capture_cli(monkeypatch):
 
 def test_flat_names_are_the_flat_fields_of_earlier_releases():
     flat = {s for s, p in CONFIG_PATHS.items() if p and "." not in s and s not in LAYERS}
-    assert flat == set(PINS["tiny"])
-    assert flatten(ExperimentConfig.tiny()) == PINS["tiny"]
+    assert flat == set(expected({}))
+    assert flatten(ExperimentConfig.tiny()) == expected({})
 
 
-@pytest.mark.parametrize("pin", PINS["cli"], ids=[" ".join(p["argv"]) for p in PINS["cli"]])
+@pytest.mark.parametrize("pin", CLI_PINS, ids=[" ".join(p["argv"]) for p in CLI_PINS])
 def test_cli_flags_yield_the_pinned_config(pin, capture_cli):
     assert flatten(capture_cli(pin["argv"])) == expected(pin["config"])
 
 
 @pytest.mark.parametrize(
-    "pin", PINS["axes"], ids=[f"{p['path']}={p['value']}" for p in PINS["axes"]]
+    "pin", AXIS_PINS, ids=[f"{p['path']}={p['value']}" for p in AXIS_PINS]
 )
 def test_study_axis_spellings_yield_the_pinned_config(pin):
     base = api.Scenario.from_config(
@@ -114,6 +132,24 @@ def test_study_axis_spellings_yield_the_pinned_config(pin):
     )
     point = api.Study("pins").base(base).over(pin["path"], [pin["value"]]).points()[0]
     assert flatten(point.scenario.config) == expected(pin["config"])
+
+
+@pytest.mark.parametrize(
+    "pin", REMOVED_CLI_PINS, ids=[" ".join(p["argv"]) for p in REMOVED_CLI_PINS]
+)
+def test_removed_cli_flags_are_refused(pin, capture_cli, capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(list(pin["argv"]))
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --physical-engine" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pin", REMOVED_AXIS_PINS, ids=[f"{p['path']}={p['value']}" for p in REMOVED_AXIS_PINS]
+)
+def test_removed_axis_spellings_are_refused(pin):
+    with pytest.raises(ConfigError, match="is a removed setting; it cannot be swept"):
+        api.Study("pins").over(pin["path"], [pin["value"]])
 
 
 @pytest.mark.parametrize("name", sorted(PINS["workloads"]))
@@ -168,6 +204,8 @@ class TestSetter:
         assert resolve_path("timing.latency") == "timing.signaling_latency_s"
         assert resolve_path("slot_guard_time_s") == "timing.guard_time"
         assert resolve_path("serving.shards") is None
+        assert resolve_path("physical.engine") is None
+        assert resolve_path("physical_engine") is None
 
     def test_unknown_paths_raise_with_a_suggestion(self):
         with pytest.raises(ConfigError, match="did you mean 'faults.edge_mtbf'"):

@@ -74,11 +74,6 @@ def test_backend_typo_suggests():
         ExperimentConfig.tiny().with_overrides(backend="evnt")
 
 
-def test_engine_typo_suggests():
-    with pytest.raises(ConfigError, match="did you mean 'vectorized'"):
-        ExperimentConfig.tiny().with_overrides(physical_engine="vectorised")
-
-
 def test_guard_level_typo_suggests():
     with pytest.raises(ConfigError, match="did you mean 'strict'"):
         ExperimentConfig.tiny().with_overrides(guard_level="strikt")

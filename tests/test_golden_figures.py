@@ -91,6 +91,13 @@ def _serving(**overrides) -> api.Scenario:
     return api.Scenario.tiny().with_serving(**fields)
 
 
+#: Physical settings under which purification and swapping each fail some
+#: deliveries of a tiny run and the fidelity target rejects some.
+_CHAIN_STAGES = dict(
+    purify_rounds=2, swap_success=0.8, cutoff_fidelity=0.6, fidelity_target=0.7
+)
+
+
 #: Per-slot pins: one small one-trial scenario per driver and layer mix.
 SLOT_PIN_CASES = {
     "slotted-physical": lambda: api.Scenario.tiny().with_physical(),
@@ -130,6 +137,14 @@ SLOT_PIN_CASES = {
         arrival_rate=1.5, session_rate=2.5, admission="availability-gate"
     ).with_faults(node_mtbf=15.0, edge_mtbf=15.0, mttr=3.0),
     "serving-silent": lambda: _serving(session_rate=0),
+    # Every stage of the chain fires, the memory cutoff too: stored pairs
+    # decay below it over their measured event-timed dwell.
+    "event-cutoff": lambda: api.Scenario.tiny()
+    .with_backend("event", latency=0.004)
+    .with_physical(memory_time=0.5, **_CHAIN_STAGES),
+    "slotted-purify-swap": lambda: api.Scenario.tiny().with_physical(
+        memory_time=1.0, **_CHAIN_STAGES
+    ),
 }
 
 #: Record fields a multi-user pin leaves out: the tenants' slot records

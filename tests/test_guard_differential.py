@@ -9,7 +9,6 @@ from repro.guard.differential import (
     PAIRS,
     compare_slot_records,
     diff_backends,
-    diff_physical_engines,
     run_all,
 )
 
@@ -82,15 +81,10 @@ def test_backend_pair_pins_physical_off():
     assert report.identical, report.describe()
 
 
-def test_physical_engine_pair_identical():
-    report = diff_physical_engines(_tiny())
-    assert report.identical, report.describe()
-
-
 def test_run_all_covers_every_registered_pair():
     reports = run_all(config=_tiny())
-    assert len(reports) == len(PAIRS) == 2
-    assert {report.pair for report in reports} == {"backend", "physical-engine"}
+    assert len(reports) == len(PAIRS) == 1
+    assert {report.pair for report in reports} == {"backend"}
     assert all(report.identical for report in reports)
 
 

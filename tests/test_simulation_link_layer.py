@@ -1,6 +1,5 @@
 """Tests for repro.simulation.link_layer."""
 
-import numpy as np
 import pytest
 
 from repro.network.graph import edge_key
@@ -53,50 +52,6 @@ class TestFastMode:
         with pytest.raises(ValueError):
             simulator.empirical_route_success(Route.from_nodes([0, 1]), {}, trials=0)
 
-
-class TestDetailedMode:
-    def test_detailed_mode_produces_fidelity(self, fast_graph):
-        simulator = LinkLayerSimulator(graph=fast_graph, detailed=True, base_fidelity=0.97)
-        route = Route.from_nodes([0, 1, 2])
-        allocation = {key: 4 for key in route.edges}
-        rng = np.random.default_rng(5)
-        successes = 0
-        for _ in range(60):
-            realization = simulator.realize_route(route, allocation, slot=0, seed=rng)
-            if realization.succeeded:
-                successes += 1
-                assert realization.end_to_end_pair is not None
-                assert set(realization.end_to_end_pair.nodes) == {0, 2}
-                # Two swapped links of 0.97 fidelity minus decoherence: below 0.97.
-                assert 0.5 < realization.fidelity < 0.97
-        assert successes > 0
-
-    def test_detailed_failure_has_no_pair(self, fast_graph):
-        simulator = LinkLayerSimulator(graph=fast_graph, detailed=True, swap_success=0.0)
-        route = Route.from_nodes([0, 1, 2])
-        allocation = {key: 4 for key in route.edges}
-        rng = np.random.default_rng(6)
-        found_link_success = False
-        for _ in range(40):
-            realization = simulator.realize_route(route, allocation, slot=0, seed=rng)
-            assert realization.end_to_end_pair is None
-            if all(realization.edge_outcomes.values()):
-                found_link_success = True
-                # Links succeeded but the (always failing) swap killed the EC.
-                assert not realization.succeeded
-        assert found_link_success
-
-    def test_detailed_and_fast_modes_agree_statistically(self, fast_graph):
-        route = Route.from_nodes([0, 1])
-        allocation = {edge_key(0, 1): 2}
-        fast = LinkLayerSimulator(graph=fast_graph, detailed=False)
-        detailed = LinkLayerSimulator(graph=fast_graph, detailed=True)
-        fast_rate = fast.empirical_route_success(route, allocation, trials=3000, seed=7)
-        detailed_rate = detailed.empirical_route_success(route, allocation, trials=3000, seed=8)
-        assert fast_rate == pytest.approx(detailed_rate, abs=0.04)
-
     def test_invalid_parameters_rejected(self, fast_graph):
         with pytest.raises(ValueError):
             LinkLayerSimulator(graph=fast_graph, base_fidelity=1.5)
-        with pytest.raises(ValueError):
-            LinkLayerSimulator(graph=fast_graph, swap_success=-0.1)

@@ -2,10 +2,11 @@
 
 The load-bearing guarantees:
 
-* the vectorized batch engine and the per-pair reference engine are
+* the batched engine and the per-pair reference engine are
   **bit-identical** under the same spawned RNG streams (outcomes, delivered
-  fidelities and statistics), standalone and through full facade runs,
-  serial and process-parallel;
+  fidelities and statistics), standalone, with and without measured dwells,
+  and through full facade runs on both backends, serial and
+  process-parallel;
 * with the physical layer disabled (the default) the simulators consume
   exactly the historical random streams — nothing changes;
 * the model threads end to end: ``ExperimentConfig`` → scenario builder →
@@ -22,11 +23,12 @@ from repro.analysis.stats import merge_stat_mappings
 from repro.api.records import trial_to_dict
 from repro.experiments.config import ExperimentConfig
 from repro.network.routes import Route
+from repro.physics.fidelity import fidelity_of_chain
 from repro.simulation.physical import (
+    PhysicalEngine,
     PhysicalModel,
     PhysicalStats,
     ReferencePhysicalEngine,
-    VectorizedPhysicalEngine,
 )
 from repro.utils.rng import spawn_rngs
 from repro.workload.budget import purification_rounds_within_budget
@@ -46,20 +48,29 @@ def make_items(rng, num_requests=12, max_hops=4, max_channels=6, fail_fraction=0
     return items
 
 
-def run_engine(engine, model_seed, slots=6):
+def run_engine(engine, model_seed, slots=6, max_dwell=None):
+    """The engine's outcomes over ``slots`` synthetic slots; with
+    ``max_dwell``, each link's measured dwell is uniform on [0, max_dwell)."""
     outcomes = []
     item_rng = np.random.default_rng(2_000)
+    dwell_rng = np.random.default_rng(3_000)
     draw_rngs = spawn_rngs(model_seed, slots)
     for slot in range(slots):
         items = make_items(item_rng)
-        outcomes.append(engine.realize_slot(items, seed=draw_rngs[slot]))
+        dwells = None
+        if max_dwell is not None:
+            dwells = [
+                list(dwell_rng.uniform(0.0, max_dwell, route.hops)) if links_ok else None
+                for route, _, links_ok in items
+            ]
+        outcomes.append(engine.realize_slot(items, seed=draw_rngs[slot], dwells=dwells))
     return outcomes
 
 
 class TestEngineBitIdentity:
     @pytest.mark.parametrize("swap_success", [1.0, 0.9])
     @pytest.mark.parametrize("purify_rounds", [0, 2])
-    def test_vectorized_matches_reference(self, swap_success, purify_rounds):
+    def test_batched_matches_reference(self, swap_success, purify_rounds):
         model = PhysicalModel(
             swap_success=swap_success,
             link_fidelity=0.96,
@@ -67,10 +78,10 @@ class TestEngineBitIdentity:
             fidelity_target=0.6,
         )
         reference = ReferencePhysicalEngine(model)
-        vectorized = VectorizedPhysicalEngine(model)
-        for ref, vec in zip(run_engine(reference, 7), run_engine(vectorized, 7)):
+        batched = PhysicalEngine(model)
+        for ref, vec in zip(run_engine(reference, 7), run_engine(batched, 7)):
             assert ref == vec  # delivered, fidelities, fidelity_ok — exactly
-        assert reference.stats == vectorized.stats
+        assert reference.stats == batched.stats
 
     def test_identity_survives_cutoff_pressure(self):
         model = PhysicalModel(
@@ -81,10 +92,31 @@ class TestEngineBitIdentity:
             purify_rounds=1,
         )
         reference = ReferencePhysicalEngine(model)
-        vectorized = VectorizedPhysicalEngine(model)
-        assert run_engine(reference, 11) == run_engine(vectorized, 11)
-        assert reference.stats == vectorized.stats
+        batched = PhysicalEngine(model)
+        assert run_engine(reference, 11) == run_engine(batched, 11)
+        assert reference.stats == batched.stats
         assert reference.stats.cutoff_discards > 0
+
+    def test_identity_with_measured_dwells_under_a_binding_cutoff(self):
+        model = PhysicalModel(
+            swap_success=0.8,
+            link_fidelity=0.9,
+            memory_time=0.2,
+            cutoff_fidelity=0.55,
+            purify_rounds=1,
+            fidelity_target=0.6,
+        )
+        reference = ReferencePhysicalEngine(model)
+        batched = PhysicalEngine(model)
+        outcomes = run_engine(batched, 13, max_dwell=0.3)
+        assert run_engine(reference, 13, max_dwell=0.3) == outcomes
+        assert reference.stats == batched.stats
+        # The dwells decide: some pairs expire, some deliveries survive them.
+        assert reference.stats.cutoff_discards > 0
+        assert sum(outcome.expired_pairs for outcome in outcomes) > 0
+        assert reference.stats.delivered > 0
+        # Without dwells the same slots run on the fixed slot dwell instead.
+        assert run_engine(PhysicalEngine(model), 13) != outcomes
 
 
 class TestEngineSemantics:
@@ -137,8 +169,6 @@ class TestEngineSemantics:
         route = Route.from_nodes([0, 1, 2, 3])
         allocation = {key: 1 for key in route.edges}
         outcome = engine.realize_slot([(route, allocation, True)], seed=1)
-        from repro.physics.fidelity import fidelity_of_chain
-
         assert outcome.delivered == (True,)
         assert outcome.fidelities[0] == fidelity_of_chain([0.98] * 3)
 
@@ -160,6 +190,60 @@ class TestEngineSemantics:
         assert engine.stats.delivered == 2
         assert engine.stats.fidelity_served == 1
 
+    def test_measured_dwells_decohere_each_stored_pair(self):
+        model = PhysicalModel(swap_success=1.0, link_fidelity=0.95, memory_time=1.0)
+        engine = model.build_engine()
+        decay = model.decoherence_model().fidelity_after
+        route = Route.from_nodes([0, 1, 2])
+        items = [(route, {key: 1 for key in route.edges}, True)]
+        short = engine.realize_slot(items, seed=0, dwells=[[0.0, 0.3]])
+        assert short.delivered == (True,)
+        assert short.fidelities[0] == fidelity_of_chain([decay(0.95, 0.0), decay(0.95, 0.3)])
+        # A dwell below zero (clock jitter) waits no time at all.
+        assert engine.realize_slot(items, seed=0, dwells=[[-1e-9, 0.3]]) == short
+        longer = engine.realize_slot(items, seed=0, dwells=[[0.3, 0.6]])
+        assert longer.fidelities[0] < short.fidelities[0]
+
+    def test_expired_pairs_count_each_stored_pair_below_the_cutoff(self):
+        model = PhysicalModel(
+            swap_success=1.0, link_fidelity=0.95, memory_time=0.2, cutoff_fidelity=0.8
+        )
+        engine = model.build_engine()
+        route = Route.from_nodes([0, 1, 2, 3])
+        items = [(route, {key: 1 for key in route.edges}, True)]
+        outcome = engine.realize_slot(items, seed=0, dwells=[[0.0, 1.0, 2.0]])
+        assert outcome.delivered == (False,)
+        assert outcome.expired_pairs == 2
+        assert engine.stats.cutoff_discards == 1
+        fresh = engine.realize_slot(items, seed=0, dwells=[[0.0, 0.0, 0.0]])
+        assert fresh.delivered == (True,)
+        assert fresh.expired_pairs == 0
+        assert engine.stats.cutoff_discards == 1
+
+    def test_no_memo_is_keyed_by_a_measured_dwell(self):
+        engine = PhysicalModel(link_fidelity=0.95, purify_rounds=1).build_engine()
+        outcomes = run_engine(engine, 5, slots=4, max_dwell=0.3)
+        assert any(any(outcome.delivered) for outcome in outcomes)
+        # Plans are keyed by channel count alone; chain fidelities of
+        # measured dwells are never memoised.
+        assert set(engine._plans) <= set(range(1, 7))
+        assert engine._chain_cache == {}
+
+    def test_realize_decision_pads_unserved_requests_and_threads_dwells(self):
+        model = PhysicalModel(swap_success=1.0, link_fidelity=0.95, memory_time=1.0)
+        engine = model.build_engine()
+        route = Route.from_nodes([0, 1])
+        items = [(route, {key: 1 for key in route.edges})] * 2
+        outcome = engine.realize_decision(
+            items, realized=[True, False], num_unserved=2, seed=0, dwells=[[0.2], None]
+        )
+        assert outcome.delivered == (True, False, False, False)
+        assert outcome.fidelities == (
+            model.decoherence_model().fidelity_after(0.95, 0.2), 0.0, 0.0, 0.0
+        )
+        assert outcome.fidelity_ok == (True, False, False, False)
+        assert (engine.stats.requests, engine.stats.link_failures) == (2, 1)
+
     def test_stats_merge(self):
         a = PhysicalStats(requests=3, delivered=2, fidelity_sum=1.5)
         b = PhysicalStats(requests=4, delivered=1, fidelity_sum=0.7)
@@ -170,8 +254,6 @@ class TestEngineSemantics:
         assert merge_stat_mappings([None, "nope"]) is None
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            PhysicalModel(engine="warp")
         with pytest.raises(ValueError):
             PhysicalModel(swap_success=1.5)
         with pytest.raises(ValueError):
@@ -192,12 +274,35 @@ def record_payloads(record):
     return json.dumps([trial_to_dict(trial) for trial in record.trials], sort_keys=True)
 
 
+def with_reference_engine(monkeypatch):
+    """Make every run build :class:`ReferencePhysicalEngine`; returns the
+    list of engines built."""
+    built = []
+
+    def build(model, attempts_per_slot):
+        built.append(ReferencePhysicalEngine(model, attempts_per_slot))
+        return built[-1]
+
+    monkeypatch.setattr(PhysicalModel, "build_engine", build)
+    return built
+
+
 class TestFullRunIdentity:
-    def test_engines_bit_identical_through_the_facade(self):
-        vectorized = scenario_with_physical(engine="vectorized").run()
-        reference = scenario_with_physical(engine="reference").run()
-        assert record_payloads(vectorized) == record_payloads(reference)
-        assert vectorized.stats("physical") == reference.stats("physical")
+    @pytest.mark.parametrize("backend", ["slotted", "event"])
+    def test_engines_bit_identical_through_the_facade(self, backend, monkeypatch):
+        scenario = scenario_with_physical(cutoff_fidelity=0.6, memory_time=0.5)
+        if backend == "event":
+            scenario = scenario.with_backend("event", latency=0.004)
+        batched = scenario.run()
+        built = with_reference_engine(monkeypatch)
+        reference = scenario.run()
+        assert built  # the reference engine ran
+        assert record_payloads(batched) == record_payloads(reference)
+        for layer in ("physical", "eventsim"):
+            assert batched.stats(layer) == reference.stats(layer)
+        if backend == "event":
+            # Measured dwells decide some deliveries.
+            assert reference.stats("eventsim")["cutoff_expired_pairs"] > 0
 
     def test_parallel_workers_bit_identical(self):
         base = scenario_with_physical().with_trials(2)
@@ -316,13 +421,10 @@ class TestRecordsAndStats:
 
 class TestConfigThreading:
     def test_with_physical_maps_short_names(self):
-        scenario = api.Scenario.tiny().with_physical(
-            swap_success=0.9, memory_time=2.0, engine="reference"
-        )
+        scenario = api.Scenario.tiny().with_physical(swap_success=0.9, memory_time=2.0)
         physical = scenario.config.physical
         assert physical.swap_success == 0.9
         assert physical.memory_time == 2.0
-        assert physical.engine == "reference"
         disabled = scenario.with_physical(False)
         assert disabled.config.physical is None  # off holds no knobs
         assert disabled.with_physical().config.physical == PhysicalModel()
@@ -345,10 +447,6 @@ class TestConfigThreading:
         assert not hasattr(model, "attempts_per_slot")
         engine = model.build_engine(config.attempts_per_slot)
         assert engine.dwell_time == model.dwell_time(config.attempts_per_slot)
-
-    def test_invalid_engine_rejected_by_config(self):
-        with pytest.raises(ValueError, match="physical engine"):
-            ExperimentConfig.tiny().with_overrides(physical_engine="warp")
 
     def test_physical_axis_group(self):
         from repro.experiments.config import resolve_path

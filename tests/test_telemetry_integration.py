@@ -393,6 +393,39 @@ class TestCli:
               "--policies", "oscar", "--output", str(out)])
         assert main(["top", str(out)]) == 1
 
+    def _traced_study_that_no_longer_loads(self, tmp_path, monkeypatch):
+        """A traced one-point sweep whose saved config asks for a removed
+        solver path (``use_kernel: false``, as ``--legacy-solver`` saved)."""
+        monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
+        out = tmp_path / "study.json"
+        code = main([
+            "sweep", "--axis", "horizon", "--values", "4", "--scale", "tiny",
+            "--trials", "1", "--policies", "oscar", "--telemetry", "full",
+            "--output", str(out),
+        ])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        payload["points"][0]["record"]["scenario"]["config"]["use_kernel"] = False
+        out.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError):
+            api.Scenario.from_dict(payload["points"][0]["record"]["scenario"])
+        return out
+
+    def test_trace_reads_a_study_whose_config_no_longer_loads(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        study = self._traced_study_that_no_longer_loads(tmp_path, monkeypatch)
+        trace = tmp_path / "trace.json"
+        assert main(["trace", str(study), "-o", str(trace)]) == 0
+        assert [e for e in json.loads(trace.read_text())["traceEvents"] if e["ph"] == "X"]
+
+    def test_top_reads_a_study_whose_config_no_longer_loads(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        study = self._traced_study_that_no_longer_loads(tmp_path, monkeypatch)
+        assert main(["top", str(study)]) == 0
+        assert "kernel.solve" in capsys.readouterr().out
+
     def test_metrics_out_writes_prometheus(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
         metrics = tmp_path / "metrics.prom"

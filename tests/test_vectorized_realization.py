@@ -92,20 +92,6 @@ class TestRealizeRoutes:
         assert all(not ok for ok in realization.edge_outcomes.values())
         assert rng.random() == reference.random()
 
-    def test_detailed_mode_stays_sequential_and_identical(self, setup):
-        simulator, items = setup
-        detailed = LinkLayerSimulator(graph=simulator.graph, detailed=True)
-        batched_rng = np.random.default_rng(21)
-        scalar_rng = np.random.default_rng(21)
-        fast = detailed.realize_routes(items[:4], slot=1, seed=batched_rng)
-        slow = [
-            detailed.realize_route(route, allocation, slot=1, seed=scalar_rng)
-            for route, allocation in items[:4]
-        ]
-        for a, b in zip(fast, slow):
-            assert a.succeeded == b.succeeded
-            assert a.fidelity == b.fidelity
-
 
 class TestEngineUsesBatchedRealization:
     def test_simulation_identical_to_sequential_realization(self, monkeypatch):
@@ -121,12 +107,12 @@ class TestEngineUsesBatchedRealization:
 
         sequential_impl = LinkLayerSimulator.realize_route
 
-        def sequential_routes(self, items, slot=0, seed=None):
+        def sequential_routes(self, items, seed=None):
             from repro.utils.rng import as_generator
 
             rng = as_generator(seed)
             return [
-                sequential_impl(self, route, allocation, slot=slot, seed=rng)
+                sequential_impl(self, route, allocation, seed=rng)
                 for route, allocation in items
             ]
 
