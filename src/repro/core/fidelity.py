@@ -148,3 +148,6 @@ class FidelityAwarePolicy(RoutingPolicy):
 
     def diagnostics(self) -> dict:
         return self.base.diagnostics()
+
+    def queue_length(self) -> Optional[float]:
+        return self.base.queue_length()

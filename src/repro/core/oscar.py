@@ -159,6 +159,9 @@ class OscarPolicy(RoutingPolicy):
         """The spending tracker of the current run."""
         return self._tracker
 
+    def queue_length(self) -> float:
+        return self._queue.length
+
     def diagnostics(self) -> dict:
         """Queue history, spending and per-slot P2 objectives of the current run."""
         return {

@@ -43,5 +43,12 @@ class RoutingPolicy(ABC):
         """Optional per-run diagnostics (queue history, spending, …)."""
         return {}
 
+    def queue_length(self) -> Optional[float]:
+        """The current virtual-queue length, or ``None`` for a policy without one.
+
+        Read into every slot record, so it must not build :meth:`diagnostics`.
+        """
+        return None
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

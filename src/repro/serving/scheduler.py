@@ -20,7 +20,7 @@ Per-request service model: a served request consumes the session route's
 ``hops + 1`` qubits (one per node along the path) and succeeds with the
 product of its edges' single-channel slot success probabilities — the
 analytic link-layer model, deliberately cheap so a run sustains ~10⁵
-simulated requests (``benchmarks/serving_bench.py``).
+simulated requests.
 """
 
 from __future__ import annotations

@@ -269,8 +269,3 @@ class EventLoop:
             self._now = time
         return processed
 
-
-# Backwards-compatible alias: the event loop predates the event-driven
-# simulation backend, which now owns the ``EventDrivenSimulator`` name (see
-# repro.simulation.eventsim).
-EventDrivenSimulator = EventLoop

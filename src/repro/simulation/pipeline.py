@@ -308,10 +308,7 @@ class SlotPipeline:
             realized.extend([False] * unserved)
             fidelities.extend([0.0] * unserved)
 
-        queue_length: Optional[float] = None
-        history = policy.diagnostics().get("queue_history")
-        if isinstance(history, list) and history:
-            queue_length = float(history[-1])
+        queue_length = policy.queue_length()
 
         guard = envelope.guard
         if guard is not None:

@@ -19,7 +19,6 @@ from repro.solvers.gibbs import GibbsSampler, GibbsResult
 from repro.solvers.kernel import (
     DEFAULT_DUAL_TOLERANCE,
     KernelCache,
-    KernelOptions,
     SlotKernel,
 )
 from repro.solvers.oracle import combination_optimum, slot_optimum
@@ -31,7 +30,6 @@ __all__ = [
     "GibbsResult",
     "DEFAULT_DUAL_TOLERANCE",
     "KernelCache",
-    "KernelOptions",
     "SlotKernel",
     "combination_optimum",
     "slot_optimum",

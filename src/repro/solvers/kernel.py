@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,6 +88,24 @@ STAT_KEYS = (
     "early_stops",
 )
 
+#: Hard cap on the subgradient steps of one solve.
+DUAL_ITERATIONS = 150
+
+#: Coordinate-polish sweeps over the relaxed point before rounding.
+POLISH_ROUNDS = 2
+
+#: Replay mode repairs and scores its primal iterate every this many steps.
+PRIMAL_CHECK_EVERY = 25
+
+#: Row-load slack within which a relaxed point counts as feasible.
+FEASIBILITY_TOLERANCE = 1e-6
+
+#: Cap on the step-size offset a warm start carries into the next solve.
+STEP_OFFSET_CAP = 600
+
+#: Bound on the number of compiled structures (topologies) per cache.
+MAX_STRUCTURES = 4
+
 #: Bound on the number of cached combination structures per topology.
 MAX_COMBOS = 8192
 
@@ -106,55 +123,6 @@ def _outcome_class():
 
         _OUTCOME_CLS = AllocationOutcome
     return _OUTCOME_CLS
-
-
-@dataclass(frozen=True)
-class KernelOptions:
-    """Solver knobs of the compiled slot kernel.
-
-    ``dual_iterations`` is the hard cap on subgradient steps;
-    ``dual_tolerance`` is the relative duality-gap threshold of the early
-    stop and selects the mode (``0`` is replay mode, see the module
-    docstring); the remaining fields size the repair/polish stages.
-    """
-
-    dual_iterations: int = 150
-    dual_tolerance: float = DEFAULT_DUAL_TOLERANCE
-    polish_rounds: int = 2
-    primal_check_every: int = 25
-    feasibility_tolerance: float = 1e-6
-    initial_step: Optional[float] = None
-    step_offset_cap: int = 600
-
-    def __post_init__(self) -> None:
-        if self.dual_iterations < 1:
-            raise ValueError("dual_iterations must be at least 1")
-        if self.dual_tolerance < 0:
-            raise ValueError("dual_tolerance must be non-negative")
-        if self.primal_check_every < 1:
-            raise ValueError("primal_check_every must be at least 1")
-        if self.polish_rounds < 0:
-            raise ValueError("polish_rounds must be non-negative")
-
-    @property
-    def warm_start(self) -> bool:
-        """Seed each solve with carried multipliers (adaptive mode only).
-
-        Replay mode promises the fixed schedule from zero multipliers, which
-        a warm seed would break.
-        """
-        return self.dual_tolerance > 0.0
-
-    @property
-    def horizon_mode(self) -> bool:
-        """Enable the exact KKT shortcuts and the batched enumeration.
-
-        A feasible unconstrained best response is returned outright (it is
-        then the optimum of the concave relaxation), budget-only-binding
-        instances bisect the single active multiplier, and exhaustive
-        enumerations run one pruned batch.  Adaptive mode only.
-        """
-        return self.dual_tolerance > 0.0
 
 
 def structure_signature(graph: "QDNGraph") -> Tuple:
@@ -472,7 +440,7 @@ class SlotKernel:
         utility_weight: float,
         cost_weight: float,
         budget_cap: Optional[float],
-        options: KernelOptions,
+        dual_tolerance: float,
         structure: CompiledStructure,
     ) -> None:
         check_non_negative(utility_weight, "utility_weight")
@@ -484,7 +452,11 @@ class SlotKernel:
         self._utility_weight = float(utility_weight)
         self._cost_weight = float(cost_weight)
         self._budget_cap = None if budget_cap is None else float(budget_cap)
-        self._options = options
+        self._dual_tolerance = float(dual_tolerance)
+        #: Adaptive mode (``dual_tolerance > 0``): warm-started duals, the
+        #: exact KKT shortcuts and the batched enumeration.  Replay mode
+        #: promises the fixed schedule from zero multipliers instead.
+        self.adaptive = self._dual_tolerance > 0.0
         self._structure = structure
         self._blocks: List[List[_RouteBlock]] = [
             [self._structure.block_for(route) for route in routes]
@@ -602,8 +574,7 @@ class SlotKernel:
         Returns ``None`` outside horizon-compiled adaptive mode (callers
         fall back to the plain evaluate-everything walk).
         """
-        options = self._options
-        if not options.horizon_mode:
+        if not self.adaptive:
             return None
         order = [tuple(int(choice) for choice in a) for a in assignments]
         self._evaluate_batch(order, prune=True)
@@ -624,8 +595,7 @@ class SlotKernel:
         return best_key, best_objective
 
     def _evaluate_batch(self, assignments, prune: bool) -> None:
-        options = self._options
-        if not options.horizon_mode:
+        if not self.adaptive:
             return
         structure = self._structure
         pending: List[Tuple[int, ...]] = []
@@ -692,11 +662,10 @@ class SlotKernel:
 
     def _solve_batch(self, batch: List[Tuple], prune: bool = False) -> None:
         """Lock-step batched dual ascent over pre-validated combinations."""
-        options = self._options
         structure = self._structure
         V = self._utility_weight
         q = self._cost_weight
-        tol = options.dual_tolerance
+        tol = self._dual_tolerance
         C = len(batch)
         combos = [entry[2] for entry in batch]
         N = max(combo.n for combo in combos)
@@ -785,8 +754,7 @@ class SlotKernel:
         # ones project the global per-resource vector onto their rows.
         mult = np.zeros((C, M + 1))
         offset_b = np.zeros(C)
-        warm_enabled = options.warm_start
-        if warm_enabled:
+        if self.adaptive:
             for c, entry in enumerate(batch):
                 combo_key, combo = entry[1], entry[2]
                 warm = structure.combo_warm.get(combo_key)
@@ -797,15 +765,9 @@ class SlotKernel:
                     mult[c, : combo.m] = structure.warm_mult[combo.order_array]
                     offset_b[c] = structure.step_offset
 
-        if options.initial_step is not None:
-            step_scale = np.full(C, float(options.initial_step))
-        else:
-            step_scale = np.asarray(
-                [
-                    max(V, 1.0) / max(float(entry[5].max()), 1.0)
-                    for entry in batch
-                ]
-            )
+        step_scale = np.asarray(
+            [max(V, 1.0) / max(float(entry[5].max()), 1.0) for entry in batch]
+        )
         step_cap = 5.0 * step_scale
 
         active = np.ones(C, dtype=bool)
@@ -813,8 +775,8 @@ class SlotKernel:
         best_obj = np.full(C, -np.inf)
         best_dual = np.full(C, np.inf)
         best_mult = np.zeros((C, M + 1))
-        used = np.full(C, options.dual_iterations)
-        max_iterations = options.dual_iterations
+        used = np.full(C, DUAL_ITERATIONS)
+        max_iterations = DUAL_ITERATIONS
 
         for k in range(max_iterations):
             prices = q + mult[idx0, rows_b].sum(-1)
@@ -875,18 +837,15 @@ class SlotKernel:
             key, combo_key, combo, memo_key, keys, capacities, upper = batch[c]
             n, m = combo.n, combo.m
             x_c = best_x[c, :n].copy()
-            if options.polish_rounds > 0:
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    cyclic_coordinate_polish(
-                        x_c, combo.lower, upper, combo.p, V, q,
-                        combo.membership @ x_c, capacities, combo.var_rows,
-                        options.polish_rounds,
-                    )
-            if warm_enabled:
-                final_mult = best_mult[c, :m].copy()
-                final_offset = int(
-                    min(offset_b[c] + used[c], options.step_offset_cap)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                cyclic_coordinate_polish(
+                    x_c, combo.lower, upper, combo.p, V, q,
+                    combo.membership @ x_c, capacities, combo.var_rows,
+                    POLISH_ROUNDS,
                 )
+            if self.adaptive:
+                final_mult = best_mult[c, :m].copy()
+                final_offset = int(min(offset_b[c] + used[c], STEP_OFFSET_CAP))
                 structure.combo_warm[combo_key] = (final_mult, final_offset)
                 last_finished = c
             outcome = self._finalise(
@@ -896,7 +855,7 @@ class SlotKernel:
             self.evaluations += 1
             if outcome.feasible and outcome.objective > best_rounded:
                 best_rounded = outcome.objective
-        if warm_enabled and last_finished is not None:
+        if self.adaptive and last_finished is not None:
             combo = batch[last_finished][2]
             structure.warm_mult[combo.order_array] = best_mult[
                 last_finished, : combo.m
@@ -905,7 +864,7 @@ class SlotKernel:
             structure.step_offset = int(
                 min(
                     offset_b[last_finished] + used[last_finished],
-                    options.step_offset_cap,
+                    STEP_OFFSET_CAP,
                 )
             )
 
@@ -960,8 +919,7 @@ class SlotKernel:
         infeasible_bounds = bool(np.any(raw_upper < 1.0))
         upper = np.maximum(raw_upper, 1.0)
 
-        options = self._options
-        tolerance = options.feasibility_tolerance
+        tolerance = FEASIBILITY_TOLERANCE
 
         fast_path = combo.fast_path
         a = combo.a
@@ -992,20 +950,17 @@ class SlotKernel:
             return self._build_outcome(memo_key, keys, relaxed, rounded)
 
         # ----- warm-started projected-subgradient dual ascent ------------ #
-        step_scale = options.initial_step
-        if step_scale is None:
-            step_scale = max(V, 1.0) / max(float(capacities.max()), 1.0)
+        step_scale = max(V, 1.0) / max(float(capacities.max()), 1.0)
 
         # Warm starts are an adaptive-mode feature (replay mode always starts
         # from zero).  A revisited combination re-seeds from its own best
         # multipliers (tight for it by construction); a new combination
         # falls back to the global per-resource vector of the previous solve.
-        warm_enabled = options.warm_start
-        combo_warm = structure.combo_warm.get(combo_key) if warm_enabled else None
+        combo_warm = structure.combo_warm.get(combo_key) if self.adaptive else None
         if combo_warm is not None:
             mult = combo_warm[0].copy()
             offset = combo_warm[1]
-        elif warm_enabled and structure.warm_ready:
+        elif self.adaptive and structure.warm_ready:
             mult = structure.warm_mult[order_array].copy()
             offset = structure.step_offset
         else:
@@ -1017,18 +972,17 @@ class SlotKernel:
         best_objective = -math.inf
         best_dual = math.inf
         best_mult: Optional[np.ndarray] = None
-        gap_tolerance = options.dual_tolerance
-        max_iterations = options.dual_iterations
-        check_every = options.primal_check_every
+        gap_tolerance = self._dual_tolerance
+        max_iterations = DUAL_ITERATIONS
+        check_every = PRIMAL_CHECK_EVERY
         used = max_iterations
         x = lower.copy()
 
         def polish(candidate: np.ndarray) -> np.ndarray:
-            if options.polish_rounds > 0:
-                cyclic_coordinate_polish(
-                    candidate, lower, upper, p, V, q, row_loads(candidate),
-                    capacities, var_rows, options.polish_rounds,
-                )
+            cyclic_coordinate_polish(
+                candidate, lower, upper, p, V, q, row_loads(candidate),
+                capacities, var_rows, POLISH_ROUNDS,
+            )
             return candidate
 
         x_unconstrained: Optional[np.ndarray] = None
@@ -1068,7 +1022,7 @@ class SlotKernel:
         direct = False
         direct_mult: Optional[np.ndarray] = None
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if options.horizon_mode:
+            if self.adaptive:
                 # Exact KKT shortcuts of adaptive mode.  The
                 # objective is separable and concave, so (a) a feasible
                 # unconstrained best response is the optimum of the whole
@@ -1118,7 +1072,7 @@ class SlotKernel:
                     best_objective = objective_np(best_x)
             if direct:
                 pass
-            elif gap_tolerance > 0.0:
+            elif self.adaptive:
                 # Adaptive mode: Polyak-sized steps aimed at the best polished
                 # primal bound, with a duality-gap early stop.  The repaired
                 # subgradient iterate alone is a weak primal bound — polishing
@@ -1170,7 +1124,7 @@ class SlotKernel:
             else:
                 # Replay mode (``dual_tolerance=0``): the fixed
                 # diminishing-step schedule from zero multipliers, with a
-                # repaired primal checkpoint every ``primal_check_every``
+                # repaired primal checkpoint every ``PRIMAL_CHECK_EVERY``
                 # iterations.
                 for k in range(max_iterations):
                     prices = base_prices + membership_t @ mult
@@ -1187,7 +1141,7 @@ class SlotKernel:
                                 best_x = repaired
 
         self.stats["dual_iterations"] += used
-        if warm_enabled:
+        if self.adaptive:
             # Seed the next combination (or the next slot's binding) with the
             # multipliers of the best dual bound seen — the last subgradient
             # iterate oscillates; the best iterate is the tight one.  Direct
@@ -1195,10 +1149,9 @@ class SlotKernel:
             # budget row).
             if direct:
                 final_mult = direct_mult
-                final_offset = min(offset + used, options.step_offset_cap)
             else:
                 final_mult = mult if best_mult is None else best_mult
-                final_offset = min(offset + used, options.step_offset_cap)
+            final_offset = min(offset + used, STEP_OFFSET_CAP)
             structure.warm_mult[order_array] = final_mult
             structure.warm_ready = True
             structure.step_offset = final_offset
@@ -1244,7 +1197,7 @@ class SlotKernel:
         """Round a (polished) relaxed point and build the cached outcome."""
         V = self._utility_weight
         q = self._cost_weight
-        tolerance = self._options.feasibility_tolerance
+        tolerance = FEASIBILITY_TOLERANCE
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             best_objective = combo.objective(best_x, V, q)
@@ -1324,10 +1277,7 @@ class KernelCache:
     each build their own solvers) stay byte-identical to serial runs.
     """
 
-    def __init__(self, max_structures: int = 4) -> None:
-        if max_structures < 1:
-            raise ValueError("max_structures must be at least 1")
-        self.max_structures = int(max_structures)
+    def __init__(self) -> None:
         self._structures: "OrderedDict[Tuple, CompiledStructure]" = OrderedDict()
         self._last_kernel: Optional[SlotKernel] = None
         self._totals: Dict[str, int] = {key: 0 for key in STAT_KEYS}
@@ -1353,7 +1303,7 @@ class KernelCache:
         ``dual_tolerance`` selects adaptive (``> 0``) or replay (``0``)
         mode; see the module docstring.
         """
-        options = KernelOptions(dual_tolerance=float(dual_tolerance))
+        check_non_negative(dual_tolerance, "dual_tolerance")
         self._flush_last()
         signature = structure_signature(context.graph)
         structure = self._structures.get(signature)
@@ -1361,7 +1311,7 @@ class KernelCache:
             structure = CompiledStructure(context.graph)
             self._structures[signature] = structure
             self._totals["structure_compiles"] += 1
-            while len(self._structures) > self.max_structures:
+            while len(self._structures) > MAX_STRUCTURES:
                 self._structures.popitem(last=False)
         else:
             self._structures.move_to_end(signature)
@@ -1373,7 +1323,7 @@ class KernelCache:
             utility_weight=utility_weight,
             cost_weight=cost_weight,
             budget_cap=budget_cap,
-            options=options,
+            dual_tolerance=dual_tolerance,
             structure=structure,
         )
         self._last_kernel = kernel

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 import pickle
 
 import pytest
 
+from repro import api
 from repro.analysis.stats import merge_stat_mappings
 from repro.guard import hooks as guard_hooks
 from repro.utils.validation import effective_level
@@ -377,3 +379,30 @@ def test_hooks_activate_and_restore():
 def test_hooks_accept_none():
     with guard_hooks.activate(None):
         assert guard_hooks.get() is None
+
+
+# --------------------------------------------------------------------- #
+# The guard only observes: no level changes a saved result
+# --------------------------------------------------------------------- #
+GUARDED_SCENARIOS = {
+    "slotted-physical": lambda base: base.with_physical(purify_rounds=1),
+    "event-faults": lambda base: base.with_backend("event", latency=0.002).with_faults(
+        edge_mtbf=20.0, mttr=4.0
+    ),
+    "serving": lambda base: base.with_serving(arrival_rate=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED_SCENARIOS))
+def test_saved_trials_identical_at_every_guard_level(name, monkeypatch):
+    monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
+    monkeypatch.delenv(FORCE_BREACH_ENV_VAR, raising=False)
+    scenario = GUARDED_SCENARIOS[name](api.Scenario.tiny().with_trials(1))
+    trials = {}
+    for level in GUARD_LEVELS:
+        record = scenario.with_guard(level).run()
+        trials[level] = json.dumps(record.to_dict()["trials"], sort_keys=True)
+        if level != "off":
+            assert record.stats("guard")["checks"] > 0
+    assert trials["cheap"] == trials["off"]
+    assert trials["strict"] == trials["off"]

@@ -23,6 +23,7 @@ from repro.core.route_selection import ExhaustiveRouteSelector
 from repro.experiments import fig3_time_evolving, fig6_network_size
 from repro.experiments.config import ExperimentConfig
 from repro.solvers.gibbs import exhaustive_optimise
+from repro.solvers import kernel as kernel_module
 from repro.solvers.kernel import KernelCache, SlotKernel, structure_signature
 
 from conftest import bind_kernel
@@ -102,14 +103,15 @@ class TestKernelCacheBinding:
         context = contexts[0]
         kernel = bind_kernel(context)
         assert isinstance(kernel, SlotKernel)
-        assert kernel._options.horizon_mode
+        assert kernel.adaptive
         # Replay mode runs the fixed schedule: no shortcuts, no batching.
         replay = bind_kernel(context, dual_tolerance=0.0)
-        assert not replay._options.horizon_mode
+        assert not replay.adaptive
 
-    def test_cache_eviction_keeps_newest_structures(self):
+    def test_cache_eviction_keeps_newest_structures(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "MAX_STRUCTURES", 2)
         config = small_config()
-        cache = KernelCache(max_structures=2)
+        cache = KernelCache()
         for seed in (1, 2, 3):
             _, contexts = contexts_from(config, seed, 50 + seed)
             context = contexts[0]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.channels import ATTEMPT_DURATION_S, DECOHERENCE_TIME_S
 from repro.simulation.clock import SlotClock
-from repro.simulation.events import EventDrivenSimulator, EventLoop, EventQueue
+from repro.simulation.events import EventLoop, EventQueue
 
 
 class TestSlotClock:
@@ -121,19 +121,19 @@ class TestEventQueue:
         assert len(queue) == 0
 
 
-class TestEventDrivenSimulator:
+class TestEventLoop:
     def test_callbacks_run_in_order(self):
-        simulator = EventDrivenSimulator()
+        loop = EventLoop()
         order = []
-        simulator.schedule(2.0, name="b", callback=lambda s, e: order.append(e.name))
-        simulator.schedule(1.0, name="a", callback=lambda s, e: order.append(e.name))
-        processed = simulator.run()
+        loop.schedule(2.0, name="b", callback=lambda s, e: order.append(e.name))
+        loop.schedule(1.0, name="a", callback=lambda s, e: order.append(e.name))
+        processed = loop.run()
         assert processed == 2
         assert order == ["a", "b"]
-        assert simulator.now == pytest.approx(2.0)
+        assert loop.now == pytest.approx(2.0)
 
     def test_callbacks_can_schedule_followups(self):
-        simulator = EventDrivenSimulator()
+        loop = EventLoop()
         seen = []
 
         def relay(sim, event):
@@ -141,42 +141,37 @@ class TestEventDrivenSimulator:
             if len(seen) < 3:
                 sim.schedule(1.0, name="relay", callback=relay)
 
-        simulator.schedule(1.0, name="relay", callback=relay)
-        simulator.run()
+        loop.schedule(1.0, name="relay", callback=relay)
+        loop.run()
         assert seen == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(3.0)]
 
     def test_run_until(self):
-        simulator = EventDrivenSimulator()
+        loop = EventLoop()
         fired = []
         for t in (1.0, 2.0, 5.0):
-            simulator.schedule(t, callback=lambda s, e: fired.append(e.time))
-        simulator.run(until=3.0)
+            loop.schedule(t, callback=lambda s, e: fired.append(e.time))
+        loop.run(until=3.0)
         assert fired == [1.0, 2.0]
-        assert len(simulator.queue) == 1
+        assert len(loop.queue) == 1
 
     def test_run_max_events(self):
-        simulator = EventDrivenSimulator()
+        loop = EventLoop()
         for t in range(5):
-            simulator.schedule(float(t + 1))
-        assert simulator.run(max_events=3) == 3
-        assert simulator.events_processed == 3
+            loop.schedule(float(t + 1))
+        assert loop.run(max_events=3) == 3
+        assert loop.events_processed == 3
 
     def test_cannot_schedule_in_past(self):
-        simulator = EventDrivenSimulator()
-        simulator.schedule(1.0, callback=None)
-        simulator.run()
+        loop = EventLoop()
+        loop.schedule(1.0, callback=None)
+        loop.run()
         with pytest.raises(ValueError):
-            simulator.schedule_at(0.5)
+            loop.schedule_at(0.5)
 
     def test_run_until_advances_clock_when_idle(self):
-        simulator = EventDrivenSimulator()
-        simulator.run(until=4.0)
-        assert simulator.now == pytest.approx(4.0)
-
-    def test_event_loop_alias(self):
-        # The loop class is EventLoop; the historical simulator name stays
-        # importable (the backend of that name lives in repro.simulation.eventsim).
-        assert EventDrivenSimulator is EventLoop
+        loop = EventLoop()
+        loop.run(until=4.0)
+        assert loop.now == pytest.approx(4.0)
 
     def test_run_until_advances_clock_past_pending_events(self):
         loop = EventLoop()

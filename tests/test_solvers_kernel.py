@@ -27,12 +27,8 @@ from repro.core.per_slot import PerSlotSolver
 from repro.core.problem import SlotContext
 from repro.core.route_selection import ExhaustiveRouteSelector, GibbsRouteSelector
 from repro.experiments.config import ExperimentConfig
-from repro.solvers.kernel import (
-    DEFAULT_DUAL_TOLERANCE,
-    KernelCache,
-    KernelOptions,
-    SlotKernel,
-)
+from repro.solvers import kernel as kernel_module
+from repro.solvers.kernel import DEFAULT_DUAL_TOLERANCE, KernelCache, SlotKernel
 from repro.solvers.oracle import combination_optimum
 
 from conftest import bind_kernel
@@ -73,28 +69,21 @@ WEIGHT_SETTINGS = [
 
 class TestKernelOptions:
     def test_defaults(self):
-        options = KernelOptions()
-        assert options.dual_iterations == 150
-        assert options.dual_tolerance == DEFAULT_DUAL_TOLERANCE
-        assert options.warm_start
-        assert options.horizon_mode
+        assert kernel_module.DUAL_ITERATIONS == 150
+        assert kernel_module.POLISH_ROUNDS == 2
+        assert kernel_module.MAX_STRUCTURES == 4
+        kernel = bind_kernel(make_context(1, 51))
+        assert kernel._dual_tolerance == DEFAULT_DUAL_TOLERANCE
+        assert kernel.adaptive
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            KernelOptions(dual_iterations=0)
-        with pytest.raises(ValueError):
-            KernelOptions(dual_tolerance=-1.0)
-        with pytest.raises(ValueError):
-            KernelOptions(primal_check_every=0)
-        with pytest.raises(ValueError):
-            KernelOptions(polish_rounds=-1)
+            bind_kernel(make_context(1, 51), dual_tolerance=-1.0)
 
     def test_replay_tolerance_disables_warm_start(self):
         # dual_tolerance=0 promises the fixed schedule from zero multipliers,
         # which a warm multiplier seed (or a KKT shortcut) would break.
-        options = KernelOptions(dual_tolerance=0.0)
-        assert options.warm_start is False
-        assert options.horizon_mode is False
+        assert bind_kernel(make_context(1, 51), dual_tolerance=0.0).adaptive is False
 
 
 class TestEvaluatorSelection:
@@ -102,7 +91,7 @@ class TestEvaluatorSelection:
         context = make_context(1, 51)
         kernel = bind_kernel(context)
         assert isinstance(kernel, SlotKernel)
-        assert kernel._options.dual_tolerance == DEFAULT_DUAL_TOLERANCE
+        assert kernel._dual_tolerance == DEFAULT_DUAL_TOLERANCE
 
 
 class TestPerSlotSolverConstruction:
