@@ -392,7 +392,9 @@ class ProtocolLane(SlotLane):
             if confirmed:
                 stats.delivered += 1
                 stats.messages += protocol.messages
-            elif protocol.all_generated:
+            elif protocol.confirm_time is None and protocol.all_generated:
+                # A confirmed request a blind fault voided is interrupted,
+                # not late.
                 stats.deadline_misses += 1
         if self.engine is None:
             return (), (), ()

@@ -124,6 +124,19 @@ class TestLatencyEffects:
         for ra, rb in zip(baseline.records, delayed.records):
             assert ra.num_served == rb.num_served
 
+    def test_blind_fault_interruption_is_not_a_deadline_miss(self):
+        # At zero latency every confirmation lands in time, so a request a
+        # blind fault voids after it confirmed is interrupted, never late.
+        record = (
+            api.Scenario.tiny()
+            .with_backend("event")
+            .with_faults(edge_mtbf=20.0, mttr=3.0, aware=False)
+            .with_trials(1)
+            .run()
+        )
+        assert record.stats("faults")["requests_interrupted"] > 0
+        assert record.stats("eventsim")["deadline_misses"] == 0
+
     def test_guard_time_recovers_latency_losses(self, small_setup):
         graph, trace = small_setup
         baseline = SlottedSimulator(graph=graph, trace=trace, total_budget=60.0).run(
