@@ -142,6 +142,14 @@ SLOT_PIN_CASES = {
     "event-cutoff": lambda: api.Scenario.tiny()
     .with_backend("event", latency=0.004)
     .with_physical(memory_time=0.5, **_CHAIN_STAGES),
+    # One- to three-hop routes: swap messages, heralds past the deadline and
+    # latency misses, with one edge slower than the rest.
+    "event-multihop": lambda: api.Scenario.tiny()
+    .with_topology(num_nodes=12)
+    .with_workload(horizon=30)
+    .with_policies("shortest-uniform")
+    .with_backend("event", latency=0.05, edge_latencies={"2|7": 0.2})
+    .with_physical(memory_time=1.0),
     "slotted-purify-swap": lambda: api.Scenario.tiny().with_physical(
         memory_time=1.0, **_CHAIN_STAGES
     ),
