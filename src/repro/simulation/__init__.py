@@ -1,12 +1,11 @@
-"""Simulators: a discrete-event engine, the batched link layer, the
-per-slot pipeline every slot-driven simulator shares, the slot-based network
-simulator that drives every experiment in the paper, the physical delivery
-chain (swap/purify/decohere with delivered-fidelity accounting) both
-backends run, and the event-driven backend that adds classical-signaling
-latency on top of the same record schema."""
+"""Simulators: the batched link layer, the per-slot pipeline every
+slot-driven simulator shares, the slot-based network simulator that drives
+every experiment in the paper, the physical delivery chain
+(swap/purify/decohere with delivered-fidelity accounting) both backends
+run, and the event backend that times the classical signalling of each
+slot in closed form on top of the same record schema."""
 
 from repro.simulation.clock import SlotClock
-from repro.simulation.events import Event, EventLoop, EventQueue, Timer
 from repro.simulation.link_layer import LinkLayerSimulator, RouteRealization
 from repro.simulation.physical import (
     PhysicalEngine,
@@ -25,18 +24,12 @@ from repro.simulation.engine import (
 from repro.simulation.eventsim import (
     EventDrivenSimulator,
     EventStats,
-    SlotBridge,
-    SwapProtocol,
     TimingModel,
     edge_latency_key,
 )
 
 __all__ = [
     "SlotClock",
-    "Event",
-    "EventLoop",
-    "EventQueue",
-    "Timer",
     "LinkLayerSimulator",
     "RouteRealization",
     "PhysicalEngine",
@@ -52,8 +45,6 @@ __all__ = [
     "simulate_policies",
     "EventDrivenSimulator",
     "EventStats",
-    "SlotBridge",
-    "SwapProtocol",
     "TimingModel",
     "edge_latency_key",
 ]

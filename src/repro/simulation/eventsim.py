@@ -1,13 +1,12 @@
-"""The event-driven co-simulation backend.
+"""The event backend: the classical signalling of a slot, in closed form.
 
 The slotted simulator (:mod:`repro.simulation.engine`) treats a slot as one
 atomic routing round: generation, heralding, swapping and delivery all
 complete instantly at the slot boundary.  This module is the second backend
-behind the same interface — a discrete-event simulation in which those steps
-take *time*:
+behind the same interface, in which those steps take *time*:
 
-* **Link generation processes** — each allocated edge attempts elementary
-  pair generation attempt by attempt (``ATTEMPT_DURATION_S`` per tick, all
+* **Link generation** — each allocated edge attempts elementary pair
+  generation attempt by attempt (``ATTEMPT_DURATION_S`` per tick, all
   channels in parallel), so a pair materialises at a concrete wall-clock
   instant within the slot instead of "at the slot".
 * **Heralding** — the endpoints of an edge only learn of a success after the
@@ -21,10 +20,15 @@ take *time*:
   their *actual* dwell time (generation to consumption by a swap) instead
   of the slotted backend's deterministic ``dwell_fraction`` of a slot, so
   decoherence and the memory-cutoff policy act on the timed fidelity.
-* **SlotBridge** — the routing policies are invoked, unmodified, at
+* **Slot deadline** — the routing policies are invoked, unmodified, at
   :class:`~repro.simulation.clock.SlotClock` boundaries; a request is served
   only if its end-to-end confirmation arrives by the slot deadline (attempt
   window plus ``guard_time``), so classical latency degrades throughput.
+
+**Closed-form times.**  No two requests share state and nothing outlives
+its slot's deadline, so no event queue is needed: every time is a sum or a
+max of earlier ones, computed route by route (:func:`route_timeline`), and
+every :class:`EventStats` counter is a count over those times.
 
 **Zero-latency equivalence.**  With ``signaling_latency_s = 0`` the backend
 reproduces the slotted backend's per-slot served counts *exactly*, and this
@@ -52,13 +56,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.network.graph import EdgeKey
-from repro.network.routes import Route
 from repro.simulation.clock import SlotClock
 from repro.simulation.engine import BACKEND_KINDS, SlottedSimulator
-from repro.simulation.events import Event, EventLoop
 from repro.simulation.pipeline import RouteItems, SlotLane
 from repro.telemetry.tracer import Tracer, maybe_span
 from repro.utils.validation import check_choice, check_non_negative
@@ -120,13 +122,16 @@ class TimingModel:
 class EventStats:
     """Protocol-level accounting of one event-driven run (all cumulative).
 
-    ``events`` is the event-loop total; ``messages`` counts the classical
+    ``events`` counts the generations, heralds, swap messages and multi-hop
+    confirmations that happened by their slot's deadline (on one hop the
+    herald is the confirmation); ``messages`` counts the classical
     messages (heralds, swap outcomes, confirmations) consumed by *delivered*
     requests, so ``messages / delivered`` is the mean herald round-trips per
     delivered pair the CLI health line reports.  ``deadline_misses`` counts
     requests whose links all materialised but whose end-to-end confirmation
     did not reach the end node by the slot deadline — the pure latency loss
-    relative to the slotted abstraction.  ``cutoff_expired_pairs`` counts
+    relative to the slotted abstraction (a confirmed request a blind fault
+    voids is interrupted, not late).  ``cutoff_expired_pairs`` counts
     stored pairs discarded because their *timed* fidelity fell below the
     memory cutoff by the moment a swap consumed them.
     """
@@ -173,235 +178,137 @@ def first_success_attempt(u: float, attempt_success: float, attempts: int) -> in
     return min(max(tick, 1), attempts)
 
 
-class SwapProtocol:
-    """Sequential entanglement swapping along one route, with messaging.
+class RouteTimeline(NamedTuple):
+    """One served route's signalling outcome in one slot.
+
+    ``confirmed_at`` is when the end node learnt of the end-to-end pair
+    (``None``: not by the slot deadline).  ``dwells`` holds, for a confirmed
+    route, the seconds each link's pair waited in memory: from its
+    generation to the swap that consumed it (``None`` otherwise).
+    """
+
+    confirmed_at: Optional[float]
+    dwells: Optional[List[float]]
+
+
+def route_timeline(
+    generated: Sequence[Optional[float]],
+    latencies: Sequence[float],
+    deadline: float,
+    stats: EventStats,
+) -> RouteTimeline:
+    """The signalling times of one served route in one slot.
 
     Nodes ``v_0 … v_h`` along the route; edge ``j`` connects ``v_j`` and
-    ``v_{j+1}`` with one-way classical latency ``L_j``.  A pair generated on
-    edge ``j`` at ``g_j`` is heralded to both endpoints at ``g_j + L_j``.
-    Swaps execute left to right: ``v_1`` fuses edges 0 and 1 once both
-    heralds arrive; each later swap node ``v_s`` waits for the upstream swap
-    outcome (sent over edge ``s−1``... travelling edge ``s−1``'s classical
-    channel) *and* its right-hand herald; the final outcome propagates over
-    the last edge to the end node, whose arrival time is the request's
-    confirmation.  At zero latency the confirmation time collapses to
-    ``max_j g_j``, which always lands inside the slot — the slotted model.
+    ``v_{j+1}`` with one-way classical latency ``L_j``, and its pair was
+    generated at ``g_j`` (``None``: the link failed this slot).  Then:
 
-    Each elementary pair dwells in memory from its generation ``g_j`` until
-    the swap that consumes it (``consumed[j]``); the physical engine
-    applies decoherence and the cutoff policy over these actual dwell
-    times (:meth:`dwells`).
+    * the herald of edge ``j`` reaches both endpoints at ``r_j = g_j + L_j``;
+    * swaps run left to right: ``v_1`` fuses edges 0 and 1 at
+      ``s_1 = max(r_0, r_1)``, and each later node ``v_k`` at
+      ``s_k = max(s_{k−1} + L_{k−1}, r_k)``, once the upstream swap's
+      outcome message and its right-hand herald have both arrived;
+    * the end node confirms at ``s_{h−1} + L_{h−1}``, or at ``r_0`` on one
+      hop, where the herald itself is the confirmation.
+
+    An event (a generation, a herald, a swap message or the confirmation)
+    happens when its inputs happened and its time is at or before
+    ``deadline``.  At zero latency the confirmation is ``max_j g_j``, which
+    always lands inside the slot: the slotted model.  The times are the
+    float sums an event loop would form (``g + L``, then ``s + L``; ``max``
+    is exact).  ``stats`` counts the events, pairs, heralds, swap messages,
+    confirmations and deadline misses.
     """
-
-    __slots__ = (
-        "route",
-        "latencies",
-        "stats",
-        "hops",
-        "generated",
-        "ready",
-        "consumed",
-        "segment_known",
-        "next_swap",
-        "confirm_time",
-        "messages",
-        "pending",
-    )
-
-    def __init__(self, route: Route, latencies: Sequence[float], stats: EventStats):
-        self.route = route
-        self.latencies = list(latencies)
-        self.stats = stats
-        self.hops = route.hops
-        self.generated: List[Optional[float]] = [None] * self.hops
-        self.ready: List[Optional[float]] = [None] * self.hops
-        self.consumed: List[Optional[float]] = [None] * self.hops
-        self.segment_known: Optional[float] = None
-        self.next_swap = 1
-        self.confirm_time: Optional[float] = None
-        self.messages = 0
-        self.pending: List[Event] = []
-
-    @property
-    def all_generated(self) -> bool:
-        """Whether every edge of the route produced an elementary pair."""
-        return all(g is not None for g in self.generated)
-
-    def dwells(self) -> List[float]:
-        """Seconds each link's pair waited in memory, for a confirmed request:
-        from generation to the swap that consumed it (to the confirmation
-        for a link no swap consumed)."""
-        return [
-            (self.confirm_time if consumed is None else consumed) - generated
-            for generated, consumed in zip(self.generated, self.consumed)
-        ]
-
-    # ------------------------------------------------------------------ #
-    # Event handlers
-    # ------------------------------------------------------------------ #
-    def schedule_generation(self, loop: EventLoop, position: int, time: float) -> None:
-        """Schedule edge ``position``'s pair to materialise at ``time``."""
-        self.generated[position] = time
-        self.pending.append(
-            loop.schedule_at(time, name="generate", callback=self._make_generated(position))
-        )
-
-    def _make_generated(self, position: int):
-        def on_generated(loop: EventLoop, event: Event) -> None:
-            self.stats.pairs_generated += 1
-            # Herald the success to both endpoints after the one-way latency.
-            self.pending.append(
-                loop.schedule(
-                    self.latencies[position],
-                    name="herald",
-                    callback=self._make_herald(position),
-                )
-            )
-
-        return on_generated
-
-    def _make_herald(self, position: int):
-        def on_herald(loop: EventLoop, event: Event) -> None:
-            self.ready[position] = loop.now
-            self.stats.heralds += 1
-            self.messages += 1
-            self._advance(loop)
-
-        return on_herald
-
-    def _on_segment_message(self, loop: EventLoop, event: Event) -> None:
-        self.segment_known = loop.now
-        self.stats.swap_messages += 1
-        self.messages += 1
-        self._advance(loop)
-
-    def _on_confirm(self, loop: EventLoop, event: Event) -> None:
-        self.confirm_time = loop.now
-        self.stats.confirmations += 1
-        self.messages += 1
-
-    def _advance(self, loop: EventLoop) -> None:
-        if self.hops == 1:
-            # No swaps: the herald itself is the end-to-end confirmation.
-            if self.confirm_time is None and self.ready[0] is not None:
-                self.consumed[0] = loop.now
-                self.confirm_time = loop.now
-                self.stats.confirmations += 1
-            return
-        while self.next_swap <= self.hops - 1:
-            swap = self.next_swap
-            left_known = self.ready[0] if swap == 1 else self.segment_known
-            if left_known is None or self.ready[swap] is None:
-                return
-            # ``_advance`` runs from the event that completed the last
-            # precondition, so ``loop.now`` is exactly max(left, right).
-            if swap == 1:
-                self.consumed[0] = loop.now
-            self.consumed[swap] = loop.now
-            self.segment_known = None
-            self.next_swap = swap + 1
-            if swap == self.hops - 1:
-                self.pending.append(
-                    loop.schedule(self.latencies[swap], name="confirm", callback=self._on_confirm)
-                )
+    pairs = heralds = swap_messages = 0
+    ready: List[Optional[float]] = []
+    for time, latency in zip(generated, latencies):
+        herald = None
+        if time is not None and time <= deadline:
+            pairs += 1
+            herald = time + latency
+            if herald <= deadline:
+                heralds += 1
             else:
-                self.pending.append(
-                    loop.schedule(
-                        self.latencies[swap],
-                        name="swap-message",
-                        callback=self._on_segment_message,
-                    )
-                )
-
-    def cancel_pending(self, loop: EventLoop) -> int:
-        """Cancel events still pending past the slot deadline; returns count."""
-        cancelled = 0
-        for event in self.pending:
-            if loop.cancel(event):
-                cancelled += 1
-        self.pending.clear()
-        return cancelled
-
-
-@dataclass
-class SlotBridge:
-    """Aligns the event loop with :class:`SlotClock` boundaries.
-
-    The policies decide in the shared per-slot step exactly as on the
-    slotted backend; the event lane then advances the loop to the slot
-    boundary, schedules the slot's protocol events and steps the loop to the
-    slot deadline (attempt window + guard time), after which the slot is
-    finalised from what actually confirmed.
-    """
-
-    loop: EventLoop
-    clock: SlotClock
-
-    def open_slot(self, slot: int) -> float:
-        """Advance the loop to the slot boundary; returns the start time."""
-        start = self.clock.slot_start(slot)
-        self.loop.run_until(start)
-        return start
-
-    def close_slot(self, slot: int) -> float:
-        """Run the loop to the slot deadline; returns the deadline time."""
-        deadline = self.clock.slot_end(slot)
-        self.loop.run_until(deadline)
-        return deadline
+                herald = None
+        ready.append(herald)
+    # ``known``: when the next swap node learnt of its left segment (the
+    # first herald, then each upstream outcome message); past the last
+    # swap, when the end node learnt of the end-to-end pair.
+    known = ready[0]
+    consumed = [known]
+    hops = len(ready)
+    for k in range(1, hops):
+        if known is None or ready[k] is None:
+            known = None
+            break
+        swap = max(known, ready[k])
+        if k == 1:
+            consumed[0] = swap
+        consumed.append(swap)
+        known = swap + latencies[k]
+        if known > deadline:
+            known = None
+            break
+        if k < hops - 1:
+            swap_messages += 1
+    stats.pairs_generated += pairs
+    stats.heralds += heralds
+    stats.swap_messages += swap_messages
+    stats.events += pairs + heralds + swap_messages
+    if known is None:
+        if None not in generated:
+            stats.deadline_misses += 1
+        return RouteTimeline(None, None)
+    stats.confirmations += 1
+    if hops > 1:
+        stats.events += 1
+    return RouteTimeline(known, [end - start for end, start in zip(consumed, generated)])
 
 
 class ProtocolLane(SlotLane):
-    """The event backend's realise and physical steps, on one event timeline.
+    """The event backend's realise and physical steps.
 
-    The realise step opens the slot, launches the swap protocols of every
-    served route and runs the loop to the slot deadline; a request counts
-    as realised when its end-to-end confirmation arrived in time.  The
-    physical step does the confirmation accounting (after the pipeline's
-    blind fault interruption, so interrupted protocols count as voided) and
-    runs the physical engine over the confirmed requests' measured dwells.
+    The realise step times the swap protocols of every served route against
+    the slot deadline; a request counts as realised when its end-to-end
+    confirmation arrived in time.  The physical step does the delivery
+    accounting (after the pipeline's blind fault interruption, so
+    interrupted requests count as voided) and runs the physical engine over
+    the confirmed requests' measured dwells.
     """
 
-    __slots__ = ("simulator", "loop", "bridge", "stats")
+    __slots__ = ("simulator", "stats")
 
     def __init__(self, simulator: "EventDrivenSimulator", policy, streams, tracer):
         super().__init__(simulator.graph, policy, streams, simulator.physical, tracer)
         self.simulator = simulator
-        self.loop = EventLoop()
-        self.bridge = SlotBridge(loop=self.loop, clock=simulator.clock)
         self.stats = EventStats()
 
     def links(self, t: int, items: RouteItems):
-        bridge = self.bridge
         with maybe_span(self.tracer, "event.protocols", slot=t):
-            slot_start = bridge.open_slot(t)
-            protocols = self.simulator._launch_protocols(
-                self.loop, items, slot_start, bridge.clock, self.realization_rng, self.stats
+            timelines = self.simulator._launch_protocols(
+                t, items, self.realization_rng, self.stats
             )
-            bridge.close_slot(t)
         # Confirmed ECs report the same realised fidelity constant as the
         # slotted fast mode.
         base = self.link_layer.base_fidelity
-        realized = [protocol.confirm_time is not None for protocol in protocols]
+        realized = [timeline.confirmed_at is not None for timeline in timelines]
         fidelities = [base if confirmed else 0.0 for confirmed in realized]
-        return realized, fidelities, protocols
+        return realized, fidelities, timelines
 
-    def chain(self, t: int, items: RouteItems, realized, num_unserved: int, protocols):
+    def chain(self, t: int, items: RouteItems, realized, num_unserved: int, timelines):
         stats = self.stats
-        for protocol, confirmed in zip(protocols, realized):
-            protocol.cancel_pending(self.loop)
+        for (route, _), confirmed in zip(items, realized):
             if confirmed:
+                # A delivery used h heralds, h − 2 swap messages and the
+                # confirmation (on one hop the herald is the confirmation).
                 stats.delivered += 1
-                stats.messages += protocol.messages
-            elif protocol.confirm_time is None and protocol.all_generated:
-                # A confirmed request a blind fault voided is interrupted,
-                # not late.
-                stats.deadline_misses += 1
+                stats.messages += 2 * route.hops - 1
         if self.engine is None:
             return (), (), ()
-        # An interrupted protocol counts as unconfirmed, as ``realized`` says.
+        # An interrupted request counts as unconfirmed, as ``realized`` says.
         dwells = [
-            protocol.dwells() if confirmed else None
-            for protocol, confirmed in zip(protocols, realized)
+            timeline.dwells if confirmed else None
+            for timeline, confirmed in zip(timelines, realized)
         ]
         with maybe_span(self.tracer, "physical.chain", slot=t):
             outcome = self.engine.realize_decision(
@@ -412,7 +319,6 @@ class ProtocolLane(SlotLane):
 
     def diagnostics(self) -> Dict[str, object]:
         diagnostics = super().diagnostics()
-        self.stats.events = self.loop.events_processed
         self.stats.slots = len(self.records)
         diagnostics["eventsim"] = self.stats.to_dict()
         return diagnostics
@@ -420,10 +326,10 @@ class ProtocolLane(SlotLane):
 
 @dataclass
 class EventDrivenSimulator(SlottedSimulator):
-    """Runs one policy over one frozen workload trace, event by event.
+    """Runs one policy over one frozen workload trace with timed signalling.
 
-    A :class:`~repro.simulation.engine.SlottedSimulator` whose lanes realise
-    each slot on an event timeline (:class:`ProtocolLane`): same
+    A :class:`~repro.simulation.engine.SlottedSimulator` whose lanes time
+    each slot's signalling against its deadline (:class:`ProtocolLane`): same
     constructor, same ``run(policy, seed, on_slot)`` entry point, same
     :class:`SlotRecord` / :class:`SimulationResult` schema.  ``timing``
     configures classical signaling latency (see :class:`TimingModel`) and
@@ -442,19 +348,14 @@ class EventDrivenSimulator(SlottedSimulator):
     def _lane(self, policy, streams, tracer: Optional[Tracer]) -> SlotLane:
         return ProtocolLane(self, policy, streams, tracer)
 
-    # ------------------------------------------------------------------ #
-    # Protocol scheduling
-    # ------------------------------------------------------------------ #
     def _launch_protocols(
         self,
-        loop: EventLoop,
-        items: Sequence[Tuple[Route, Mapping[EdgeKey, int]]],
-        slot_start: float,
-        clock: SlotClock,
+        t: int,
+        items: RouteItems,
         realization_rng,
         stats: EventStats,
-    ) -> List[SwapProtocol]:
-        """Sample the slot's link outcomes and schedule the protocol events.
+    ) -> List[RouteTimeline]:
+        """Sample slot ``t``'s link outcomes and time every served route.
 
         The thresholds are assembled in exactly the flat edge order of
         :meth:`LinkLayerSimulator.realize_routes` and realised with one
@@ -462,8 +363,11 @@ class EventDrivenSimulator(SlottedSimulator):
         consumption, hence bit-identical success indicators.  Each uniform
         additionally yields the first successful attempt tick (see
         :func:`first_success_attempt`), giving every generated pair its
-        wall-clock generation time.
+        wall-clock generation time; :func:`route_timeline` then times each
+        route's protocol against the slot deadline.
         """
+        graph = self.graph
+        clock = self.clock
         flat: List[Tuple[int, int, EdgeKey, int]] = []
         thresholds: List[float] = []
         for index, (route, allocation) in enumerate(items):
@@ -471,25 +375,23 @@ class EventDrivenSimulator(SlottedSimulator):
                 channels = int(allocation.get(key, 0))
                 if channels > 0:
                     flat.append((index, position, key, channels))
-                    thresholds.append(self.graph.link_success(key, channels))
+                    thresholds.append(graph.link_success(key, channels))
         # Matches sample_successes(thresholds, rng): one Generator.random(n)
         # call — but we keep the uniforms, which double as generation times.
         uniforms = realization_rng.random(len(thresholds)) if thresholds else []
 
-        protocols = [
-            SwapProtocol(
-                route,
-                [self.timing.latency_of(key) for key in route.edges],
-                stats,
-            )
-            for route, _ in items
-        ]
+        generated: List[List[Optional[float]]] = [[None] * route.hops for route, _ in items]
+        slot_start = clock.slot_start(t)
         for entry, u, threshold in zip(flat, uniforms, thresholds):
             index, position, key, channels = entry
             if not u < threshold:
                 continue
-            per_tick = 1.0 - (1.0 - self.graph.attempt_success(key)) ** channels
+            per_tick = 1.0 - (1.0 - graph.attempt_success(key)) ** channels
             tick = first_success_attempt(float(u), per_tick, clock.attempts_per_slot)
-            generated = slot_start + tick * clock.attempt_duration
-            protocols[index].schedule_generation(loop, position, generated)
-        return protocols
+            generated[index][position] = slot_start + tick * clock.attempt_duration
+        deadline = clock.slot_end(t)
+        latency_of = self.timing.latency_of
+        return [
+            route_timeline(times, [latency_of(key) for key in route.edges], deadline, stats)
+            for times, (route, _) in zip(generated, items)
+        ]

@@ -4,9 +4,10 @@ The routing layer reasons with the analytic probability
 ``P(r, N) = Π_e [1 − (1 − p_e)^{n_e}]``; this module *realises* those
 probabilities with one Bernoulli draw per allocated edge, batched per slot,
 and checks them by Monte Carlo (:meth:`LinkLayerSimulator.empirical_route_success`).
-What happens in time on a link — attempts, heralds, swaps and memory
-decay — is modelled by the event backend (:mod:`repro.simulation.eventsim`)
-and the physical layer (:mod:`repro.simulation.physical`).
+The event backend (:mod:`repro.simulation.eventsim`) times the same draw
+in closed form: when each pair appears, is heralded and is swapped.  The
+physical layer (:mod:`repro.simulation.physical`) decays the pairs over
+those times.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ Two strategies plug into the fixed skeleton:
 
 * the **backend** supplies the realise and physical steps as a
   :class:`SlotLane` — the slotted backend's batched link draw here, the
-  event backend's swap protocols in :mod:`repro.simulation.eventsim`;
+  event backend's closed-form signalling times (the same draw, timed
+  against the slot deadline) in :mod:`repro.simulation.eventsim`;
 * the **driver** supplies the request source — the frozen workload trace of
   :class:`~repro.simulation.engine.SlottedSimulator`, or the tenants'
   request processes of :class:`~repro.core.multiuser.MultiUserSimulator`,

@@ -9,6 +9,8 @@ start missing their slot deadline.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.analysis.stats import merge_stat_mappings
@@ -17,12 +19,16 @@ from repro.core.baselines import MyopicFixedPolicy
 from repro.core.oscar import OscarPolicy
 from repro.experiments import fig3_time_evolving, fig5_budget, fig10_timing
 from repro.experiments.config import ExperimentConfig
+from repro.network.routes import Route
 from repro.simulation.engine import SlottedSimulator, build_simulator
 from repro.simulation.eventsim import (
     EventDrivenSimulator,
+    EventStats,
+    ProtocolLane,
     TimingModel,
     edge_latency_key,
     first_success_attempt,
+    route_timeline,
 )
 from repro.workload.requests import UniformRequestProcess
 from repro.workload.traces import generate_trace
@@ -195,6 +201,111 @@ class TestFirstSuccessAttempt:
 
     def test_tiny_uniform_is_first_attempt(self):
         assert first_success_attempt(1e-12, 0.5, 4000) == 1
+
+
+def timed(generated, latencies, deadline=1.0):
+    """``route_timeline`` on fresh counters: the timeline and the counters."""
+    stats = EventStats()
+    return route_timeline(generated, latencies, deadline, stats), stats.to_dict()
+
+
+def counters(**nonzero):
+    """An ``EventStats`` mapping whose counters are zero except ``nonzero``."""
+    return {**EventStats().to_dict(), **nonzero}
+
+
+def delivery_lane(setup):
+    """An event lane with the physical layer off, to run its delivery step."""
+    graph, trace = setup
+    simulator = EventDrivenSimulator(graph=graph, trace=trace, total_budget=60.0)
+    return ProtocolLane(simulator, None, (None, None, None), None)
+
+
+class TestRouteTimeline:
+    def test_three_hop_times_dwells_and_counters(self, small_setup):
+        # Dyadic times keep every sum exact.  Heralds r = (0.1875, 0.5, 0.5);
+        # v_1 swaps at max(r_0, r_1) = 0.5; its outcome reaches v_2 at 0.625,
+        # so v_2 swaps at max(0.625, r_2) = 0.625; the end node confirms at
+        # 0.625 + 0.25.
+        lane = delivery_lane(small_setup)
+        timeline = route_timeline([0.125, 0.375, 0.25], [0.0625, 0.125, 0.25], 1.0, lane.stats)
+        assert timeline.confirmed_at == 0.875
+        assert timeline.dwells == [0.5 - 0.125, 0.5 - 0.375, 0.625 - 0.25]
+        lane.chain(0, [(Route.from_nodes([0, 1, 2, 3]), {})], [True], 0, [timeline])
+        # 3 generations, 3 heralds, 1 swap message and the confirmation.
+        assert lane.stats.to_dict() == counters(
+            events=8,
+            pairs_generated=3,
+            heralds=3,
+            swap_messages=1,
+            confirmations=1,
+            delivered=1,
+            messages=5,
+        )
+
+    @pytest.mark.parametrize(
+        "generated,latencies,events",
+        [
+            ([0.75], [0.0], 2),  # the generation and its herald
+            ([0.25], [0.5], 2),  # the herald, which confirms one hop
+            ([0.25, 0.25], [0.25, 0.25], 5),  # the confirmation message
+        ],
+    )
+    def test_event_exactly_at_the_deadline_happens(self, generated, latencies, events):
+        timeline, stats = timed(generated, latencies, deadline=0.75)
+        assert timeline.confirmed_at == 0.75
+        hops = len(generated)
+        assert stats == counters(
+            events=events, pairs_generated=hops, heralds=hops, confirmations=1
+        )
+
+    def test_herald_after_the_deadline_does_not_happen(self):
+        # r_1 = 0.75 is late, so v_1 never swaps.
+        timeline, stats = timed([0.25, 0.25], [0.25, 0.5], deadline=0.625)
+        assert timeline == (None, None)
+        assert stats == counters(events=3, pairs_generated=2, heralds=1, deadline_misses=1)
+
+    def test_swap_message_after_the_deadline_does_not_happen(self):
+        # v_1 swaps at 0.75, but its outcome would reach v_2 only at 1.25.
+        timeline, stats = timed([0.25, 0.25, 0.25], [0.25, 0.5, 0.0], deadline=1.0)
+        assert timeline == (None, None)
+        assert stats == counters(events=6, pairs_generated=3, heralds=3, deadline_misses=1)
+
+    def test_one_hop_confirms_at_its_herald(self, small_setup):
+        lane = delivery_lane(small_setup)
+        timeline = route_timeline([0.25], [0.125], 1.0, lane.stats)
+        assert timeline.confirmed_at == 0.375
+        assert timeline.dwells == [0.125]
+        lane.chain(0, [(Route.from_nodes([0, 1]), {})], [True], 0, [timeline])
+        # No confirmation event and no message beyond the herald.
+        assert lane.stats.to_dict() == counters(
+            events=2, pairs_generated=1, heralds=1, confirmations=1, delivered=1, messages=1
+        )
+
+    def test_failed_link_is_not_a_deadline_miss(self):
+        timeline, stats = timed([0.25, None, 0.5], [0.0, 0.0, 0.0])
+        assert timeline == (None, None)
+        assert stats == counters(events=4, pairs_generated=2, heralds=2)
+
+    @given(
+        generated=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_latency_only_delays_the_zero_latency_confirmation(self, generated, data):
+        hops = len(generated)
+        zero, _ = timed(generated, [0.0] * hops)
+        assert zero.confirmed_at == max(generated)
+        latencies = data.draw(st.lists(st.floats(0.0, 0.5), min_size=hops, max_size=hops))
+        raised = list(latencies)
+        raised[data.draw(st.integers(0, hops - 1))] += data.draw(
+            st.floats(0.0, 0.5, exclude_min=True)
+        )
+        before, _ = timed(generated, latencies)
+        after, _ = timed(generated, raised)
+        if after.confirmed_at is not None:
+            assert before.confirmed_at is not None
+            assert before.confirmed_at <= after.confirmed_at
 
 
 class TestPhysicalLayerOnEventBackend:
