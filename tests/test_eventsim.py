@@ -8,6 +8,7 @@ start missing their slot deadline.
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +26,13 @@ from repro.simulation.eventsim import (
     EventDrivenSimulator,
     EventStats,
     ProtocolLane,
+    RouteTimeline,
     TimingModel,
     edge_latency_key,
     first_success_attempt,
     route_timeline,
 )
+from repro.simulation.link_layer import LinkLayerSimulator
 from repro.workload.requests import UniformRequestProcess
 from repro.workload.traces import generate_trace
 
@@ -202,6 +205,24 @@ class TestFirstSuccessAttempt:
     def test_tiny_uniform_is_first_attempt(self):
         assert first_success_attempt(1e-12, 0.5, 4000) == 1
 
+    @pytest.mark.parametrize(
+        "u,attempts,tick",
+        [(0.25, 10, 1), (0.6, 10, 2), (0.8, 10, 3), (0.99, 10, 7), (0.99, 5, 5)],
+    )
+    def test_truncated_geometric_quantile(self, u, attempts, tick):
+        # With q = 1/2, tick k takes the uniforms in (1 − 2^(1−k), 1 − 2^−k],
+        # and ticks past the window land on its last attempt.
+        assert first_success_attempt(u, 0.5, attempts) == tick
+
+    @given(
+        u=st.floats(0.0, 1.0, exclude_max=True),
+        attempt_success=st.floats(1e-9, 1.0),
+        attempts=st.integers(1, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tick_lies_in_the_attempt_window(self, u, attempt_success, attempts):
+        assert 1 <= first_success_attempt(u, attempt_success, attempts) <= attempts
+
 
 def timed(generated, latencies, deadline=1.0):
     """``route_timeline`` on fresh counters: the timeline and the counters."""
@@ -306,6 +327,154 @@ class TestRouteTimeline:
         if after.confirmed_at is not None:
             assert before.confirmed_at is not None
             assert before.confirmed_at <= after.confirmed_at
+
+    def test_later_swap_waits_for_its_right_herald(self):
+        # v_1 swaps at 0.25 and its outcome reaches v_2 at 0.375, but v_2's
+        # right-hand herald only arrives at r_2 = 0.625.
+        timeline, stats = timed([0.125, 0.125, 0.5], [0.125, 0.125, 0.125])
+        assert timeline.confirmed_at == 0.75
+        assert timeline.dwells == [0.125, 0.125, 0.125]
+        assert stats == counters(
+            events=8, pairs_generated=3, heralds=3, swap_messages=1, confirmations=1
+        )
+
+    def test_four_hop_swaps_run_left_to_right(self):
+        # Heralds r = (0.0625, 0.3125, 0.1875, 0.0625); the swaps fire at
+        # 0.3125, 0.375 and 0.4375, each one latency after the one to its
+        # left, so the rightmost pair, though generated first, waits longest.
+        timeline, stats = timed([0.0, 0.25, 0.125, 0.0], [0.0625] * 4)
+        assert timeline.confirmed_at == 0.5
+        assert timeline.dwells == [0.3125, 0.0625, 0.25, 0.4375]
+        assert stats == counters(
+            events=11, pairs_generated=4, heralds=4, swap_messages=2, confirmations=1
+        )
+
+    def test_one_hop_late_herald_is_a_deadline_miss(self):
+        timeline, stats = timed([0.5], [0.75])
+        assert timeline == (None, None)
+        assert stats == counters(events=1, pairs_generated=1, deadline_misses=1)
+
+    @pytest.mark.parametrize("failed", [0, 1, 2])
+    def test_failed_link_anywhere_excuses_late_heralds(self, failed):
+        # Every herald is late, yet a route with a failed link is no miss.
+        generated = [0.25, 0.25, 0.25]
+        generated[failed] = None
+        timeline, stats = timed(generated, [1.0, 1.0, 1.0])
+        assert timeline == (None, None)
+        assert stats == counters(events=2, pairs_generated=2)
+
+    def test_counters_accumulate_over_routes(self):
+        stats = EventStats()
+        route_timeline([0.25], [0.125], 1.0, stats)
+        route_timeline([0.25, 0.25], [1.0, 1.0], 1.0, stats)
+        assert stats.to_dict() == counters(
+            events=4, pairs_generated=3, heralds=1, confirmations=1, deadline_misses=1
+        )
+
+    @given(
+        generated=st.lists(st.one_of(st.none(), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_counters_agree_with_the_timeline(self, generated, data):
+        hops = len(generated)
+        latencies = data.draw(st.lists(st.floats(0.0, 0.5), min_size=hops, max_size=hops))
+        deadline = data.draw(st.floats(0.0, 1.5))
+        timeline, stats = timed(generated, latencies, deadline)
+        assert stats["heralds"] <= stats["pairs_generated"] <= hops
+        assert stats["swap_messages"] <= max(hops - 2, 0)
+        confirmation_event = stats["confirmations"] if hops > 1 else 0
+        assert stats["events"] == (
+            stats["pairs_generated"] + stats["heralds"] + stats["swap_messages"] + confirmation_event
+        )
+        unconfirmed = timeline.confirmed_at is None
+        assert stats["confirmations"] == (not unconfirmed)
+        assert stats["deadline_misses"] == (unconfirmed and None not in generated)
+        if not unconfirmed:
+            assert stats["heralds"] == hops
+            assert max(generated) <= timeline.confirmed_at <= deadline
+            assert len(timeline.dwells) == hops
+            assert min(timeline.dwells) >= 0.0
+
+    @given(generated=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_latency_swaps_consume_at_the_latest_generation_so_far(self, generated):
+        # The first swap consumes edges 0 and 1; the swap at v_k consumes
+        # edge k once every pair up to it exists.
+        timeline, _ = timed(generated, [0.0] * len(generated))
+        consumed = [max(generated[: max(j, 1) + 1]) for j in range(len(generated))]
+        assert timeline.dwells == [end - start for end, start in zip(consumed, generated)]
+
+
+class TestEventStats:
+    def test_mean_round_trips_without_deliveries_is_zero(self):
+        assert EventStats().mean_round_trips() == 0.0
+
+    def test_mean_round_trips_is_messages_per_delivery(self):
+        assert EventStats(delivered=2, messages=8).mean_round_trips() == 4.0
+
+    @pytest.mark.parametrize("hops", [2, 4])
+    def test_delivery_counts_the_messages_of_confirmed_routes(self, small_setup, hops):
+        lane = delivery_lane(small_setup)
+        items = [(Route.from_nodes(range(hops + 1)), {}), (Route.from_nodes([0, 1]), {})]
+        timelines = [RouteTimeline(1.0, [0.0] * hops), RouteTimeline(None, None)]
+        lane.chain(0, items, [True, False], 0, timelines)
+        # h heralds, h − 2 swap messages and the confirmation; the
+        # unconfirmed route costs nothing.
+        assert lane.stats.to_dict() == counters(delivered=1, messages=2 * hops - 1)
+
+
+def served_items(channels):
+    """Three served routes on the five-node line, ``channels`` on every edge."""
+    routes = [Route.from_nodes([0, 1, 2]), Route.from_nodes([1, 2, 3, 4]), Route.from_nodes([3, 4])]
+    return [(route, {key: channels for key in route.edges}) for route in routes]
+
+
+class TestLaunchProtocols:
+    def test_one_draw_matches_the_link_layer(self, small_setup):
+        graph, trace = small_setup
+        simulator = EventDrivenSimulator(graph=graph, trace=trace, total_budget=60.0)
+        layer = LinkLayerSimulator(graph)
+        timed_rng, slotted_rng = np.random.default_rng(7), np.random.default_rng(7)
+        outcomes = []
+        for t in range(8):
+            timelines = simulator._launch_protocols(t, served_items(1), timed_rng, EventStats())
+            realizations = layer.realize_routes(served_items(1), seed=slotted_rng)
+            confirmed = [timeline.confirmed_at is not None for timeline in timelines]
+            assert confirmed == [realization.succeeded for realization in realizations]
+            outcomes += confirmed
+        # Both outcomes occur, and both streams stand at the same position.
+        assert set(outcomes) == {True, False}
+        assert timed_rng.random() == slotted_rng.random()
+
+    def test_one_hop_confirms_at_the_tick_of_its_uniform(self, small_setup):
+        graph, trace = small_setup
+        simulator = EventDrivenSimulator(graph=graph, trace=trace, total_budget=60.0)
+        clock = simulator.clock
+        route = Route.from_nodes([3, 4])
+        (key,) = route.edges
+        # All eight channels attempt in parallel each tick.
+        per_tick = 1.0 - (1.0 - graph.attempt_success(key)) ** 8
+        rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+        for t in range(4):
+            (timeline,) = simulator._launch_protocols(t, [(route, {key: 8})], rng, EventStats())
+            (u,) = reference.random(1)
+            tick = first_success_attempt(u, per_tick, clock.attempts_per_slot)
+            assert timeline.confirmed_at == clock.slot_start(t) + tick * clock.attempt_duration
+
+    def test_unallocated_edge_fails_its_route_without_a_draw(self, small_setup):
+        graph, trace = small_setup
+        simulator = EventDrivenSimulator(graph=graph, trace=trace, total_budget=60.0)
+        route = Route.from_nodes([0, 1, 2])
+        first, second = route.edges
+        rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+        stats = EventStats()
+        timelines = simulator._launch_protocols(0, [(route, {first: 8, second: 0})], rng, stats)
+        assert timelines == [(None, None)]
+        # One uniform, for the allocated edge; a failed link is no miss.
+        reference.random(1)
+        assert rng.random() == reference.random()
+        assert stats.to_dict() == counters(events=2, pairs_generated=1, heralds=1)
 
 
 class TestPhysicalLayerOnEventBackend:
