@@ -153,6 +153,15 @@ SLOT_PIN_CASES = {
     "slotted-purify-swap": lambda: api.Scenario.tiny().with_physical(
         memory_time=1.0, **_CHAIN_STAGES
     ),
+    # Slots with more requests than exhaustive search takes: Gibbs
+    # proposals reach the per-combination solve, beside batched slots.
+    "small-gibbs": lambda: api.Scenario.small()
+    .with_workload(horizon=20)
+    .with_physical(),
+    # The same Gibbs path in replay mode (the fixed schedule from zero).
+    "small-gibbs-replay": lambda: api.Scenario.small()
+    .with_workload(horizon=12)
+    .with_config(dual_tolerance=0.0),
 }
 
 #: Record fields a multi-user pin leaves out: the tenants' slot records
