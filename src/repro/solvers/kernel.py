@@ -10,12 +10,16 @@ The kernel is split into two layers:
 
 * :class:`CompiledStructure` — everything that depends only on the *static*
   topology: a global constraint-row registry over every node and edge of the
-  graph, per-route blocks of single-channel success probabilities ``p_e``
-  and their ``-log1p(-p_e)`` tables, and per-route-combination constraint
-  matrices (membership rows, first-touch constraint ordering, variable
-  bounds skeleton).  All of it is compiled lazily, memoised, and — crucially
-  — reusable across the drop-retry loop, consecutive slots and whole
-  horizons, because only right-hand sides change slot to slot.
+  graph, and, compiled on first use and memoised, one block per candidate
+  route and one structure per route combination.  A route block holds its
+  single-channel success probabilities ``p_e``, its hops' registry rows and
+  its own first-touch node and edge rows.  A combination concatenates its
+  blocks into ``p``, the first-touch constraint order and the local row
+  indices, with the loads at one channel per variable; its membership
+  matrix, transpose, row lists and ``-log1p(-p_e)`` tables are built only
+  when a solve reads them.  All of it is reusable across the drop-retry
+  loop, consecutive slots and whole horizons, because only right-hand
+  sides change slot to slot.
 * :class:`SlotKernel` — a thin per-slot *binding* of a structure: it rewrites
   the capacity/occupancy right-hand sides from the slot's resource snapshot,
   the cost weight ``q_t`` and the budget cap, and evaluates route
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,22 +147,32 @@ def structure_signature(graph: "QDNGraph") -> Tuple:
 
 
 class _RouteBlock:
-    """Compiled arrays of one candidate route (request-independent)."""
+    """Compiled arrays of one candidate route (request-independent).
 
-    __slots__ = ("index", "edge_keys", "p", "p_list", "row_triples", "hops")
+    ``rows`` holds each hop's node, node, edge and budget registry rows;
+    ``node_rows`` and ``edge_rows`` are the block's distinct node and edge
+    rows in first-touch order, the pieces a combination's row order is
+    concatenated from.
+    """
+
+    __slots__ = (
+        "index", "edge_keys", "p", "rows", "node_rows", "edge_rows", "fast_path", "hops",
+    )
 
     def __init__(
         self,
         index: int,
         edge_keys: List[Tuple[object, object]],
         p: np.ndarray,
-        row_triples: np.ndarray,
+        rows: np.ndarray,
     ) -> None:
         self.index = index
         self.edge_keys = edge_keys
         self.p = p
-        self.p_list = [float(v) for v in p]
-        self.row_triples = row_triples
+        self.rows = rows
+        self.node_rows = tuple(dict.fromkeys(rows[:, :2].ravel().tolist()))
+        self.edge_rows = tuple(dict.fromkeys(rows[:, 2].tolist()))
+        self.fast_path = not bool(np.any((p <= 0.0) | (p >= 1.0)))
         self.hops = len(edge_keys)
 
 
@@ -165,84 +180,132 @@ class _ComboStructure:
     """Static arrays of one route combination (request- and slot-independent).
 
     Everything here depends only on which routes were combined (and whether a
-    budget row is active) — membership matrices, the first-touch constraint
-    ordering, probability tables — so it is compiled once per
-    distinct route multiset and reused across slots and request sets.
+    budget row is active), so it is compiled once per distinct route
+    multiset and reused across slots and request sets.  Each route block is
+    compiled once; a combination concatenates its blocks' arrays into the
+    fields the batched ascent reads: ``p``, the first-touch row order
+    ``order_array``, the local row indices ``rows_local`` and the loads at
+    one channel per variable ``lower_loads``.  The membership matrix, its
+    transpose, the per-row and per-variable row lists, ``lower``, ``a``,
+    ``neg_log1p`` and ``p_list`` are built on first read, so a combination
+    that enumeration prunes before its integer stage never builds them.
     """
 
     __slots__ = (
         "n",
+        "m",
         "p",
-        "p_list",
-        "a",
-        "neg_log1p",
         "fast_path",
         "order_array",
-        "m",
         "rows_local",
-        "membership",
-        "membership_t",
-        "var_rows",
-        "row_members",
-        "lower",
         "lower_loads",
-        "block_hops",
+        "_membership",
+        "_membership_t",
+        "_row_members",
+        "_var_rows",
+        "_lower",
+        "_a",
+        "_neg_log1p",
+        "_p_list",
     )
 
     def __init__(
-        self, blocks: Sequence[_RouteBlock], budget_row: Optional[int]
+        self, blocks: Sequence[_RouteBlock], budget_row: Optional[int], num_rows: int
     ) -> None:
-        n = sum(block.hops for block in blocks)
-        self.n = n
-        self.block_hops = [block.hops for block in blocks]
+        self.n = sum(block.hops for block in blocks)
         self.p = np.concatenate([block.p for block in blocks])
-        self.p_list = [v for block in blocks for v in block.p_list]
-        triples = np.vstack([block.row_triples for block in blocks])
+        self.fast_path = all(block.fast_path for block in blocks)
 
         # Active constraints: nodes by first touch, then edges, then the
-        # budget.  The repair pass visits rows in this order.
-        seen_nodes: Dict[int, None] = {}
-        seen_edges: Dict[int, None] = {}
-        for u_row, v_row, e_row in triples.tolist():
-            if u_row not in seen_nodes:
-                seen_nodes[u_row] = None
-            if v_row not in seen_nodes:
-                seen_nodes[v_row] = None
-            if e_row not in seen_edges:
-                seen_edges[e_row] = None
-        order: List[int] = list(seen_nodes) + list(seen_edges)
+        # budget.  The repair pass visits rows in this order.  A row is first
+        # touched in the first block that holds it, so de-duplicating the
+        # blocks' own first-touch sequences in block order gives the order.
+        order = list(dict.fromkeys(chain.from_iterable(b.node_rows for b in blocks)))
+        order.extend(dict.fromkeys(chain.from_iterable(b.edge_rows for b in blocks)))
+        width = 3
         if budget_row is not None:
             order.append(budget_row)
+            width = 4
         self.order_array = np.asarray(order, dtype=np.intp)
         m = len(order)
         self.m = m
 
-        local: Dict[int, int] = {row: i for i, row in enumerate(order)}
-        rows_local = np.asarray(
-            [local[int(row)] for row in triples.ravel()], dtype=np.intp
-        ).reshape(triples.shape)
-        if budget_row is not None:
-            rows_local = np.hstack(
-                [rows_local, np.full((n, 1), m - 1, dtype=np.intp)]
-            )
-        self.rows_local = rows_local
-        width = rows_local.shape[1]
+        local = np.empty(num_rows, dtype=np.intp)
+        local[self.order_array] = np.arange(m)
+        rows = np.concatenate([block.rows for block in blocks])
+        self.rows_local = local[rows[:, :width]]
+        self.lower_loads = np.bincount(self.rows_local.ravel(), minlength=m).astype(float)
 
-        membership = np.zeros((m, n), dtype=float)
-        membership[rows_local.ravel(), np.repeat(np.arange(n), width)] = 1.0
-        self.membership = membership
-        self.membership_t = membership.T.copy()
-        self.var_rows = [rows_local[i] for i in range(n)]
-        self.row_members = [np.nonzero(membership[r])[0] for r in range(m)]
+        self._membership: Optional[np.ndarray] = None
+        self._membership_t: Optional[np.ndarray] = None
+        self._row_members: Optional[List[np.ndarray]] = None
+        self._var_rows: Optional[List[np.ndarray]] = None
+        self._lower: Optional[np.ndarray] = None
+        self._a: Optional[np.ndarray] = None
+        self._neg_log1p: Optional[np.ndarray] = None
+        self._p_list: Optional[List[float]] = None
 
-        self.lower = np.ones(n, dtype=float)
-        self.lower_loads = membership.sum(axis=1)
+    @property
+    def membership(self) -> np.ndarray:
+        """``(m, n)`` 0/1 matrix: row ``r`` marks the variables constraint ``r`` holds."""
+        if self._membership is None:
+            n = self.n
+            membership = np.zeros((self.m, n), dtype=float)
+            width = self.rows_local.shape[1]
+            membership[self.rows_local.ravel(), np.repeat(np.arange(n), width)] = 1.0
+            self._membership = membership
+        return self._membership
 
-        p = self.p
-        degenerate = (p <= 0.0) | (p >= 1.0)
-        self.fast_path = not bool(np.any(degenerate))
-        self.a = -np.log1p(-np.clip(p, 0.0, 1.0 - 1e-15))
-        self.neg_log1p = np.log1p(-p)
+    @property
+    def membership_t(self) -> np.ndarray:
+        """A C-ordered copy of the transposed membership matrix."""
+        if self._membership_t is None:
+            self._membership_t = self.membership.T.copy()
+        return self._membership_t
+
+    @property
+    def row_members(self) -> List[np.ndarray]:
+        """The variables of each constraint row, ascending."""
+        if self._row_members is None:
+            membership = self.membership
+            self._row_members = [np.nonzero(membership[r])[0] for r in range(self.m)]
+        return self._row_members
+
+    @property
+    def var_rows(self) -> List[np.ndarray]:
+        """The constraint rows of each variable (views into ``rows_local``)."""
+        if self._var_rows is None:
+            rows_local = self.rows_local
+            self._var_rows = [rows_local[i] for i in range(self.n)]
+        return self._var_rows
+
+    @property
+    def lower(self) -> np.ndarray:
+        """Each variable's lower bound of one channel."""
+        if self._lower is None:
+            self._lower = np.ones(self.n, dtype=float)
+        return self._lower
+
+    @property
+    def a(self) -> np.ndarray:
+        """``-log(1 - p)`` per variable, with ``p`` clipped below one."""
+        if self._a is None:
+            self._a = -np.log1p(-np.clip(self.p, 0.0, 1.0 - 1e-15))
+        return self._a
+
+    @property
+    def neg_log1p(self) -> np.ndarray:
+        """``log(1 - p)`` per variable."""
+        if self._neg_log1p is None:
+            self._neg_log1p = np.log1p(-self.p)
+        return self._neg_log1p
+
+    @property
+    def p_list(self) -> List[float]:
+        """``p`` as Python floats, for the scalar integer objective."""
+        if self._p_list is None:
+            self._p_list = self.p.tolist()
+        return self._p_list
 
     def upper_bounds(self, capacities: np.ndarray) -> np.ndarray:
         """Each variable's bound when every other member of its rows holds 1.
@@ -363,20 +426,21 @@ class CompiledStructure:
         """The compiled block of one candidate route (memoised)."""
         block = self._route_blocks.get(route)
         if block is None:
-            successes: List[float] = []
-            triples: List[Tuple[int, int, int]] = []
-            edge_keys: List[Tuple[object, object]] = []
-            for key in route.edges:
-                edge_keys.append(key)
-                successes.append(self.edge_success[key])
-                triples.append(
-                    (self.node_row[key[0]], self.node_row[key[1]], self.edge_row[key])
+            edge_keys = list(route.edges)
+            rows = [
+                (
+                    self.node_row[key[0]],
+                    self.node_row[key[1]],
+                    self.edge_row[key],
+                    self.budget_row,
                 )
+                for key in edge_keys
+            ]
             block = _RouteBlock(
                 index=len(self._route_blocks),
                 edge_keys=edge_keys,
-                p=np.asarray(successes, dtype=float),
-                row_triples=np.asarray(triples, dtype=np.intp).reshape(-1, 3),
+                p=np.asarray([self.edge_success[key] for key in edge_keys], dtype=float),
+                rows=np.asarray(rows, dtype=np.intp).reshape(-1, 4),
             )
             self._route_blocks[route] = block
         return block
@@ -390,7 +454,9 @@ class CompiledStructure:
         if combo is not None:
             self._combos.move_to_end(key)
             return key, combo, True
-        combo = _ComboStructure(blocks, self.budget_row if use_budget else None)
+        combo = _ComboStructure(
+            blocks, self.budget_row if use_budget else None, self.num_rows
+        )
         self._combos[key] = combo
         while len(self._combos) > MAX_COMBOS:
             evicted, _ = self._combos.popitem(last=False)
@@ -638,13 +704,8 @@ class SlotKernel:
                 continue
             if combo_cached:
                 self.stats["combo_hits"] += 1
-            keys = [
-                (request, edge)
-                for request, block in zip(self._requests, blocks)
-                for edge in block.edge_keys
-            ]
             batch.append(
-                (key, combo_key, combo, memo_key, keys, capacities,
+                (key, combo_key, combo, memo_key, blocks, capacities,
                  np.maximum(raw_upper, 1.0))
             )
         if not batch:
@@ -682,7 +743,7 @@ class SlotKernel:
         caps_b = np.full((C, M + 1), BIG)
         row_mask = np.zeros((C, M + 1), dtype=bool)
         upper_b = np.ones((C, N))
-        for c, (key, combo_key, combo, memo_key, keys, capacities, upper) in enumerate(batch):
+        for c, (key, combo_key, combo, memo_key, blocks, capacities, upper) in enumerate(batch):
             n, m = combo.n, combo.m
             mask[c, :n] = True
             p_b[c, :n] = combo.p
@@ -834,7 +895,7 @@ class SlotKernel:
             if prune and float(best_dual[c]) < best_rounded:
                 self.stats["pruned"] += 1
                 continue
-            key, combo_key, combo, memo_key, keys, capacities, upper = batch[c]
+            key, combo_key, combo, memo_key, blocks, capacities, upper = batch[c]
             n, m = combo.n, combo.m
             x_c = best_x[c, :n].copy()
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -849,7 +910,8 @@ class SlotKernel:
                 structure.combo_warm[combo_key] = (final_mult, final_offset)
                 last_finished = c
             outcome = self._finalise(
-                combo, memo_key, keys, capacities, upper, x_c, int(used[c])
+                combo, memo_key, self._allocation_keys(blocks), capacities, upper,
+                x_c, int(used[c]),
             )
             self._cache[key] = outcome
             self.evaluations += 1
@@ -883,20 +945,10 @@ class SlotKernel:
         if combo_cached if precounted is None else precounted:
             self.stats["combo_hits"] += 1
         n = combo.n
-
-        keys: List[Tuple[object, Tuple[object, object]]] = []
-        for request, block in zip(self._requests, blocks):
-            for edge in block.edge_keys:
-                keys.append((request, edge))
-        p = combo.p
-
+        keys = self._allocation_keys(blocks)
         order_array = combo.order_array
         m = combo.m
-        rows_local = combo.rows_local
-        membership = combo.membership
-        membership_t = combo.membership_t
         capacities = self._capacities[order_array]
-        var_rows = combo.var_rows
 
         V = self._utility_weight
         q = self._cost_weight
@@ -914,28 +966,17 @@ class SlotKernel:
             return self._build_outcome(memo_key, keys, relaxed, rounded, store=False)
 
         lower = combo.lower
-        lower_loads = combo.lower_loads
         raw_upper = combo.upper_bounds(capacities)
         infeasible_bounds = bool(np.any(raw_upper < 1.0))
         upper = np.maximum(raw_upper, 1.0)
 
         tolerance = FEASIBILITY_TOLERANCE
 
-        fast_path = combo.fast_path
-        a = combo.a
-        va = V * a
-
         def objective_np(x: np.ndarray) -> float:
             return combo.objective(x, V, q)
 
-        def row_loads(x: np.ndarray) -> np.ndarray:
-            return membership @ x
-
-        def repair(x: np.ndarray) -> np.ndarray:
-            return combo.repair(x, capacities, upper)
-
         # ----- minimum-footprint infeasibility: reject the combination --- #
-        if infeasible_bounds or np.any(lower_loads > capacities + 1e-6):
+        if infeasible_bounds or np.any(combo.lower_loads > capacities + 1e-6):
             relaxed = ContinuousSolution(
                 values=tuple(1.0 for _ in range(n)),
                 objective=objective_np(lower),
@@ -948,6 +989,18 @@ class SlotKernel:
                 feasible=False,
             )
             return self._build_outcome(memo_key, keys, relaxed, rounded)
+
+        p = combo.p
+        rows_local = combo.rows_local
+        membership = combo.membership
+        membership_t = combo.membership_t
+        var_rows = combo.var_rows
+        fast_path = combo.fast_path
+        a = combo.a
+        va = V * a
+
+        def repair(x: np.ndarray) -> np.ndarray:
+            return combo.repair(x, capacities, upper)
 
         # ----- warm-started projected-subgradient dual ascent ------------ #
         step_scale = max(V, 1.0) / max(float(capacities.max()), 1.0)
@@ -980,14 +1033,14 @@ class SlotKernel:
 
         def polish(candidate: np.ndarray) -> np.ndarray:
             cyclic_coordinate_polish(
-                candidate, lower, upper, p, V, q, row_loads(candidate),
+                candidate, lower, upper, p, V, q, membership @ candidate,
                 capacities, var_rows, POLISH_ROUNDS,
             )
             return candidate
 
         x_unconstrained: Optional[np.ndarray] = None
 
-        def fast_polish(candidate: np.ndarray) -> np.ndarray:
+        def fast_polish(candidate: np.ndarray, loads: np.ndarray) -> np.ndarray:
             """One vectorised water-fill step towards the per-variable optimum.
 
             The adaptive loop's cheap in-loop polish: every variable moves
@@ -997,10 +1050,10 @@ class SlotKernel:
             can overflow (each variable's scale is bounded by every one of
             its rows' slack/increase ratios).  ~10 array ops instead of a
             per-variable Python loop, at a slightly looser (still feasible)
-            primal bound.
+            primal bound.  ``loads`` is ``membership @ candidate``.
             """
             target = x_unconstrained
-            slack = capacities - membership @ candidate
+            slack = capacities - loads
             headroom = slack[rows_local].min(axis=1)
             raise_by = np.clip(target - candidate, 0.0, np.maximum(headroom, 0.0))
             increase = membership @ raise_by
@@ -1082,7 +1135,8 @@ class SlotKernel:
                 for k in range(max_iterations):
                     prices = base_prices + membership_t @ mult
                     x = best_response(prices)
-                    violation = membership @ x - capacities
+                    loads = membership @ x
+                    violation = loads - capacities
                     dual_value = objective_np(x) - float(mult @ violation)
                     improved = dual_value < best_dual
                     if improved:
@@ -1094,9 +1148,17 @@ class SlotKernel:
                         # oscillating iterates.  The water-fill tightens the
                         # primal bound enough for the gap test; the winner
                         # gets the full polish after the loop.
-                        repaired = repair(x.copy())
-                        if combo.is_feasible(repaired, capacities, tolerance):
-                            candidate = fast_polish(repaired)
+                        candidate = None
+                        if not (violation > 1e-12).any():
+                            # The best response is clipped into the bounds,
+                            # so with no row over capacity the repair would
+                            # return it unchanged, and it is feasible.
+                            candidate = fast_polish(x.copy(), loads)
+                        else:
+                            repaired = repair(x.copy())
+                            if combo.is_feasible(repaired, capacities, tolerance):
+                                candidate = fast_polish(repaired, membership @ repaired)
+                        if candidate is not None:
                             objective = objective_np(candidate)
                             if objective > best_objective:
                                 best_objective = objective
@@ -1180,6 +1242,16 @@ class SlotKernel:
         return self._finalise(
             combo, memo_key, keys, capacities, upper, best_x, used
         )
+
+    def _allocation_keys(
+        self, blocks: Sequence[_RouteBlock]
+    ) -> List[Tuple[object, Tuple[object, object]]]:
+        """The ``(request, edge)`` key of each variable of a combination."""
+        return [
+            (request, edge)
+            for request, block in zip(self._requests, blocks)
+            for edge in block.edge_keys
+        ]
 
     # ------------------------------------------------------------------ #
     # Shared integer stage (down-round + surplus) of a relaxed solution

@@ -11,7 +11,10 @@ modes against each other and against the exact oracle:
   integer outcomes;
 * **replay mode** still reproduces the removed legacy object path, whose
   per-combination outcomes were recorded before its removal;
-* relax-and-round never beats the exact optimum (``repro.solvers.oracle``).
+* relax-and-round never beats the exact optimum (``repro.solvers.oracle``);
+* a combination compiled from its route blocks equals the eager,
+  all-fields compile (:func:`reference_combo_fields`) field for field, and
+  one that enumeration prunes builds none of its matrices.
 """
 
 from __future__ import annotations
@@ -286,3 +289,167 @@ class TestKernelEdgeCases:
         assignment = tuple(0 for _ in requests)
         selection = kernel.selection_for(assignment)
         assert selection == {r: candidates[i][0] for i, r in enumerate(requests)}
+
+
+def reference_combo_fields(blocks, budget_row) -> dict:
+    """Every field of a combination, compiled eagerly with Python row maps.
+
+    The kernel once built every combination this way.  It now concatenates
+    the blocks' arrays and builds the matrices on first read; this is the
+    reference that compile must equal, field for field and dtype for dtype.
+    """
+    n = sum(block.hops for block in blocks)
+    p = np.concatenate([block.p for block in blocks])
+    p_list = [float(v) for block in blocks for v in block.p]
+    triples = np.vstack([block.rows[:, :3] for block in blocks])
+
+    # Active constraints: nodes by first touch, then edges, then the budget.
+    seen_nodes = {}
+    seen_edges = {}
+    for u_row, v_row, e_row in triples.tolist():
+        if u_row not in seen_nodes:
+            seen_nodes[u_row] = None
+        if v_row not in seen_nodes:
+            seen_nodes[v_row] = None
+        if e_row not in seen_edges:
+            seen_edges[e_row] = None
+    order = list(seen_nodes) + list(seen_edges)
+    if budget_row is not None:
+        order.append(budget_row)
+    m = len(order)
+
+    local = {row: i for i, row in enumerate(order)}
+    rows_local = np.asarray(
+        [local[int(row)] for row in triples.ravel()], dtype=np.intp
+    ).reshape(triples.shape)
+    if budget_row is not None:
+        rows_local = np.hstack([rows_local, np.full((n, 1), m - 1, dtype=np.intp)])
+    width = rows_local.shape[1]
+
+    membership = np.zeros((m, n), dtype=float)
+    membership[rows_local.ravel(), np.repeat(np.arange(n), width)] = 1.0
+    degenerate = (p <= 0.0) | (p >= 1.0)
+    return {
+        "n": n,
+        "m": m,
+        "p": p,
+        "p_list": p_list,
+        "fast_path": not bool(np.any(degenerate)),
+        "order_array": np.asarray(order, dtype=np.intp),
+        "rows_local": rows_local,
+        "membership": membership,
+        "membership_t": membership.T.copy(),
+        "var_rows": [rows_local[i] for i in range(n)],
+        "row_members": [np.nonzero(membership[r])[0] for r in range(m)],
+        "lower": np.ones(n, dtype=float),
+        "lower_loads": membership.sum(axis=1),
+        "a": -np.log1p(-np.clip(p, 0.0, 1.0 - 1e-15)),
+        "neg_log1p": np.log1p(-p),
+    }
+
+
+#: The fields a combination builds on first read.
+LAZY_COMBO_FIELDS = (
+    "membership", "membership_t", "row_members", "var_rows",
+    "lower", "a", "neg_log1p", "p_list",
+)
+
+
+def assert_identical(actual, expected, name: str) -> None:
+    """Equal type, dtype, shape, strides and bits (element-wise for lists)."""
+    assert type(actual) is type(expected), name
+    if isinstance(expected, list):
+        assert len(actual) == len(expected), name
+        for index, (a, e) in enumerate(zip(actual, expected)):
+            assert_identical(a, e, f"{name}[{index}]")
+    elif isinstance(expected, np.ndarray):
+        assert actual.dtype == expected.dtype, name
+        assert actual.shape == expected.shape, name
+        assert actual.strides == expected.strides, name
+        assert actual.tobytes() == expected.tobytes(), name
+    else:
+        assert actual == expected, name
+
+
+def small_contexts(count: int = 3, min_requests: int = 3):
+    """The first ``count`` slots of a ``small`` trace with enough requests."""
+    config = ExperimentConfig.small()
+    graph = config.build_graph(seed=7)
+    trace = config.build_trace(graph, seed=8)
+    contexts = []
+    for t in range(trace.horizon):
+        slot = trace.slot(t)
+        if slot.num_requests >= min_requests:
+            contexts.append(SlotContext(
+                t=slot.t, graph=graph, snapshot=slot.snapshot,
+                requests=slot.requests,
+                candidate_routes={r: trace.routes_for(r) for r in slot.requests},
+            ))
+        if len(contexts) == count:
+            return contexts
+    raise AssertionError("not enough slots with enough requests in the sampled trace")
+
+
+def every_assignment(kernel):
+    return list(itertools.product(*[range(size) for size in kernel.sizes]))
+
+
+class TestComboCompile:
+    """The block-concatenating compile equals the eager reference exactly."""
+
+    @pytest.mark.parametrize("budget_cap", [None, 20.0], ids=["no-budget", "budget"])
+    def test_every_combination_matches_reference(self, budget_cap):
+        checked = 0
+        for context in small_contexts():
+            requests, _ = request_candidates(context)
+            # The first request twice: its combinations repeat a route block.
+            for bound in (requests, [requests[0]] + requests):
+                kernel = bind_kernel(
+                    context, 1.0, 0.0, budget_cap=budget_cap, requests=bound
+                )
+                structure = kernel._structure
+                budget_row = None if budget_cap is None else structure.budget_row
+                for assignment in every_assignment(kernel):
+                    blocks = [kernel._blocks[i][c] for i, c in enumerate(assignment)]
+                    _, combo, _ = structure.combo_for(blocks, budget_cap is not None)
+                    expected = reference_combo_fields(blocks, budget_row)
+                    assert set(expected) == {
+                        name.lstrip("_") for name in type(combo).__slots__
+                    }
+                    for name, value in expected.items():
+                        assert_identical(getattr(combo, name), value, name)
+                    checked += 1
+        assert checked > 100
+
+    def test_repeated_route_doubles_the_loads(self):
+        context = small_contexts(count=1)[0]
+        requests, _ = request_candidates(context)
+        kernel = bind_kernel(context, requests=requests[:1])
+        block = kernel._blocks[0][0]
+        _, once, _ = kernel._structure.combo_for([block], False)
+        _, twice, _ = kernel._structure.combo_for([block, block], False)
+        assert list(twice.order_array) == list(once.order_array)
+        assert list(twice.lower_loads) == list(2.0 * once.lower_loads)
+
+    def test_pruned_combinations_build_no_matrix(self):
+        for context in small_contexts():
+            kernel = bind_kernel(context, 2500.0, 10.0)
+            assignments = every_assignment(kernel)
+            kernel.best_of(assignments)
+            if kernel.stats["pruned"]:
+                break
+        else:
+            raise AssertionError("no sampled slot pruned a combination")
+        structure = kernel._structure
+        finished = {a for a in assignments if a in kernel._cache}
+        pruned = [a for a in assignments if a not in kernel._cache]
+        assert len(pruned) == kernel.stats["pruned"]
+
+        def combo_of(assignment):
+            key = (tuple(kernel._blocks[i][c].index for i, c in enumerate(assignment)), False)
+            return structure._combos[key]
+
+        for assignment in pruned:
+            combo = combo_of(assignment)
+            assert all(getattr(combo, "_" + name) is None for name in LAZY_COMBO_FIELDS)
+        assert any(combo_of(a)._membership is not None for a in finished)
