@@ -294,9 +294,8 @@ class TestKernelEdgeCases:
 def reference_combo_fields(blocks, budget_row) -> dict:
     """Every field of a combination, compiled eagerly with Python row maps.
 
-    The kernel once built every combination this way.  It now concatenates
-    the blocks' arrays and builds the matrices on first read; this is the
-    reference that compile must equal, field for field and dtype for dtype.
+    The reference the kernel's compile (block arrays concatenated, matrices
+    built on first read) must equal, field for field and dtype for dtype.
     """
     n = sum(block.hops for block in blocks)
     p = np.concatenate([block.p for block in blocks])
@@ -420,16 +419,6 @@ class TestComboCompile:
                         assert_identical(getattr(combo, name), value, name)
                     checked += 1
         assert checked > 100
-
-    def test_repeated_route_doubles_the_loads(self):
-        context = small_contexts(count=1)[0]
-        requests, _ = request_candidates(context)
-        kernel = bind_kernel(context, requests=requests[:1])
-        block = kernel._blocks[0][0]
-        _, once, _ = kernel._structure.combo_for([block], False)
-        _, twice, _ = kernel._structure.combo_for([block, block], False)
-        assert list(twice.order_array) == list(once.order_array)
-        assert list(twice.lower_loads) == list(2.0 * once.lower_loads)
 
     def test_pruned_combinations_build_no_matrix(self):
         for context in small_contexts():
