@@ -230,6 +230,7 @@ class _ComboStructure:
         m = len(order)
         self.m = m
 
+        # Registry row -> local row; only the combination's rows are read back.
         local = np.empty(num_rows, dtype=np.intp)
         local[self.order_array] = np.arange(m)
         rows = np.concatenate([block.rows for block in blocks])
