@@ -1041,7 +1041,7 @@ class SlotKernel:
 
         x_unconstrained: Optional[np.ndarray] = None
 
-        def fast_polish(candidate: np.ndarray, loads: np.ndarray) -> np.ndarray:
+        def fast_polish(candidate: np.ndarray) -> np.ndarray:
             """One vectorised water-fill step towards the per-variable optimum.
 
             The adaptive loop's cheap in-loop polish: every variable moves
@@ -1051,10 +1051,10 @@ class SlotKernel:
             can overflow (each variable's scale is bounded by every one of
             its rows' slack/increase ratios).  ~10 array ops instead of a
             per-variable Python loop, at a slightly looser (still feasible)
-            primal bound.  ``loads`` is ``membership @ candidate``.
+            primal bound.
             """
             target = x_unconstrained
-            slack = capacities - loads
+            slack = capacities - membership @ candidate
             headroom = slack[rows_local].min(axis=1)
             raise_by = np.clip(target - candidate, 0.0, np.maximum(headroom, 0.0))
             increase = membership @ raise_by
@@ -1136,8 +1136,7 @@ class SlotKernel:
                 for k in range(max_iterations):
                     prices = base_prices + membership_t @ mult
                     x = best_response(prices)
-                    loads = membership @ x
-                    violation = loads - capacities
+                    violation = membership @ x - capacities
                     dual_value = objective_np(x) - float(mult @ violation)
                     improved = dual_value < best_dual
                     if improved:
@@ -1149,17 +1148,9 @@ class SlotKernel:
                         # oscillating iterates.  The water-fill tightens the
                         # primal bound enough for the gap test; the winner
                         # gets the full polish after the loop.
-                        candidate = None
-                        if not (violation > 1e-12).any():
-                            # The best response is clipped into the bounds,
-                            # so with no row over capacity the repair would
-                            # return it unchanged, and it is feasible.
-                            candidate = fast_polish(x.copy(), loads)
-                        else:
-                            repaired = repair(x.copy())
-                            if combo.is_feasible(repaired, capacities, tolerance):
-                                candidate = fast_polish(repaired, membership @ repaired)
-                        if candidate is not None:
+                        repaired = repair(x.copy())
+                        if combo.is_feasible(repaired, capacities, tolerance):
+                            candidate = fast_polish(repaired)
                             objective = objective_np(candidate)
                             if objective > best_objective:
                                 best_objective = objective
