@@ -124,8 +124,6 @@ class QDNGraph:
         self._nodes: Dict[NodeName, QuantumNode] = {}
         self._edges: Dict[EdgeKey, QuantumEdge] = {}
         self._attempts_per_slot = int(attempts_per_slot)
-        # link_success values by (edge key, channels, attempts).
-        self._link_success: Dict[Tuple[EdgeKey, float, Optional[int]], float] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -142,7 +140,6 @@ class QDNGraph:
                 raise KeyError(f"cannot add edge: node {endpoint!r} not in graph")
         self._edges[edge.key] = edge
         self._graph.add_edge(*edge.key)
-        self._link_success.clear()
 
     def remove_edge(self, u: NodeName, v: NodeName) -> None:
         """Remove the edge ``{u, v}`` (raises ``KeyError`` if absent)."""
@@ -151,7 +148,6 @@ class QDNGraph:
             raise KeyError(f"edge {key} not in graph")
         del self._edges[key]
         self._graph.remove_edge(*key)
-        self._link_success.clear()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -255,19 +251,8 @@ class QDNGraph:
     def link_success(
         self, key: EdgeKey, channels: float, attempts: Optional[int] = None
     ) -> float:
-        """Edge success probability ``P_e(n_e)`` with ``channels`` channels (Eq. 1).
-
-        Memoised per ``(key, channels, attempts)``, since the simulators ask
-        for the same allocated edges slot after slot.  ``3`` and ``3.0`` share
-        one entry and give the same value; adding or removing an edge
-        clears the memo.
-        """
-        memo_key = (key, channels, attempts)
-        value = self._link_success.get(memo_key)
-        if value is None:
-            value = multi_channel_success(self.slot_success(key, attempts), channels)
-            self._link_success[memo_key] = value
-        return value
+        """Edge success probability ``P_e(n_e)`` with ``channels`` channels (Eq. 1)."""
+        return multi_channel_success(self.slot_success(key, attempts), channels)
 
     def min_slot_success(self) -> float:
         """``p_min = min_e p_e`` (used by the theoretical bounds)."""

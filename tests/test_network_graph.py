@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.channels import multi_channel_success, per_slot_success
+from repro.network.channels import per_slot_success
 from repro.network.graph import (
     QDNGraph,
     QuantumEdge,
@@ -112,39 +112,6 @@ class TestQDNGraphPhysics:
         key = edge_key(0, 1)
         p = line_graph.slot_success(key)
         assert line_graph.link_success(key, 3) == pytest.approx(1 - (1 - p) ** 3)
-
-    @pytest.mark.parametrize("channels", [1, 3, 3.0, 2.5, 40])
-    @pytest.mark.parametrize("attempts", [None, 2000])
-    def test_memoised_link_success_is_bit_identical(self, line_graph, channels, attempts):
-        key = edge_key(1, 2)
-        direct = multi_channel_success(
-            per_slot_success(line_graph.attempt_success(key), attempts or 4000), channels
-        )
-        assert line_graph.link_success(key, channels, attempts) == direct
-        assert line_graph.link_success(key, channels, attempts) == direct
-
-    def test_int_and_float_channels_share_one_entry(self, line_graph):
-        key = edge_key(0, 1)
-        first = line_graph.link_success(key, 3)
-        assert line_graph.link_success(key, 3.0) == first
-        assert len(line_graph._link_success) == 1
-
-    def test_replaced_edge_returns_its_new_value(self, line_graph):
-        key = edge_key(0, 1)
-        before = line_graph.link_success(key, 2)
-        line_graph.add_edge(
-            QuantumEdge(u=0, v=1, channel_capacity=6, length=10.0, attempt_success=5.0e-4)
-        )
-        after = line_graph.link_success(key, 2)
-        assert after != before
-        assert after == multi_channel_success(per_slot_success(5.0e-4, 4000), 2)
-
-    def test_removed_edge_is_forgotten(self, line_graph):
-        key = edge_key(2, 3)
-        line_graph.link_success(key, 2)
-        line_graph.remove_edge(2, 3)
-        with pytest.raises(KeyError):
-            line_graph.link_success(key, 2)
 
     def test_min_slot_success(self, line_graph):
         assert line_graph.min_slot_success() == pytest.approx(line_graph.slot_success(edge_key(0, 1)))
