@@ -3,7 +3,10 @@
 Each golden file under ``tests/data/golden/`` is the ``format_tables()``
 report of one figure, built exactly as ``repro figure <name> --scale tiny
 --trials 1`` builds it.  fig3 and fig6 are pinned a second time in replay
-mode (``dual_tolerance=0``), the kernel's fixed subgradient schedule.
+mode (``dual_tolerance=0``), the kernel's fixed subgradient schedule; the
+ablations are pinned once.  ``figure-json-pins.json`` holds the sha256 of
+the same run's ``figure --json`` payload, with its wall-clock
+``elapsed_seconds`` set to 0.
 
 The tables only pin summaries.  ``slot-pins.json`` pins every driver's
 per-slot output on small one-trial scenarios (:data:`SLOT_PIN_CASES`):
@@ -27,6 +30,7 @@ import pytest
 
 from repro import api
 from repro.experiments import (
+    ablations,
     fig3_time_evolving,
     fig4_distribution,
     fig5_budget,
@@ -57,24 +61,40 @@ FIGURES = {
 CASES = [(name, name, None) for name in FIGURES] + [
     ("fig3-replay", "fig3", 0.0),
     ("fig6-replay", "fig6", 0.0),
+    ("ablations", "ablations", None),
 ]
 
+JSON_PINS = GOLDEN_DIR / "figure-json-pins.json"
 
-def figure_tables(name: str, dual_tolerance=None) -> str:
-    """The tiny-scale, one-trial report of figure ``name``."""
-    module, figure_config = FIGURES[name]
+
+def figure_result(name: str, dual_tolerance=None):
+    """The tiny-scale, one-trial result of figure ``name``."""
     config = ExperimentConfig.tiny().with_overrides(trials=1)
     if dual_tolerance is not None:
         config = config.with_overrides(dual_tolerance=dual_tolerance)
+    if name == "ablations":
+        return ablations.run_all_report(config, workers=1)
+    module, figure_config = FIGURES[name]
     if figure_config is not None:
         config = figure_config(config, explicit=set())
-    return module.run(config, workers=1).format_tables()
+    return module.run(config, workers=1)
+
+
+def json_digest(result) -> str:
+    """sha256 of the ``figure --json`` payload, its elapsed time set to 0."""
+    payload = result.to_dict()
+    for key in ("record", "study"):
+        meta = (payload.get(key) or {}).get("meta", {})
+        if "elapsed_seconds" in meta:
+            meta["elapsed_seconds"] = 0
+    return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("stem,name,dual_tolerance", CASES, ids=[c[0] for c in CASES])
 def test_figure_tables_match_golden(stem, name, dual_tolerance):
-    expected = (GOLDEN_DIR / f"{stem}.txt").read_text()
-    assert figure_tables(name, dual_tolerance) == expected
+    result = figure_result(name, dual_tolerance)
+    assert result.format_tables() == (GOLDEN_DIR / f"{stem}.txt").read_text()
+    assert json_digest(result) == json.loads(JSON_PINS.read_text())[stem]
 
 
 def _event_faults(aware: bool) -> api.Scenario:
@@ -203,9 +223,13 @@ def test_slot_pins_match_golden(stem, monkeypatch):
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    json_pins = {}
     for stem, name, dual_tolerance in CASES:
-        (GOLDEN_DIR / f"{stem}.txt").write_text(figure_tables(name, dual_tolerance))
+        result = figure_result(name, dual_tolerance)
+        (GOLDEN_DIR / f"{stem}.txt").write_text(result.format_tables())
+        json_pins[stem] = json_digest(result)
         print(f"wrote {stem}", file=sys.stderr)
+    JSON_PINS.write_text(json.dumps(json_pins, indent=2, sort_keys=True) + "\n")
     pins = {stem: slot_pins(stem) for stem in sorted(SLOT_PIN_CASES)}
     (GOLDEN_DIR / "slot-pins.json").write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print("wrote slot-pins", file=sys.stderr)
