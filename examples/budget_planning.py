@@ -19,7 +19,7 @@ Run it with::
 
 from __future__ import annotations
 
-from repro.experiments import fig5_budget, fig7_control_v
+from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 
 
@@ -37,7 +37,8 @@ def main() -> None:
     print("=== Budget sweep (paper Fig. 5, example scale) ===")
     budgets = [0.5 * config.total_budget, config.total_budget, 1.5 * config.total_budget,
                2.0 * config.total_budget]
-    budget_result = fig5_budget.run(config, budgets=budgets, seed=5)
+    budget_result = figures.run("fig5", config, values=budgets, seed=5)
+    oscar_rates = budget_result.data["success_rate"]["OSCAR"]
     print(budget_result.format_tables())
     print()
 
@@ -45,7 +46,7 @@ def main() -> None:
     target = 0.9
     reached = [
         (budget, rate)
-        for budget, rate in zip(budget_result.budgets, budget_result.success_rate["OSCAR"])
+        for budget, rate in zip(budget_result.data["budgets"], oscar_rates)
         if rate >= target
     ]
     if reached:
@@ -53,12 +54,12 @@ def main() -> None:
         print(f"OSCAR first reaches a {target:.0%} average EC success rate at "
               f"budget C = {budget:g} (measured {rate:.3f}).")
     else:
-        best = max(budget_result.success_rate["OSCAR"])
+        best = max(oscar_rates)
         print(f"No swept budget reaches {target:.0%}; the best OSCAR achieves is {best:.3f}.")
     print()
 
     print("=== Trade-off parameter sweep (paper Fig. 7, example scale) ===")
-    v_result = fig7_control_v.run(config, v_values=(250.0, 2500.0, 25000.0), seed=6)
+    v_result = figures.run("fig7", config, values=(250.0, 2500.0, 25000.0), seed=6)
     print(v_result.format_tables())
     print()
     print("Reading the table: a larger V buys utility/success rate at the price of")

@@ -21,19 +21,10 @@ import sys
 import time
 
 from repro import api
-from repro.experiments import (
-    ablations,
-    fig3_time_evolving,
-    fig4_distribution,
-    fig5_budget,
-    fig6_network_size,
-    fig7_control_v,
-    fig8_initial_queue,
-    fig9_fidelity,
-)
+from repro.experiments import ablations, figures
 from repro.experiments.config import ExperimentConfig
 
-FIGURES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "ablations")
+FIGURES = (*figures.FIGURES, "ablations")
 
 #: Scale name → base scenario (the facade's presets mirror the config's).
 SCALES = {
@@ -51,24 +42,12 @@ def config_for_scale(scale: str) -> ExperimentConfig:
 
 
 def run_figure(name: str, config: ExperimentConfig, workers: int = 1) -> str:
-    """Run one figure module and return its plain-text report."""
-    if name == "fig3":
-        return fig3_time_evolving.run(config, workers=workers).format_tables()
-    if name == "fig4":
-        return fig4_distribution.run(config, workers=workers).format_tables()
-    if name == "fig5":
-        return fig5_budget.run(config, workers=workers).format_tables()
-    if name == "fig6":
-        return fig6_network_size.run(config, workers=workers).format_tables()
-    if name == "fig7":
-        return fig7_control_v.run(config, workers=workers).format_tables()
-    if name == "fig8":
-        return fig8_initial_queue.run(config, workers=workers).format_tables()
-    if name == "fig9":
-        return fig9_fidelity.run(config, workers=workers).format_tables()
+    """Run one figure (or the ablations) and return its plain-text report."""
     if name == "ablations":
         return ablations.run_all(config, workers=workers)
-    raise ValueError(f"unknown figure {name!r}; choose from {FIGURES} or 'all'")
+    if name not in figures.FIGURES:
+        raise ValueError(f"unknown figure {name!r}; choose from {FIGURES} or 'all'")
+    return figures.run(name, config, workers=workers).format_tables()
 
 
 def main(argv=None) -> int:

@@ -53,38 +53,12 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro import api
-from repro.experiments import (
-    ablations,
-    fig3_time_evolving,
-    fig4_distribution,
-    fig5_budget,
-    fig6_network_size,
-    fig7_control_v,
-    fig8_initial_queue,
-    fig9_fidelity,
-    fig10_timing,
-    fig11_resilience,
-)
-from repro.experiments.config import ConfigError, ExperimentConfig
+from repro.experiments import ablations, figures
+from repro.experiments.config import ConfigError, ExperimentConfig, with_physical_defaults
 from repro.experiments.reporting import format_table
 from repro.network.channels import per_slot_success
 from repro.simulation.results import SUMMARY_METRICS
 from repro.version import __version__
-
-#: Each runner returns a result object exposing ``format_tables()`` (the
-#: plain-text report) and ``to_dict()`` (the ``--json`` payload).
-FIGURE_RUNNERS = {
-    "fig3": lambda config, workers: fig3_time_evolving.run(config, workers=workers),
-    "fig4": lambda config, workers: fig4_distribution.run(config, workers=workers),
-    "fig5": lambda config, workers: fig5_budget.run(config, workers=workers),
-    "fig6": lambda config, workers: fig6_network_size.run(config, workers=workers),
-    "fig7": lambda config, workers: fig7_control_v.run(config, workers=workers),
-    "fig8": lambda config, workers: fig8_initial_queue.run(config, workers=workers),
-    "fig9": lambda config, workers: fig9_fidelity.run(config, workers=workers),
-    "fig10": lambda config, workers: fig10_timing.run(config, workers=workers),
-    "fig11": lambda config, workers: fig11_resilience.run(config, workers=workers),
-    "ablations": lambda config, workers: ablations.run_all_report(config, workers=workers),
-}
 
 SCALES = {
     "paper": ExperimentConfig.paper,
@@ -117,15 +91,6 @@ def _config_from_args(arguments: argparse.Namespace) -> ExperimentConfig:
     return SCALES[arguments.scale]().with_overrides(**_config_paths(arguments))
 
 
-#: Figures that switch layers on for their study: the paths pinned on the
-#: command line keep the user's values, the figure's defaults fill the rest.
-FIGURE_CONFIGS = {
-    "fig9": fig9_fidelity.fig9_config,
-    "fig10": fig10_timing.fig10_config,
-    "fig11": fig11_resilience.fig11_config,
-}
-
-
 def command_info(arguments: argparse.Namespace) -> int:
     """Print the selected configuration and its derived quantities."""
     config = _config_from_args(arguments)
@@ -143,12 +108,23 @@ def command_info(arguments: argparse.Namespace) -> int:
 
 
 def command_figure(arguments: argparse.Namespace) -> int:
-    """Regenerate one of the paper's figures."""
+    """Regenerate one of the paper's figures, or the ablations."""
     config = _config_from_args(arguments)
-    if arguments.name in FIGURE_CONFIGS:
-        config = FIGURE_CONFIGS[arguments.name](config, explicit=_config_paths(arguments))
+    spec = figures.FIGURES.get(arguments.name)
+    if spec is not None:
+        # A flag the sweep sets would be overwritten at every point.
+        for path in spec.swept:
+            if getattr(arguments, path, None) is not None:
+                raise ConfigError(
+                    f"{arguments.flags[path]} sets {path}, which {arguments.name} sweeps"
+                )
+        # The flags given keep their values; the figure's layer defaults fill the rest.
+        config = with_physical_defaults(config, spec.layers, explicit=_config_paths(arguments))
     started = time.time()
-    result = FIGURE_RUNNERS[arguments.name](config, arguments.workers)
+    if spec is None:
+        result = ablations.run_all_report(config, workers=arguments.workers)
+    else:
+        result = figures.run(arguments.name, config, workers=arguments.workers)
     elapsed = time.time() - started
     report = result.format_tables()
     if arguments.json:
@@ -827,14 +803,19 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(handler=command_info)
 
     figure = subparsers.add_parser("figure", help="regenerate one figure of the paper")
-    figure.add_argument("name", choices=sorted(FIGURE_RUNNERS.keys()))
+    figure.add_argument("name", choices=sorted([*figures.FIGURES, "ablations"]))
     figure.add_argument("--output", default=None, help="write the plain-text report to this file")
     figure.add_argument("--workers", type=int, default=1,
                         help="worker processes for trial execution (default: 1)")
     figure.add_argument("--json", action="store_true",
                         help="print the figure payload as JSON instead of tables")
     add_common(figure)
-    figure.set_defaults(handler=command_figure)
+    # ``flags`` names the flag of each config path, for the sweep's refusal.
+    figure.set_defaults(
+        handler=command_figure,
+        flags={action.dest: action.option_strings[0]
+               for action in figure._actions if action.option_strings},
+    )
 
     compare = subparsers.add_parser("compare", help="run a policy comparison")
     compare.add_argument("--output", default=None,

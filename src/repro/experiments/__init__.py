@@ -1,36 +1,11 @@
-"""The experiment harness: the paper configuration and one module per figure.
+"""The experiment harness: the paper configuration, its figures and ablations.
 
-Every figure runs through :mod:`repro.api` and keeps what it ran:
-``fig3``/``fig4`` hold the run's :class:`~repro.api.records.RunRecord` as
-``.record``, the sweeps (fig5–fig11) their
-:class:`~repro.api.study.StudyResult` as ``.study``, whose ``records`` are
-the runs of each point.  Tables and series are read from those records.
+:mod:`repro.experiments.figures` describes every figure as data and runs
+any of them through :mod:`repro.api`; :mod:`repro.experiments.ablations`
+holds the four ablation studies.  Neither is imported here, so importing
+the configuration (as :mod:`repro.api` does) loads no figure code.
 """
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments import (
-    fig3_time_evolving,
-    fig4_distribution,
-    fig5_budget,
-    fig6_network_size,
-    fig7_control_v,
-    fig8_initial_queue,
-    fig9_fidelity,
-    fig10_timing,
-    fig11_resilience,
-    ablations,
-)
 
-__all__ = [
-    "ExperimentConfig",
-    "fig3_time_evolving",
-    "fig4_distribution",
-    "fig5_budget",
-    "fig6_network_size",
-    "fig7_control_v",
-    "fig8_initial_queue",
-    "fig9_fidelity",
-    "fig10_timing",
-    "fig11_resilience",
-    "ablations",
-]
+__all__ = ["ExperimentConfig"]

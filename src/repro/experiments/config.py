@@ -603,24 +603,26 @@ def with_physical_defaults(
     defaults: Mapping[str, object],
     explicit: Optional[Iterable[str]] = None,
 ) -> ExperimentConfig:
-    """``config`` with a figure's physical-layer ``defaults`` switched on.
+    """``config`` with a figure's layer ``defaults`` (by config path) switched on.
 
-    Without ``explicit`` (the library path), a config whose physical layer
-    is on is taken exactly as configured — turning it on is the caller's
-    statement of intent — and one with the layer off gets ``defaults``.
-    ``explicit`` is the CLI path: the config paths (any spelling) the user
-    pinned with flags keep their values, even one equal to a default
-    (``--swap-p 1.0``), while every other default still applies, so a bare
+    Without ``explicit`` (the library path), a layer that is on is taken
+    exactly as configured — turning it on is the caller's statement of
+    intent — and one that is off gets its ``defaults``.  ``explicit`` is
+    the CLI path: the config paths (any spelling) the user pinned with
+    flags keep their values, even one equal to a default (``--swap-p
+    1.0``), while every other default still applies, so a bare
     ``--physical`` keeps the settings a figure is defined by.  The result
-    always has the layer on, so a second call without ``explicit`` is a
-    no-op.
+    has every layer ``defaults`` names on, so a second call without
+    ``explicit`` is a no-op.
     """
-    if explicit is None and config.physical is not None:
-        return config
     pinned = {resolve_path(name) for name in explicit or ()}
-    overrides = {f"physical.{key}": value for key, value in defaults.items()}
-    overrides = {path: value for path, value in overrides.items() if path not in pinned}
-    return config.with_overrides(**overrides, **{"physical.enabled": True})
+    overrides: Dict[str, object] = {}
+    for path, value in defaults.items():
+        layer = path.partition(".")[0]
+        overrides[f"{layer}.enabled"] = True
+        if path not in pinned and (explicit is not None or getattr(config, layer) is None):
+            overrides[path] = value
+    return config.with_overrides(**overrides)
 
 
 def _set_layer_field(layer: str, model: Optional[object], key: str, value: object):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.experiments import fig5_budget, fig7_control_v
+from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig, resolve_path
 
 
@@ -362,21 +362,21 @@ class TestTopologyKinds:
 
 
 class TestFigureRewire:
-    """The Study-based figure modules keep the pre-rewire numbers and types."""
+    """The Study-based figures keep the pre-rewire numbers and types."""
 
     def test_fig5_matches_direct_compare(self):
         config = ExperimentConfig.tiny().with_overrides(horizon=4)
         budgets = [150.0, 250.0]
-        figure = fig5_budget.run(config, budgets=budgets, trials=1, seed=5)
+        figure = figures.run("fig5", config, values=budgets, trials=1, seed=5)
         for index, budget in enumerate(budgets):
             record = api.compare(
                 config.with_overrides(total_budget=budget), trials=1, seed=5
             )
             for name, metrics in record.summary().items():
-                assert figure.success_rate[name][index] == pytest.approx(
+                assert figure.data["success_rate"][name][index] == pytest.approx(
                     metrics["average_success_rate"].mean
                 )
-                assert figure.total_cost[name][index] == pytest.approx(
+                assert figure.data["total_cost"][name][index] == pytest.approx(
                     metrics["total_cost"].mean
                 )
         assert figure.study is not None and figure.study.num_points == 2
@@ -386,9 +386,9 @@ class TestFigureRewire:
 
     def test_fig7_single_policy_study(self):
         config = ExperimentConfig.tiny().with_overrides(horizon=4)
-        figure = fig7_control_v.run(config, v_values=[100.0, 500.0], trials=1, seed=5)
-        assert len(figure.average_utility) == 2
-        assert len(figure.theorem1_bounds) == 2
+        figure = figures.run("fig7", config, values=[100.0, 500.0], trials=1, seed=5)
+        assert len(figure.data["average_utility"]) == 2
+        assert len(figure.data["theorem1_bounds"]) == 2
         assert figure.study.axis_values("V") == [100.0, 500.0]
 
 

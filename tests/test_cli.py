@@ -183,6 +183,33 @@ class TestFigureCommand:
         assert len(payload["study"]["points"]) == len(payload["q0_values"])
 
 
+class TestFigureSweptFlags:
+    """A flag that sets a path the figure sweeps would be overwritten at every
+    point, so the figure refuses it; other flags of the same layer act."""
+
+    @pytest.mark.parametrize(
+        "command,path",
+        [
+            ("fig10 --signaling-latency 0.01", "timing.signaling_latency_s"),
+            ("fig10 --backend slotted", "timing.backend"),
+            ("fig11 --edge-mtbf 10", "faults.edge_mtbf"),
+            ("fig11 --fault-blind", "faults.aware"),
+        ],
+    )
+    def test_swept_flag_is_refused(self, command, path, capsys):
+        name, flag, *_ = command.split()
+        assert main(["figure", *command.split(), "--scale", "tiny", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} sets {path}, which {name} sweeps" in captured.err
+
+    @pytest.mark.parametrize("command", ["fig10 --purify-rounds 1", "fig11 --mttr 5"])
+    def test_other_layer_flags_still_run(self, command, capsys):
+        name = command.split()[0]
+        assert main(["figure", *command.split(), "--scale", "tiny", "--trials", "1"]) == 0
+        assert f"Fig. {name[3:]}(a)" in capsys.readouterr().out
+
+
 class TestServeCommand:
     def test_runs_and_prints_serving_tables(self, capsys):
         assert main(["serve", "--scale", "tiny", "--trials", "1",
@@ -251,3 +278,20 @@ def test_importing_the_cli_does_not_load_scipy():
         env={"PYTHONPATH": str(src), "PATH": ""},
     )
     assert result.stdout.strip() == "False"
+
+
+def test_importing_the_api_loads_no_figure_code():
+    # The figures and ablations are loaded by the CLI and the examples that
+    # run them, not by every process that imports the library.
+    code = (
+        "import sys; from repro import api; "
+        "print(sorted(m for m in ('repro.experiments.figures', "
+        "'repro.experiments.ablations') if m in sys.modules))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert result.stdout.strip() == "[]"

@@ -18,7 +18,7 @@ from repro.analysis.stats import merge_stat_mappings
 from repro.api.records import result_from_dict, result_to_dict
 from repro.core.baselines import MyopicFixedPolicy
 from repro.core.oscar import OscarPolicy
-from repro.experiments import fig3_time_evolving, fig5_budget, fig10_timing
+from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 from repro.network.routes import Route
 from repro.simulation.engine import SlottedSimulator, build_simulator
@@ -101,15 +101,15 @@ class TestZeroLatencyEquivalence:
 
     def test_fig3_tables_identical_at_zero_latency(self):
         config = ExperimentConfig.tiny().with_overrides(horizon=5, trials=1)
-        slotted = fig3_time_evolving.run(config)
-        event = fig3_time_evolving.run(config.with_overrides(backend="event"))
+        slotted = figures.run("fig3", config)
+        event = figures.run("fig3", config.with_overrides(backend="event"))
         assert slotted.format_tables() == event.format_tables()
 
     def test_fig5_tables_identical_at_zero_latency(self):
         config = ExperimentConfig.tiny().with_overrides(horizon=4, trials=1)
-        slotted = fig5_budget.run(config, budgets=[150.0, 250.0])
-        event = fig5_budget.run(
-            config.with_overrides(backend="event"), budgets=[150.0, 250.0]
+        slotted = figures.run("fig5", config, values=[150.0, 250.0])
+        event = figures.run(
+            "fig5", config.with_overrides(backend="event"), values=[150.0, 250.0]
         )
         assert slotted.format_tables() == event.format_tables()
 
@@ -575,8 +575,8 @@ class TestStudyAndRecords:
 
     def test_fig10_overlay(self):
         config = ExperimentConfig.tiny().with_overrides(horizon=4, trials=1)
-        result = fig10_timing.run(config, latencies=[0.0, 0.4], trials=1)
-        throughput = result.throughput
+        result = figures.run("fig10", config, values=[0.0, 0.4], trials=1)
+        throughput = result.data["throughput"]
         assert set(throughput) == {"OSCAR (slotted)", "OSCAR (event)"}
         # Slotted is latency-blind; the event backend matches it at zero.
         assert throughput["OSCAR (slotted)"][0] == throughput["OSCAR (slotted)"][1]

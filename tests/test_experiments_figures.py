@@ -1,4 +1,4 @@
-"""End-to-end tests of the figure-reproduction modules (tiny configurations).
+"""End-to-end tests of the figure runner (tiny configurations).
 
 These tests exercise each figure's pipeline from topology generation to the
 formatted table; the *qualitative* shape checks against the paper are done
@@ -7,15 +7,7 @@ at slightly larger scale in the integration tests and benchmarks.
 
 import pytest
 
-from repro.experiments import (
-    ablations,
-    fig3_time_evolving,
-    fig4_distribution,
-    fig5_budget,
-    fig6_network_size,
-    fig7_control_v,
-    fig8_initial_queue,
-)
+from repro.experiments import ablations, figures
 from repro.experiments.config import ExperimentConfig
 
 
@@ -26,29 +18,26 @@ def tiny_config():
 
 @pytest.fixture(scope="module")
 def fig3_result(tiny_config):
-    return fig3_time_evolving.run(tiny_config, seed=5)
+    return figures.run("fig3", tiny_config, seed=5)
 
 
 class TestFig3:
     def test_series_cover_all_policies_and_slots(self, fig3_result, tiny_config):
-        for series_map in (
-            fig3_result.running_utility,
-            fig3_result.running_success_rate,
-            fig3_result.cumulative_cost,
-        ):
+        for key in ("running_utility", "running_success_rate", "cumulative_cost"):
+            series_map = fig3_result.data[key]
             assert set(series_map.keys()) == {"OSCAR", "MA", "MF"}
             assert all(len(series) == tiny_config.horizon for series in series_map.values())
 
     def test_cumulative_cost_is_monotone(self, fig3_result):
-        for series in fig3_result.cumulative_cost.values():
+        for series in fig3_result.data["cumulative_cost"].values():
             assert all(b >= a - 1e-9 for a, b in zip(series, series[1:]))
 
     def test_success_rates_are_probabilities(self, fig3_result):
-        for series in fig3_result.running_success_rate.values():
+        for series in fig3_result.data["running_success_rate"].values():
             assert all(0.0 <= value <= 1.0 for value in series)
 
     def test_final_values_and_tables(self, fig3_result):
-        finals = fig3_result.final_values()
+        finals = figures.final_values(fig3_result)
         assert set(finals.keys()) == {"OSCAR", "MA", "MF"}
         text = fig3_result.format_tables()
         assert "Fig. 3(a)" in text and "Fig. 3(b)" in text and "Fig. 3(c)" in text
@@ -56,14 +45,12 @@ class TestFig3:
 
 class TestFig4:
     def test_histogram_structure(self, tiny_config, fig3_result):
-        result = fig4_distribution.run(
-            tiny_config, bins=5, record=fig3_result.record
-        )
-        assert len(result.bin_edges) == 6
-        for fractions in result.histograms.values():
+        result = figures.run("fig4", tiny_config, bins=5, record=fig3_result.record)
+        assert len(result.data["bin_edges"]) == 6
+        for fractions in result.data["histograms"].values():
             assert len(fractions) == 5
             assert sum(fractions) == pytest.approx(1.0)
-        assert set(result.fairness.keys()) == {"OSCAR", "MA", "MF"}
+        assert set(result.data["fairness"].keys()) == {"OSCAR", "MA", "MF"}
         assert "Fig. 4" in result.format_tables()
         assert result.record is fig3_result.record
 
@@ -71,57 +58,59 @@ class TestFig4:
 class TestFig5:
     def test_budget_sweep(self, tiny_config):
         budgets = [150.0, 300.0]
-        result = fig5_budget.run(tiny_config, budgets=budgets, trials=1, seed=2)
-        assert result.budgets == budgets
-        for series in result.success_rate.values():
+        result = figures.run("fig5", tiny_config, values=budgets, trials=1, seed=2)
+        assert result.data["budgets"] == budgets
+        for series in result.data["success_rate"].values():
             assert len(series) == 2
-        assert len(result.oscar_advantage("MF")) == 2
+        assert len(figures.oscar_advantage(result, "MF")) == 2
         assert "Fig. 5(a)" in result.format_tables()
 
     def test_default_sweep_scales_with_config(self, tiny_config):
-        budgets = fig5_budget.sweep_budgets_for(tiny_config)
+        budgets = figures.FIGURES["fig5"].values(tiny_config)
         assert min(budgets) < tiny_config.total_budget < max(budgets) + 1e-9
 
 
 class TestFig6:
     def test_size_sweep(self, tiny_config):
-        result = fig6_network_size.run(tiny_config, sizes=(6, 8), trials=1, seed=3)
-        assert result.sizes == [6, 8]
-        for series in result.success_rate.values():
+        result = figures.run("fig6", tiny_config, values=(6, 8), trials=1, seed=3)
+        assert result.data["sizes"] == [6, 8]
+        for series in result.data["success_rate"].values():
             assert len(series) == 2
         assert "Fig. 6(a)" in result.format_tables()
 
     def test_default_sizes_scale_with_config(self, tiny_config):
-        sizes = fig6_network_size.sweep_sizes_for(tiny_config)
+        sizes = figures.FIGURES["fig6"].values(tiny_config)
         assert all(size >= 6 for size in sizes)
         assert len(sizes) >= 2
 
 
 class TestFig7:
     def test_v_sweep(self, tiny_config):
-        result = fig7_control_v.run(tiny_config, v_values=(100.0, 5000.0), trials=1, seed=4)
-        assert result.v_values == [100.0, 5000.0]
-        assert len(result.average_utility) == 2
-        assert len(result.budget_violation) == 2
-        assert len(result.theorem1_bounds) == 2
+        result = figures.run("fig7", tiny_config, values=(100.0, 5000.0), trials=1, seed=4)
+        assert result.data["v_values"] == [100.0, 5000.0]
+        assert len(result.data["average_utility"]) == 2
+        assert len(result.data["budget_violation"]) == 2
+        assert len(result.data["theorem1_bounds"]) == 2
         assert "Fig. 7" in result.format_tables()
 
     def test_larger_v_never_spends_less(self, tiny_config):
-        result = fig7_control_v.run(tiny_config, v_values=(50.0, 10000.0), trials=1, seed=4)
-        assert result.total_cost[1] >= result.total_cost[0] - 1e-9
+        result = figures.run("fig7", tiny_config, values=(50.0, 10000.0), trials=1, seed=4)
+        total_cost = result.data["total_cost"]
+        assert total_cost[1] >= total_cost[0] - 1e-9
 
 
 class TestFig8:
     def test_q0_sweep(self, tiny_config):
-        result = fig8_initial_queue.run(tiny_config, q0_values=(0.0, 100.0), trials=1, seed=5)
-        assert result.q0_values == [0.0, 100.0]
-        assert len(result.total_cost) == 2
-        assert len(result.early_cost) == 2
+        result = figures.run("fig8", tiny_config, values=(0.0, 100.0), trials=1, seed=5)
+        assert result.data["q0_values"] == [0.0, 100.0]
+        assert len(result.data["total_cost"]) == 2
+        assert len(result.data["early_cost"]) == 2
         assert "Fig. 8" in result.format_tables()
 
     def test_larger_q0_spends_less_early(self, tiny_config):
-        result = fig8_initial_queue.run(tiny_config, q0_values=(0.0, 500.0), trials=1, seed=6)
-        assert result.early_cost[1] <= result.early_cost[0] + 1e-9
+        result = figures.run("fig8", tiny_config, values=(0.0, 500.0), trials=1, seed=6)
+        early_cost = result.data["early_cost"]
+        assert early_cost[1] <= early_cost[0] + 1e-9
 
 
 class TestAblations:

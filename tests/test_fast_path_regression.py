@@ -16,7 +16,7 @@ import repro.core.fidelity as fidelity_module
 from repro import api
 from repro.cli import build_parser
 from repro.core.fidelity import RouteFidelityModel
-from repro.experiments import fig5_budget, fig6_network_size
+from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 from repro.network.routes import Route
 
@@ -33,17 +33,17 @@ def regression_config(**overrides) -> ExperimentConfig:
 class TestFigureTablesUnchanged:
     def test_fig5_budget_tables_identical(self):
         budgets = (200.0, 300.0)
-        fast = fig5_budget.run(config=regression_config(), budgets=budgets, seed=5)
-        slow = fig5_budget.run(
-            config=regression_config(dual_tolerance=0.0), budgets=budgets, seed=5
+        fast = figures.run("fig5", regression_config(), values=budgets, seed=5)
+        slow = figures.run(
+            "fig5", regression_config(dual_tolerance=0.0), values=budgets, seed=5
         )
         assert fast.format_tables() == slow.format_tables()
 
     def test_fig6_network_size_tables_identical(self):
         sizes = (12,)
-        fast = fig6_network_size.run(config=regression_config(), sizes=sizes, seed=5)
-        slow = fig6_network_size.run(
-            config=regression_config(dual_tolerance=0.0), sizes=sizes, seed=5
+        fast = figures.run("fig6", regression_config(), values=sizes, seed=5)
+        slow = figures.run(
+            "fig6", regression_config(dual_tolerance=0.0), values=sizes, seed=5
         )
         assert fast.format_tables() == slow.format_tables()
 
@@ -51,9 +51,9 @@ class TestFigureTablesUnchanged:
         # dual_tolerance=0 runs the fixed iteration schedule on the kernel;
         # the default adaptive mode must not change the tables.
         sizes = (8, 10)
-        adaptive = fig6_network_size.run(config=regression_config(), sizes=sizes, seed=5)
-        replay = fig6_network_size.run(
-            config=regression_config(dual_tolerance=0.0), sizes=sizes, seed=5
+        adaptive = figures.run("fig6", regression_config(), values=sizes, seed=5)
+        replay = figures.run(
+            "fig6", regression_config(dual_tolerance=0.0), values=sizes, seed=5
         )
         assert adaptive.format_tables() == replay.format_tables()
 

@@ -9,8 +9,8 @@ from repro.cli import (
     build_parser,
     main,
 )
-from repro.experiments import fig11_resilience
-from repro.experiments.config import ExperimentConfig
+from repro.experiments import figures
+from repro.experiments.config import ExperimentConfig, with_physical_defaults
 
 
 def parse(*argv):
@@ -102,49 +102,43 @@ class TestCompareWithFaults:
 
 class TestFig11:
     def test_mtbf_for_rate(self):
-        assert fig11_resilience.mtbf_for_rate(0.0) == 0.0
-        assert fig11_resilience.mtbf_for_rate(0.02) == pytest.approx(50.0)
+        assert figures.mtbf_for_rate(0.0) == 0.0
+        assert figures.mtbf_for_rate(0.02) == pytest.approx(50.0)
 
     def test_fig11_config_enables_faults_and_physical(self):
-        config = fig11_resilience.fig11_config(ExperimentConfig.tiny())
+        config = with_physical_defaults(ExperimentConfig.tiny(), figures.FIGURES["fig11"].layers)
         assert config.faults is not None
         assert config.physical is not None
         assert config.physical.swap_success == pytest.approx(0.98)
 
     def test_fig11_config_respects_pinned_fields(self):
         base = ExperimentConfig.tiny().with_overrides(physical_swap_success=0.5)
-        config = fig11_resilience.fig11_config(
-            base, explicit=["physical_swap_success"]
+        config = with_physical_defaults(
+            base, figures.FIGURES["fig11"].layers, explicit=["physical_swap_success"]
         )
         assert config.physical.swap_success == pytest.approx(0.5)
         assert config.physical.cutoff_fidelity == pytest.approx(0.25)
 
     def test_build_study_axes(self):
-        study = fig11_resilience.build_study(
-            ExperimentConfig.tiny(), rates=[0.0, 0.02]
-        )
+        study = figures.build_study("fig11", ExperimentConfig.tiny(), [0.0, 0.02])
         labels = [axis.label for axis in study._axes]
         assert labels == ["aware", "edge_mtbf"]
 
     def test_tiny_run_zero_rate_modes_coincide(self):
-        result = fig11_resilience.run(
-            ExperimentConfig.tiny(), outage_rates=[0.0, 0.05], trials=1
-        )
-        assert result.outage_rates == [0.0, 0.05]
-        throughput = result.throughput
+        result = figures.run("fig11", ExperimentConfig.tiny(), values=[0.0, 0.05], trials=1)
+        assert result.data["outage_rates"] == [0.0, 0.05]
+        throughput = result.data["throughput"]
         assert set(throughput) == {"OSCAR (aware)", "OSCAR (blind)"}
         # With no outages the degradation mode cannot matter.
         assert throughput["OSCAR (aware)"][0] == throughput["OSCAR (blind)"][0]
-        fidelity = result.delivered_fidelity
+        fidelity = result.data["delivered_fidelity"]
         assert fidelity["OSCAR (aware)"][0] == fidelity["OSCAR (blind)"][0]
         payload = result.to_dict()
         assert payload["figure"] == "fig11"
         assert payload["fault_stats"]["slots"] > 0
 
     def test_format_tables_mentions_both_panels(self):
-        result = fig11_resilience.run(
-            ExperimentConfig.tiny(), outage_rates=[0.0], trials=1
-        )
+        result = figures.run("fig11", ExperimentConfig.tiny(), values=[0.0], trials=1)
         report = result.format_tables()
         assert "Fig. 11(a)" in report
         assert "Fig. 11(b)" in report

@@ -29,36 +29,13 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.experiments import (
-    ablations,
-    fig3_time_evolving,
-    fig4_distribution,
-    fig5_budget,
-    fig6_network_size,
-    fig7_control_v,
-    fig8_initial_queue,
-    fig9_fidelity,
-    fig10_timing,
-    fig11_resilience,
-)
+from repro.experiments import ablations, figures
 from repro.experiments.config import ExperimentConfig
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
-FIGURES = {
-    "fig3": (fig3_time_evolving, None),
-    "fig4": (fig4_distribution, None),
-    "fig5": (fig5_budget, None),
-    "fig6": (fig6_network_size, None),
-    "fig7": (fig7_control_v, None),
-    "fig8": (fig8_initial_queue, None),
-    "fig9": (fig9_fidelity, fig9_fidelity.fig9_config),
-    "fig10": (fig10_timing, fig10_timing.fig10_config),
-    "fig11": (fig11_resilience, fig11_resilience.fig11_config),
-}
-
 #: (golden file stem, figure, dual_tolerance override or None).
-CASES = [(name, name, None) for name in FIGURES] + [
+CASES = [(name, name, None) for name in figures.FIGURES] + [
     ("fig3-replay", "fig3", 0.0),
     ("fig6-replay", "fig6", 0.0),
     ("ablations", "ablations", None),
@@ -74,10 +51,7 @@ def figure_result(name: str, dual_tolerance=None):
         config = config.with_overrides(dual_tolerance=dual_tolerance)
     if name == "ablations":
         return ablations.run_all_report(config, workers=1)
-    module, figure_config = FIGURES[name]
-    if figure_config is not None:
-        config = figure_config(config, explicit=set())
-    return module.run(config, workers=1)
+    return figures.run(name, config, workers=1)
 
 
 def json_digest(result) -> str:

@@ -20,7 +20,7 @@ from repro import api
 from repro.core.per_slot import PerSlotSolver
 from repro.core.problem import SlotContext
 from repro.core.route_selection import ExhaustiveRouteSelector
-from repro.experiments import fig3_time_evolving, fig6_network_size
+from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 from repro.solvers.gibbs import exhaustive_optimise
 from repro.solvers import kernel as kernel_module
@@ -245,19 +245,17 @@ class TestFigurePipelinesByteIdentical:
 
     def test_fig3_tables_identical_cached_vs_recompile(self):
         config = small_config(horizon=6)
-        cached = fig3_time_evolving.run(config)
+        cached = figures.run("fig3", config)
         assert cached.format_tables() == (REMOVED_PATHS / "fig3.txt").read_text()
 
     def test_fig6_tables_identical_cached_vs_recompile(self):
         config = small_config(horizon=5)
-        cached = fig6_network_size.run(config, sizes=(8,), trials=1, seed=7)
+        cached = figures.run("fig6", config, values=(8,), trials=1, seed=7)
         assert cached.format_tables() == (REMOVED_PATHS / "fig6.txt").read_text()
 
     def test_fig5_tables_identical_cached_vs_recompile(self):
-        from repro.experiments import fig5_budget
-
         config = small_config(horizon=5, max_pairs=3, gibbs_iterations=10)
-        cached = fig5_budget.run(config, budgets=(200.0, 300.0), trials=1, seed=7)
+        cached = figures.run("fig5", config, values=(200.0, 300.0), trials=1, seed=7)
         assert cached.format_tables() == (REMOVED_PATHS / "fig5.txt").read_text()
 
 

@@ -18,15 +18,7 @@ from repro.api.registry import default_registry
 from repro.core.multiuser import MultiUserSimulator, QDNUser
 from repro.core.offline import OfflineOraclePolicy
 from repro.core.per_slot import PerSlotSolver
-from repro.experiments import (
-    ablations,
-    fig3_time_evolving,
-    fig4_distribution,
-    fig5_budget,
-    fig6_network_size,
-    fig7_control_v,
-    fig8_initial_queue,
-)
+from repro.experiments import ablations, figures
 from repro.experiments.config import ExperimentConfig
 from repro.simulation.engine import SlottedSimulator
 from repro.workload.requests import UniformRequestProcess
@@ -59,7 +51,7 @@ def sweep_config() -> ExperimentConfig:
 # --------------------------------------------------------------------- #
 def test_fig3_oscar_leads_and_respects_the_budget():
     config = figure_config()
-    finals = fig3_time_evolving.run(config=config, seed=7).final_values()
+    finals = figures.final_values(figures.run("fig3", config, seed=7))
 
     assert finals["OSCAR"]["final_cost"] <= config.total_budget * 1.1
     # Headline ordering: OSCAR at least matches MF in success rate and utility.
@@ -70,70 +62,75 @@ def test_fig3_oscar_leads_and_respects_the_budget():
 
 
 def test_fig4_oscar_success_rates_are_high_and_fair():
-    result = fig4_distribution.run(config=figure_config(), bins=10, seed=7)
+    result = figures.run("fig4", figure_config(), bins=10, seed=7).data
+    histograms, fairness = result["histograms"], result["fairness"]
 
-    for fractions in result.histograms.values():
+    for fractions in histograms.values():
         assert sum(fractions) == pytest.approx(1.0, abs=1e-9)
     # OSCAR places at least as much mass in the top bins as MF ...
-    oscar_top = sum(result.histograms["OSCAR"][-3:])
-    mf_top = sum(result.histograms["MF"][-3:])
+    oscar_top = sum(histograms["OSCAR"][-3:])
+    mf_top = sum(histograms["MF"][-3:])
     assert oscar_top >= mf_top - 0.05
     # ... and its Jain index is not worse than MF's.
-    assert result.fairness["OSCAR"] >= result.fairness["MF"] - 0.02
+    assert fairness["OSCAR"] >= fairness["MF"] - 0.02
 
 
 def test_fig5_budget_sweep():
     config = sweep_config()
     budgets = [factor * config.total_budget for factor in (0.6, 1.0, 1.6)]
-    result = fig5_budget.run(config=config, budgets=budgets, seed=7)
+    result = figures.run("fig5", config, values=budgets, seed=7)
+    success_rate, total_cost = result.data["success_rate"], result.data["total_cost"]
 
     # OSCAR is at least as good as MF at every budget level.
-    for oscar, mf in zip(result.success_rate["OSCAR"], result.success_rate["MF"]):
+    for oscar, mf in zip(success_rate["OSCAR"], success_rate["MF"]):
         assert oscar >= mf - 0.02
     # OSCAR's success rate improves (weakly) with more budget.
-    oscar_rates = result.success_rate["OSCAR"]
+    oscar_rates = success_rate["OSCAR"]
     assert oscar_rates[-1] >= oscar_rates[0] - 0.02
     # The advantage over MF shrinks (weakly) as resources stop being scarce.
-    advantage = result.oscar_advantage("MF")
+    advantage = figures.oscar_advantage(result, "MF")
     assert advantage[-1] <= advantage[0] + 0.05
     # OSCAR's total spending grows with the available budget.
-    assert result.total_cost["OSCAR"][-1] >= result.total_cost["OSCAR"][0] - 1e-9
+    assert total_cost["OSCAR"][-1] >= total_cost["OSCAR"][0] - 1e-9
 
 
 def test_fig6_network_size_sweep():
-    result = fig6_network_size.run(config=sweep_config(), sizes=(8, 12, 16), seed=7)
+    success_rate = figures.run("fig6", sweep_config(), values=(8, 12, 16), seed=7).data[
+        "success_rate"
+    ]
 
     # OSCAR dominates MF at every network size.
-    for oscar, mf in zip(result.success_rate["OSCAR"], result.success_rate["MF"]):
+    for oscar, mf in zip(success_rate["OSCAR"], success_rate["MF"]):
         assert oscar >= mf - 0.02
     # Larger networks do not get easier (longer routes under the same budget).
-    oscar_rates = result.success_rate["OSCAR"]
+    oscar_rates = success_rate["OSCAR"]
     assert oscar_rates[-1] <= oscar_rates[0] + 0.03
 
 
 def test_fig7_control_parameter_v():
     config = sweep_config()
-    result = fig7_control_v.run(config=config, v_values=(250.0, 2500.0, 25000.0), seed=7)
+    result = figures.run("fig7", config, values=(250.0, 2500.0, 25000.0), seed=7).data
+    violations = result["budget_violation"]
 
     # Spending, and with it the violation, is non-decreasing in V.
-    assert result.total_cost[-1] >= result.total_cost[0] - 1e-9
-    assert result.budget_violation[-1] >= result.budget_violation[0] - 1e-9
+    assert result["total_cost"][-1] >= result["total_cost"][0] - 1e-9
+    assert violations[-1] >= violations[0] - 1e-9
     # Utility is non-decreasing in V.
-    assert result.average_utility[-1] >= result.average_utility[0] - 0.05
+    assert result["average_utility"][-1] >= result["average_utility"][0] - 0.05
     # The measured per-slot violation respects the Theorem-1 bound.
-    for violation, bound in zip(result.budget_violation, result.theorem1_bounds):
+    for violation, bound in zip(violations, result["theorem1_bounds"]):
         if bound == bound:  # not NaN
             assert violation / config.horizon <= bound + 1e-6
 
 
 def test_fig8_initial_queue():
-    result = fig8_initial_queue.run(config=sweep_config(), q0_values=(0.0, 25.0, 250.0), seed=7)
+    result = figures.run("fig8", sweep_config(), values=(0.0, 25.0, 250.0), seed=7).data
 
     # A larger q0 spends less early on and (weakly) less in total ...
-    assert result.early_cost[-1] <= result.early_cost[0] + 1e-9
-    assert result.total_cost[-1] <= result.total_cost[0] + 1e-9
+    assert result["early_cost"][-1] <= result["early_cost"][0] + 1e-9
+    assert result["total_cost"][-1] <= result["total_cost"][0] + 1e-9
     # ... and a huge q0 cannot improve utility.
-    assert result.average_utility[-1] <= result.average_utility[0] + 0.05
+    assert result["average_utility"][-1] <= result["average_utility"][0] + 0.05
 
 
 # --------------------------------------------------------------------- #

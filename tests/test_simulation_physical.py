@@ -21,7 +21,8 @@ import pytest
 from repro import api
 from repro.analysis.stats import merge_stat_mappings
 from repro.api.records import trial_to_dict
-from repro.experiments.config import ExperimentConfig
+from repro.experiments import figures
+from repro.experiments.config import ExperimentConfig, with_physical_defaults
 from repro.network.routes import Route
 from repro.physics.fidelity import fidelity_of_chain
 from repro.simulation.physical import (
@@ -565,9 +566,9 @@ class TestCliIntegration:
         assert _config_from_args(arguments).physical is None
 
     def test_fig9_registered(self):
-        from repro.cli import FIGURE_RUNNERS
+        from repro.cli import build_parser
 
-        assert "fig9" in FIGURE_RUNNERS
+        assert build_parser().parse_args(["figure", "fig9"]).name == "fig9"
 
     def test_compare_progress_prints_health_line(self, capsys):
         from repro.cli import main
@@ -605,26 +606,25 @@ class TestCliIntegration:
         )
 
 
+def fig9_config(config, explicit=None):
+    """``config`` with fig9's layer defaults, as the figure runs it."""
+    return with_physical_defaults(config, figures.FIGURES["fig9"].layers, explicit)
+
+
 class TestFig9:
     def test_fig9_runs_and_reports_both_panels(self):
-        from repro.experiments import fig9_fidelity
-
-        result = fig9_fidelity.run(
-            ExperimentConfig.tiny(), budgets=[200.0, 300.0], trials=1
-        )
+        result = figures.run("fig9", ExperimentConfig.tiny(), values=[200.0, 300.0], trials=1)
         tables = result.format_tables()
         assert "Fig. 9(a) Mean delivered fidelity" in tables
         assert "Fig. 9(b) Fidelity-constrained service rate" in tables
-        assert len(result.budgets) == 2
-        for series in result.fidelity_throughput.values():
+        assert len(result.data["budgets"]) == 2
+        for series in result.data["fidelity_throughput"].values():
             assert all(0.0 <= value <= 1.0 for value in series)
         payload = result.to_dict()
         assert payload["figure"] == "fig9"
         assert payload["physical_stats"] is not None
 
     def test_fig9_default_merging(self):
-        from repro.experiments.fig9_fidelity import fig9_config
-
         # Library path: an explicitly enabled config is taken as configured.
         config = ExperimentConfig.tiny().with_overrides(
             physical_enabled=True, physical_swap_success=0.5
@@ -656,7 +656,6 @@ class TestFig9:
 
     def test_cli_fig9_explicit_flags_survive_the_merge(self):
         from repro.cli import _config_from_args, _config_paths, build_parser
-        from repro.experiments.fig9_fidelity import fig9_config
 
         arguments = build_parser().parse_args(
             ["figure", "fig9", "--scale", "tiny", "--swap-p", "1.0"]
