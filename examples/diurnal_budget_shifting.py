@@ -16,10 +16,10 @@ Run it with::
 from __future__ import annotations
 
 from repro import api
+from repro.analysis.stats import downsample
 from repro.core.offline import OfflineOraclePolicy
 from repro.core.per_slot import PerSlotSolver
-from repro.experiments.plots import line_chart
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import format_series_table, format_table
 from repro.network.topology import waxman_topology_with_degree
 from repro.simulation.engine import simulate_policies
 from repro.workload.requests import DiurnalRequestProcess
@@ -77,12 +77,13 @@ def main() -> None:
     ))
 
     print()
-    print(line_chart(
-        {name: result.cumulative_costs() for name, result in results.items()},
+    points = 11
+    print(format_series_table(
+        "slot",
+        [int(slot) for slot in downsample(range(horizon), points)],
+        {name: downsample(result.cumulative_costs(), points) for name, result in results.items()},
         title="Cumulative qubit spending over time (note the flat quiet phases for OSCAR/Oracle)",
-        height=10,
-        width=60,
-        y_format="{:.0f}",
+        precision=1,
     ))
     print()
     print("OSCAR and the oracle concentrate their spending in the busy phase of the")

@@ -1,5 +1,5 @@
-"""Tests for repro.experiments.plots and repro.analysis.convergence, plus the
-diurnal request process added to the workload layer."""
+"""Tests for repro.analysis.convergence, plus the diurnal request process
+added to the workload layer."""
 
 import numpy as np
 import pytest
@@ -10,73 +10,10 @@ from repro.analysis.convergence import (
     improvement_curve,
     iterations_to_reach,
 )
-from repro.experiments.plots import histogram_chart, line_chart, sparkline
 from repro.solvers.gibbs import GibbsResult, GibbsSampler
 from repro.workload.requests import DiurnalRequestProcess
 
 from conftest import make_line_graph
-
-
-class TestSparkline:
-    def test_length_matches_input(self):
-        assert len(sparkline([1, 2, 3, 4])) == 4
-
-    def test_resamples_long_series(self):
-        assert len(sparkline(list(range(500)), width=50)) == 50
-
-    def test_constant_series(self):
-        line = sparkline([2.0, 2.0, 2.0])
-        assert len(set(line)) == 1
-
-    def test_empty_series(self):
-        assert sparkline([]) == ""
-
-    def test_monotone_series_uses_increasing_blocks(self):
-        line = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
-        assert line[0] == "▁" and line[-1] == "█"
-
-
-class TestLineChart:
-    def test_contains_legend_and_axis(self):
-        chart = line_chart({"OSCAR": [1, 2, 3], "MF": [3, 2, 1]}, title="T")
-        assert "T" in chart
-        assert "o=OSCAR" in chart and "x=MF" in chart
-        assert "+" + "-" * 10 in chart  # part of the x-axis
-
-    def test_height_respected(self):
-        chart = line_chart({"a": [0, 1, 2]}, height=6, title="")
-        # 6 grid rows + axis + legend
-        assert len(chart.splitlines()) == 8
-
-    def test_empty_series_map(self):
-        assert line_chart({}, title="nothing") == "nothing"
-
-    def test_constant_series_handled(self):
-        chart = line_chart({"a": [1.0, 1.0, 1.0]})
-        assert "o" in chart
-
-    def test_invalid_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            line_chart({"a": [1]}, height=0)
-
-
-class TestHistogramChart:
-    def test_rows_per_bin_and_series(self):
-        chart = histogram_chart(
-            [0.0, 0.5, 1.0], {"OSCAR": [0.2, 0.8], "MF": [0.5, 0.5]}
-        )
-        lines = chart.splitlines()
-        assert len(lines) == 4  # 2 bins x 2 series
-        assert any("OSCAR" in line for line in lines)
-
-    def test_bar_lengths_scale_with_value(self):
-        chart = histogram_chart([0.0, 0.5, 1.0], {"a": [0.1, 1.0]})
-        lines = chart.splitlines()
-        assert lines[1].count("#") > lines[0].count("#")
-
-    def test_all_zero_histogram(self):
-        chart = histogram_chart([0.0, 1.0], {"a": [0.0]})
-        assert "#" not in chart
 
 
 class TestConvergence:
