@@ -201,6 +201,8 @@ class Figure:
     ``tag`` of its outer value.  ``layers`` are the layer defaults by config
     path (see :func:`~repro.experiments.config.with_physical_defaults`),
     ``stats`` the ``(payload key, layer)`` of the stats the payload carries.
+    ``policies`` narrows the line-up, ``tables`` lays out the report and
+    ``title`` heads it when one table holds every series.
     """
 
     x_key: str
@@ -209,7 +211,7 @@ class Figure:
     tables: Callable[[FigureResult], List[str]] = _panels
     path: Optional[str] = None
     label: str = ""
-    values: Callable[[ExperimentConfig], Sequence] = list
+    values: Optional[Callable[[ExperimentConfig], Sequence]] = None
     cast: Callable = float
     axis: Callable = float
     policies: Tuple[str, ...] = ()
@@ -227,7 +229,8 @@ class Figure:
 def _mean_series(method: str) -> Callable:
     """A run reducer: the across-trial mean of one per-slot series, per entry."""
 
-    def reduce(config: ExperimentConfig, record: api.RunRecord, bins: int) -> Dict[str, List[float]]:
+    def reduce(config: ExperimentConfig, record: api.RunRecord,
+               bins: int) -> Dict[str, List[float]]:
         return {
             name: aggregate_series(
                 [getattr(result, method)() for result in record.results_for(name)]
@@ -304,7 +307,8 @@ REDUCERS: Dict[str, Callable] = {
 
 def _budgets(config: ExperimentConfig) -> List[float]:
     """The paper's 3000…8000 budgets, scaled to the config's budget of 5000."""
-    return [round(config.total_budget * (b / 5000.0), 2) for b in (3000.0, 4000.0, 5000.0, 6000.0, 7000.0, 8000.0)]
+    paper = (3000.0, 4000.0, 5000.0, 6000.0, 7000.0, 8000.0)
+    return [round(config.total_budget * (b / 5000.0), 2) for b in paper]
 
 
 def mtbf_for_rate(rate: float) -> float:
@@ -331,16 +335,10 @@ FIGURES: Dict[str, Figure] = {
         (
             Series("slots", "slots"),
             Series("running_utility", "running_utility", "Fig. 3(a) Running-average utility"),
-            Series(
-                "running_success_rate",
-                "running_success_rate",
-                "Fig. 3(b) Running-average EC success rate",
-            ),
-            Series(
-                "cumulative_cost",
-                "cumulative_cost",
-                "Fig. 3(c) Cumulative qubit usage (budget C={c.total_budget:g})",
-            ),
+            Series("running_success_rate", "running_success_rate",
+                   "Fig. 3(b) Running-average EC success rate"),
+            Series("cumulative_cost", "cumulative_cost",
+                   "Fig. 3(c) Cumulative qubit usage (budget C={c.total_budget:g})"),
         ),
         tables=_slot_panels,
     ),
@@ -358,7 +356,8 @@ FIGURES: Dict[str, Figure] = {
         "budgets",
         "budget C",
         (
-            Series("success_rate", "average_success_rate", "Fig. 5(a) Average EC success rate vs. budget"),
+            Series("success_rate", "average_success_rate",
+                   "Fig. 5(a) Average EC success rate vs. budget"),
             Series("total_cost", "total_cost", "Fig. 5(b) Average total qubit usage vs. budget"),
         ),
         path="budget.total_budget",
@@ -369,17 +368,16 @@ FIGURES: Dict[str, Figure] = {
         "sizes",
         "nodes",
         (
-            Series(
-                "success_rate",
-                "average_success_rate",
-                "Fig. 6(a) Average EC success rate vs. network size",
-            ),
-            Series("total_cost", "total_cost", "Fig. 6(b) Average total qubit usage vs. network size"),
+            Series("success_rate", "average_success_rate",
+                   "Fig. 6(a) Average EC success rate vs. network size"),
+            Series("total_cost", "total_cost",
+                   "Fig. 6(b) Average total qubit usage vs. network size"),
         ),
         path="topology.num_nodes",
         label="N",
         # The paper's 10…30 nodes, scaled to the config's size of 20.
-        values=lambda c: sorted({max(6, int(round(c.num_nodes * (s / 20.0)))) for s in (10, 15, 20, 25, 30)}),
+        values=lambda c: sorted({max(6, int(round(c.num_nodes * (s / 20.0))))
+                                 for s in (10, 15, 20, 25, 30)}),
         cast=int,
         axis=int,
     ),
@@ -395,9 +393,11 @@ FIGURES: Dict[str, Figure] = {
         path="budget.trade_off_v",
         label="V",
         # The paper's V values, scaled to the config's V of 2500.
-        values=lambda c: [v * (c.trade_off_v / 2500.0) for v in (500.0, 1000.0, 2500.0, 5000.0, 10000.0)],
+        values=lambda c: [v * (c.trade_off_v / 2500.0)
+                          for v in (500.0, 1000.0, 2500.0, 5000.0, 10000.0)],
         policies=("oscar",),
-        title="Fig. 7 Impact of the control parameter V (budget C={c.total_budget:g}, T={c.horizon})",
+        title="Fig. 7 Impact of the control parameter V "
+              "(budget C={c.total_budget:g}, T={c.horizon})",
     ),
     "fig8": Figure(
         "q0_values",
@@ -411,18 +411,17 @@ FIGURES: Dict[str, Figure] = {
         label="q0",
         values=lambda c: [0.0, 10.0, 50.0, 100.0, 200.0],
         policies=("oscar",),
-        title="Fig. 8 Impact of the initial virtual queue q0 (V={c.trade_off_v:g}, C={c.total_budget:g})",
+        title="Fig. 8 Impact of the initial virtual queue q0 "
+              "(V={c.trade_off_v:g}, C={c.total_budget:g})",
     ),
     "fig9": Figure(
         "budgets",
         "budget C",
         (
-            Series("delivered_fidelity", "mean_delivered_fidelity", "Fig. 9(a) Mean delivered fidelity vs. budget"),
-            Series(
-                "fidelity_throughput",
-                "fidelity_served_rate",
-                "Fig. 9(b) Fidelity-constrained service rate vs. budget",
-            ),
+            Series("delivered_fidelity", "mean_delivered_fidelity",
+                   "Fig. 9(a) Mean delivered fidelity vs. budget"),
+            Series("fidelity_throughput", "fidelity_served_rate",
+                   "Fig. 9(b) Fidelity-constrained service rate vs. budget"),
             Series("delivered_rate", "delivered_success_rate"),
         ),
         path="budget.total_budget",
@@ -442,19 +441,16 @@ FIGURES: Dict[str, Figure] = {
         "latencies",
         "latency (s)",
         (
-            Series("throughput", "realized_success_rate", "Fig. 10(a) Realized throughput vs. signaling latency"),
-            Series(
-                "delivered_fidelity",
-                "mean_delivered_fidelity",
-                "Fig. 10(b) Mean delivered fidelity vs. signaling latency",
-            ),
+            Series("throughput", "realized_success_rate",
+                   "Fig. 10(a) Realized throughput vs. signaling latency"),
+            Series("delivered_fidelity", "mean_delivered_fidelity",
+                   "Fig. 10(b) Mean delivered fidelity vs. signaling latency"),
         ),
         path="timing.signaling_latency_s",
         label="latency_s",
         # Fractions of one slot's entanglement-attempt window, zero included.
-        values=lambda c: [
-            round(f * (c.attempts_per_slot * ATTEMPT_DURATION_S), 9) for f in (0.0, 0.05, 0.1, 0.2, 0.4)
-        ],
+        values=lambda c: [round(f * (c.attempts_per_slot * ATTEMPT_DURATION_S), 9)
+                          for f in (0.0, 0.05, 0.1, 0.2, 0.4)],
         policies=("oscar",),
         layers=_CUTOFF_LAYER,
         outer=("timing.backend", "backend", ("slotted", "event"), str),
@@ -464,12 +460,10 @@ FIGURES: Dict[str, Figure] = {
         "outage_rates",
         "outage rate (1/slot)",
         (
-            Series("throughput", "realized_success_rate", "Fig. 11(a) Realized throughput vs. outage rate"),
-            Series(
-                "delivered_fidelity",
-                "mean_delivered_fidelity",
-                "Fig. 11(b) Mean delivered fidelity vs. outage rate",
-            ),
+            Series("throughput", "realized_success_rate",
+                   "Fig. 11(a) Realized throughput vs. outage rate"),
+            Series("delivered_fidelity", "mean_delivered_fidelity",
+                   "Fig. 11(b) Mean delivered fidelity vs. outage rate"),
         ),
         path="faults.edge_mtbf",
         label="edge_mtbf",
@@ -484,14 +478,13 @@ FIGURES: Dict[str, Figure] = {
 }
 
 
-def build_study(name: str, config: ExperimentConfig, values: Optional[Sequence] = None) -> api.Study:
-    """Sweep ``name`` as a :class:`~repro.api.study.Study`, without running it.
+def build_study(name: str, config: ExperimentConfig, values: Sequence) -> api.Study:
+    """Sweep ``name`` over ``values`` as a :class:`~repro.api.study.Study`, without running it.
 
     ``config`` is taken as given: :func:`run` applies the layer defaults
     first.
     """
     spec = FIGURES[name]
-    values = spec.values(config) if values is None else values
     scenario = api.Scenario.from_config(config, name=name)
     if spec.policies:
         scenario = scenario.with_policies(*spec.policies)
@@ -499,7 +492,8 @@ def build_study(name: str, config: ExperimentConfig, values: Optional[Sequence] 
     if spec.outer:
         path, label, outer_values, _ = spec.outer
         study = study.over(path, list(outer_values), label=label)
-    return study.over(spec.path, [spec.axis(spec.cast(value)) for value in values], label=spec.label)
+    axis_values = [spec.axis(spec.cast(value)) for value in values]
+    return study.over(spec.path, axis_values, label=spec.label)
 
 
 def _summary_series(spec: Figure, study: api.StudyResult, metric: str) -> Dict[str, List[float]]:
@@ -528,7 +522,8 @@ def run(
     """Run figure ``name`` and read its series.
 
     ``values`` replaces a sweep's default x values; ``record`` reuses a
-    comparison run for fig3 or fig4, and ``bins`` sizes fig4's histogram.
+    comparison run for fig3 or fig4, whose config then stands for
+    ``config``; ``bins`` sizes fig4's histogram.
     """
     spec = FIGURES[name]
     config = (config or ExperimentConfig.paper()).with_run_overrides(trials, seed)
@@ -536,6 +531,8 @@ def run(
     if spec.path is None:
         if record is None:
             record = api.compare(config, workers=workers, name=name)
+        else:
+            config = api.Scenario.from_dict(record.scenario).config
         data = {series.key: REDUCERS[series.metric](config, record, bins) for series in spec.series}
         return FigureResult(name, config, data, record=record)
 

@@ -53,6 +53,12 @@ class TestFig4:
         assert set(result.data["fairness"].keys()) == {"OSCAR", "MA", "MF"}
         assert "Fig. 4" in result.format_tables()
         assert result.record is fig3_result.record
+        # The payload names the config the reused run ran, not the argument's.
+        assert result.config == fig3_result.config
+
+    def test_reused_record_sets_the_slots(self, tiny_config, fig3_result):
+        result = figures.run("fig3", tiny_config.with_overrides(horizon=3), record=fig3_result.record)
+        assert result.data["slots"] == list(range(tiny_config.horizon))
 
 
 class TestFig5:
