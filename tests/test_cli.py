@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import figures
 
 
 class TestParser:
@@ -18,6 +19,10 @@ class TestParser:
     def test_figure_names_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
+
+    def test_figure_names_are_the_specs_and_ablations(self):
+        for name in (*figures.FIGURES, "ablations"):
+            assert build_parser().parse_args(["figure", name]).name == name
 
     def test_scale_choices(self):
         arguments = build_parser().parse_args(["info", "--scale", "tiny"])

@@ -8,7 +8,7 @@ at slightly larger scale in the integration tests and benchmarks.
 import pytest
 
 from repro.experiments import ablations, figures
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, resolve_path
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +99,13 @@ class TestFig7:
         assert len(result.data["theorem1_bounds"]) == 2
         assert "Fig. 7" in result.format_tables()
 
+    def test_theorem1_bound_reads_each_points_v(self, tiny_config):
+        # The bound's V term grows with V, so it differs only if each point's
+        # own V reaches the reducer.
+        result = figures.run("fig7", tiny_config, values=(100.0, 5000.0), trials=1, seed=4)
+        low, high = result.data["theorem1_bounds"]
+        assert 0.0 < low < high
+
     def test_larger_v_never_spends_less(self, tiny_config):
         result = figures.run("fig7", tiny_config, values=(50.0, 10000.0), trials=1, seed=4)
         total_cost = result.data["total_cost"]
@@ -117,6 +124,50 @@ class TestFig8:
         result = figures.run("fig8", tiny_config, values=(0.0, 500.0), trials=1, seed=6)
         early_cost = result.data["early_cost"]
         assert early_cost[1] <= early_cost[0] + 1e-9
+
+
+class TestFigureSpecs:
+    def test_swept_paths_are_the_study_axes(self, tiny_config):
+        # The CLI refuses a flag for a swept path, so swept must name every
+        # axis the figure's study sets.
+        for name, spec in figures.FIGURES.items():
+            if spec.path is None:
+                assert spec.swept == (), name
+                continue
+            study = figures.build_study(name, tiny_config, spec.values(tiny_config))
+            assert tuple(axis.path for axis in study.axes) == tuple(
+                resolve_path(path) for path in spec.swept
+            ), name
+
+    def test_fig11_axis_sets_the_mtbf_of_each_rate(self, tiny_config):
+        # fig11 sweeps outage rates but sets each as an MTBF on the config.
+        study = figures.build_study("fig11", tiny_config, [0.0, 0.02])
+        assert study.axes[-1].values == (0.0, 50.0)
+        assert study.axes[0].values == (True, False)
+
+    def test_paper_scale_sweeps_the_papers_values(self):
+        # Sec. V-A: C in 3000..8000, 10..30 nodes, V in 500..10000, q0 in 0..200.
+        config = ExperimentConfig.paper()
+        names = ("fig5", "fig6", "fig7", "fig8")
+        values = {name: figures.FIGURES[name].values(config) for name in names}
+        assert values == {
+            "fig5": [3000.0, 4000.0, 5000.0, 6000.0, 7000.0, 8000.0],
+            "fig6": [10, 15, 20, 25, 30],
+            "fig7": [500.0, 1000.0, 2500.0, 5000.0, 10000.0],
+            "fig8": [0.0, 10.0, 50.0, 100.0, 200.0],
+        }
+
+    def test_payload_keeps_the_spec_order(self, tiny_config, fig3_result):
+        # figure --json is dumped without sort_keys, so the order is the output's.
+        view = figures.run("fig4", tiny_config, record=fig3_result.record)
+        assert list(view.to_dict()) == [
+            "figure", "config", "bin_edges", "histograms", "fairness", "record",
+        ]
+        sweep = figures.run("fig9", tiny_config, values=(200.0,), trials=1)
+        assert list(sweep.to_dict()) == [
+            "figure", "config", "budgets", "delivered_fidelity", "fidelity_throughput",
+            "delivered_rate", "physical_stats", "study",
+        ]
 
 
 class TestAblations:
