@@ -33,7 +33,7 @@ def jain_fairness_index(values: Sequence[float]) -> float:
     everything.  An empty input raises ``ValueError``; an all-zero input is
     defined here as perfectly fair (nobody got anything).
     """
-    array = np.asarray(list(values), dtype=float)
+    array = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
     if array.size == 0:
         raise ValueError("fairness of an empty set is undefined")
     _require_finite(array, "fairness")

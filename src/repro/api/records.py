@@ -14,7 +14,10 @@ Records round-trip through JSON (:meth:`RunRecord.save` /
 trial layout: the checkpoints of :mod:`repro.faults.checkpoint` write their
 trials with its public codecs (:func:`trial_to_dict`,
 :func:`trial_diagnostics`, :func:`provider_record_to_dict` and their
-inverses).
+inverses).  A result saves its slots as columns
+(:class:`~repro.simulation.results.SlotColumns`), each one
+:func:`encode_column`: the base64 of its zlib-compressed little-endian
+bytes.
 
 Every layer reports through one stats channel: the ``diagnostics`` mapping
 of each result holds one summable mapping per layer of
@@ -25,22 +28,37 @@ the same stats as a live one.
 
 from __future__ import annotations
 
+import base64
 import json
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.analysis.stats import TrialAggregate, aggregate_scalar, merge_stat_mappings
 from repro.core.multiuser import ProviderSlotRecord
 from repro.experiments.config import ExperimentConfig
-from repro.simulation.results import SimulationResult, SlotRecord, summary_metrics
+from repro.simulation.results import (
+    OPTIONAL_COLUMNS,
+    REQUEST_COLUMNS,
+    SLOT_COLUMNS,
+    Ragged,
+    SimulationResult,
+    SlotColumns,
+    SlotRecord,
+    summary_metrics,
+)
 
 PathLike = Union[str, Path]
 
-#: Schema version written into every persisted record.  Version 2 saves each
-#: result's layer stats in a ``diagnostics`` list beside ``trials``; version 1
-#: kept only a run-level ``telemetry`` section, which still loads.
-SCHEMA_VERSION = 2
+#: Schema version written into every persisted record.  Version 3 saves each
+#: result's slots as compressed columns; version 2 saved one JSON object per
+#: slot and each result's layer stats in a ``diagnostics`` list beside
+#: ``trials``; version 1 kept only a run-level ``telemetry`` section.  Both
+#: older versions still load.
+SCHEMA_VERSION = 3
 
 #: The layers of the stats channel, in ``[health]`` order.  Each names the
 #: key of a result's ``diagnostics`` mapping that holds the layer's counters:
@@ -72,6 +90,57 @@ def trial_diagnostics(trial: Mapping[str, SimulationResult]) -> Dict[str, Dict[s
     }
 
 
+def encode_column(values: np.ndarray) -> Dict[str, object]:
+    """One column as ``{dtype, length, data}``: ``data`` is the base64 of the
+    zlib-compressed little-endian bytes."""
+    values = np.ascontiguousarray(values, dtype=values.dtype.newbyteorder("<"))
+    return {
+        "dtype": values.dtype.str,
+        "length": len(values),
+        "data": base64.b64encode(zlib.compress(values.tobytes(), 1)).decode("ascii"),
+    }
+
+
+def decode_column(payload: Mapping, dtype) -> np.ndarray:
+    """The values of an :func:`encode_column` payload, as ``dtype``."""
+    raw = zlib.decompress(base64.b64decode(payload["data"]))
+    values = np.frombuffer(raw, dtype=np.dtype(str(payload["dtype"])))
+    if len(values) != int(payload["length"]):
+        raise ValueError(
+            f"column holds {len(values)} values, its header says {payload['length']}"
+        )
+    return values.astype(dtype, copy=False)
+
+
+def columns_to_dict(columns: SlotColumns) -> Dict[str, object]:
+    """A result's slots in the saved layout: each per-slot column encoded,
+    each per-request (or optional) column as its ``values`` and per-slot
+    ``lengths``."""
+    payload: Dict[str, object] = {
+        name: encode_column(getattr(columns, name)) for name in SLOT_COLUMNS
+    }
+    for name in (*OPTIONAL_COLUMNS, *REQUEST_COLUMNS):
+        column = getattr(columns, name)
+        payload[name] = {
+            "values": encode_column(column.values),
+            "lengths": encode_column(column.lengths),
+        }
+    return payload
+
+
+def columns_from_dict(payload: Mapping) -> SlotColumns:
+    """The inverse of :func:`columns_to_dict`."""
+    columns: Dict[str, object] = {
+        name: decode_column(payload[name], dtype) for name, dtype in SLOT_COLUMNS.items()
+    }
+    for name, dtype in {**OPTIONAL_COLUMNS, **REQUEST_COLUMNS}.items():
+        column = payload[name]
+        columns[name] = Ragged(
+            decode_column(column["values"], dtype), decode_column(column["lengths"], np.int64)
+        )
+    return SlotColumns(**columns)
+
+
 def result_to_dict(result: SimulationResult) -> Dict:
     """A JSON-serialisable representation of one policy run."""
     return {
@@ -79,24 +148,7 @@ def result_to_dict(result: SimulationResult) -> Dict:
         "horizon": result.horizon,
         "total_budget": result.total_budget,
         "summary": result.summary(),
-        "records": [
-            {
-                "t": record.t,
-                "num_requests": record.num_requests,
-                "num_served": record.num_served,
-                "cost": record.cost,
-                "utility": record.utility,
-                "success_probabilities": list(record.success_probabilities),
-                "realized_successes": [bool(v) for v in record.realized_successes],
-                "queue_length": record.queue_length,
-                "delivered_successes": [bool(v) for v in record.delivered_successes],
-                "delivered_fidelities": list(record.delivered_fidelities),
-                "fidelity_served": [bool(v) for v in record.fidelity_served],
-                "slot_start_s": record.slot_start_s,
-                "slot_end_s": record.slot_end_s,
-            }
-            for record in result.records
-        ],
+        "columns": columns_to_dict(result.columns),
     }
 
 
@@ -106,9 +158,26 @@ def result_from_dict(
     """Rebuild a :class:`SimulationResult` from :func:`result_to_dict` output.
 
     ``diagnostics`` becomes the result's diagnostics mapping (the saved
-    layer stats of :func:`trial_diagnostics`).
+    layer stats of :func:`trial_diagnostics`).  A result saved by schema 1
+    or 2 holds a ``records`` list, one object per slot, instead of
+    ``columns``.
     """
-    records = tuple(
+    if "columns" in payload:
+        columns = columns_from_dict(payload["columns"])
+    else:
+        columns = SlotColumns.from_records(_legacy_records(payload["records"]))
+    return SimulationResult(
+        policy_name=str(payload["policy_name"]),
+        horizon=int(payload["horizon"]),
+        total_budget=float(payload["total_budget"]),
+        columns=columns,
+        diagnostics=dict(diagnostics or {}),
+    )
+
+
+def _legacy_records(entries) -> List[SlotRecord]:
+    """The slots of a schema-1 or schema-2 result."""
+    return [
         SlotRecord(
             t=int(entry["t"]),
             num_requests=int(entry["num_requests"]),
@@ -128,15 +197,8 @@ def result_from_dict(
             slot_start_s=entry.get("slot_start_s"),
             slot_end_s=entry.get("slot_end_s"),
         )
-        for entry in payload["records"]
-    )
-    return SimulationResult(
-        policy_name=str(payload["policy_name"]),
-        horizon=int(payload["horizon"]),
-        total_budget=float(payload["total_budget"]),
-        records=records,
-        diagnostics=dict(diagnostics or {}),
-    )
+        for entry in entries
+    ]
 
 
 def trial_to_dict(trial: Mapping[str, SimulationResult]) -> Dict[str, Dict]:
@@ -390,7 +452,7 @@ class RunRecord:
                 if span is None:
                     continue
                 total_seconds += span
-                total_requests += sum(r.num_requests for r in result.records)
+                total_requests += int(result.columns.num_requests.sum())
         if total_seconds <= 0.0:
             return None
         return total_requests / total_seconds
@@ -415,7 +477,7 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunRecord":
-        """Rebuild a record from :meth:`to_dict` output (either schema)."""
+        """Rebuild a record from :meth:`to_dict` output (any schema)."""
         diagnostics = payload.get("diagnostics")
         if diagnostics is None:
             diagnostics = _v1_diagnostics(payload)

@@ -14,7 +14,9 @@ writing any Python (all built on the :mod:`repro.api` facade):
   ``--purify-rounds``, ``--fidelity-target``, ``--fidelity-constrained``),
   the timing flags (``--backend``, ``--signaling-latency``) and the
   fault-injection flags (``--faults``, ``--node-mtbf``, ``--edge-mtbf``,
-  ``--mttr``, ``--fault-blind``, ``--solve-deadline``).
+  ``--mttr``, ``--fault-blind``, ``--solve-deadline``); ``figure`` refuses
+  a flag its figure sweeps, and ``figure ablations`` the physical and
+  timing flags, which the ablations do not read.
 * ``python -m repro compare --scale tiny`` — run a policy comparison and
   print the summary table; ``--policies`` picks any registered policies,
   ``--workers`` parallelises the trials, ``--progress`` streams progress,
@@ -111,7 +113,14 @@ def command_figure(arguments: argparse.Namespace) -> int:
     """Regenerate one of the paper's figures, or the ablations."""
     config = _config_from_args(arguments)
     spec = figures.FIGURES.get(arguments.name)
-    if spec is not None:
+    if spec is None:
+        # The ablations read neither the physical nor the timing layer.
+        for path, value in vars(arguments).items():
+            if path.startswith(("physical.", "timing.")) and value is not None:
+                raise ConfigError(
+                    f"{arguments.flags[path]} sets {path}, which the ablations do not read"
+                )
+    else:
         # A flag the sweep sets would be overwritten at every point.
         for path in spec.swept:
             if getattr(arguments, path, None) is not None:

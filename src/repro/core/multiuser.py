@@ -215,7 +215,7 @@ class MultiUserSimulator(SlotPipeline):
                     snapshot = ResourceSnapshot(
                         qubits=dict(remaining_qubits), channels=dict(remaining_channels)
                     )
-                    decision, _ = self._step(
+                    decision = self._step(
                         envelope, lane, t, snapshot, requests, self._routes_for, fault_state
                     )
                     _subtract_decision(remaining_qubits, remaining_channels, decision)
@@ -242,7 +242,7 @@ class MultiUserSimulator(SlotPipeline):
                 policy_name=f"{user.name}:{user.policy.name}",
                 horizon=self.horizon,
                 total_budget=user.total_budget,
-                records=tuple(lane.records),
+                columns=lane.slots.build(),
                 diagnostics=lane_diagnostics,
             )
             for (user, lane), lane_diagnostics in zip(tenants, diagnostics)

@@ -32,8 +32,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 PathLike = Union[str, Path]
 
-#: Schema tag written into every checkpoint file.
-CHECKPOINT_SCHEMA = "repro.checkpoint/1"
+#: Schema tag written into every checkpoint file.  Version 2 saves trials in
+#: the column layout of record schema 3; a version-1 checkpoint (one object
+#: per slot, without the realised fidelities) is not resumed, so its trials
+#: are run again.
+CHECKPOINT_SCHEMA = "repro.checkpoint/2"
 
 
 def checkpoint_key(scenario: Mapping[str, object]) -> str:
@@ -88,8 +91,7 @@ class RunCheckpoint:
                 return []
             outcomes = []
             for entry in payload["trials"]:
-                # Checkpoints written before the stats were saved carry no
-                # diagnostics and resume without them.
+                # A trial saved without its stats resumes without them.
                 results = trial_from_dict(entry["results"], entry.get("diagnostics"))
                 provider = tuple(
                     provider_record_from_dict(record)

@@ -43,7 +43,7 @@ from repro.serving.admission import (
 from repro.serving.arrivals import ArrivalProcess, SessionSpec, build_arrivals
 from repro.simulation.clock import SlotClock
 from repro.simulation.pipeline import RunEnvelope
-from repro.simulation.results import SimulationResult, SlotRecord
+from repro.simulation.results import SimulationResult, SlotColumnsBuilder, SlotRecord
 from repro.telemetry.tracer import TelemetryModel, maybe_span
 from repro.utils.rng import SeedLike, as_generator, derive_seed
 from repro.utils.validation import check_non_negative, check_positive
@@ -129,14 +129,18 @@ AdmittedJoin = Tuple[SessionSpec, int, float, int, int]
 
 
 class SlotOutcome(NamedTuple):
-    """One slot of the whole table, summed over the sessions."""
+    """One slot of the whole table, summed over the sessions.
+
+    ``success_probabilities`` and ``realized`` hold one entry per served
+    request, in session-id order.
+    """
 
     arrived: int
     served: int
     cost: int
     utility: float
-    success_probabilities: Tuple[float, ...]
-    realized: Tuple[bool, ...]
+    success_probabilities: np.ndarray
+    realized: np.ndarray
     sojourn: int
     dropped: int
     departed: int
@@ -150,8 +154,12 @@ _COLUMNS = {
     "ids": np.int64, "rate": float, "capacity": np.int64, "cost": np.int64,
     "prob": float, "route": np.int64, "expires": np.int64, "lifetime": np.int64,
     "renew": float, "backlog": np.int64, "served_total": np.int64,
-    "rngs": object, "prob_objects": object,
+    "rngs": object,
 }
+
+#: A slot without service: no probabilities, no realisations.
+_NO_PROBABILITIES = np.empty(0, dtype=float)
+_NO_REALIZATIONS = np.empty(0, dtype=bool)
 
 
 class SessionTable:
@@ -162,10 +170,8 @@ class SessionTable:
     ``prob``, the per-request qubits and success probability; ``route``,
     the route id; ``expires``, the slot the current lifetime ends;
     ``lifetime``; ``renew``, the renewal probability; ``backlog``, the
-    queued requests; ``served_total``.  Two object columns hold each
-    session's generator (``rngs``) and the one Python float of its success
-    probability (``prob_objects``), which every served request's record
-    entry shares.
+    queued requests; ``served_total``.  An object column holds each
+    session's generator (``rngs``).
 
     ``queue`` holds the FIFO backlog as arrival batches, one column each
     with the rows (session id, arrival slot, count), sorted by session and
@@ -190,7 +196,7 @@ class SessionTable:
         rows = [
             (spec.session_id, spec.request_rate, capacity, cost, prob, route,
              spec.joined_slot + spec.lifetime, spec.lifetime, spec.renew_probability,
-             0, 0, as_generator(spec.seed), prob)
+             0, 0, as_generator(spec.seed))
             for spec, cost, prob, capacity, route in joins
         ]
         columns = zip(*rows) if rows else [()] * len(_COLUMNS)
@@ -269,15 +275,15 @@ class SessionTable:
         rows = served.nonzero()[0]
         counts = served[rows]
         utility = 0.0
-        probabilities: Tuple[float, ...] = ()
-        realized: Tuple[bool, ...] = ()
+        probabilities = _NO_PROBABILITIES
+        realized = _NO_REALIZATIONS
         if rows.size:
             draws = np.concatenate(
                 [rng.random(k) for rng, k in zip(rngs[rows].tolist(), counts.tolist())]
             )
             prob = self.prob[rows]
-            realized = tuple((draws < prob.repeat(counts)).tolist())
-            probabilities = tuple(self.prob_objects[rows].repeat(counts).tolist())
+            probabilities = prob.repeat(counts)
+            realized = draws < probabilities
             # Sequential, in session-id order (np.sum would add pairwise).
             utility = float((counts * prob).cumsum()[-1])
         # 3. Expiry: a session whose lifetime ends renews with one draw or departs.
@@ -488,7 +494,7 @@ class ServingSimulator:
         sojourn_slots = 0
         merged_backlog = 0
         active_sessions = 0
-        records: List[SlotRecord] = []
+        columns = SlotColumnsBuilder()
         stopped = False
         for window_start in range(0, self.horizon, model.merge_every):
             slots = range(window_start, min(window_start + model.merge_every, self.horizon))
@@ -544,7 +550,7 @@ class ServingSimulator:
                     outcome = table.step(t, joins.get(t, ()), cut)
                 counters["requests_arrived"] += outcome.arrived
                 counters["requests_served"] += outcome.served
-                counters["requests_realized"] += sum(outcome.realized)
+                counters["requests_realized"] += int(np.count_nonzero(outcome.realized))
                 counters["requests_dropped"] += outcome.dropped
                 counters["sessions_departed"] += outcome.departed
                 counters["sessions_renewed"] += outcome.renewed
@@ -559,7 +565,7 @@ class ServingSimulator:
                     guard.check_serving_slot(
                         t, table, len(outcome.realized), merged_backlog, queue_length
                     )
-                record = SlotRecord(
+                columns.append(
                     t=t,
                     num_requests=outcome.arrived,
                     num_served=outcome.served,
@@ -571,7 +577,8 @@ class ServingSimulator:
                     slot_start_s=self.clock.slot_start(t),
                     slot_end_s=self.clock.slot_end(t),
                 )
-                records.append(record)
+                # The slot becomes a record only for a caller that reads it.
+                record = None if on_slot is None else columns.last()
                 if envelope.emit(t, on_slot, record):
                     stopped = True
                     break
@@ -585,8 +592,8 @@ class ServingSimulator:
         # Every admitted session counts, also one the run stopped before it joined.
         stats["fairness_users"] = counters["sessions_admitted"]
         stats["fairness_served_sq"] = float(table.served_sq())
-        stats["sim_seconds"] = len(records) * self.clock.slot_duration
-        stats["slots"] = len(records)
+        stats["sim_seconds"] = len(columns) * self.clock.slot_duration
+        stats["slots"] = len(columns)
         diagnostics: Dict[str, object] = {"serving": stats}
 
         def final_checks(guard) -> None:
@@ -598,7 +605,7 @@ class ServingSimulator:
             policy_name=SERVING_LINEUP_NAME,
             horizon=self.horizon,
             total_budget=self.total_budget,
-            records=tuple(records),
+            columns=columns.build(),
             diagnostics=diagnostics,
         )
 

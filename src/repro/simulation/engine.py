@@ -113,10 +113,12 @@ class SlottedSimulator(SlotPipeline):
             for slot_trace in self.trace.slots:
                 t = slot_trace.t
                 fault_state = envelope.begin_slot(t)
-                _, record = self._step(
+                self._step(
                     envelope, lane, t, slot_trace.snapshot, slot_trace.requests,
                     routes_for, fault_state,
                 )
+                # The slot becomes a record only for a caller that reads it.
+                record = None if on_slot is None else lane.slots.last()
                 if envelope.emit(t, on_slot, policy.name, record):
                     break
             (diagnostics,) = self._finish(envelope, [lane])
@@ -124,7 +126,7 @@ class SlottedSimulator(SlotPipeline):
             policy_name=policy.name,
             horizon=self.trace.horizon,
             total_budget=self.total_budget,
-            records=tuple(lane.records),
+            columns=lane.slots.build(),
             diagnostics=diagnostics,
         )
 

@@ -319,7 +319,7 @@ class ProtocolLane(SlotLane):
 
     def diagnostics(self) -> Dict[str, object]:
         diagnostics = super().diagnostics()
-        self.stats.slots = len(self.records)
+        self.stats.slots = len(self.slots)
         diagnostics["eventsim"] = self.stats.to_dict()
         return diagnostics
 

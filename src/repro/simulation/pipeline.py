@@ -7,7 +7,8 @@ sequence of stages:
 
 candidates → aware fault filter → ``policy.decide`` → capacity check →
 realise → blind fault interruption → physical chain → guard checks →
-:class:`~repro.simulation.results.SlotRecord` → emit/stop.
+append to the lane's columns
+(:class:`~repro.simulation.results.SlotColumnsBuilder`) → emit/stop.
 
 Two strategies plug into the fixed skeleton:
 
@@ -40,7 +41,7 @@ from repro.network.graph import EdgeKey, QDNGraph, ResourceSnapshot
 from repro.network.routes import Route
 from repro.simulation.link_layer import LinkLayerSimulator
 from repro.simulation.physical import PhysicalModel
-from repro.simulation.results import SlotRecord
+from repro.simulation.results import SlotColumnsBuilder
 from repro.telemetry import hooks as telemetry_hooks
 from repro.telemetry.tracer import TelemetryModel, Tracer, maybe_span
 from repro.utils.rng import SeedLike, as_generator, spawn_rngs
@@ -145,7 +146,7 @@ class SlotLane:
     """One policy's pass through the per-slot step, on the slotted backend.
 
     Holds the policy, its random streams, its physical engine (``None``
-    with the layer off) and its slot records.  :meth:`links` and
+    with the layer off) and its slots, as columns.  :meth:`links` and
     :meth:`chain` are the backend's realise and physical steps; the event
     backend overrides them.
     """
@@ -158,7 +159,7 @@ class SlotLane:
         "engine",
         "tracer",
         "link_layer",
-        "records",
+        "slots",
     )
 
     def __init__(
@@ -169,7 +170,7 @@ class SlotLane:
         self.engine = None if physical is None else physical.build_engine(graph.attempts_per_slot)
         self.tracer = tracer
         self.link_layer = LinkLayerSimulator(graph=graph)
-        self.records: List[SlotRecord] = []
+        self.slots = SlotColumnsBuilder()
 
     def links(self, t: int, items: RouteItems):
         """Realise step: one batched draw over every served route of the slot.
@@ -241,7 +242,8 @@ class SlotPipeline:
         routes_for: Callable,
         fault_state,
     ):
-        """Run ``lane`` through slot ``t``; returns the decision and the record.
+        """Run ``lane`` through slot ``t`` and append it to the lane's slots;
+        returns the decision.
 
         ``requests`` and ``snapshot`` are what the driver's request source
         offers this lane; ``routes_for`` maps a request to its candidate
@@ -321,7 +323,10 @@ class SlotPipeline:
                     guard.check_fidelities(delivered_fidelities, slot=t, model=lane.engine)
 
         clock = self.clock
-        record = SlotRecord(
+        # Tuples, not lists: once the collector finds a tuple holding only
+        # numbers it stops tracking it, so the slots a run keeps add nothing
+        # to the collections that run meanwhile.
+        lane.slots.append(
             t=t,
             num_requests=len(requests),
             num_served=decision.num_served,
@@ -337,8 +342,7 @@ class SlotPipeline:
             slot_start_s=clock.slot_start(t),
             slot_end_s=clock.slot_end(t),
         )
-        lane.records.append(record)
-        return decision, record
+        return decision
 
     def _finish(
         self, envelope: RunEnvelope, lanes: Sequence[SlotLane]

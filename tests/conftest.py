@@ -202,3 +202,85 @@ def star_context(successes, capacity: int, spare: int = 1000) -> SlotContext:
             request: (Route.from_nodes((0, request.destination)),) for request in requests
         },
     )
+
+
+# --------------------------------------------------------------------- #
+# The schema-2 saved layout: one JSON object per slot, holding per-request
+# lists.  Saved records now hold columns (schema 3); the golden digests were
+# taken over this layout, so the pin tests decode the saved payload and
+# hash its schema-2 view.
+# --------------------------------------------------------------------- #
+def result_to_v2_dict(result) -> dict:
+    """One policy run in the schema-2 layout."""
+    return {
+        "policy_name": result.policy_name,
+        "horizon": result.horizon,
+        "total_budget": result.total_budget,
+        "summary": result.summary(),
+        "records": [
+            {
+                "t": record.t,
+                "num_requests": record.num_requests,
+                "num_served": record.num_served,
+                "cost": record.cost,
+                "utility": record.utility,
+                "success_probabilities": list(record.success_probabilities),
+                "realized_successes": [bool(v) for v in record.realized_successes],
+                "queue_length": record.queue_length,
+                "delivered_successes": [bool(v) for v in record.delivered_successes],
+                "delivered_fidelities": list(record.delivered_fidelities),
+                "fidelity_served": [bool(v) for v in record.fidelity_served],
+                "slot_start_s": record.slot_start_s,
+                "slot_end_s": record.slot_end_s,
+            }
+            for record in result.records
+        ],
+    }
+
+
+def trial_to_v2_dict(trial) -> dict:
+    """One trial's results in the schema-2 layout, by line-up name."""
+    return {name: result_to_v2_dict(result) for name, result in trial.items()}
+
+
+def record_to_v2_dict(record) -> dict:
+    """A whole :class:`~repro.api.RunRecord` as the schema-2 writer saved it."""
+    from repro.api.records import provider_record_to_dict, trial_diagnostics
+
+    return {
+        "schema_version": 2,
+        "kind": record.kind,
+        "scenario": record.scenario,
+        "trials": [trial_to_v2_dict(trial) for trial in record.trials],
+        "diagnostics": [trial_diagnostics(trial) for trial in record.trials],
+        "provider_trials": [
+            [provider_record_to_dict(entry) for entry in trial]
+            for trial in record.provider_trials
+        ],
+        "meta": dict(record.meta),
+    }
+
+
+def v2_view(payload) -> dict:
+    """A saved record payload through JSON, decoded, in the schema-2 layout."""
+    import json
+
+    from repro.api.records import RunRecord
+
+    return record_to_v2_dict(RunRecord.from_dict(json.loads(json.dumps(payload))))
+
+
+def figure_payload_v2(payload) -> dict:
+    """A ``figure --json`` payload through JSON with each of its records (a
+    comparison's ``record``, a study's point records, the ablations'
+    ``lineup``) in the schema-2 layout."""
+    import json
+
+    payload = json.loads(json.dumps(payload))
+    if "record" in payload:
+        payload["record"] = v2_view(payload["record"])
+    for point in (payload.get("study") or {}).get("points", ()):
+        point["record"] = v2_view(point["record"])
+    if "lineup" in payload:
+        payload["lineup"] = v2_view(payload["lineup"])
+    return payload

@@ -20,7 +20,7 @@ from repro.analysis.stats import (
     downsample,
     merge_stat_mappings,
 )
-from repro.simulation.results import SimulationResult, SlotRecord
+from repro.simulation.results import SimulationResult, SlotColumns, SlotRecord
 
 
 # --------------------------------------------------------------------- #
@@ -140,7 +140,7 @@ class TestAggregation:
 # --------------------------------------------------------------------- #
 def _empty_result():
     return SimulationResult(
-        policy_name="oscar", horizon=0, total_budget=100.0, records=()
+        policy_name="oscar", horizon=0, total_budget=100.0, columns=SlotColumns.from_records(())
     )
 
 
@@ -178,7 +178,7 @@ class TestEmptyRun:
             policy_name="oscar",
             horizon=1,
             total_budget=10.0,
-            records=(_zero_slot(),),
+            columns=SlotColumns.from_records((_zero_slot(),)),
         )
         assert result.running_average_success_rate() == [0.0]
         assert not any(
@@ -187,6 +187,6 @@ class TestEmptyRun:
 
     def test_zero_budget_utilisation(self):
         result = SimulationResult(
-            policy_name="oscar", horizon=0, total_budget=0.0, records=()
+            policy_name="oscar", horizon=0, total_budget=0.0, columns=SlotColumns.from_records(())
         )
         assert result.budget_utilisation == 0.0

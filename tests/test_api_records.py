@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import trial_to_v2_dict
 from repro import api
 from repro.api.records import result_from_dict, result_to_dict
 from repro.experiments.config import ExperimentConfig
-from repro.simulation.results import SimulationResult, SlotRecord
+from repro.simulation.results import SimulationResult, SlotColumns, SlotRecord
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,7 @@ def sample_result():
         ),
     )
     return SimulationResult(
-        policy_name="OSCAR", horizon=2, total_budget=20.0, records=records
+        policy_name="OSCAR", horizon=2, total_budget=20.0, columns=SlotColumns.from_records(records)
     )
 
 
@@ -95,12 +96,14 @@ class TestResultCodec:
     def test_json_is_plain_data(self):
         payload = json.loads(json.dumps(result_to_dict(sample_result())))
         assert payload["policy_name"] == "OSCAR"
-        assert isinstance(payload["records"], list)
+        assert payload["columns"]["cost"] == {
+            "dtype": "<i8", "length": 2, "data": payload["columns"]["cost"]["data"]
+        }
 
 
 def trials_json(record):
-    """A record's saved trials, byte for byte."""
-    return json.dumps(record.to_dict()["trials"], sort_keys=True)
+    """A record's trials in the schema-2 layout the fixtures were saved in."""
+    return json.dumps([trial_to_v2_dict(trial) for trial in record.trials], sort_keys=True)
 
 
 class TestSavedPhysicalConfigs:

@@ -215,6 +215,32 @@ class TestFigureSweptFlags:
         assert f"Fig. {name[3:]}(a)" in capsys.readouterr().out
 
 
+class TestAblationFlags:
+    """The ablations read neither the physical nor the timing layer, so
+    ``figure ablations`` refuses their flags; faults change its report."""
+
+    @pytest.mark.parametrize(
+        "flags,path",
+        [
+            (["--swap-p", "0.5"], "physical.swap_success"),
+            (["--signaling-latency", "0.05"], "timing.signaling_latency_s"),
+        ],
+    )
+    def test_unread_flag_is_refused(self, flags, path, capsys):
+        assert main(["figure", "ablations", *flags, "--scale", "tiny", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flags[0]} sets {path}, which the ablations do not read" in captured.err
+
+    def test_faults_change_the_report(self, capsys):
+        base = ["figure", "ablations", "--scale", "tiny", "--trials", "1"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        assert main(base + ["--edge-mtbf", "5"]) == 0
+        faulted = capsys.readouterr().out
+        assert "Ablation" in faulted and faulted != plain
+
+
 class TestServeCommand:
     def test_runs_and_prints_serving_tables(self, capsys):
         assert main(["serve", "--scale", "tiny", "--trials", "1",

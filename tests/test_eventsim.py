@@ -36,7 +36,7 @@ from repro.simulation.link_layer import LinkLayerSimulator
 from repro.workload.requests import UniformRequestProcess
 from repro.workload.traces import generate_trace
 
-from conftest import make_line_graph
+from conftest import make_line_graph, result_to_v2_dict
 
 
 @pytest.fixture
@@ -603,7 +603,7 @@ class TestPersistenceTimestamps:
         result = SlottedSimulator(graph=graph, trace=trace, total_budget=60.0).run(
             make_oscar(), seed=2
         )
-        payload = result_to_dict(result)
+        payload = result_to_v2_dict(result)
         for entry in payload["records"]:
             del entry["slot_start_s"], entry["slot_end_s"]
         rebuilt = result_from_dict(payload)

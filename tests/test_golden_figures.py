@@ -14,6 +14,11 @@ the sha256 of the serialised trial records and the merged kernel, physical,
 event, serving and fault stats.  They catch per-slot and timestamp changes
 the summaries average away.
 
+Both digests hash the schema-2 view of the saved records
+(``conftest.figure_payload_v2`` and ``conftest.v2_view``): the saved
+payload goes through JSON, is decoded and is laid out one object per slot,
+as the records were saved when the digests were taken.
+
 To regenerate after an intended change to a figure::
 
     PYTHONPATH=src python tests/test_golden_figures.py
@@ -28,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import figure_payload_v2, v2_view
 from repro import api
 from repro.experiments import ablations, figures
 from repro.experiments.config import ExperimentConfig
@@ -55,8 +61,9 @@ def figure_result(name: str, dual_tolerance=None):
 
 
 def json_digest(result) -> str:
-    """sha256 of the ``figure --json`` payload, its elapsed time set to 0."""
-    payload = result.to_dict()
+    """sha256 of the ``figure --json`` payload in the schema-2 layout, its
+    elapsed time set to 0."""
+    payload = figure_payload_v2(result.to_dict())
     for key in ("record", "study"):
         meta = (payload.get(key) or {}).get("meta", {})
         if "elapsed_seconds" in meta:
@@ -166,7 +173,7 @@ _MULTIUSER_UNPINNED = ("realized_fidelities", "queue_length")
 def slot_pins(stem: str) -> dict:
     """The per-slot digest and merged layer stats of pin case ``stem``."""
     record = SLOT_PIN_CASES[stem]().with_trials(1).run()
-    trials = record.to_dict()["trials"]
+    trials = v2_view(record.to_dict())["trials"]
     if record.kind == "multiuser":
         for trial in trials:
             for result in trial.values():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import record_to_v2_dict
 from repro import api
 from repro.analysis.stats import merge_stat_mappings
 from repro.api.records import trial_to_dict
@@ -161,7 +162,7 @@ class TestWallTimeAndThroughput:
 
     def test_legacy_payload_without_stamps_is_none(self, tmp_path):
         record = api.run_scenario(serving_scenario())
-        payload = record.to_dict()
+        payload = record_to_v2_dict(record)
         for trial in payload["trials"]:
             for result in trial.values():
                 for slot in result["records"]:

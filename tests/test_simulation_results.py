@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.simulation.results import SimulationResult, SlotRecord
+from repro.simulation.results import SimulationResult, SlotColumns, SlotRecord
 
 
 def make_record(t=0, requests=2, served=2, cost=6, utility=-0.2, probabilities=(0.9, 0.8), realized=(True, False), queue=None):
@@ -25,7 +25,7 @@ def make_result(records, budget=20.0):
         policy_name="TEST",
         horizon=len(records),
         total_budget=budget,
-        records=tuple(records),
+        columns=SlotColumns.from_records(tuple(records)),
     )
 
 

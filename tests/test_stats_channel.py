@@ -83,7 +83,7 @@ def test_layer_values_are_builtin_numbers(driver):
 def test_saved_diagnostics_leave_out_per_slot_histories():
     record = _run("multiuser", "full")
     payload = record.to_dict()
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert len(payload["diagnostics"]) == len(payload["trials"])
     for trial, saved in zip(payload["trials"], payload["diagnostics"]):
         assert set(saved) == set(trial)

@@ -12,7 +12,9 @@ its ``repr``, so every field and every bit counts) and the
   over metrics that include ``fairness`` and ``delivered_success_rate``.
 
 It also pins the sha256 of the ``record`` section (without ``meta``) of
-``repro figure fig3|fig4 --scale tiny --trials 1 --json``.
+``repro figure fig3|fig4 --scale tiny --trials 1 --json``, in its schema-2
+view (``conftest.v2_view``): the layout the record was saved in when the
+digest was taken.
 
 To regenerate after an intended change to a summary::
 
@@ -31,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import v2_view
 from repro import api, cli
 
 PINS_PATH = Path(__file__).parent / "data" / "summary-pins.json"
@@ -84,12 +87,13 @@ def study_pin() -> dict:
 
 
 def figure_record_sha256(name: str) -> str:
-    """sha256 of the ``record`` section, ``meta`` left out, of ``figure --json``."""
+    """sha256 of the ``record`` section, ``meta`` left out, of ``figure --json``,
+    in the schema-2 layout."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(["figure", name, "--scale", "tiny", "--trials", "1", "--json"])
     assert code == 0
-    record = json.loads(stdout.getvalue())["record"]
+    record = v2_view(json.loads(stdout.getvalue())["record"])
     record.pop("meta")
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
