@@ -165,8 +165,10 @@ class SlotColumns:
             setattr(self, name, column)
         for name in (*OPTIONAL_COLUMNS, *REQUEST_COLUMNS):
             column = columns[name]
-            if len(column.offsets) != slots + 1:
-                raise ValueError(f"column {name!r} has {len(column.offsets) - 1} slots, not {slots}")
+            if len(column.offsets) - 1 != slots:
+                raise ValueError(
+                    f"column {name!r} has {len(column.offsets) - 1} slots, not {slots}"
+                )
             setattr(self, name, column)
 
     @classmethod
@@ -225,6 +227,11 @@ class SlotRecords(Sequence):
 
     def __iter__(self) -> Iterator[SlotRecord]:
         return map(self._columns.record, range(len(self._columns)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SlotRecords):
+            return NotImplemented
+        return self._columns == other._columns
 
 
 #: The position of each :class:`SlotRecord` field in a builder row.

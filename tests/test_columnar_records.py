@@ -166,6 +166,10 @@ def test_records_view_builds_each_slot_when_read():
     assert records[0] is not records[0]
     with pytest.raises(IndexError):
         records[3]
+    # Two views of the same slots compare equal, as the record tuples did.
+    assert records == result.records
+    shorter = SimulationResult("MF", 2, 12.0, SlotColumns.from_records(EDGE_SLOTS[:2]))
+    assert records != shorter.records
 
 
 def test_columns_hold_the_slot_order():
